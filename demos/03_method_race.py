@@ -18,7 +18,6 @@ from hardlogit import (
     check_linear_span,
     profile,
     run,
-    spectral_norm,
 )
 
 sigma, zeta = 1.3, 1.0
@@ -28,7 +27,7 @@ print(f"{'method':>10s} {'T':>4s} {'gap':>12s} {'lower bound':>12s} "
 for T in (5, 25, 50):
     inst = build_instance(2 * T, sigma, zeta)
     prof = profile(inst)
-    a_norm = spectral_norm(inst).value
+    a_norm = inst.a_norm()
     L = 0.5 * a_norm**2
     lb = bound_linear_span(T, a_norm, prof.xstar_norm_sq)
     for name in ("gd", "agd", "heavyball", "denseprobe"):
@@ -48,7 +47,7 @@ print("\nThe sandwich for the accelerated method:")
 for T in (5, 25, 50):
     inst = build_instance(2 * T, sigma, zeta)
     prof = profile(inst)
-    a_norm = spectral_norm(inst).value
+    a_norm = inst.a_norm()
     L = 0.5 * a_norm**2
     trace = run(MethodSpec(name="agd", step_size=1.0 / L), FirstOrderOracle(inst), T)
     gap = trace.values[-1] - prof.f_star

@@ -19,7 +19,6 @@ from hardlogit import (
     matvec_at,
     profile,
     replay_check,
-    spectral_norm,
 )
 
 sigma, zeta = 1.3, 1.0
@@ -35,7 +34,7 @@ for name in ("gd", "agd", "denseprobe"):
 
     gap = trace.values[-1] - prof.f_star
     d = trace.iterates[-1] - z_star
-    lb = bound_general(T, spectral_norm(base).value, prof.xstar_norm_sq)
+    lb = bound_general(T, final.a_norm(), prof.xstar_norm_sq)
     rotation_size = np.max(np.abs(final.U - np.eye(base.k)))
     atb = matvec_at(base, base.labels)
 

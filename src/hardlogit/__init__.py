@@ -11,7 +11,6 @@ from .analytic import (
     c_bracket,
     constant_c_ratio,
     logcosh,
-    numeric_optimum,
     per_coordinate_gap,
     profile,
     profile_metadata,
@@ -21,7 +20,6 @@ from .analytic import (
 )
 from .datasets import (
     RotatedInstance,
-    SpectralNorm,
     Variant,
     WOperator,
     WorstCaseInstance,
@@ -30,7 +28,6 @@ from .datasets import (
     export,
     matvec_a,
     matvec_at,
-    spectral_norm,
 )
 from .logloss import (
     FirstOrderOracle,

@@ -9,6 +9,9 @@ optimal value
 
     f* = 8k*log2 + 4k*[logcosh(sigma*c) + logcosh(zeta*c) - (sigma-zeta)*c].
 
+h is even, so the four-block loss is exactly twice the two-block loss: the
+two-block instance has the same x* and half the optimal value.
+
 This module solves for c (bisection on a proven bracket), assembles the
 analytic profile of an instance, and evaluates the iteration-count lower
 bounds that the benchmark races methods against.
@@ -20,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .datasets import Variant, WorstCaseInstance
-from .logloss import LOG2, lipschitz, loss
+from .logloss import LOG2
 
 
 def logcosh(z: float) -> float:
@@ -117,7 +120,7 @@ def constant_c_ratio(sigma: float, zeta: float, conservative: bool = False) -> f
 
 @dataclass(frozen=True)
 class AnalyticProfile:
-    """Closed-form optimum data for one four-block instance."""
+    """Closed-form optimum data for one instance."""
 
     c: float
     x_star: np.ndarray
@@ -137,20 +140,16 @@ def per_coordinate_gap(sigma: float, zeta: float) -> float:
 def profile(inst: WorstCaseInstance) -> AnalyticProfile:
     """Assemble c, x*, f*, ||x*||^2 and the ratio constant for an instance.
 
-    Only the four-block variant has these closed forms; for two_block use
-    :func:`numeric_optimum`.
+    Both variants share x* and c; the two-block f* is half the four-block one.
     """
-    if inst.variant is not Variant.FOUR_BLOCK:
-        raise ValueError(
-            "unsupported variant: closed-form optimum data covers four_block only; "
-            "use numeric_optimum for two_block"
-        )
     sigma, zeta, k = inst.sigma, inst.zeta, inst.k
     c = solve_c(sigma, zeta)
     x_star = c * np.arange(1, k + 1, dtype=float)
     f_star = 8.0 * k * LOG2 + 4.0 * k * (
         logcosh(sigma * c) + logcosh(zeta * c) - (sigma - zeta) * c
     )
+    if inst.variant is Variant.TWO_BLOCK:
+        f_star /= 2.0
     norm_sq = c * c * k * (k + 1) * (2 * k + 1) / 6.0
     if sigma < 2.0 * zeta:
         c_lb, c_ub = c_bracket(sigma, zeta)
@@ -224,18 +223,3 @@ def agd_upper_bound(T: int, lipschitz_const: float, dist0_sq: float) -> float:
     """Guaranteed accelerated-method gap after T steps: 2L*d0^2/(T+1)^2."""
     return 2.0 * lipschitz_const * dist0_sq / (T + 1) ** 2
 
-
-def numeric_optimum(inst, iterations: int = 200_000):
-    """Approximate (x_opt, f_opt) by a long accelerated-gradient run.
-
-    Used where no closed form is exposed (the two_block variant).
-    """
-    step = 1.0 / lipschitz(inst)
-    x_prev = np.zeros(inst.k)
-    y = np.zeros(inst.k)
-    x = x_prev
-    for t in range(1, iterations + 1):
-        x = y - step * loss(inst, y).gradient
-        y = x + ((t - 1) / (t + 2)) * (x - x_prev)
-        x_prev = x
-    return x, float(loss(inst, x).value)

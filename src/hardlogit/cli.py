@@ -12,15 +12,13 @@ Subcommands:
 
 Exit codes: 0 pass, 1 assertion failure, 2 usage error.  Reports are
 canonical JSON (sorted keys); pass --no-timestamp for byte-identical
-reruns.  HARDLOGIT_THREADS caps parallel race cells.
+reruns.
 """
 
 import argparse
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -90,16 +88,8 @@ def cmd_generate(args) -> int:
     ext = {"csv": "csv", "libsvm": "libsvm"}[fmt]
     out = Path(args.out) if args.out else Path(f"wc_k{inst.k}_{inst.variant.value}.{ext}")
     datasets.export(inst, fmt, out)
-
-    if inst.variant is datasets.Variant.FOUR_BLOCK:
-        prof = analytic.profile(inst)
-        extra = analytic.profile_metadata(prof)
-    else:
-        c = analytic.solve_c(inst.sigma, inst.zeta)
-        _, f_num = analytic.numeric_optimum(inst, iterations=args.optimum_iters)
-        norm_sq = c * c * inst.k * (inst.k + 1) * (2 * inst.k + 1) / 6.0
-        extra = {"c": c, "f_star": f_num, "xstar_norm_sq": norm_sq}
     sidecar = out.with_suffix(out.suffix + ".meta.json")
+    extra = analytic.profile_metadata(analytic.profile(inst))
     datasets.export(inst, "json-meta", sidecar, extra_meta=extra)
     print(f"wrote {out} ({inst.n_rows} rows x {inst.k} columns) and {sidecar}")
     return 0
@@ -156,12 +146,19 @@ def _verify_checks(max_k: int, rng: np.random.Generator):
             worst_id = max(worst_id, abs((rhs - prof_k.f_star) - gap))
     yield "restricted_optimum_identity", worst_id <= 1e-9, f"max={worst_id:.2e}"
 
-    worst_norm = -np.inf
+    worst_err = 0.0
+    worst_excess = -np.inf
     for k in (1, 2, 3, 5, max_k):
         inst = datasets.build_instance(k, sigma, zeta)
-        est = datasets.spectral_norm(inst).value
-        worst_norm = max(worst_norm, est - inst.spectral_norm_bound())
-    yield "norm_below_closed_form_bound", worst_norm <= 1e-8, f"max excess={worst_norm:.2e}"
+        a_norm = inst.a_norm()
+        svd = float(np.linalg.svd(inst.dense(), compute_uv=False)[0])
+        worst_err = max(worst_err, abs(a_norm - svd) / svd)
+        worst_excess = max(worst_excess, a_norm - inst.spectral_norm_bound())
+    yield (
+        "norm_below_closed_form_bound",
+        worst_err <= 1e-14 and worst_excess <= 0.0,
+        f"max relative error vs SVD={worst_err:.2e}, max excess={worst_excess:.2e}",
+    )
 
 
 def cmd_verify(args) -> int:
@@ -181,8 +178,8 @@ def cmd_verify(args) -> int:
 def _race_cell(method_name: str, T: int, sigma: float, zeta: float, ts) -> tuple:
     inst = datasets.build_instance(2 * T, sigma, zeta)
     prof = analytic.profile(inst)
-    a_norm = datasets.spectral_norm(inst).value
-    lips = 0.5 * a_norm**2
+    a_norm = inst.a_norm()
+    lips = logloss.lipschitz(inst)
     spec = optimizers.MethodSpec(name=method_name, step_size=1.0 / lips)
     trace = optimizers.run(spec, logloss.FirstOrderOracle(inst), T)
 
@@ -231,16 +228,9 @@ def cmd_race(args) -> int:
     ts = _timestamp(args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    workers = max(1, int(os.environ.get("HARDLOGIT_THREADS", "1")))
-    cells = list(args.T)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(
-            pool.map(
-                lambda T: _race_cell(args.method, T, args.sigma, args.zeta, ts), cells
-            )
-        )
     ok = True
-    for T, (report, trace, prof) in zip(cells, results):
+    for T in args.T:
+        report, trace, prof = _race_cell(args.method, T, args.sigma, args.zeta, ts)
         stem = f"{args.method}_T{T}"
         report.write(out_dir / f"report_{stem}.json")
         optimizers.trace_to_csv(
@@ -267,7 +257,7 @@ def cmd_resist(args) -> int:
 
     base = final.base
     prof = analytic.profile(base)
-    a_norm = datasets.spectral_norm(base).value
+    a_norm = final.a_norm()
     z_star = final.U.T @ prof.x_star
     gap = float(trace.values[-1] - prof.f_star)
     diff = trace.iterates[-1] - z_star
@@ -275,9 +265,8 @@ def cmd_resist(args) -> int:
     dist0_sq = prof.xstar_norm_sq
     bound = analytic.bound_general(T, a_norm, dist0_sq)
 
-    atb = datasets.matvec_at(base, base.labels)
-    ortho = float(np.max(np.abs(final.U.T @ final.U - np.eye(base.k))))
-    fixed_dir = float(np.max(np.abs(final.U.T @ atb - atb)))
+    ortho = resist.orthogonality_residual(final)
+    fixed_dir = resist.data_direction_residual(final)
     replay_ok = resist.replay_check(method, final, trace)
 
     report = ExperimentReport(
@@ -338,8 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--variant", default="fourblock", choices=["fourblock", "twoblock"])
     p_gen.add_argument("--format", default="csv", choices=["csv", "libsvm"])
     p_gen.add_argument("--out", default=None)
-    p_gen.add_argument("--optimum-iters", type=int, default=100_000,
-                       help="iterations for the numeric optimum (twoblock sidecar)")
     p_gen.set_defaults(func=cmd_generate)
 
     p_ver = sub.add_parser("verify", help="run the analytic invariant suite")

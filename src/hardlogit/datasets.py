@@ -23,7 +23,6 @@ import enum
 import json
 import warnings
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -118,14 +117,18 @@ class WorstCaseInstance:
             combined += s * blk
         return self.w.apply(combined)
 
-    def gram_times(self, x: np.ndarray) -> np.ndarray:
-        """(A.T A) @ x in O(k); all blocks share W, so A.T A = (sum s_i^2) W^2."""
-        scale = float(sum(s * s for s in self.block_scales))
-        return scale * self.w.apply(self.w.apply(x))
-
     def dense(self) -> np.ndarray:
         wd = self.w.dense()
         return np.vstack([s * wd for s in self.block_scales])
+
+    def a_norm(self) -> float:
+        """||A||, exactly: 2*sqrt(sum s_i^2)*cos(pi/(2k+1)).
+
+        A'A = (sum s_i^2) W'W, and W'W is tridiag(-1, [2,...,2,1], -1), whose
+        largest eigenvalue is 4*cos(pi/(2k+1))^2.
+        """
+        scale_sq = float(sum(s * s for s in self.block_scales))
+        return float(2.0 * np.sqrt(scale_sq) * np.cos(np.pi / (2 * self.k + 1)))
 
     def spectral_norm_bound(self) -> float:
         """Closed-form upper bound on ||A|| from the row structure."""
@@ -185,11 +188,12 @@ class RotatedInstance:
     def data_matrix_transpose_times(self, v: np.ndarray) -> np.ndarray:
         return self.U.T @ self.base.data_matrix_transpose_times(v)
 
-    def gram_times(self, x: np.ndarray) -> np.ndarray:
-        return self.U.T @ self.base.gram_times(self.U @ np.asarray(x, dtype=float))
-
     def dense(self) -> np.ndarray:
         return self.base.dense() @ self.U
+
+    def a_norm(self) -> float:
+        """||A @ U|| = ||A||: U is orthogonal."""
+        return self.base.a_norm()
 
     def spectral_norm_bound(self) -> float:
         return self.base.spectral_norm_bound()
@@ -247,37 +251,6 @@ def matvec_a(inst: Instance, x: np.ndarray) -> np.ndarray:
 def matvec_at(inst: Instance, v: np.ndarray) -> np.ndarray:
     """A.T @ v (U.T @ A.T @ v for a rotated instance), O(k) per block."""
     return inst.data_matrix_transpose_times(v)
-
-
-class SpectralNorm(NamedTuple):
-    value: float
-    converged: bool
-    iterations: int
-
-
-def spectral_norm(
-    inst: Instance, rel_tol: float = 1e-10, max_iter: int = 10_000
-) -> SpectralNorm:
-    """||A|| by power iteration on A.T A from the normalized all-ones vector.
-
-    Deterministic by construction.  If the iteration cap is reached the best
-    estimate so far is returned with ``converged=False`` (the estimate
-    approaches the true norm from below).
-    """
-    k = inst.k
-    v = np.full(k, 1.0 / np.sqrt(k))
-    estimate = 0.0
-    for it in range(1, max_iter + 1):
-        bv = inst.gram_times(v)
-        growth = float(np.linalg.norm(bv))  # ||A.T A v|| for unit v
-        if growth == 0.0:
-            return SpectralNorm(0.0, True, it)
-        v = bv / growth
-        new_estimate = float(np.sqrt(growth))
-        if it > 1 and abs(new_estimate - estimate) <= rel_tol * max(new_estimate, 1e-300):
-            return SpectralNorm(new_estimate, True, it)
-        estimate = new_estimate
-    return SpectralNorm(estimate, False, max_iter)
 
 
 def _fmt(value: float) -> str:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .datasets import Instance, Variant, matvec_a, matvec_at, spectral_norm
+from .datasets import Instance, Variant, matvec_a, matvec_at
 
 LOG2 = float(np.log(2.0))
 
@@ -92,12 +92,12 @@ def phi(inst: Instance, x: np.ndarray, y: float):
 
 
 def lipschitz(inst: Instance) -> float:
-    """Smoothness constant L = ||A||^2 / 2 from the measured spectral norm.
+    """Smoothness constant L = ||A||^2 / 2 from the exact spectral norm.
 
     Each component of h has second derivative sech^2(u/2)/2 <= 1/2, so the
     Hessian of the loss is dominated by A'A/2.
     """
-    return 0.5 * spectral_norm(inst).value ** 2
+    return 0.5 * inst.a_norm() ** 2
 
 
 class FirstOrderOracle:

@@ -118,12 +118,15 @@ def fix_and_map(state: AdversaryState, x_new: np.ndarray) -> AdversaryState:
     )
 
 
-def orthogonality_residual(state: AdversaryState) -> float:
+def orthogonality_residual(state: AdversaryState | RotatedInstance) -> float:
+    """max |U'U - I| of an adversary state's or a rotated instance's U."""
     return float(np.max(np.abs(state.U.T @ state.U - np.eye(state.k))))
 
 
-def data_direction_residual(state: AdversaryState) -> float:
-    """max |U.T (A'b) - A'b|: the label-signal direction must stay fixed."""
+def data_direction_residual(state: AdversaryState | RotatedInstance) -> float:
+    """max |U.T (A'b) - A'b| for the base instance's A and b: the
+    label-signal direction must stay fixed.  Accepts an adversary state or
+    a rotated instance."""
     atb = matvec_at(state.base, state.base.labels)
     return float(np.max(np.abs(state.U.T @ atb - atb)))
 

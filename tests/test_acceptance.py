@@ -29,7 +29,6 @@ from hardlogit import (
     run,
     sandwich_ratio,
     solve_c,
-    spectral_norm,
     subspace_gap,
 )
 
@@ -47,7 +46,6 @@ def warmed_up():
     # first-touch numpy/import costs must not pollute the timed criteria
     inst = build_instance(4, SIGMA, ZETA)
     profile(inst)
-    spectral_norm(inst)
     run(MethodSpec(name="gd", step_size=1.0 / lipschitz(inst)),
         FirstOrderOracle(inst), 2)
     constant_c_ratio(SIGMA, ZETA)
@@ -189,7 +187,7 @@ def test_criterion_06_linear_span_lower_bound(warmed_up):
     for T in (5, 25, 50):
         inst = build_instance(2 * T, SIGMA, ZETA)
         prof = profile(inst)
-        a_norm = spectral_norm(inst).value
+        a_norm = inst.a_norm()
         lb = bound_linear_span(T, a_norm, prof.xstar_norm_sq)
         for name in ("gd", "agd", "heavyball"):
             trace = run(MethodSpec(name=name, step_size=2.0 / a_norm**2),
@@ -215,7 +213,7 @@ def test_criterion_07_tightness_sandwich(warmed_up):
     for T in (5, 25, 50):
         inst = build_instance(2 * T, SIGMA, ZETA)
         prof = profile(inst)
-        a_norm = spectral_norm(inst).value
+        a_norm = inst.a_norm()
         L = 0.5 * a_norm**2
         trace = run(MethodSpec(name="agd", step_size=1.0 / L),
                     FirstOrderOracle(inst), T)
@@ -257,7 +255,7 @@ def test_criterion_08_general_lower_bound(adversarial_results):
     for (name, T), (_, trace, final) in cells.items():
         base = final.base
         prof = profile(base)
-        a_norm = spectral_norm(base).value
+        a_norm = final.a_norm()
         lb = bound_general(T, a_norm, prof.xstar_norm_sq)
         z_star = final.U.T @ prof.x_star
         gap = trace.values[-1] - prof.f_star
@@ -318,16 +316,21 @@ def test_criterion_10_span_violation_detection(warmed_up):
 
 def test_criterion_11_norm_bound(warmed_up):
     t0 = time.perf_counter()
+    worst_err = 0.0
     worst_excess = -np.inf
     eight_sigma_ok = True
     for k in range(1, 201):
         inst = build_instance(k, SIGMA, ZETA)  # sigma = 1.3 * zeta
-        est = spectral_norm(inst).value
-        worst_excess = max(worst_excess, est - inst.spectral_norm_bound())
-        eight_sigma_ok = eight_sigma_ok and (est < 8.0 * SIGMA)
+        a_norm = inst.a_norm()
+        svd = np.linalg.svd(inst.dense(), compute_uv=False)[0]
+        worst_err = max(worst_err, abs(a_norm - svd) / svd)
+        worst_excess = max(worst_excess, a_norm - inst.spectral_norm_bound())
+        eight_sigma_ok = eight_sigma_ok and (a_norm < 8.0 * SIGMA)
     elapsed = time.perf_counter() - t0
-    ok = worst_excess <= 1e-8 and eight_sigma_ok
+    ok = worst_err <= 1e-14 and worst_excess < 0.0 and eight_sigma_ok
     _line(11, ok, elapsed,
-          f"max excess over closed form {worst_excess:.2e}; all below 8*sigma")
-    assert worst_excess <= 1e-8
+          f"||A|| matches dense SVD to {worst_err:.2e} relative; "
+          f"max excess over the row bound {worst_excess:.2e}; all below 8*sigma")
+    assert worst_err <= 1e-14
+    assert worst_excess < 0.0
     assert eight_sigma_ok

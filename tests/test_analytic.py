@@ -11,7 +11,6 @@ from hardlogit import (
     lipschitz,
     logcosh,
     loss,
-    numeric_optimum,
     per_coordinate_gap,
     profile,
     profile_metadata,
@@ -19,6 +18,7 @@ from hardlogit import (
     solve_c,
     subspace_gap,
 )
+from conftest import dense_ab, logistic_form
 
 LOG2 = np.log(2.0)
 
@@ -90,10 +90,27 @@ class TestProfile:
         assert prof.xstar_norm_sq / prof.c**2 == pytest.approx(14.0, rel=1e-13)
         assert np.allclose(prof.x_star, prof.c * np.arange(1, 4), rtol=0, atol=0)
 
-    def test_two_block_raises(self):
-        inst = build_instance(3, 1.3, 1.0, "twoblock")
-        with pytest.raises(ValueError, match="unsupported variant"):
-            profile(inst)
+    @pytest.mark.filterwarnings("ignore:sigma=.*bracket is undefined:UserWarning")
+    def test_two_block_closed_form(self):
+        # h is even, so the two-block loss is half the four-block loss:
+        # same x*, half the optimal value
+        for ratio in (1.3, 1.79, 3.0):
+            for k in (1, 3, 10, 50, 137, 400):
+                inst2 = build_instance(k, ratio, 1.0, "twoblock")
+                prof2 = profile(inst2)
+                prof4 = profile(build_instance(k, ratio, 1.0))
+                assert prof2.c == prof4.c
+                assert np.array_equal(prof2.x_star, prof4.x_star)
+                assert prof2.f_star == prof4.f_star / 2.0
+                resp = loss(inst2, prof2.x_star)
+                assert abs(resp.value - prof2.f_star) <= 1e-14 * abs(prof2.f_star)
+                assert np.max(np.abs(resp.gradient)) <= 1e-12
+
+    def test_two_block_value_against_dense_form(self):
+        A, b = dense_ab(10, 1.3, 1.0, "twoblock")
+        prof = profile(build_instance(10, 1.3, 1.0, "twoblock"))
+        direct = logistic_form(A, b, prof.x_star)
+        assert abs(direct - prof.f_star) <= 1e-13 * abs(prof.f_star)
 
     def test_bracket_fields(self):
         prof = profile(build_instance(4, 1.3, 1.0))
@@ -107,14 +124,13 @@ class TestProfile:
 
 class TestTwoBlockNumeric:
     def test_long_run_agrees_with_mirrored_half(self):
-        # the two-block optimum is found numerically; empirically it sits at
-        # the same scaled ramp and its value is half the four-block formula
+        # an unrestricted long accelerated run reaches the closed-form value,
+        # which is half the four-block formula
         inst2 = build_instance(6, 1.3, 1.0, "twoblock")
-        x_opt, f_opt = numeric_optimum(inst2, iterations=60_000)
+        f_opt = _restricted_agd_min(inst2, 6, 60_000)
         prof4 = profile(build_instance(6, 1.3, 1.0))
         assert abs(f_opt - prof4.f_star / 2.0) <= 1e-9
-        assert np.max(np.abs(loss(inst2, x_opt).gradient)) <= 1e-6
-        assert np.max(np.abs(x_opt - prof4.x_star)) <= 1e-5
+        assert abs(f_opt - profile(inst2).f_star) <= 1e-9
 
 
 class TestRatioConstant:

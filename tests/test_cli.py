@@ -5,6 +5,7 @@ import pytest
 
 from hardlogit import build_instance, matvec_a
 from hardlogit.cli import main
+from conftest import dense_ab, logistic_form
 
 
 def test_generate_csv_k1(tmp_path, monkeypatch):
@@ -25,11 +26,17 @@ def test_generate_twoblock_row_count(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     rc = main([
         "generate", "--k", "3", "--variant", "twoblock", "--format", "libsvm",
-        "--sigma", "1.3", "--zeta", "1.0", "--optimum-iters", "20000",
+        "--sigma", "1.3", "--zeta", "1.0",
     ])
     assert rc == 0
     lines = (tmp_path / "wc_k3_twoblock.libsvm").read_text().strip().splitlines()
     assert len(lines) == 6
+    # the sidecar carries the exact two-block optimum
+    meta = json.loads((tmp_path / "wc_k3_twoblock.libsvm.meta.json").read_text())
+    A, b = dense_ab(3, 1.3, 1.0, "twoblock")
+    f_at_ramp = logistic_form(A, b, meta["c"] * np.arange(1.0, 4.0))
+    assert abs(meta["f_star"] - f_at_ramp) <= 1e-14 * abs(f_at_ramp)
+    assert meta["xstar_norm_sq"] == pytest.approx(14.0 * meta["c"] ** 2, rel=1e-15)
 
 
 def test_generate_libsvm_roundtrip(tmp_path):
@@ -108,15 +115,6 @@ def test_race_reports_reproducible(tmp_path):
         assert rc == 0
     for name in ("report_gd_T3.json", "report_gd_T6.json", "trace_gd_T3.csv"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
-
-
-def test_race_honors_thread_cap(tmp_path, monkeypatch):
-    monkeypatch.setenv("HARDLOGIT_THREADS", "2")
-    rc = main(["race", "--method", "gd", "--T", "3,4", "--out", str(tmp_path),
-               "--no-timestamp"])
-    assert rc == 0
-    assert (tmp_path / "report_gd_T3.json").exists()
-    assert (tmp_path / "report_gd_T4.json").exists()
 
 
 def test_resist_report_and_exports(tmp_path):

@@ -11,7 +11,6 @@ from hardlogit import (
     export,
     matvec_a,
     matvec_at,
-    spectral_norm,
 )
 from conftest import dense_ab, dense_w, random_orthogonal
 
@@ -162,40 +161,56 @@ class TestMatvec:
             matvec_at(inst, np.ones(5))
 
 
+def _svd_norm(k, sigma, zeta, variant):
+    A, _ = dense_ab(k, sigma, zeta, variant)
+    return float(np.linalg.svd(A, compute_uv=False)[0])
+
+
 class TestSpectralNorm:
     def test_k1_exact(self):
         sigma, zeta = 1.3, 1.0
         inst = build_instance(1, sigma, zeta)
-        est = spectral_norm(inst)
-        assert est.converged
         expected = 2.0 * np.sqrt(2.0 * (sigma**2 + zeta**2))
-        assert abs(est.value - expected) <= 1e-12 * expected
+        assert abs(inst.a_norm() - expected) <= 1e-15 * expected
+
+    @pytest.mark.parametrize("variant", ["fourblock", "twoblock"])
+    @pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
+    def test_matches_dense_svd(self, variant, scale):
+        # the closed form holds to relative machine precision at any scale
+        for k in list(range(1, 60)) + [100, 200, 500]:
+            sigma, zeta = 1.3 * scale, scale
+            ref = _svd_norm(k, sigma, zeta, variant)
+            got = build_instance(k, sigma, zeta, variant).a_norm()
+            assert abs(got - ref) <= 1e-14 * ref, (k, got, ref)
 
     def test_k10_matches_dense_svd(self):
         inst = build_instance(10, 1.3, 1.0)
         ref = np.linalg.svd(inst.dense(), compute_uv=False)[0]
-        assert abs(spectral_norm(inst).value - ref) <= 1e-7
+        assert abs(inst.a_norm() - ref) <= 1e-14 * ref
 
     def test_below_closed_form_bound(self):
-        for k in (1, 2, 3, 5, 13, 50, 120, 200):
-            inst = build_instance(k, 1.3, 1.0)
-            assert spectral_norm(inst).value <= inst.spectral_norm_bound() + 1e-8
+        for variant in ("fourblock", "twoblock"):
+            for k in (1, 2, 3, 5, 13, 50, 120, 200):
+                inst = build_instance(k, 1.3, 1.0, variant)
+                assert inst.a_norm() < inst.spectral_norm_bound()
 
     def test_k50_below_eight_sigma(self):
         sigma = 1.3
         inst = build_instance(50, sigma, sigma / 1.3)
-        assert spectral_norm(inst).value < 8.0 * sigma
+        assert inst.a_norm() < 8.0 * sigma
 
     def test_scale_equivariance(self):
-        base = spectral_norm(build_instance(9, 1.3, 1.0)).value
-        for alpha in (0.5, 3.0):
-            scaled = spectral_norm(build_instance(9, 1.3 * alpha, 1.0 * alpha)).value
-            assert abs(scaled - alpha * base) <= 1e-10 * alpha * base
+        base = build_instance(9, 1.3, 1.0).a_norm()
+        for alpha in (1e-8, 0.5, 3.0, 1e8):
+            scaled = build_instance(9, 1.3 * alpha, 1.0 * alpha).a_norm()
+            assert abs(scaled - alpha * base) <= 1e-15 * alpha * base
 
     def test_rotated_norm_matches_base(self):
         inst = build_instance(8, 1.3, 1.0)
         rot = RotatedInstance(inst, random_orthogonal(8, seed=3))
-        assert abs(spectral_norm(rot).value - spectral_norm(inst).value) <= 1e-7
+        assert rot.a_norm() == inst.a_norm()
+        ref = np.linalg.svd(rot.dense(), compute_uv=False)[0]
+        assert abs(rot.a_norm() - ref) <= 1e-14 * ref
 
 
 def _parse_csv(path):

@@ -15,7 +15,6 @@ from hardlogit import (
     loss,
     profile,
     run,
-    spectral_norm,
     trace_to_csv,
     trace_to_json,
 )
@@ -138,8 +137,7 @@ def test_agd_gap_exceeds_span_lower_bound():
     prof = profile(inst)
     trace = run(_method("agd", inst), FirstOrderOracle(inst), T)
     gap = trace.values[-1] - prof.f_star
-    a_norm = spectral_norm(inst).value
-    assert gap > bound_linear_span(T, a_norm, prof.xstar_norm_sq).gap
+    assert gap > bound_linear_span(T, inst.a_norm(), prof.xstar_norm_sq).gap
 
 
 class TestSerialization:

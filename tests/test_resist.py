@@ -18,7 +18,6 @@ from hardlogit import (
     profile,
     replay_check,
     save_matrix_csv,
-    spectral_norm,
 )
 from conftest import random_orthogonal
 
@@ -141,14 +140,19 @@ class TestAdversarialRun:
 
         gap = trace.values[-1] - prof.f_star
         d = trace.iterates[-1] - z_star
-        lb = bound_general(T, spectral_norm(base).value, prof.xstar_norm_sq)
+        lb = bound_general(T, final.a_norm(), prof.xstar_norm_sq)
         assert gap > lb.gap
         assert d @ d > 0.125 * prof.xstar_norm_sq
 
         eye = np.eye(base.k)
-        assert np.max(np.abs(final.U.T @ final.U - eye)) <= 1e-10
+        ortho = np.max(np.abs(final.U.T @ final.U - eye))
+        assert ortho <= 1e-10
         atb = matvec_at(base, base.labels)
-        assert np.max(np.abs(final.U.T @ atb - atb)) <= 1e-10
+        fixed = np.max(np.abs(final.U.T @ atb - atb))
+        assert fixed <= 1e-10
+        # the residual helpers take the final rotated instance as well
+        assert orthogonality_residual(final) == ortho
+        assert data_direction_residual(final) == fixed
 
     def test_rotated_optimum_value_is_invariant(self):
         trace, final = adversarial_run(MethodSpec(name="denseprobe"), 3, 1.3, 1.0)
