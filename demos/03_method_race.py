@@ -35,7 +35,7 @@ for T in (5, 25, 50):
         trace = run(spec, FirstOrderOracle(inst), T)
         gap = trace.values[-1] - prof.f_star
         d = trace.iterates[-1] - prof.x_star
-        is_span = check_linear_span(trace, FirstOrderOracle(inst))
+        is_span = check_linear_span(trace)
         print(f"{name:>10s} {T:>4d} {gap:>12.6f} {lb.gap:>12.6f} "
               f"{gap / lb.gap:>7.2f}x {float(d @ d) / prof.xstar_norm_sq:>12.4f} "
               f"{str(is_span):>6s}")

@@ -32,7 +32,6 @@ from .datasets import (
 from .logloss import (
     FirstOrderOracle,
     OracleResponse,
-    QueryLog,
     h_grad,
     h_value,
     lipschitz,
@@ -44,10 +43,10 @@ from .optimizers import (
     MethodSpec,
     Trace,
     check_linear_span,
+    drive,
     iterate_steps,
     run,
     trace_to_csv,
-    trace_to_json,
 )
 from .resist import (
     AdversaryState,

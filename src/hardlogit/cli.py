@@ -175,34 +175,29 @@ def cmd_verify(args) -> int:
     return 1 if failures else 0
 
 
-def _race_cell(method_name: str, T: int, sigma: float, zeta: float, ts) -> tuple:
-    inst = datasets.build_instance(2 * T, sigma, zeta)
-    prof = analytic.profile(inst)
+def _bound_report(args, inst, T, trace, prof, x_star, span, ts):
+    """Report of a T-iteration run of ``args.method`` on ``inst`` (optimum
+    ``x_star`` in the run's coordinates) against the span lower bound, or
+    the general one when ``span`` is false."""
     a_norm = inst.a_norm()
-    lips = logloss.lipschitz(inst)
-    spec = optimizers.MethodSpec(name=method_name, step_size=1.0 / lips)
-    trace = optimizers.run(spec, logloss.FirstOrderOracle(inst), T)
-
     gap = float(trace.values[-1] - prof.f_star)
-    diff = trace.iterates[-1] - prof.x_star
+    diff = trace.iterates[-1] - x_star
     dist_sq = float(diff @ diff)
     dist0_sq = prof.xstar_norm_sq
-    is_span = optimizers.check_linear_span(trace, logloss.FirstOrderOracle(inst))
-    if is_span:
+    if span:
         bound = analytic.bound_linear_span(T, a_norm, dist0_sq)
         bound_name = "gap_above_span_lower_bound"
     else:
         bound = analytic.bound_general(T, a_norm, dist0_sq)
         bound_name = "gap_above_general_lower_bound"
-
     report = ExperimentReport(
         config={
-            "method": method_name, "k": inst.k, "sigma": sigma, "zeta": zeta,
-            "T": T, "variant": inst.variant.value,
+            "method": args.method, "k": inst.k, "sigma": args.sigma,
+            "zeta": args.zeta, "T": T, "variant": inst.variant.value,
         },
         measured={
             "final_gap": gap, "final_dist_sq": dist_sq, "a_norm": a_norm,
-            "oracle_calls": trace.oracle_calls, "span_method": is_span,
+            "oracle_calls": trace.oracle_calls,
         },
         theoretical={
             "gap_lower_bound": bound.gap, "dist_factor": bound.dist_factor,
@@ -216,12 +211,38 @@ def _race_cell(method_name: str, T: int, sigma: float, zeta: float, ts) -> tuple
         dist_sq > bound.dist_factor * dist0_sq,
         dist_sq - bound.dist_factor * dist0_sq,
     )
-    if method_name == "agd":
-        upper = analytic.agd_upper_bound(T, lips, dist0_sq)
+    return report
+
+
+def _emit(report, out_dir, stem, trace, f_star, x_star) -> bool:
+    """Write the report and the trace CSV, print the verdicts, and return
+    whether all passed."""
+    report.write(out_dir / f"report_{stem}.json")
+    optimizers.trace_to_csv(trace, out_dir / f"trace_{stem}.csv", f_star, x_star)
+    T = report.config["T"]
+    for v in report.verdicts:
+        status = "ok" if v["passed"] else "FAIL"
+        print(f"{status:4s} T={T} {v['check']} (margin {v['margin']:.3e})")
+    return report.all_passed
+
+
+def _race_cell(args, T, ts, out_dir) -> bool:
+    inst = datasets.build_instance(2 * T, args.sigma, args.zeta)
+    prof = analytic.profile(inst)
+    lips = logloss.lipschitz(inst)
+    spec = optimizers.MethodSpec(name=args.method, step_size=1.0 / lips)
+    trace = optimizers.run(spec, logloss.FirstOrderOracle(inst), T)
+    is_span = optimizers.check_linear_span(trace)
+    report = _bound_report(args, inst, T, trace, prof, prof.x_star, is_span, ts)
+    report.measured["span_method"] = is_span
+    if args.method == "agd":
+        gap = report.measured["final_gap"]
+        upper = analytic.agd_upper_bound(T, lips, prof.xstar_norm_sq)
         report.theoretical["agd_upper_bound"] = upper
         report.theoretical["sandwich_ratio"] = analytic.sandwich_ratio(T)
         report.add_verdict("gap_below_agd_upper_bound", gap <= upper, upper - gap)
-    return report, trace, prof
+    stem = f"{args.method}_T{T}"
+    return _emit(report, out_dir, stem, trace, prof.f_star, prof.x_star)
 
 
 def cmd_race(args) -> int:
@@ -230,18 +251,7 @@ def cmd_race(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     ok = True
     for T in args.T:
-        report, trace, prof = _race_cell(args.method, T, args.sigma, args.zeta, ts)
-        stem = f"{args.method}_T{T}"
-        report.write(out_dir / f"report_{stem}.json")
-        optimizers.trace_to_csv(
-            trace, out_dir / f"trace_{stem}.csv", prof.f_star, prof.x_star
-        )
-        if args.dump_iterates:
-            optimizers.trace_to_json(trace, out_dir / f"iterates_{stem}.json")
-        for v in report.verdicts:
-            status = "ok" if v["passed"] else "FAIL"
-            print(f"{status:4s} T={T} {v['check']} (margin {v['margin']:.3e})")
-        ok = ok and report.all_passed
+        ok = _race_cell(args, T, ts, out_dir) and ok
     if not ok and args.strict:
         return 1
     return 0
@@ -254,61 +264,26 @@ def cmd_resist(args) -> int:
     T = args.T
     method = optimizers.MethodSpec(name=args.method)
     trace, final = resist.adversarial_run(method, T, args.sigma, args.zeta)
-
-    base = final.base
-    prof = analytic.profile(base)
-    a_norm = final.a_norm()
+    prof = analytic.profile(final.base)
     z_star = final.U.T @ prof.x_star
-    gap = float(trace.values[-1] - prof.f_star)
-    diff = trace.iterates[-1] - z_star
-    dist_sq = float(diff @ diff)
-    dist0_sq = prof.xstar_norm_sq
-    bound = analytic.bound_general(T, a_norm, dist0_sq)
-
+    report = _bound_report(args, final, T, trace, prof, z_star, False, ts)
     ortho = resist.orthogonality_residual(final)
     fixed_dir = resist.data_direction_residual(final)
     replay_ok = resist.replay_check(method, final, trace)
-
-    report = ExperimentReport(
-        config={
-            "method": args.method, "k": base.k, "sigma": args.sigma,
-            "zeta": args.zeta, "T": T, "variant": base.variant.value,
-        },
-        measured={
-            "final_gap": gap, "final_dist_sq": dist_sq, "a_norm": a_norm,
-            "oracle_calls": trace.oracle_calls,
-            "orthogonality_residual": ortho,
-            "data_direction_residual": fixed_dir,
-        },
-        theoretical={
-            "gap_lower_bound": bound.gap, "dist_factor": bound.dist_factor,
-            "dist0_sq": dist0_sq,
-        },
-        timestamp=ts,
-    )
-    report.add_verdict("gap_above_general_lower_bound", gap > bound.gap, gap - bound.gap)
-    report.add_verdict(
-        "dist_sq_above_one_eighth",
-        dist_sq > bound.dist_factor * dist0_sq,
-        dist_sq - bound.dist_factor * dist0_sq,
-    )
+    report.measured["orthogonality_residual"] = ortho
+    report.measured["data_direction_residual"] = fixed_dir
     report.add_verdict("rotation_orthogonal", ortho <= 1e-10, 1e-10 - ortho)
     report.add_verdict("data_direction_fixed", fixed_dir <= 1e-10, 1e-10 - fixed_dir)
     report.add_verdict("replay_matches", replay_ok, 0.0 if replay_ok else -1.0)
 
     stem = f"resist_{args.method}_T{T}"
-    report.write(out_dir / f"report_{stem}.json")
-    optimizers.trace_to_csv(trace, out_dir / f"trace_{stem}.csv", prof.f_star, z_star)
     datasets.export(final, "libsvm", out_dir / f"dataset_{stem}.libsvm")
     datasets.export(
         final, "json-meta", out_dir / f"dataset_{stem}.libsvm.meta.json",
         extra_meta=analytic.profile_metadata(prof),
     )
     resist.save_matrix_csv(final.U, out_dir / f"rotation_{stem}.csv")
-    for v in report.verdicts:
-        status = "ok" if v["passed"] else "FAIL"
-        print(f"{status:4s} T={T} {v['check']} (margin {v['margin']:.3e})")
-    if not report.all_passed and args.strict:
+    if not _emit(report, out_dir, stem, trace, prof.f_star, z_star) and args.strict:
         return 1
     return 0
 
@@ -343,7 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_race.add_argument("--out", default="reports")
     p_race.add_argument("--strict", action="store_true")
     p_race.add_argument("--no-timestamp", action="store_true")
-    p_race.add_argument("--dump-iterates", action="store_true")
     p_race.set_defaults(func=cmd_race)
 
     p_res = sub.add_parser("resist", help="race a method against the rotation adversary")

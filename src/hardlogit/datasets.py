@@ -29,17 +29,22 @@ import numpy as np
 ORTHOGONALITY_TOL = 1e-10
 
 
+def canonical_name(name: str, choices, what: str) -> str:
+    """``name`` lower-cased, stripped, without '_' or '-'; a ValueError
+    naming ``what`` unless the result is one of ``choices``."""
+    key = str(name).strip().lower().replace("_", "").replace("-", "")
+    if key not in choices:
+        raise ValueError(f"unknown {what} {name!r}; expected one of {tuple(choices)}")
+    return key
+
+
 class Variant(enum.Enum):
     FOUR_BLOCK = "fourblock"
     TWO_BLOCK = "twoblock"
 
     @classmethod
     def parse(cls, name: str) -> "Variant":
-        key = str(name).strip().lower().replace("_", "").replace("-", "")
-        for v in cls:
-            if v.value == key:
-                return v
-        raise ValueError(f"unknown variant {name!r}; expected fourblock or twoblock")
+        return cls(canonical_name(name, [v.value for v in cls], "variant"))
 
 
 @dataclass(frozen=True)
@@ -286,16 +291,25 @@ def export(inst: Instance, format: str, path, extra_meta: dict | None = None) ->
             fh.write("\n")
         return
 
-    rows = inst.dense()
-    labels = inst.labels
+    if isinstance(inst, RotatedInstance):
+        # one dense product: per-block (s*W) @ U would round differently
+        rows = zip(inst.dense(), inst.labels)
+    else:
+        # row by row from W, so the N x k matrix is never built
+        wd = inst.w.dense()
+        rows = (
+            (s * w_row, lab)
+            for s, lab in zip(inst.block_scales, inst.block_labels)
+            for w_row in wd
+        )
     if fmt == "csv":
         with open(path, "w") as fh:
             fh.write(",".join(f"feature_{j + 1}" for j in range(inst.k)) + ",label\n")
-            for row, lab in zip(rows, labels):
+            for row, lab in rows:
                 fh.write(",".join(_fmt(v) for v in row) + f",{int(lab)}\n")
     elif fmt == "libsvm":
         with open(path, "w") as fh:
-            for row, lab in zip(rows, labels):
+            for row, lab in rows:
                 (nz,) = np.nonzero(row)
                 pairs = " ".join(f"{j + 1}:{_fmt(row[j])}" for j in nz)
                 fh.write(f"{int(lab)} {pairs}".rstrip() + "\n")

@@ -6,10 +6,10 @@ rewrite |u| + 2*log1p(exp(-|u|)) (the naive cosh form overflows near
 |u| ~ 1420 in 64-bit).  The gradient is A'(tanh(Ax/2) - b).
 
 Optimizers never see A or b: they receive an opaque oracle handle that
-returns (value, gradient) pairs only, optionally recording every query.
+returns (value, gradient) pairs only.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,23 +42,6 @@ def h_grad(u: np.ndarray) -> np.ndarray:
 class OracleResponse:
     value: float
     gradient: np.ndarray
-
-
-class QueryLog:
-    """Append-only record of (query point, response) pairs."""
-
-    def __init__(self):
-        self._records: list[tuple[np.ndarray, OracleResponse]] = []
-
-    def append(self, x: np.ndarray, response: OracleResponse) -> None:
-        self._records.append((np.array(x, copy=True), response))
-
-    @property
-    def records(self):
-        return tuple(self._records)
-
-    def __len__(self) -> int:
-        return len(self._records)
 
 
 def loss(inst: Instance, x: np.ndarray) -> OracleResponse:
@@ -107,13 +90,9 @@ class FirstOrderOracle:
     deliberately not exposed on the public surface.
     """
 
-    def __init__(self, inst: Instance, log: QueryLog | None = None):
+    def __init__(self, inst: Instance):
         self._inst = inst
         self.k = inst.k
-        self.log = log
 
     def __call__(self, x: np.ndarray) -> OracleResponse:
-        response = loss(self._inst, x)
-        if self.log is not None:
-            self.log.append(x, response)
-        return response
+        return loss(self._inst, x)

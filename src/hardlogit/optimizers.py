@@ -1,17 +1,19 @@
 """Deterministic first-order methods driven purely by the oracle.
 
-Every method starts at x_0 = 0, makes one oracle call per iteration while
-stepping, and is fully deterministic.  ``dense_probe`` deliberately leaves
+Every method starts at x_0 = 0 and is fully deterministic; the methods
+here make one oracle call per iteration, and ``drive`` records every
+answer whatever the number of calls.  ``dense_probe`` deliberately leaves
 the span of past gradients (it adds a scaled all-ones direction) while
 still converging, so span checking and the adaptive adversary have a
 method to catch.
 """
 
 import csv
-import json
 from dataclasses import dataclass, replace
 
 import numpy as np
+
+from .datasets import canonical_name
 
 
 @dataclass(frozen=True)
@@ -37,26 +39,32 @@ METHOD_NAMES = ("gd", "agd", "heavyball", "denseprobe")
 
 @dataclass(frozen=True)
 class Trace:
-    """One run's iterates and per-iterate metrics.
+    """One run's iterates, per-iterate metrics and received gradients.
 
     iterates[0] is always the zero start; values[i] and grad_norms[i]
     (sup-norm) are the loss data at iterates[i], recomputable exactly.
+    gradients holds every gradient the method received, in call order.
     """
 
     iterates: np.ndarray  # (T+1, k)
     values: np.ndarray  # (T+1,)
     grad_norms: np.ndarray  # (T+1,)
     oracle_calls: int
+    gradients: np.ndarray  # (m, k)
 
     def __len__(self) -> int:
         return self.iterates.shape[0]
 
-
-def _normalize_name(name: str) -> str:
-    key = str(name).strip().lower().replace("_", "").replace("-", "")
-    if key not in METHOD_NAMES:
-        raise ValueError(f"unknown method {name!r}; expected one of {METHOD_NAMES}")
-    return key
+    @classmethod
+    def from_responses(cls, iterates, gradients, responses, oracle_calls) -> "Trace":
+        """The trace whose values and grad_norms are read from one oracle
+        response per iterate."""
+        return cls(
+            iterates=iterates,
+            values=np.array([r.value for r in responses]),
+            grad_norms=np.array([np.max(np.abs(r.gradient)) for r in responses]),
+            oracle_calls=oracle_calls, gradients=gradients,
+        )
 
 
 def iterate_steps(method: MethodSpec, ask, k: int):
@@ -66,7 +74,7 @@ def iterate_steps(method: MethodSpec, ask, k: int):
     For gd / heavyball / denseprobe the oracle is queried at each iterate;
     agd queries at its extrapolated points.
     """
-    name = _normalize_name(method.name)
+    name = canonical_name(method.name, METHOD_NAMES, "method")
     if method.step_size is None or not method.step_size > 0:
         raise ValueError("method.step_size must be a positive real")
     eta = float(method.step_size)
@@ -106,80 +114,81 @@ def iterate_steps(method: MethodSpec, ask, k: int):
             yield x
 
 
-def run(method: MethodSpec, oracle, T: int) -> Trace:
-    """Execute exactly T iterations from x_0 = 0 and assemble the trace.
+def drive(method: MethodSpec, oracle, T: int):
+    """Step the method T times from x_0 = 0 against ``oracle``.
 
-    The oracle must expose the dimension as ``oracle.k``.  Trace values at
-    iterates the method did not itself query are filled by extra oracle
-    calls; ``oracle_calls`` counts everything.
+    The oracle must expose the dimension as ``oracle.k``.  Returns
+    ``(iterates, gradients, answers)``: the (T+1, k) iterates, every
+    gradient the method received in call order as an (m, k) array, and for
+    each iterate t the first answer received at a query point equal to x_t
+    (None when the method never queried there).
     """
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
     k = oracle.k
-    name = _normalize_name(method.name)
-    queries_at_iterates = name != "agd"
-    calls = 0
-    iterates = [np.zeros(k)]
-    answers: dict[int, object] = {}
+    iterates = np.zeros((T + 1, k))
+    gradients = np.empty((T, k))  # doubled when a method calls more often
+    m = 0
+    answers = [None] * (T + 1)
+    t = 0  # index of the newest iterate while the method computes the next
 
     def ask(x):
-        nonlocal calls
-        calls += 1
-        return oracle(x)
-
-    def recording_ask(x):
-        resp = ask(x)
-        t = len(iterates) - 1
-        # gd/heavyball/denseprobe query at the current iterate; agd only
-        # shares its first query (the zero start) with an iterate
-        if queries_at_iterates or (t == 0 and not answers):
+        nonlocal gradients, m
+        resp = oracle(x)
+        if m == len(gradients):
+            gradients = np.concatenate([gradients, np.empty_like(gradients)])
+        gradients[m] = resp.gradient
+        m += 1
+        if answers[t] is None and np.array_equal(x, iterates[t]):
             answers[t] = resp
         return resp
 
-    stepper = iterate_steps(method, recording_ask, k)
-    for _ in range(T):
-        iterates.append(next(stepper))
-
-    values = np.empty(T + 1)
-    grad_norms = np.empty(T + 1)
-    for i, x in enumerate(iterates):
-        resp = answers.get(i)
-        if resp is None:
-            resp = ask(x)
-        values[i] = resp.value
-        grad_norms[i] = np.max(np.abs(resp.gradient))
-    return Trace(
-        iterates=np.array(iterates), values=values,
-        grad_norms=grad_norms, oracle_calls=calls,
-    )
+    stepper = iterate_steps(method, ask, k)
+    for t in range(T):
+        iterates[t + 1] = next(stepper)
+    return iterates, gradients[:m], answers
 
 
-def check_linear_span(trace: Trace, oracle, rel_tol: float = 1e-8) -> bool:
-    """Whether every iterate lies in the span of earlier iterate gradients.
+def run(method: MethodSpec, oracle, T: int) -> Trace:
+    """Execute exactly T iterations from x_0 = 0 and assemble the trace.
 
-    Builds an orthonormal basis of span{grad f(x_0), ..., grad f(x_{t-1})}
-    by modified Gram-Schmidt with one re-orthogonalization pass and tests
-    the projection residual of x_t against rel_tol*(1 + ||x_t||).
+    Trace values come from the answers the method received at its
+    iterates; each iterate it never queried (x_T, and agd's x_2 .. x_T)
+    costs one extra oracle call.  ``oracle_calls`` counts everything.
+    """
+    iterates, gradients, answers = drive(method, oracle, T)
+    responses = [a if a is not None else oracle(x) for a, x in zip(answers, iterates)]
+    extra = sum(a is None for a in answers)
+    return Trace.from_responses(iterates, gradients, responses, len(gradients) + extra)
+
+
+def check_linear_span(trace: Trace, rel_tol: float = 1e-8) -> bool:
+    """Whether every iterate x_t lies in the span of the first t gradients
+    the method received (``trace.gradients[:t]``).
+
+    Keeps an orthonormal basis of that span as the rows of an (r, k)
+    array, adding each gradient after two classical Gram-Schmidt passes
+    (dropped when its residual is below 1e-12 of its norm), and tests the
+    projection residual of x_t against rel_tol*(1 + ||x_t||).
     """
     if len(trace) == 0:
         raise ValueError("empty trace")
-    basis: list[np.ndarray] = []
+    gradients = trace.gradients
+    k = trace.iterates.shape[1]
+    basis = np.empty((min(len(gradients), k), k))
+    r = 0
     for t in range(1, len(trace)):
-        g = np.array(oracle(trace.iterates[t - 1]).gradient, dtype=float)
-        g_norm = np.linalg.norm(g)
-        if g_norm > 0.0:
-            v = g
+        if t <= len(gradients) and r < len(basis):
+            v = gradients[t - 1]
             for _ in range(2):  # re-orthogonalize for stability
-                for q in basis:
-                    v = v - (q @ v) * q
+                v = v - (basis[:r] @ v) @ basis[:r]
             v_norm = np.linalg.norm(v)
-            if v_norm > 1e-12 * g_norm:
-                basis.append(v / v_norm)
+            if v_norm > 1e-12 * np.linalg.norm(gradients[t - 1]):
+                basis[r] = v / v_norm
+                r += 1
         x = trace.iterates[t]
-        r = x.copy()
-        for q in basis:
-            r = r - (q @ r) * q
-        if np.linalg.norm(r) > rel_tol * (1.0 + np.linalg.norm(x)):
+        resid = x - (basis[:r] @ x) @ basis[:r]
+        if np.linalg.norm(resid) > rel_tol * (1.0 + np.linalg.norm(x)):
             return False
     return True
 
@@ -199,16 +208,3 @@ def trace_to_csv(trace: Trace, path, f_star: float, x_star: np.ndarray) -> None:
                 f"{float(d @ d):.17g}",
                 f"{trace.grad_norms[t]:.17g}",
             ])
-
-
-def trace_to_json(trace: Trace, path) -> None:
-    """Full iterate dump (large; optional)."""
-    payload = {
-        "oracle_calls": trace.oracle_calls,
-        "values": trace.values.tolist(),
-        "grad_norms": trace.grad_norms.tolist(),
-        "iterates": trace.iterates.tolist(),
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True)
-        fh.write("\n")

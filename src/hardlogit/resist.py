@@ -30,8 +30,8 @@ from .datasets import (
     build_instance,
     matvec_at,
 )
-from .logloss import OracleResponse, lipschitz, loss
-from .optimizers import MethodSpec, Trace, iterate_steps
+from .logloss import FirstOrderOracle, OracleResponse, lipschitz, loss
+from .optimizers import MethodSpec, Trace, drive
 
 TIE_BREAK = 1e-12
 DRIFT_TOL = 1e-12
@@ -183,6 +183,13 @@ class ResistingOracle:
         return RotatedInstance(self.state.base, self.state.U)
 
 
+def _with_default_step(method: MethodSpec, inst: WorstCaseInstance) -> MethodSpec:
+    """The method, with step 1/L of ``inst`` when it names no step."""
+    if method.step_size is None:
+        return method.with_step(1.0 / lipschitz(inst))
+    return method
+
+
 def adversarial_run(
     method: MethodSpec, T: int, sigma: float, zeta: float
 ) -> tuple[Trace, RotatedInstance]:
@@ -196,28 +203,12 @@ def adversarial_run(
     """
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
-    k = 4 * T + 2
-    inst = build_instance(k, sigma, zeta, Variant.FOUR_BLOCK)
-    if method.step_size is None:
-        method = method.with_step(1.0 / lipschitz(inst))
+    inst = build_instance(4 * T + 2, sigma, zeta, Variant.FOUR_BLOCK)
     oracle = ResistingOracle(inst)
-    iterates = [np.zeros(k)]
-    stepper = iterate_steps(method, oracle, k)
-    for _ in range(T):
-        iterates.append(next(stepper))
+    iterates, gradients, _ = drive(_with_default_step(method, inst), oracle, T)
     final = oracle.finalize(iterates[-1])
-
-    values = np.empty(T + 1)
-    grad_norms = np.empty(T + 1)
-    for i, x in enumerate(iterates):
-        resp = loss(final, x)
-        values[i] = resp.value
-        grad_norms[i] = np.max(np.abs(resp.gradient))
-    trace = Trace(
-        iterates=np.array(iterates), values=values,
-        grad_norms=grad_norms, oracle_calls=oracle.calls,
-    )
-    return trace, final
+    responses = [loss(final, x) for x in iterates]
+    return Trace.from_responses(iterates, gradients, responses, oracle.calls), final
 
 
 def replay_check(
@@ -234,19 +225,9 @@ def replay_check(
             f"length mismatch: trace dimension {trace.iterates.shape[1]} "
             f"vs instance dimension {final_inst.k}"
         )
-    if method.step_size is None:
-        method = method.with_step(1.0 / lipschitz(final_inst.base))
-    T = len(trace) - 1
-
-    def fixed_oracle(x):
-        return loss(final_inst, x)
-
-    iterates = [np.zeros(final_inst.k)]
-    stepper = iterate_steps(method, fixed_oracle, final_inst.k)
-    for _ in range(T):
-        iterates.append(next(stepper))
-    drift = np.max(np.abs(np.array(iterates) - trace.iterates))
-    return bool(drift <= tol)
+    method = _with_default_step(method, final_inst.base)
+    iterates, _, _ = drive(method, FirstOrderOracle(final_inst), len(trace) - 1)
+    return bool(np.max(np.abs(iterates - trace.iterates)) <= tol)
 
 
 def save_matrix_csv(matrix: np.ndarray, path) -> None:

@@ -303,7 +303,7 @@ def test_criterion_10_span_violation_detection(warmed_up):
         for name in ("gd", "agd", "heavyball", "denseprobe"):
             trace = run(MethodSpec(name=name, step_size=1.0 / L),
                         FirstOrderOracle(inst), T)
-            verdicts[(name, k)] = check_linear_span(trace, FirstOrderOracle(inst))
+            verdicts[(name, k)] = check_linear_span(trace)
     elapsed = time.perf_counter() - t0
     expected = {name: name != "denseprobe" for name in
                 ("gd", "agd", "heavyball", "denseprobe")}

@@ -98,6 +98,8 @@ class TestBuildInstance:
 
     def test_variant_parsing(self):
         assert build_instance(2, 1.3, 1.0, "four_block").variant is Variant.FOUR_BLOCK
+        assert build_instance(2, 1.3, 1.0, "Four-Block").variant is Variant.FOUR_BLOCK
+        assert build_instance(2, 1.3, 1.0, " TWO_block ").variant is Variant.TWO_BLOCK
         with pytest.raises(ValueError, match="variant"):
             build_instance(2, 1.3, 1.0, "sixblock")
 
@@ -269,7 +271,9 @@ class TestExport:
         assert np.array_equal(labels, inst.labels)
         x = rng.standard_normal(inst.k)
         assert np.array_equal(data @ x, inst.dense() @ x)
-        assert np.allclose(data @ x, matvec_a(inst, x), rtol=1e-12, atol=1e-12)
+        A, b = dense_ab(inst.k, 1.3, 1.0)
+        assert np.array_equal(data, A)
+        assert np.array_equal(labels, b)
 
     def test_json_meta_schema(self, tmp_path):
         inst = build_instance(4, 1.3, 1.0)

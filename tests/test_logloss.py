@@ -4,7 +4,6 @@ import pytest
 from hardlogit import (
     FirstOrderOracle,
     MethodSpec,
-    QueryLog,
     build_instance,
     h_grad,
     h_value,
@@ -193,18 +192,6 @@ class TestOracle:
         r2 = oracle(x)
         assert r1.value == r2.value
         assert np.array_equal(r1.gradient, r2.gradient)
-
-    def test_query_log_records_everything(self, rng):
-        inst = build_instance(4, 1.3, 1.0)
-        log = QueryLog()
-        oracle = FirstOrderOracle(inst, log=log)
-        points = [rng.standard_normal(4) for _ in range(5)]
-        for p in points:
-            oracle(p)
-        assert len(log) == 5
-        for (qx, resp), p in zip(log.records, points):
-            assert np.array_equal(qx, p)
-            assert resp.value == loss(inst, p).value
 
     def test_oracle_exposes_dimension_only(self):
         inst = build_instance(4, 1.3, 1.0)

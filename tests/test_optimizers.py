@@ -1,5 +1,4 @@
 import csv
-import json
 
 import numpy as np
 import pytest
@@ -13,10 +12,10 @@ from hardlogit import (
     check_linear_span,
     lipschitz,
     loss,
+    optimizers,
     profile,
     run,
     trace_to_csv,
-    trace_to_json,
 )
 
 ALL_METHODS = ["gd", "agd", "heavyball", "denseprobe"]
@@ -74,10 +73,57 @@ class TestRun:
         inst = build_instance(3, 1.3, 1.0)
         with pytest.raises(ValueError, match="unknown method"):
             run(MethodSpec(name="newton", step_size=0.1), FirstOrderOracle(inst), 3)
+        with pytest.raises(ValueError, match="unknown method"):
+            run(MethodSpec(name="heavy ball", step_size=0.1), FirstOrderOracle(inst), 3)
+        # case, '_' and '-' do not matter in a method name
+        for alias, name in (("AGD", "agd"), ("heavy_ball", "heavyball"),
+                            (" Dense-Probe ", "denseprobe")):
+            got = run(_method(alias, inst), FirstOrderOracle(inst), 3)
+            want = run(_method(name, inst), FirstOrderOracle(inst), 3)
+            assert np.array_equal(got.iterates, want.iterates)
         with pytest.raises(ValueError, match="T must be"):
             run(_method("gd", inst), FirstOrderOracle(inst), 0)
         with pytest.raises(ValueError, match="step_size"):
             run(MethodSpec(name="gd"), FirstOrderOracle(inst), 3)
+
+
+    def test_trace_records_received_gradients(self):
+        inst = build_instance(6, 1.3, 1.0)
+        T = 7
+        trace = run(_method("gd", inst), FirstOrderOracle(inst), T)
+        # gd queries at x_0 .. x_{T-1}, one call each
+        assert trace.gradients.shape == (T, 6)
+        for t in range(T):
+            assert np.array_equal(trace.gradients[t], loss(inst, trace.iterates[t]).gradient)
+        agd = run(_method("agd", inst), FirstOrderOracle(inst), T)
+        assert agd.gradients.shape == (T, 6)
+        # agd's queries y_0 = x_0 and y_1 = x_1 coincide with iterates, so
+        # only x_2 .. x_T need an extra call
+        assert agd.oracle_calls == 2 * T - 1
+
+
+    def test_drive_records_every_call_of_a_two_call_method(self, monkeypatch):
+        # a method that probes a side point before querying its iterate
+        def two_calls(method, ask, k):
+            x = np.zeros(k)
+            while True:
+                ask(x + 1.0)
+                x = x - method.step_size * ask(x).gradient
+                yield x
+
+        monkeypatch.setattr(optimizers, "iterate_steps", two_calls)
+        inst = build_instance(5, 1.3, 1.0)
+        T = 6
+        iterates, gradients, answers = optimizers.drive(
+            _method("gd", inst), FirstOrderOracle(inst), T)
+        assert gradients.shape == (2 * T, 5)
+        for t in range(T):
+            side = loss(inst, iterates[t] + 1.0).gradient
+            at_x = loss(inst, iterates[t]).gradient
+            assert np.array_equal(gradients[2 * t], side)
+            assert np.array_equal(gradients[2 * t + 1], at_x)
+            assert np.array_equal(answers[t].gradient, at_x)
+        assert answers[T] is None
 
 
 class TestSubspaceTrapping:
@@ -113,12 +159,12 @@ class TestCheckLinearSpan:
     def test_span_methods_detected(self, name, expected):
         inst = build_instance(10, 1.3, 1.0)
         trace = run(_method(name, inst), FirstOrderOracle(inst), 8)
-        assert check_linear_span(trace, FirstOrderOracle(inst)) is expected
+        assert check_linear_span(trace) is expected
 
     def test_denseprobe_detected_at_small_k(self):
         inst = build_instance(3, 1.3, 1.0)
         trace = run(_method("denseprobe", inst), FirstOrderOracle(inst), 2)
-        assert check_linear_span(trace, FirstOrderOracle(inst)) is False
+        assert check_linear_span(trace) is False
 
     def test_empty_trace_rejected(self):
         inst = build_instance(3, 1.3, 1.0)
@@ -126,9 +172,10 @@ class TestCheckLinearSpan:
         hollow = type(trace)(
             iterates=trace.iterates[:0], values=trace.values[:0],
             grad_norms=trace.grad_norms[:0], oracle_calls=0,
+            gradients=trace.gradients[:0],
         )
         with pytest.raises(ValueError, match="empty"):
-            check_linear_span(hollow, FirstOrderOracle(inst))
+            check_linear_span(hollow)
 
 
 def test_agd_gap_exceeds_span_lower_bound():
@@ -155,12 +202,3 @@ class TestSerialization:
         assert float(rows[2]["gap"]) == trace.values[2] - prof.f_star
         d = trace.iterates[3] - prof.x_star
         assert float(rows[3]["dist_sq"]) == float(d @ d)
-
-    def test_json_iterates_roundtrip(self, tmp_path):
-        inst = build_instance(4, 1.3, 1.0)
-        trace = run(_method("agd", inst), FirstOrderOracle(inst), 3)
-        path = tmp_path / "trace.json"
-        trace_to_json(trace, path)
-        payload = json.loads(path.read_text())
-        assert payload["oracle_calls"] == trace.oracle_calls
-        assert np.array_equal(np.array(payload["iterates"]), trace.iterates)
