@@ -49,13 +49,10 @@ from .optimizers import (
     trace_to_csv,
 )
 from .resist import (
-    AdversaryState,
     ResistingOracle,
     adversarial_run,
     containment_residuals,
     data_direction_residual,
-    fix_and_map,
-    new_adversary,
     orthogonality_residual,
     replay_check,
     save_matrix_csv,

@@ -105,9 +105,10 @@ def _verify_checks(max_k: int, rng: np.random.Generator):
     worst_grad = 0.0
     worst_f = 0.0
     worst_dy = 0.0
+    profiles = {}
     for k in range(1, max_k + 1):
         inst = datasets.build_instance(k, sigma, zeta)
-        prof = analytic.profile(inst)
+        prof = profiles[k] = analytic.profile(inst)
         resp = logloss.loss(inst, prof.x_star)
         worst_grad = max(worst_grad, float(np.max(np.abs(resp.gradient))))
         worst_f = max(
@@ -134,9 +135,9 @@ def _verify_checks(max_k: int, rng: np.random.Generator):
     worst_id = 0.0
     for k in range(2, max_k + 1):
         inst = datasets.build_instance(k, sigma, zeta)
-        prof_k = analytic.profile(inst)
+        prof_k = profiles[k]
         for t in range(1, k):
-            prof_t = analytic.profile(datasets.build_instance(t, sigma, zeta))
+            prof_t = profiles[t]
             x = np.zeros(k)
             x[k - t:] = prof_t.x_star
             lhs = logloss.loss(inst, x).value

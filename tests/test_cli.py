@@ -106,14 +106,21 @@ def test_race_denseprobe_downgrades_to_general_bound(tmp_path):
     assert "gap_above_general_lower_bound" in checks
 
 
-def test_race_reports_reproducible(tmp_path):
+@pytest.mark.parametrize("argv, names", [
+    (["race", "--method", "gd", "--T", "3,6"],
+     ["report_gd_T3.json", "report_gd_T6.json", "trace_gd_T3.csv", "trace_gd_T6.csv"]),
+    (["resist", "--method", "denseprobe", "--T", "4"],
+     ["dataset_resist_denseprobe_T4.libsvm", "dataset_resist_denseprobe_T4.libsvm.meta.json",
+      "report_resist_denseprobe_T4.json", "rotation_resist_denseprobe_T4.csv",
+      "trace_resist_denseprobe_T4.csv"]),
+], ids=["race", "resist"])
+def test_race_reports_reproducible(tmp_path, argv, names):
     for sub in ("a", "b"):
-        rc = main([
-            "race", "--method", "gd", "--T", "3,6", "--out", str(tmp_path / sub),
-            "--no-timestamp",
-        ])
+        rc = main(argv + ["--out", str(tmp_path / sub), "--no-timestamp"])
         assert rc == 0
-    for name in ("report_gd_T3.json", "report_gd_T6.json", "trace_gd_T3.csv"):
+    for sub in ("a", "b"):
+        assert sorted(p.name for p in (tmp_path / sub).iterdir()) == names
+    for name in names:
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 

@@ -10,10 +10,8 @@ from hardlogit import (
     build_instance,
     containment_residuals,
     data_direction_residual,
-    fix_and_map,
     loss,
     matvec_at,
-    new_adversary,
     orthogonality_residual,
     profile,
     replay_check,
@@ -24,40 +22,47 @@ from conftest import random_orthogonal
 ADVERSARY_METHODS = ["gd", "agd", "denseprobe"]
 
 
+def _oracle_after(inst, *queries):
+    """A resisting oracle that has answered the zero start and then ``queries``."""
+    oracle = ResistingOracle(inst)
+    oracle(np.zeros(inst.k))
+    for x in queries:
+        oracle(x)
+    return oracle
+
+
 class TestFixAndMap:
     def test_degenerate_point_leaves_rotation_alone(self):
         inst = build_instance(9, 1.3, 1.0)
-        state = new_adversary(inst)
         x = np.zeros(9)
         x[-3:] = [0.4, -1.0, 2.0]  # already inside the step-1 trap subspace
-        new_state = fix_and_map(state, x)
-        assert np.array_equal(new_state.U, np.eye(9))
-        assert new_state.s == 2
+        oracle = _oracle_after(inst, x)
+        assert np.array_equal(oracle.U, np.eye(9))
+        assert len(oracle.points) == 2
 
     def test_places_new_point(self, rng):
         inst = build_instance(11, 1.3, 1.0)
-        state = fix_and_map(new_adversary(inst), rng.standard_normal(11))
-        y = state.U @ state.points[-1]
+        oracle = _oracle_after(inst, rng.standard_normal(11))
+        y = oracle.U @ oracle.points[-1]
         assert np.linalg.norm(y[: 11 - 3]) <= 1e-10
-        assert orthogonality_residual(state) <= 1e-10
+        assert orthogonality_residual(oracle) <= 1e-10
 
     def test_fixes_already_trapped_vectors(self, rng):
         inst = build_instance(10, 1.3, 1.0)
-        state = fix_and_map(new_adversary(inst), rng.standard_normal(10))
-        prev_u = state.U.copy()
-        next_state = fix_and_map(state, rng.standard_normal(10))
+        oracle = _oracle_after(inst, rng.standard_normal(10))
+        prev_u = oracle.U.copy()
+        oracle(rng.standard_normal(10))
         # vectors already inside the fixed subspace must be untouched:
         # U_s (U_{s-1}' v) = v whenever v has support on the trailing 2s coords
         for _ in range(20):
             v = np.zeros(10)
             v[-4:] = rng.standard_normal(4)
-            image = next_state.U @ (prev_u.T @ v)
+            image = oracle.U @ (prev_u.T @ v)
             assert np.max(np.abs(image - v)) <= 1e-12 * max(1.0, np.max(np.abs(v)))
 
     def test_k7_first_step_structure(self):
         inst = build_instance(7, 1.3, 1.0)
-        state = fix_and_map(new_adversary(inst), np.arange(1.0, 8.0))
-        U = state.U
+        U = _oracle_after(inst, np.arange(1.0, 8.0)).U
         assert np.array_equal(U[5:, :], np.eye(7)[5:, :])
         assert np.array_equal(U[:, 5:], np.eye(7)[:, 5:])
         e7 = np.eye(7)[:, 6]
@@ -67,36 +72,49 @@ class TestFixAndMap:
 
     def test_step_budget(self):
         inst = build_instance(7, 1.3, 1.0)
-        state = new_adversary(inst)
-        state = fix_and_map(state, np.ones(7))  # step 1
-        state = fix_and_map(state, np.ones(7))  # step 2, block size 3
+        oracle = _oracle_after(inst, np.ones(7), np.ones(7))  # steps 1 and 2 (block size 3)
         with pytest.raises(ValueError, match="step budget exceeded"):
-            fix_and_map(state, np.ones(7))
+            oracle(np.ones(7))
+        with pytest.raises(ValueError, match="step budget exceeded"):
+            oracle.finalize(np.ones(7))
 
     def test_dimension_mismatch(self):
         inst = build_instance(7, 1.3, 1.0)
         with pytest.raises(ValueError, match="dimension mismatch"):
-            fix_and_map(new_adversary(inst), np.ones(6))
+            ResistingOracle(inst)(np.zeros(6))  # a wrong-shaped zero start
+        oracle = _oracle_after(inst)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            oracle(np.ones(6))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            oracle.finalize(np.ones(6))
 
     def test_data_direction_always_fixed(self, rng):
         inst = build_instance(13, 1.3, 1.0)
-        state = new_adversary(inst)
+        oracle = _oracle_after(inst)
         for _ in range(5):
-            state = fix_and_map(state, rng.standard_normal(13))
-            assert data_direction_residual(state) <= 1e-10
-            assert orthogonality_residual(state) <= 1e-10
+            oracle(rng.standard_normal(13))
+            assert data_direction_residual(oracle) <= 1e-10
+            assert orthogonality_residual(oracle) <= 1e-10
 
     def test_optimal_value_invariant_after_every_step(self, rng):
         # rotating the dataset never changes the optimal value: the rotated
         # minimizer U'x* must evaluate to f* at each intermediate rotation
         inst = build_instance(13, 1.3, 1.0)
         prof = profile(inst)
-        state = new_adversary(inst)
+        oracle = _oracle_after(inst)
         for _ in range(5):
-            state = fix_and_map(state, rng.standard_normal(13))
-            rotated = RotatedInstance(inst, state.U)
-            resp = loss(rotated, state.U.T @ prof.x_star)
+            oracle(rng.standard_normal(13))
+            rotated = RotatedInstance(inst, oracle.U)
+            resp = loss(rotated, oracle.U.T @ prof.x_star)
             assert abs(resp.value - prof.f_star) <= 1e-10 * (1 + abs(prof.f_star))
+
+    def test_corrupted_rotation_raises(self, rng):
+        # the per-query norm probe catches a U that is no longer orthogonal
+        inst = build_instance(10, 1.3, 1.0)
+        oracle = _oracle_after(inst, rng.standard_normal(10))
+        oracle.U[0, 0] += 1e-6
+        with pytest.raises(ValueError, match="not orthogonal"):
+            oracle(rng.standard_normal(10))
 
 
 class TestResistingOracle:
@@ -114,7 +132,7 @@ class TestResistingOracle:
         x1 = rng.standard_normal(10)
         r1 = oracle(x1)
         # the answer is the loss of the currently rotated dataset at x1
-        U = oracle.state.U
+        U = oracle.U
         base = loss(inst, U @ x1)
         assert r1.value == base.value
         assert np.array_equal(r1.gradient, U.T @ base.gradient)
@@ -126,6 +144,8 @@ class TestResistingOracle:
         oracle.finalize(rng.standard_normal(10))
         with pytest.raises(ValueError, match="finalized"):
             oracle(np.zeros(10))
+        with pytest.raises(ValueError, match="finalized"):
+            oracle.finalize(rng.standard_normal(10))
 
 
 class TestAdversarialRun:
@@ -167,19 +187,26 @@ class TestAdversarialRun:
         # point i must sit in U' times the span of the trailing 2i+1 coords
         T = 4
         trace, final = adversarial_run(MethodSpec(name="denseprobe"), T, 1.3, 1.0)
-        state = new_adversary(final.base)
-        for x in trace.iterates[1:]:
-            state = fix_and_map(state, x)
-        assert np.array_equal(state.U, final.U)
-        res = containment_residuals(state)
+        oracle = _oracle_after(final.base, *trace.iterates[1:-1])
+        replayed = oracle.finalize(trace.iterates[-1])
+        assert np.array_equal(oracle.U, final.U)
+        assert np.array_equal(replayed.U, final.U)
+        assert len(oracle.points) == T + 1
+        res = containment_residuals(oracle)
         assert np.max(res) <= 1e-8
         # the looser two-steps-out containment holds a fortiori
-        assert np.max(containment_residuals(state, index_shift=3)) <= np.max(res) + 1e-15
+        assert np.max(containment_residuals(oracle, index_shift=3)) <= np.max(res) + 1e-15
 
     def test_trace_values_recomputable_against_final(self):
         trace, final = adversarial_run(MethodSpec(name="gd"), 3, 1.3, 1.0)
         for i in range(len(trace)):
             assert trace.values[i] == loss(final, trace.iterates[i]).value
+
+    def test_no_drift_at_benchmark_size(self):
+        # 1e-12 is where a re-orthogonalization would have to start; the
+        # reflections alone stay below it at T = 130 (k = 522)
+        _, final = adversarial_run(MethodSpec(name="denseprobe"), 130, 1.3, 1.0)
+        assert orthogonality_residual(final) <= 1e-12
 
     def test_t_zero_rejected(self):
         with pytest.raises(ValueError, match="T must be"):
