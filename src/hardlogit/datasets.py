@@ -13,8 +13,8 @@ Two stacked-block variants are provided:
 - ``two_block``: A = (2*sigma*W; 2*zeta*W) with labels (+1; -1): half
   the rows, same W structure, nonzero optimal intercept.
 
-All products use the W index structure in O(k) per block; the dense
-matrix is only materialized on request (tests, export).
+All products use the W index structure in O(k) per block; only ``dense()``
+builds the N x k matrix (``export`` writes rows from one k x k block).
 """
 
 from __future__ import annotations
@@ -54,23 +54,21 @@ class WOperator:
     k: int
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """W @ x in O(k).  W is symmetric, so this is also W.T @ x."""
+        """W @ x (= W.T @ x), x of shape (k,) or (k, m): one subtraction per entry."""
         x = np.asarray(x, dtype=float)
-        if x.shape != (self.k,):
+        if x.shape[:1] != (self.k,) or x.ndim > 2:
             raise ValueError(f"dimension mismatch: expected ({self.k},), got {x.shape}")
-        out = np.empty(self.k)
+        out = np.empty(x.shape)
         # row i (0-based, i < k-1): x[k-1-i] - x[k-2-i]; row k-1: x[0]
-        out[:-1] = x[:0:-1] - x[-2::-1]
+        np.subtract(x[:0:-1], x[-2::-1], out=out[:-1])
         out[-1] = x[0]
         return out
 
     def dense(self) -> np.ndarray:
-        k = self.k
-        w = np.zeros((k, k))
-        for i in range(k - 1):
-            w[i, k - 2 - i] = -1.0
-            w[i, k - 1 - i] = 1.0
-        w[k - 1, 0] = 1.0
+        w = np.zeros((self.k, self.k))  # sparse writes leave most pages untouched
+        r = np.arange(self.k)
+        w[r, r[::-1]] = 1.0  # +1 at (i, k-1-i); the last row's is its only entry
+        w[r[:-1], r[-2::-1]] = -1.0  # -1 at (i, k-2-i) for i < k-1
         return w
 
 
@@ -122,9 +120,12 @@ class WorstCaseInstance:
             combined += s * blk
         return self.w.apply(combined)
 
+    def w_block(self) -> np.ndarray:
+        return self.w.dense()
+
     def dense(self) -> np.ndarray:
-        wd = self.w.dense()
-        return np.vstack([s * wd for s in self.block_scales])
+        wb = self.w_block()
+        return np.vstack([s * wb for s in self.block_scales])
 
     def a_norm(self) -> float:
         """||A||, exactly: 2*sqrt(sum s_i^2)*cos(pi/(2k+1)).
@@ -184,6 +185,10 @@ class RotatedInstance:
     def labels(self) -> np.ndarray:
         return self.base.labels
 
+    @property
+    def block_scales(self) -> tuple:
+        return self.base.block_scales
+
     def data_matrix_times(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.k,):
@@ -193,8 +198,13 @@ class RotatedInstance:
     def data_matrix_transpose_times(self, v: np.ndarray) -> np.ndarray:
         return self.U.T @ self.base.data_matrix_transpose_times(v)
 
+    def w_block(self) -> np.ndarray:
+        """W U, by W's two-slice row difference in O(k^2); no GEMM."""
+        return self.base.w.apply(self.U)
+
     def dense(self) -> np.ndarray:
-        return self.base.dense() @ self.U
+        wb = self.w_block()
+        return np.vstack([s * wb for s in self.block_scales])
 
     def a_norm(self) -> float:
         """||A @ U|| = ||A||: U is orthogonal."""
@@ -258,10 +268,6 @@ def matvec_at(inst: Instance, v: np.ndarray) -> np.ndarray:
     return inst.data_matrix_transpose_times(v)
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.17g}"
-
-
 def export(inst: Instance, format: str, path, extra_meta: dict | None = None) -> None:
     """Write the dataset to ``path`` in one of three formats.
 
@@ -271,8 +277,8 @@ def export(inst: Instance, format: str, path, extra_meta: dict | None = None) ->
       spectral_norm_bound} merged with ``extra_meta`` (callers add the
       analytic entries c, f_star, xstar_norm_sq).
 
-    Labels are written as the integers 1 / -1; floats carry 17 significant
-    digits so a parse round-trip is exact.
+    Rows are s * W, or s * (W U) when rotated, whose exact zeros libsvm omits;
+    labels are the integers 1 / -1; floats carry 17 digits (exact round-trip).
     """
     fmt = str(format).strip().lower().replace("_", "-")
     if fmt == "json-meta":
@@ -291,27 +297,20 @@ def export(inst: Instance, format: str, path, extra_meta: dict | None = None) ->
             fh.write("\n")
         return
 
-    if isinstance(inst, RotatedInstance):
-        # one dense product: per-block (s*W) @ U would round differently
-        rows = zip(inst.dense(), inst.labels)
-    else:
-        # row by row from W, so the N x k matrix is never built
-        wd = inst.w.dense()
-        rows = (
-            (s * w_row, lab)
-            for s, lab in zip(inst.block_scales, inst.block_labels)
-            for w_row in wd
-        )
+    wb = inst.w_block()
+    scaled = (s * w_row for s in inst.block_scales for w_row in wb)
+    rows = zip(scaled, inst.labels.astype(int).tolist())
     if fmt == "csv":
+        template = ",".join(["%.17g"] * inst.k) + ",%d\n"
         with open(path, "w") as fh:
             fh.write(",".join(f"feature_{j + 1}" for j in range(inst.k)) + ",label\n")
             for row, lab in rows:
-                fh.write(",".join(_fmt(v) for v in row) + f",{int(lab)}\n")
+                fh.write(template % (*row.tolist(), lab))
     elif fmt == "libsvm":
         with open(path, "w") as fh:
             for row, lab in rows:
                 (nz,) = np.nonzero(row)
-                pairs = " ".join(f"{j + 1}:{_fmt(row[j])}" for j in nz)
-                fh.write(f"{int(lab)} {pairs}".rstrip() + "\n")
+                pairs = zip((nz + 1).tolist(), row[nz].tolist())
+                fh.write(f"{lab}" + "".join(" %d:%.17g" % p for p in pairs) + "\n")
     else:
         raise ValueError(f"unknown format {format!r}; expected csv, libsvm, or json-meta")

@@ -34,6 +34,26 @@ def dense_ab(k: int, sigma: float, zeta: float, variant: str = "fourblock"):
     return A, b
 
 
+def w_rows_times(M: np.ndarray) -> np.ndarray:
+    """W @ M from the literal row rule, one subtraction per entry: row i
+    (1-based, i<k) is M[k-i+1] - M[k-i], row k is M[1].  A dense W @ M
+    product would leave rounding residues where the exact entry is 0."""
+    k = M.shape[0]
+    out = np.empty(M.shape)
+    for i in range(1, k):
+        out[i - 1] = M[(k - i + 1) - 1] - M[(k - i) - 1]
+    out[k - 1] = M[0]
+    return out
+
+
+def rotated_ab(U: np.ndarray, sigma: float, zeta: float):
+    """Dense four-block (A U, b): each block's scale times the literal W U."""
+    WU = w_rows_times(U)
+    A = np.vstack([2 * sigma * WU, -2 * zeta * WU, -2 * sigma * WU, 2 * zeta * WU])
+    b = np.repeat([1.0, 1.0, -1.0, -1.0], U.shape[0])
+    return A, b
+
+
 def naive_h(u: np.ndarray) -> float:
     """Direct 2*log(2*cosh(u/2)) sum; valid only for moderate |u|."""
     u = np.asarray(u, dtype=float)

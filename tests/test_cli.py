@@ -5,7 +5,7 @@ import pytest
 
 from hardlogit import build_instance, matvec_a
 from hardlogit.cli import main
-from conftest import dense_ab, logistic_form
+from conftest import dense_ab, logistic_form, rotated_ab
 
 
 def test_generate_csv_k1(tmp_path, monkeypatch):
@@ -145,6 +145,34 @@ def test_resist_report_and_exports(tmp_path):
                           delimiter=",")
     assert rotation.shape == (4 * T + 2, 4 * T + 2)
     assert np.max(np.abs(rotation.T @ rotation - np.eye(4 * T + 2))) <= 1e-10
+
+
+def test_resist_libsvm_holds_exact_rotated_rows(tmp_path):
+    # every written entry is a nonzero of s * (W U), bit for bit; a dense
+    # A @ U product would also write its rounding residues of exact zeros
+    T = 4
+    rc = main([
+        "resist", "--method", "denseprobe", "--T", str(T), "--out", str(tmp_path),
+        "--no-timestamp",
+    ])
+    assert rc == 0
+    stem = f"resist_denseprobe_T{T}"
+    meta = json.loads((tmp_path / f"dataset_{stem}.libsvm.meta.json").read_text())
+    U = np.loadtxt(tmp_path / f"rotation_{stem}.csv", delimiter=",")
+    AU, b = rotated_ab(U, meta["sigma"], meta["zeta"])
+    lines = (tmp_path / f"dataset_{stem}.libsvm").read_text().splitlines()
+    assert len(lines) == AU.shape[0]
+    entries = 0
+    for row, lab, line in zip(AU, b, lines):
+        label, *pairs = line.split(" ")
+        assert int(label) == lab
+        cols = [int(p.split(":")[0]) - 1 for p in pairs]
+        vals = [float(p.split(":")[1]) for p in pairs]
+        (nz,) = np.nonzero(row)
+        assert cols == nz.tolist()
+        assert vals == row[nz].tolist()
+        entries += len(pairs)
+    assert entries == np.count_nonzero(AU) < AU.size
 
 
 def test_usage_error_exit_code():

@@ -12,7 +12,7 @@ from hardlogit import (
     matvec_a,
     matvec_at,
 )
-from conftest import dense_ab, dense_w, random_orthogonal
+from conftest import dense_ab, dense_w, random_orthogonal, rotated_ab, w_rows_times
 
 
 class TestWOperator:
@@ -61,8 +61,21 @@ class TestWOperator:
             build_w(2.5)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            build_w(4).apply(np.ones(5))
+        for bad in (np.ones(5), np.ones((5, 4)), np.ones((3, 4)), np.ones((4, 2, 2)),
+                    np.float64(1.0)):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                build_w(4).apply(bad)
+
+    def test_apply_to_columns(self, rng):
+        # W @ X column by column, each entry one exact subtraction
+        for k in (1, 2, 7, 40):
+            w = build_w(k)
+            X = rng.standard_normal((k, 3))
+            X[:, 2] = 0.5  # W maps a constant column to a multiple of e_k
+            got = w.apply(X)
+            assert np.array_equal(got, np.column_stack([w.apply(c) for c in X.T]))
+            assert np.array_equal(got, w_rows_times(X))
+            assert np.count_nonzero(got[:, 2]) == 1
 
 
 class TestBuildInstance:
@@ -287,12 +300,45 @@ class TestExport:
 
     def test_rotated_export_uses_effective_matrix(self, tmp_path, rng):
         inst = build_instance(5, 1.3, 1.0)
-        rot = RotatedInstance(inst, random_orthogonal(5, seed=11))
+        U = random_orthogonal(5, seed=11)
+        rot = RotatedInstance(inst, U)
+        AU, b = rotated_ab(U, 1.3, 1.0)
+        assert np.array_equal(rot.dense(), AU)
         path = tmp_path / "rot.csv"
         export(rot, "csv", path)
-        _, data, _ = _parse_csv(path)
+        _, data, labels = _parse_csv(path)
+        assert np.array_equal(data, AU)
+        assert np.array_equal(labels, b)
         x = rng.standard_normal(5)
         assert np.allclose(data @ x, matvec_a(rot, x), rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("variant", ["fourblock", "twoblock"])
+    @pytest.mark.parametrize("fmt", ["csv", "libsvm"])
+    def test_base_export_bytes(self, variant, fmt, tmp_path):
+        # the exact text: 17 significant digits, "-0" where a negative block
+        # scales a zero, integer labels, no trailing spaces
+        k, sigma, zeta = 4, 1.3, 0.7
+        A, b = dense_ab(k, sigma, zeta, variant)
+        if fmt == "csv":
+            lines = [",".join(f"feature_{j}" for j in range(1, k + 1)) + ",label"]
+            lines += [
+                ",".join("%.17g" % v for v in row) + ",%d" % lab for row, lab in zip(A, b)
+            ]
+        else:
+            lines = [
+                "%d" % lab + "".join(" %d:%.17g" % (j + 1, v) for j, v in enumerate(row) if v)
+                for row, lab in zip(A, b)
+            ]
+        path = tmp_path / f"data.{fmt}"
+        export(build_instance(k, sigma, zeta, variant), fmt, path)
+        assert path.read_text() == "\n".join(lines) + "\n"
+        first = {
+            "csv": "0,0,-2.6000000000000001,2.6000000000000001,1",
+            "libsvm": "1 3:-2.6000000000000001 4:2.6000000000000001",
+        }[fmt]
+        assert lines[1 if fmt == "csv" else 0] == first
+        if (variant, fmt) == ("fourblock", "csv"):
+            assert lines[k + 1] == "-0,-0,1.3999999999999999,-1.3999999999999999,1"
 
     def test_unwritable_path(self, tmp_path):
         inst = build_instance(2, 1.3, 1.0)
