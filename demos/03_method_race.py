@@ -3,8 +3,10 @@
 
 On the dimension-2T instance, any method whose iterates stay in the span of
 past gradients is provably stuck above a gap floor after T oracle calls, no
-matter how clever it is.  The accelerated method also carries its textbook
-upper bound, so the floor and ceiling squeeze it from both sides.
+matter how clever it is: its iterate x_t can touch only the trailing t
+coordinates, which ``support_frontier`` checks exactly (a frontier <= 0).
+The accelerated method also carries its textbook upper bound, so the floor
+and ceiling squeeze it from both sides.
 """
 
 import numpy as np
@@ -15,9 +17,9 @@ from hardlogit import (
     agd_upper_bound,
     bound_linear_span,
     build_instance,
-    check_linear_span,
     profile,
     run,
+    support_frontier,
 )
 
 sigma, zeta = 1.3, 1.0
@@ -35,7 +37,7 @@ for T in (5, 25, 50):
         trace = run(spec, FirstOrderOracle(inst), T)
         gap = trace.values[-1] - prof.f_star
         d = trace.iterates[-1] - prof.x_star
-        is_span = check_linear_span(trace)
+        is_span = support_frontier(trace) <= 0
         print(f"{name:>10s} {T:>4d} {gap:>12.6f} {lb.gap:>12.6f} "
               f"{gap / lb.gap:>7.2f}x {float(d @ d) / prof.xstar_norm_sq:>12.4f} "
               f"{str(is_span):>6s}")

@@ -42,10 +42,10 @@ from .optimizers import (
     METHOD_NAMES,
     MethodSpec,
     Trace,
-    check_linear_span,
     drive,
     iterate_steps,
     run,
+    support_frontier,
     trace_to_csv,
 )
 from .resist import (

@@ -87,6 +87,12 @@ def _curvature_gap(z: float) -> float:
     return z * np.tanh(z) - logcosh(z)
 
 
+def _sharp_ratio(c: float, sigma: float, zeta: float) -> float:
+    """The sharp ratio constant evaluated at the root c."""
+    num = _curvature_gap(sigma * c) + _curvature_gap(zeta * c)
+    return float(num / (c**2 * sigma**2))
+
+
 def constant_c_ratio(sigma: float, zeta: float, conservative: bool = False) -> float:
     """The ratio constant C(sigma/zeta) in the per-coordinate gap bound
 
@@ -113,9 +119,7 @@ def constant_c_ratio(sigma: float, zeta: float, conservative: bool = False) -> f
         c_lb, c_ub = c_bracket(sigma, zeta)
         num = _curvature_gap(sigma * c_lb) + _curvature_gap(zeta * c_lb)
         return float(num / (c_ub**2 * sigma**2))
-    c = solve_c(sigma, zeta)
-    num = _curvature_gap(sigma * c) + _curvature_gap(zeta * c)
-    return float(num / (c**2 * sigma**2))
+    return _sharp_ratio(solve_c(sigma, zeta), sigma, zeta)
 
 
 @dataclass(frozen=True)
@@ -153,7 +157,7 @@ def profile(inst: WorstCaseInstance) -> AnalyticProfile:
     norm_sq = c * c * k * (k + 1) * (2 * k + 1) / 6.0
     if sigma < 2.0 * zeta:
         c_lb, c_ub = c_bracket(sigma, zeta)
-        ratio = constant_c_ratio(sigma, zeta)
+        ratio = _sharp_ratio(c, sigma, zeta)
     else:
         c_lb, c_ub = 0.0, float("inf")
         ratio = None

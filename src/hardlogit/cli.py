@@ -102,12 +102,12 @@ def _verify_checks(max_k: int, rng: np.random.Generator):
     ratio = analytic.constant_c_ratio(sigma, zeta)
     yield "ratio_constant_above_half", ratio > 0.5, f"C={ratio:.6f}"
 
+    insts = {k: datasets.build_instance(k, sigma, zeta) for k in range(1, max_k + 1)}
     worst_grad = 0.0
     worst_f = 0.0
     worst_dy = 0.0
     profiles = {}
-    for k in range(1, max_k + 1):
-        inst = datasets.build_instance(k, sigma, zeta)
+    for k, inst in insts.items():
         prof = profiles[k] = analytic.profile(inst)
         resp = logloss.loss(inst, prof.x_star)
         worst_grad = max(worst_grad, float(np.max(np.abs(resp.gradient))))
@@ -122,7 +122,7 @@ def _verify_checks(max_k: int, rng: np.random.Generator):
 
     leak = 0.0
     for k in range(2, max_k + 1):
-        inst = datasets.build_instance(k, sigma, zeta)
+        inst = insts[k]
         for t in range(1, k):
             x = np.zeros(k)
             x[k - t:] = rng.standard_normal(t)
@@ -135,7 +135,7 @@ def _verify_checks(max_k: int, rng: np.random.Generator):
     worst_id = 0.0
     unit_gap = analytic.per_coordinate_gap(sigma, zeta)  # one root solve for all (k, t)
     for k in range(2, max_k + 1):
-        inst = datasets.build_instance(k, sigma, zeta)
+        inst = insts[k]
         prof_k = profiles[k]
         for t in range(1, k):
             prof_t = profiles[t]
@@ -151,7 +151,7 @@ def _verify_checks(max_k: int, rng: np.random.Generator):
     worst_err = 0.0
     worst_excess = -np.inf
     for k in (1, 2, 3, 5, max_k):
-        inst = datasets.build_instance(k, sigma, zeta)
+        inst = insts[k]
         a_norm = inst.a_norm()
         svd = float(np.linalg.svd(inst.dense(), compute_uv=False)[0])
         worst_err = max(worst_err, abs(a_norm - svd) / svd)
@@ -234,9 +234,11 @@ def _race_cell(args, T, ts, out_dir) -> bool:
     lips = logloss.lipschitz(inst)
     spec = optimizers.MethodSpec(name=args.method, step_size=1.0 / lips)
     trace = optimizers.run(spec, logloss.FirstOrderOracle(inst), T)
-    is_span = optimizers.check_linear_span(trace)
+    frontier = optimizers.support_frontier(trace)
+    is_span = frontier <= 0
     report = _bound_report(args, inst, T, trace, prof, prof.x_star, is_span, ts)
     report.measured["span_method"] = is_span
+    report.measured["support_frontier"] = frontier
     if args.method == "agd":
         gap = report.measured["final_gap"]
         upper = analytic.agd_upper_bound(T, lips, prof.xstar_norm_sq)

@@ -298,19 +298,29 @@ def export(inst: Instance, format: str, path, extra_meta: dict | None = None) ->
         return
 
     wb = inst.w_block()
-    scaled = (s * w_row for s in inst.block_scales for w_row in wb)
-    rows = zip(scaled, inst.labels.astype(int).tolist())
+    k = inst.k
+    labels = inst.labels.astype(int).tolist()
     if fmt == "csv":
-        template = ",".join(["%.17g"] * inst.k) + ",%d\n"
+        template = ",".join(["%.17g"] * k) + ",%d\n"
+        scaled = (s * w_row for s in inst.block_scales for w_row in wb)
         with open(path, "w") as fh:
-            fh.write(",".join(f"feature_{j + 1}" for j in range(inst.k)) + ",label\n")
-            for row, lab in rows:
+            fh.write(",".join(f"feature_{j + 1}" for j in range(k)) + ",label\n")
+            for row, lab in zip(scaled, labels):
                 fh.write(template % (*row.tolist(), lab))
     elif fmt == "libsvm":
+        rows, cols = np.nonzero(wb)
+        w_vals = wb[rows, cols]
         with open(path, "w") as fh:
-            for row, lab in rows:
-                (nz,) = np.nonzero(row)
-                pairs = zip((nz + 1).tolist(), row[nz].tolist())
-                fh.write(f"{lab}" + "".join(" %d:%.17g" % p for p in pairs) + "\n")
+            for b, s in enumerate(inst.block_scales):
+                vals = s * w_vals
+                keep = vals != 0.0  # s * w may underflow where w does not
+                starts = np.searchsorted(rows[keep], np.arange(k + 1)).tolist()
+                idx = (cols[keep] + 1).tolist()
+                vals = vals[keep].tolist()
+                for i in range(k):
+                    lo, hi = starts[i], starts[i + 1]
+                    pairs = zip(idx[lo:hi], vals[lo:hi])
+                    fh.write(f"{labels[b * k + i]}"
+                             + "".join(" %d:%.17g" % p for p in pairs) + "\n")
     else:
         raise ValueError(f"unknown format {format!r}; expected csv, libsvm, or json-meta")

@@ -1,11 +1,11 @@
 """Deterministic first-order methods driven purely by the oracle.
 
 Every method starts at x_0 = 0 and is fully deterministic; the methods
-here make one oracle call per iteration, and ``drive`` records every
-answer whatever the number of calls.  ``dense_probe`` deliberately leaves
-the span of past gradients (it adds a scaled all-ones direction) while
-still converging, so span checking and the adaptive adversary have a
-method to catch.
+here make one oracle call per iteration, and ``drive`` counts every call
+whatever their number.  ``dense_probe`` deliberately leaves the span of
+past gradients (it adds a scaled all-ones direction) while still
+converging, so the support test and the adaptive adversary have a method
+to catch.
 """
 
 import csv
@@ -39,31 +39,29 @@ METHOD_NAMES = ("gd", "agd", "heavyball", "denseprobe")
 
 @dataclass(frozen=True)
 class Trace:
-    """One run's iterates, per-iterate metrics and received gradients.
+    """One run's iterates and per-iterate metrics.
 
     iterates[0] is always the zero start; values[i] and grad_norms[i]
     (sup-norm) are the loss data at iterates[i], recomputable exactly.
-    gradients holds every gradient the method received, in call order.
     """
 
     iterates: np.ndarray  # (T+1, k)
     values: np.ndarray  # (T+1,)
     grad_norms: np.ndarray  # (T+1,)
     oracle_calls: int
-    gradients: np.ndarray  # (m, k)
 
     def __len__(self) -> int:
         return self.iterates.shape[0]
 
     @classmethod
-    def from_responses(cls, iterates, gradients, responses, oracle_calls) -> "Trace":
+    def from_responses(cls, iterates, responses, oracle_calls) -> "Trace":
         """The trace whose values and grad_norms are read from one oracle
         response per iterate."""
         return cls(
             iterates=iterates,
             values=np.array([r.value for r in responses]),
             grad_norms=np.array([np.max(np.abs(r.gradient)) for r in responses]),
-            oracle_calls=oracle_calls, gradients=gradients,
+            oracle_calls=oracle_calls,
         )
 
 
@@ -118,27 +116,23 @@ def drive(method: MethodSpec, oracle, T: int):
     """Step the method T times from x_0 = 0 against ``oracle``.
 
     The oracle must expose the dimension as ``oracle.k``.  Returns
-    ``(iterates, gradients, answers)``: the (T+1, k) iterates, every
-    gradient the method received in call order as an (m, k) array, and for
-    each iterate t the first answer received at a query point equal to x_t
-    (None when the method never queried there).
+    ``(iterates, answers, calls)``: the (T+1, k) iterates, for each
+    iterate t the first answer received at a query point equal to x_t
+    (None when the method never queried there), and the number of oracle
+    calls the method made.
     """
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
     k = oracle.k
     iterates = np.zeros((T + 1, k))
-    gradients = np.empty((T, k))  # doubled when a method calls more often
-    m = 0
     answers = [None] * (T + 1)
+    calls = 0
     t = 0  # index of the newest iterate while the method computes the next
 
     def ask(x):
-        nonlocal gradients, m
+        nonlocal calls
         resp = oracle(x)
-        if m == len(gradients):
-            gradients = np.concatenate([gradients, np.empty_like(gradients)])
-        gradients[m] = resp.gradient
-        m += 1
+        calls += 1
         if answers[t] is None and np.array_equal(x, iterates[t]):
             answers[t] = resp
         return resp
@@ -146,7 +140,7 @@ def drive(method: MethodSpec, oracle, T: int):
     stepper = iterate_steps(method, ask, k)
     for t in range(T):
         iterates[t + 1] = next(stepper)
-    return iterates, gradients[:m], answers
+    return iterates, answers, calls
 
 
 def run(method: MethodSpec, oracle, T: int) -> Trace:
@@ -156,41 +150,27 @@ def run(method: MethodSpec, oracle, T: int) -> Trace:
     iterates; each iterate it never queried (x_T, and agd's x_2 .. x_T)
     costs one extra oracle call.  ``oracle_calls`` counts everything.
     """
-    iterates, gradients, answers = drive(method, oracle, T)
+    iterates, answers, calls = drive(method, oracle, T)
     responses = [a if a is not None else oracle(x) for a, x in zip(answers, iterates)]
     extra = sum(a is None for a in answers)
-    return Trace.from_responses(iterates, gradients, responses, len(gradients) + extra)
+    return Trace.from_responses(iterates, responses, calls + extra)
 
 
-def check_linear_span(trace: Trace, rel_tol: float = 1e-8) -> bool:
-    """Whether every iterate x_t lies in the span of the first t gradients
-    the method received (``trace.gradients[:t]``).
+def support_frontier(trace: Trace) -> int:
+    """max over t of supp(x_t) - t, where supp(x) is k minus the index of
+    the first nonzero entry of x (0 for the zero vector).
 
-    Keeps an orthonormal basis of that span as the rows of an (r, k)
-    array, adding each gradient after two classical Gram-Schmidt passes
-    (dropped when its residual is below 1e-12 of its norm), and tests the
-    projection residual of x_t against rel_tol*(1 + ||x_t||).
+    A value <= 0 certifies that every iterate x_t is supported on the
+    trailing t coordinates, the one property of a gradient-span method
+    that the span lower bound uses (the zero-chain argument).  The test is
+    exact: one O(Tk) pass over the iterates, no tolerance.
     """
-    if len(trace) == 0:
+    x = trace.iterates
+    if len(x) == 0:
         raise ValueError("empty trace")
-    gradients = trace.gradients
-    k = trace.iterates.shape[1]
-    basis = np.empty((min(len(gradients), k), k))
-    r = 0
-    for t in range(1, len(trace)):
-        if t <= len(gradients) and r < len(basis):
-            v = gradients[t - 1]
-            for _ in range(2):  # re-orthogonalize for stability
-                v = v - (basis[:r] @ v) @ basis[:r]
-            v_norm = np.linalg.norm(v)
-            if v_norm > 1e-12 * np.linalg.norm(gradients[t - 1]):
-                basis[r] = v / v_norm
-                r += 1
-        x = trace.iterates[t]
-        resid = x - (basis[:r] @ x) @ basis[:r]
-        if np.linalg.norm(resid) > rel_tol * (1.0 + np.linalg.norm(x)):
-            return False
-    return True
+    nonzero = x != 0.0
+    supp = np.where(nonzero.any(axis=1), x.shape[1] - nonzero.argmax(axis=1), 0)
+    return int(np.max(supp - np.arange(len(x))))
 
 
 def trace_to_csv(trace: Trace, path, f_star: float, x_star: np.ndarray) -> None:

@@ -166,10 +166,10 @@ def adversarial_run(
         raise ValueError(f"T must be >= 1, got {T}")
     inst = build_instance(4 * T + 2, sigma, zeta, Variant.FOUR_BLOCK)
     oracle = ResistingOracle(inst)
-    iterates, gradients, _ = drive(_with_default_step(method, inst), oracle, T)
+    iterates, _, _ = drive(_with_default_step(method, inst), oracle, T)
     final = oracle.finalize(iterates[-1])
     responses = [loss(final, x) for x in iterates]
-    return Trace.from_responses(iterates, gradients, responses, oracle.calls), final
+    return Trace.from_responses(iterates, responses, oracle.calls), final
 
 
 def replay_check(

@@ -18,7 +18,6 @@ from hardlogit import (
     bound_general,
     bound_linear_span,
     build_instance,
-    check_linear_span,
     constant_c_ratio,
     lipschitz,
     loss,
@@ -30,6 +29,7 @@ from hardlogit import (
     sandwich_ratio,
     solve_c,
     subspace_gap,
+    support_frontier,
 )
 
 LOG2 = np.log(2.0)
@@ -303,7 +303,7 @@ def test_criterion_10_span_violation_detection(warmed_up):
         for name in ("gd", "agd", "heavyball", "denseprobe"):
             trace = run(MethodSpec(name=name, step_size=1.0 / L),
                         FirstOrderOracle(inst), T)
-            verdicts[(name, k)] = check_linear_span(trace)
+            verdicts[(name, k)] = support_frontier(trace) <= 0
     elapsed = time.perf_counter() - t0
     expected = {name: name != "denseprobe" for name in
                 ("gd", "agd", "heavyball", "denseprobe")}

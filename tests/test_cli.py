@@ -85,6 +85,7 @@ def test_race_agd_report(tmp_path, capsys):
         "variant": "fourblock",
     }
     assert report["measured"]["span_method"] is True
+    assert report["measured"]["support_frontier"] == 0
     assert all(v["passed"] for v in report["verdicts"])
     checks = {v["check"] for v in report["verdicts"]}
     assert checks == {
@@ -102,6 +103,7 @@ def test_race_denseprobe_downgrades_to_general_bound(tmp_path):
     assert rc == 0
     report = json.loads((tmp_path / "report_denseprobe_T4.json").read_text())
     assert report["measured"]["span_method"] is False
+    assert report["measured"]["support_frontier"] == 8 - 1  # x_1 is dense
     checks = {v["check"] for v in report["verdicts"]}
     assert "gap_above_general_lower_bound" in checks
 

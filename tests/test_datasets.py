@@ -340,6 +340,23 @@ class TestExport:
         if (variant, fmt) == ("fourblock", "csv"):
             assert lines[k + 1] == "-0,-0,1.3999999999999999,-1.3999999999999999,1"
 
+    @pytest.mark.parametrize("variant", ["fourblock", "twoblock"])
+    def test_rotated_libsvm_bytes_drop_underflow(self, variant, tmp_path):
+        # at a subnormal scale many s * (W U) entries underflow to +-0 and
+        # must be dropped exactly as a scan of the dense rows drops them
+        rot = RotatedInstance(build_instance(20, 1.3e-322, 1e-322, variant),
+                              random_orthogonal(20, seed=5))
+        rows = rot.dense()
+        w_rows = np.tile(rot.w_block(), (len(rot.block_scales), 1))
+        assert np.any((rows == 0) & (w_rows != 0))
+        lines = [
+            "%d" % lab + "".join(" %d:%.17g" % (j + 1, v) for j, v in enumerate(row) if v)
+            for row, lab in zip(rows, rot.labels)
+        ]
+        path = tmp_path / "rot.libsvm"
+        export(rot, "libsvm", path)
+        assert path.read_text() == "\n".join(lines) + "\n"
+
     def test_unwritable_path(self, tmp_path):
         inst = build_instance(2, 1.3, 1.0)
         with pytest.raises(OSError):

@@ -9,16 +9,36 @@ from hardlogit import (
     OracleResponse,
     bound_linear_span,
     build_instance,
-    check_linear_span,
     lipschitz,
     loss,
     optimizers,
     profile,
     run,
+    support_frontier,
     trace_to_csv,
 )
 
 ALL_METHODS = ["gd", "agd", "heavyball", "denseprobe"]
+
+
+def _assert_same_response(got, want):
+    assert got.value == want.value
+    assert np.array_equal(got.gradient, want.gradient)
+
+
+class _RecordingOracle(FirstOrderOracle):
+    """The exact oracle, keeping every query point and received gradient."""
+
+    def __init__(self, inst):
+        super().__init__(inst)
+        self.queries = []
+        self.gradients = []
+
+    def __call__(self, x):
+        resp = super().__call__(x)
+        self.queries.append(np.array(x))
+        self.gradients.append(resp.gradient)
+        return resp
 
 
 def _method(name, inst):
@@ -90,17 +110,24 @@ class TestRun:
     def test_trace_records_received_gradients(self):
         inst = build_instance(6, 1.3, 1.0)
         T = 7
-        trace = run(_method("gd", inst), FirstOrderOracle(inst), T)
-        # gd queries at x_0 .. x_{T-1}, one call each
-        assert trace.gradients.shape == (T, 6)
+        # gd queries at x_0 .. x_{T-1}, one call each, and x_T costs one more;
+        # the trace reads its metrics from the gradients the method received
+        oracle = _RecordingOracle(inst)
+        trace = run(_method("gd", inst), oracle, T)
+        assert trace.oracle_calls == len(oracle.gradients) == T + 1
+        for t in range(T + 1):
+            assert np.array_equal(oracle.queries[t], trace.iterates[t])
+            assert trace.grad_norms[t] == np.max(np.abs(oracle.gradients[t]))
+        iterates, answers, calls = optimizers.drive(
+            _method("gd", inst), FirstOrderOracle(inst), T)
+        assert calls == T
         for t in range(T):
-            assert np.array_equal(trace.gradients[t], loss(inst, trace.iterates[t]).gradient)
+            _assert_same_response(answers[t], loss(inst, iterates[t]))
+        assert answers[T] is None
         agd = run(_method("agd", inst), FirstOrderOracle(inst), T)
-        assert agd.gradients.shape == (T, 6)
         # agd's queries y_0 = x_0 and y_1 = x_1 coincide with iterates, so
         # only x_2 .. x_T need an extra call
         assert agd.oracle_calls == 2 * T - 1
-
 
     def test_drive_records_every_call_of_a_two_call_method(self, monkeypatch):
         # a method that probes a side point before querying its iterate
@@ -114,15 +141,13 @@ class TestRun:
         monkeypatch.setattr(optimizers, "iterate_steps", two_calls)
         inst = build_instance(5, 1.3, 1.0)
         T = 6
-        iterates, gradients, answers = optimizers.drive(
-            _method("gd", inst), FirstOrderOracle(inst), T)
-        assert gradients.shape == (2 * T, 5)
+        oracle = _RecordingOracle(inst)
+        iterates, answers, calls = optimizers.drive(_method("gd", inst), oracle, T)
+        assert calls == len(oracle.queries) == 2 * T
         for t in range(T):
-            side = loss(inst, iterates[t] + 1.0).gradient
-            at_x = loss(inst, iterates[t]).gradient
-            assert np.array_equal(gradients[2 * t], side)
-            assert np.array_equal(gradients[2 * t + 1], at_x)
-            assert np.array_equal(answers[t].gradient, at_x)
+            assert np.array_equal(oracle.queries[2 * t], iterates[t] + 1.0)
+            assert np.array_equal(oracle.queries[2 * t + 1], iterates[t])
+            _assert_same_response(answers[t], loss(inst, iterates[t]))
         assert answers[T] is None
 
 
@@ -132,12 +157,9 @@ class TestSubspaceTrapping:
         # iterate t may only touch the trailing t coordinates
         inst = build_instance(30, 1.3, 1.0)
         trace = run(_method(name, inst), FirstOrderOracle(inst), 29)
-        worst = 0.0
         for t in range(len(trace)):
             lead = 30 - t
-            if lead > 0:
-                worst = max(worst, np.max(np.abs(trace.iterates[t][:lead])))
-        assert worst <= 1e-10
+            assert not np.any(trace.iterates[t][:lead]), f"x_{t} leaks"
 
     def test_gradients_map_subspace_one_step_out(self, rng):
         for k in (5, 17, 30):
@@ -152,19 +174,33 @@ class TestSubspaceTrapping:
                         assert np.max(np.abs(g[:lead])) <= 1e-10
 
 
-class TestCheckLinearSpan:
+class TestSupportFrontier:
     @pytest.mark.parametrize("name,expected", [
         ("gd", True), ("agd", True), ("heavyball", True), ("denseprobe", False),
     ])
     def test_span_methods_detected(self, name, expected):
         inst = build_instance(10, 1.3, 1.0)
         trace = run(_method(name, inst), FirstOrderOracle(inst), 8)
-        assert check_linear_span(trace) is expected
+        frontier = support_frontier(trace)
+        assert (frontier <= 0) is expected
+        if not expected:
+            assert frontier == 10 - 1  # x_1 is already dense
 
     def test_denseprobe_detected_at_small_k(self):
         inst = build_instance(3, 1.3, 1.0)
         trace = run(_method("denseprobe", inst), FirstOrderOracle(inst), 2)
-        assert check_linear_span(trace) is False
+        assert support_frontier(trace) == 3 - 1
+
+    def test_frontier_of_hand_built_iterates(self):
+        x = np.zeros((4, 5))
+        x[1, 4] = 1.0  # supp 1 at t = 1
+        x[2, 2] = -0.0  # a signed zero counts as zero
+        x[3, 1:] = 1.0  # supp 4 at t = 3
+        trace = optimizers.Trace(iterates=x, values=np.zeros(4),
+                                 grad_norms=np.zeros(4), oracle_calls=0)
+        assert support_frontier(trace) == 1
+        x[3, 1] = 0.0
+        assert support_frontier(trace) == 0
 
     def test_empty_trace_rejected(self):
         inst = build_instance(3, 1.3, 1.0)
@@ -172,10 +208,26 @@ class TestCheckLinearSpan:
         hollow = type(trace)(
             iterates=trace.iterates[:0], values=trace.values[:0],
             grad_norms=trace.grad_norms[:0], oracle_calls=0,
-            gradients=trace.gradients[:0],
         )
         with pytest.raises(ValueError, match="empty"):
-            check_linear_span(hollow)
+            support_frontier(hollow)
+
+    @pytest.mark.parametrize("k", [3, 10, 30])
+    @pytest.mark.parametrize("name", ALL_METHODS)
+    def test_agrees_with_dense_span_reference(self, name, k):
+        # reference: x_t lies in the span of the first t received gradients
+        inst = build_instance(k, 1.3, 1.0)
+        oracle = _RecordingOracle(inst)
+        trace = run(_method(name, inst), oracle, k - 1)
+        in_span = True
+        for t in range(1, len(trace)):
+            x = trace.iterates[t]
+            g = np.array(oracle.gradients[:t]).T  # (k, t)
+            coef = np.linalg.lstsq(g, x, rcond=None)[0]
+            resid = np.linalg.norm(x - g @ coef)
+            in_span = in_span and bool(resid <= 1e-8 * (1.0 + np.linalg.norm(x)))
+        assert (support_frontier(trace) <= 0) is in_span
+        assert in_span is (name != "denseprobe")
 
 
 def test_agd_gap_exceeds_span_lower_bound():
