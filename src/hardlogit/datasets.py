@@ -123,6 +123,17 @@ class WorstCaseInstance:
     def w_block(self) -> np.ndarray:
         return self.w.dense()
 
+    def w_nonzeros(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(rows, cols, vals) of W's nonzeros in row-major order, as
+        ``np.nonzero`` lists them, from the closed form: row i < k-1 holds
+        -1 at column k-2-i and +1 at k-1-i, row k-1 a +1 at column 0."""
+        k = self.k
+        i = np.arange(k - 1)
+        rows = np.append(np.repeat(i, 2), k - 1)
+        cols = np.append(np.column_stack((k - 2 - i, k - 1 - i)).ravel(), 0)
+        vals = np.append(np.tile([-1.0, 1.0], k - 1), 1.0)
+        return rows, cols, vals
+
     def dense(self) -> np.ndarray:
         wb = self.w_block()
         return np.vstack([s * wb for s in self.block_scales])
@@ -202,6 +213,12 @@ class RotatedInstance:
         """W U, by W's two-slice row difference in O(k^2); no GEMM."""
         return self.base.w.apply(self.U)
 
+    def w_nonzeros(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(rows, cols, vals) of the nonzeros of W U in row-major order."""
+        wb = self.w_block()
+        rows, cols = np.nonzero(wb)
+        return rows, cols, wb[rows, cols]
+
     def dense(self) -> np.ndarray:
         wb = self.w_block()
         return np.vstack([s * wb for s in self.block_scales])
@@ -277,8 +294,10 @@ def export(inst: Instance, format: str, path, extra_meta: dict | None = None) ->
       spectral_norm_bound} merged with ``extra_meta`` (callers add the
       analytic entries c, f_star, xstar_norm_sq).
 
-    Rows are s * W, or s * (W U) when rotated, whose exact zeros libsvm omits;
-    labels are the integers 1 / -1; floats carry 17 digits (exact round-trip).
+    Rows are s * W, or s * (W U) when rotated, whose exact zeros libsvm omits
+    (it reads them from ``w_nonzeros()``, so a base instance builds no k x k
+    block); labels are the integers 1 / -1; floats carry 17 digits (exact
+    round-trip).
     """
     fmt = str(format).strip().lower().replace("_", "-")
     if fmt == "json-meta":
@@ -297,10 +316,10 @@ def export(inst: Instance, format: str, path, extra_meta: dict | None = None) ->
             fh.write("\n")
         return
 
-    wb = inst.w_block()
     k = inst.k
     labels = inst.labels.astype(int).tolist()
     if fmt == "csv":
+        wb = inst.w_block()
         template = ",".join(["%.17g"] * k) + ",%d\n"
         scaled = (s * w_row for s in inst.block_scales for w_row in wb)
         with open(path, "w") as fh:
@@ -308,8 +327,7 @@ def export(inst: Instance, format: str, path, extra_meta: dict | None = None) ->
             for row, lab in zip(scaled, labels):
                 fh.write(template % (*row.tolist(), lab))
     elif fmt == "libsvm":
-        rows, cols = np.nonzero(wb)
-        w_vals = wb[rows, cols]
+        rows, cols, w_vals = inst.w_nonzeros()
         with open(path, "w") as fh:
             for b, s in enumerate(inst.block_scales):
                 vals = s * w_vals

@@ -168,8 +168,20 @@ def adversarial_run(
     oracle = ResistingOracle(inst)
     iterates, _, _ = drive(_with_default_step(method, inst), oracle, T)
     final = oracle.finalize(iterates[-1])
-    responses = [loss(final, x) for x in iterates]
-    return Trace.from_responses(iterates, responses, oracle.calls), final
+    # loss(final, x) for every iterate, batched: the base loss at each row of
+    # X U', whose row is then overwritten by its base gradient, and one
+    # pull-back of all the gradients by U
+    grads = iterates @ final.U.T
+    values = np.empty(len(grads))
+    for t, row in enumerate(grads):
+        resp = loss(inst, row)
+        values[t] = resp.value
+        row[:] = resp.gradient
+    grads = grads @ final.U
+    grad_norms = np.max(np.abs(grads, out=grads), axis=1)
+    trace = Trace(iterates=iterates, values=values, grad_norms=grad_norms,
+                  oracle_calls=oracle.calls)
+    return trace, final
 
 
 def replay_check(

@@ -357,6 +357,22 @@ class TestExport:
         export(rot, "libsvm", path)
         assert path.read_text() == "\n".join(lines) + "\n"
 
+    def test_w_nonzeros_closed_form(self):
+        # the libsvm writer's (rows, cols, vals): row-major, as np.nonzero
+        for k in list(range(1, 25)) + [100, 401]:
+            W = dense_w(k)
+            rows, cols = np.nonzero(W)
+            got = build_instance(k, 1.3, 1.0).w_nonzeros()
+            assert np.array_equal(got[0], rows)
+            assert np.array_equal(got[1], cols)
+            assert np.array_equal(got[2], W[rows, cols])
+        U = random_orthogonal(9, seed=2)
+        WU = w_rows_times(U)
+        rows, cols = np.nonzero(WU)
+        got = RotatedInstance(build_instance(9, 1.3, 1.0), U).w_nonzeros()
+        assert np.array_equal(got[0], rows) and np.array_equal(got[1], cols)
+        assert np.array_equal(got[2], WU[rows, cols])
+
     def test_unwritable_path(self, tmp_path):
         inst = build_instance(2, 1.3, 1.0)
         with pytest.raises(OSError):

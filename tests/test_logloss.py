@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hardlogit import (
     FirstOrderOracle,
     MethodSpec,
+    RotatedInstance,
     build_instance,
     h_grad,
     h_value,
@@ -13,7 +16,14 @@ from hardlogit import (
     profile,
     run,
 )
-from conftest import central_diff_grad, dense_ab, logistic_form, naive_h
+from conftest import (
+    central_diff_grad,
+    dense_ab,
+    logistic_form,
+    naive_h,
+    random_orthogonal,
+    rotated_ab,
+)
 
 LOG2 = np.log(2.0)
 
@@ -111,8 +121,11 @@ class TestLoss:
 
     def test_dimension_mismatch(self):
         inst = build_instance(3, 1.3, 1.0)
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            loss(inst, np.ones(4))
+        rotated = RotatedInstance(inst, random_orthogonal(3, seed=1))
+        for x in (np.ones(4), np.ones((3, 2)), np.float64(1.0)):
+            for target in (inst, rotated):
+                with pytest.raises(ValueError, match="dimension mismatch"):
+                    loss(target, x)
 
     def test_stable_for_huge_iterates(self, rng):
         for sigma, zeta in ((1.3, 1.0), (10.0, 9.0)):
@@ -132,6 +145,121 @@ class TestLoss:
             mix = loss(inst, lam * x + (1 - lam) * y).value
             chord = lam * loss(inst, x).value + (1 - lam) * loss(inst, y).value
             assert mix <= chord + 1e-10
+
+
+def _dense_loss(A, b, x):
+    """The N-row form: value h(Ax) - b'Ax and gradient A'(tanh(Ax/2) - b),
+    plus the magnitude of their terms (the scale of their rounding)."""
+    u = A @ x
+    a = np.abs(u)
+    h_terms = a + 2.0 * np.log1p(np.exp(-a))
+    t = np.tanh(0.5 * u)
+    value = float(np.sum(h_terms) - b @ u)
+    gradient = A.T @ (t - b)
+    value_scale = float(np.sum(h_terms) + np.abs(b) @ a)
+    grad_scale = float(np.max(np.abs(A).T @ (np.abs(t) + np.abs(b))))
+    return value, gradient, value_scale, grad_scale
+
+
+VARIANTS = ("fourblock", "twoblock")
+SCALES = (1e-8, 1.0, 1e8)
+
+
+class TestBlockKernel:
+    """``loss`` evaluates once per distinct |s| on w = Wx; every check here
+    compares with the straightforward form over all N stacked rows."""
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_matches_dense_rows(self, variant, scale, rng):
+        sigma, zeta = 1.3 * scale, scale
+        for k in (1, 2, 7, 50, 200):
+            inst = build_instance(k, sigma, zeta, variant)
+            A, b = dense_ab(k, sigma, zeta, variant)
+            for _ in range(4):
+                x = rng.standard_normal(k) * rng.uniform(0.1, 3.0)
+                value, gradient, _, _ = _dense_loss(A, b, x)
+                resp = loss(inst, x)
+                assert abs(resp.value - value) <= 1e-12 * abs(value)
+                assert np.max(np.abs(resp.gradient - gradient)) <= (
+                    1e-12 * np.max(np.abs(gradient))
+                )
+
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_rotated_matches_dense_rows(self, scale, rng):
+        sigma, zeta = 1.3 * scale, scale
+        for k in (1, 2, 7, 50):
+            U = random_orthogonal(k, seed=k)
+            inst = RotatedInstance(build_instance(k, sigma, zeta), U)
+            A, b = rotated_ab(U, sigma, zeta)
+            for _ in range(4):
+                x = rng.standard_normal(k) * rng.uniform(0.1, 3.0)
+                value, gradient, _, _ = _dense_loss(A, b, x)
+                resp = loss(inst, x)
+                assert abs(resp.value - value) <= 1e-12 * abs(value)
+                assert np.max(np.abs(resp.gradient - gradient)) <= (
+                    1e-12 * np.max(np.abs(gradient))
+                )
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_exact_zero_chain(self, variant, scale, rng):
+        # x on the trailing t coordinates: w = Wx vanishes below row t, so
+        # the gradient is exactly 0 on the leading k-t-1 coordinates
+        for k in (2, 3, 9, 40):
+            inst = build_instance(k, 1.3 * scale, scale, variant)
+            for t in range(1, k):
+                x = np.zeros(k)
+                x[k - t:] = rng.standard_normal(t) * rng.uniform(0.1, 1e3)
+                g = loss(inst, x).gradient
+                assert np.all(g[: k - t - 1] == 0.0)
+                if t < k - 1:
+                    assert g[k - t - 1] != 0.0  # the chain advances one step
+
+    def test_non_finite_input_rejected(self):
+        inst = build_instance(5, 1.3, 1.0)
+        rotated = RotatedInstance(inst, random_orthogonal(5, seed=3))
+        nan = np.array([0.0, 1.0, np.nan, 0.0, 0.0])
+        overflow = np.zeros(5)
+        overflow[0] = 1e308  # w = Wx is finite, 2*sigma*w is not
+        with np.errstate(over="ignore", invalid="ignore"):
+            for target in (inst, rotated):
+                with pytest.raises(ValueError, match="finite"):
+                    loss(target, nan)
+            with pytest.raises(ValueError, match="finite"):
+                loss(inst, overflow)
+            with pytest.raises(ValueError, match="finite"):
+                loss(inst, np.full(5, np.inf))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    ratio=st.floats(1.0, 1e4, exclude_min=True),
+    log_scale=st.floats(-8.0, 8.0),
+    k=st.integers(1, 300),
+    variant=st.sampled_from(VARIANTS),
+    rotated=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@pytest.mark.filterwarnings("ignore:sigma=.*bracket is undefined:UserWarning")
+def test_kernel_property_sweep(ratio, log_scale, k, variant, rotated, seed):
+    """Value and gradient within 1e-12 of the N-row form, relative to the
+    magnitude of their terms: at sigma/zeta near 1e4 the value h(Ax) - b'Ax
+    cancels up to 1e4-fold, whatever the evaluation order."""
+    zeta = 10.0**log_scale
+    sigma = ratio * zeta
+    rng = np.random.default_rng(seed)
+    inst = build_instance(k, sigma, zeta, variant)
+    A, b = dense_ab(k, sigma, zeta, variant)
+    if rotated:
+        U = random_orthogonal(k, seed=seed)
+        inst = RotatedInstance(inst, U)
+        A = A @ U
+    x = rng.standard_normal(k) * 10.0 ** rng.uniform(-3, 3)
+    value, gradient, value_scale, grad_scale = _dense_loss(A, b, x)
+    resp = loss(inst, x)
+    assert abs(resp.value - value) <= 1e-12 * value_scale
+    assert np.max(np.abs(resp.gradient - gradient)) <= 1e-12 * grad_scale
 
 
 class TestPhi:

@@ -202,6 +202,18 @@ class TestAdversarialRun:
         for i in range(len(trace)):
             assert trace.values[i] == loss(final, trace.iterates[i]).value
 
+    @pytest.mark.parametrize("name", ADVERSARY_METHODS)
+    def test_batched_trace_matches_per_iterate_loss(self, name):
+        # the trace is computed in one batch: base loss at the rows of X U',
+        # one product of the stacked gradients with U
+        trace, final = adversarial_run(MethodSpec(name=name), 40, 1.3, 1.0)
+        assert len(trace) == 41
+        for t, x in enumerate(trace.iterates):
+            resp = loss(final, x)
+            assert abs(trace.values[t] - resp.value) <= 1e-13 * abs(resp.value)
+            norm = np.max(np.abs(resp.gradient))
+            assert abs(trace.grad_norms[t] - norm) <= 1e-13 * norm
+
     def test_no_drift_at_benchmark_size(self):
         # 1e-12 is where a re-orthogonalization would have to start; the
         # reflections alone stay below it at T = 130 (k = 522)
