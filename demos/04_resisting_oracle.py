@@ -15,8 +15,8 @@ from hardlogit import (
     MethodSpec,
     adversarial_run,
     bound_general,
+    data_direction_residual,
     loss,
-    matvec_at,
     profile,
     replay_check,
 )
@@ -28,15 +28,13 @@ print(f"adversarial budget: T = {T} oracle queries, dimension k = {4 * T + 2}\n"
 for name in ("gd", "agd", "denseprobe"):
     spec = MethodSpec(name=name)
     trace, final = adversarial_run(spec, T, sigma, zeta)
-    base = final.base
-    prof = profile(base)
+    prof = profile(final)  # rotation keeps c, x* and f*; the optimum moves to U'x*
     z_star = final.U.T @ prof.x_star
 
     gap = trace.values[-1] - prof.f_star
     d = trace.iterates[-1] - z_star
     lb = bound_general(T, final.a_norm(), prof.xstar_norm_sq)
-    rotation_size = np.max(np.abs(final.U - np.eye(base.k)))
-    atb = matvec_at(base, base.labels)
+    rotation_size = np.max(np.abs(final.U - np.eye(final.k)))
 
     print(f"{name}:")
     print(f"  gap {gap:.6f} > lower bound {lb.gap:.6f} "
@@ -46,7 +44,7 @@ for name in ("gd", "agd", "denseprobe"):
     print(f"  rotation distance from identity: {rotation_size:.3e}"
           + ("  (span methods never force a real rotation)" if rotation_size < 1e-9 else ""))
     print(f"  label direction preserved: |U'A'b - A'b| = "
-          f"{np.max(np.abs(final.U.T @ atb - atb)):.1e}")
+          f"{data_direction_residual(final):.1e}")
     print(f"  optimal value unchanged by rotation: "
           f"f(z*) - f* = {loss(final, z_star).value - prof.f_star:.2e}")
     print(f"  replay against the frozen final dataset matches: "

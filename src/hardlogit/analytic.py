@@ -50,10 +50,13 @@ def c_bracket(sigma: float, zeta: float) -> tuple[float, float]:
 def solve_c(sigma: float, zeta: float) -> float:
     """The unique positive root of the scaling equation, by bisection.
 
-    The bracket is the closed-form [c_lb, c_ub] when sigma < 2*zeta,
-    otherwise [0, B] with B doubled until the residual turns positive.
-    Terminates when the bracket width falls below 1e-15*max(1, c) or the
-    residual magnitude below 1e-14.
+    Bisection runs in the scale-free z = zeta*c with r = sigma/zeta, on
+    r*tanh(r*z) + tanh(z) = r - 1 (the scaling equation divided by zeta),
+    and returns z/zeta, so its absolute stopping rules hold at any scale of
+    (sigma, zeta): it stops when the bracket width falls below
+    1e-15*max(1, z) or the residual magnitude below 1e-14.  The bracket is
+    the closed-form one, ``c_bracket(r, 1)``, when r < 2, otherwise [0, B]
+    with B doubled until the residual turns positive.
     """
     sigma = float(sigma)
     zeta = float(zeta)
@@ -61,25 +64,26 @@ def solve_c(sigma: float, zeta: float) -> float:
         raise ValueError(
             f"invalid parameters: need sigma > zeta > 0, got sigma={sigma}, zeta={zeta}"
         )
-    if sigma < 2.0 * zeta:
-        lo, hi = c_bracket(sigma, zeta)
+    r = sigma / zeta
+    if 1.0 < r < 2.0:
+        lo, hi = c_bracket(r, 1.0)
     else:
         lo, hi = 0.0, 1.0
-        while _root_residual(hi, sigma, zeta) <= 0.0:
+        while _root_residual(hi, r, 1.0) <= 0.0:
             hi *= 2.0
-    # residual is increasing in c: keep lo on the <=0 side, hi on the >=0 side
+    # residual is increasing in z: keep lo on the <=0 side, hi on the >=0 side
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        r = _root_residual(mid, sigma, zeta)
-        if abs(r) <= 1e-14:
-            return mid
-        if r < 0.0:
+        res = _root_residual(mid, r, 1.0)
+        if abs(res) <= 1e-14:
+            return mid / zeta
+        if res < 0.0:
             lo = mid
         else:
             hi = mid
         if hi - lo <= 1e-15 * max(1.0, mid):
             break
-    return 0.5 * (lo + hi)
+    return 0.5 * (lo + hi) / zeta
 
 
 def _curvature_gap(z: float) -> float:

@@ -268,10 +268,10 @@ def cmd_resist(args) -> int:
     T = args.T
     method = optimizers.MethodSpec(name=args.method)
     trace, final = resist.adversarial_run(method, T, args.sigma, args.zeta)
-    prof = analytic.profile(final.base)
+    prof = analytic.profile(final)
     z_star = final.U.T @ prof.x_star
     report = _bound_report(args, final, T, trace, prof, z_star, False, ts)
-    ortho = resist.orthogonality_residual(final)
+    ortho = final.orthogonality_residual  # max |U'U - I|, from construction
     fixed_dir = resist.data_direction_residual(final)
     replay_ok = resist.replay_check(method, final, trace)
     report.measured["orthogonality_residual"] = ortho

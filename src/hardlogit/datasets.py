@@ -13,8 +13,11 @@ Two stacked-block variants are provided:
 - ``two_block``: A = (2*sigma*W; 2*zeta*W) with labels (+1; -1): half
   the rows, same W structure, nonzero optimal intercept.
 
-All products use the W index structure in O(k) per block; only ``dense()``
-builds the N x k matrix (``export`` writes rows from one k x k block).
+A ``RotatedInstance`` is a ``WorstCaseInstance`` with data matrix A U for
+an orthogonal U: the same k, sigma, zeta, blocks, labels and ||A||, with
+block W U in place of W.  ``matvec_a``/``matvec_at`` apply W by its index
+structure in O(k) per block (plus U when rotated); only ``dense()`` builds
+the N x k matrix (``export`` writes rows from one k x k block).
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from __future__ import annotations
 import enum
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -104,22 +107,6 @@ class WorstCaseInstance:
         """The label vector b, materialized."""
         return np.repeat(np.array(self.block_labels, dtype=float), self.k)
 
-    def data_matrix_times(self, x: np.ndarray) -> np.ndarray:
-        wx = self.w.apply(x)
-        return np.concatenate([s * wx for s in self.block_scales])
-
-    def data_matrix_transpose_times(self, v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v, dtype=float)
-        if v.shape != (self.n_rows,):
-            raise ValueError(
-                f"dimension mismatch: expected ({self.n_rows},), got {v.shape}"
-            )
-        blocks = v.reshape(len(self.block_scales), self.k)
-        combined = np.zeros(self.k)
-        for s, blk in zip(self.block_scales, blocks):
-            combined += s * blk
-        return self.w.apply(combined)
-
     def w_block(self) -> np.ndarray:
         return self.w.dense()
 
@@ -155,83 +142,44 @@ class WorstCaseInstance:
         return float(2.0 * base)
 
 
-@dataclass(frozen=True, eq=False)
-class RotatedInstance:
-    """A base instance with its feature space rotated: effective matrix A @ U."""
+@dataclass(frozen=True, eq=False, init=False)
+class RotatedInstance(WorstCaseInstance):
+    """The same member of the family with its feature space rotated by an
+    orthogonal U: data matrix A U, labels b.  U fixes nothing the family is
+    defined by, so k, sigma, zeta, the blocks, ||A|| and ``dense()`` are
+    the base instance's; only the k x k block is W U instead of W.
 
-    base: WorstCaseInstance
+    ``RotatedInstance(inst, U)`` copies the family fields of ``inst`` and
+    takes U as the rotation, so rotating a rotated instance replaces its U.
+    ``orthogonality_residual`` is max |U'U - I|, checked at construction.
+    """
+
     U: np.ndarray = field(repr=False)
+    orthogonality_residual: float = field(repr=False)
 
-    def __post_init__(self):
-        U = np.asarray(self.U, dtype=float)
-        k = self.base.k
+    def __init__(self, base: WorstCaseInstance, U: np.ndarray):
+        U = np.asarray(U, dtype=float)
+        k = base.k
         if U.shape != (k, k):
             raise ValueError(f"dimension mismatch: U must be ({k},{k}), got {U.shape}")
-        drift = np.max(np.abs(U.T @ U - np.eye(k)))
+        gram = U.T @ U  # max |U'U - I| in place: one k x k temporary, not four
+        gram[np.diag_indices(k)] -= 1.0
+        drift = float(np.max(np.abs(gram, out=gram)))
         if drift > ORTHOGONALITY_TOL:
             raise ValueError(f"U is not orthogonal: max |U'U - I| = {drift:.3e}")
+        super().__init__(**{f.name: getattr(base, f.name) for f in fields(WorstCaseInstance)})
         object.__setattr__(self, "U", U)
-
-    @property
-    def k(self) -> int:
-        return self.base.k
-
-    @property
-    def sigma(self) -> float:
-        return self.base.sigma
-
-    @property
-    def zeta(self) -> float:
-        return self.base.zeta
-
-    @property
-    def variant(self) -> Variant:
-        return self.base.variant
-
-    @property
-    def n_rows(self) -> int:
-        return self.base.n_rows
-
-    @property
-    def labels(self) -> np.ndarray:
-        return self.base.labels
-
-    @property
-    def block_scales(self) -> tuple:
-        return self.base.block_scales
-
-    def data_matrix_times(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.k,):
-            raise ValueError(f"dimension mismatch: expected ({self.k},), got {x.shape}")
-        return self.base.data_matrix_times(self.U @ x)
-
-    def data_matrix_transpose_times(self, v: np.ndarray) -> np.ndarray:
-        return self.U.T @ self.base.data_matrix_transpose_times(v)
+        object.__setattr__(self, "orthogonality_residual", drift)
 
     def w_block(self) -> np.ndarray:
         """W U, by W's two-slice row difference in O(k^2); no GEMM."""
-        return self.base.w.apply(self.U)
+        return self.w.apply(self.U)
 
     def w_nonzeros(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(rows, cols, vals) of the nonzeros of W U in row-major order."""
         wb = self.w_block()
         rows, cols = np.nonzero(wb)
         return rows, cols, wb[rows, cols]
-
-    def dense(self) -> np.ndarray:
-        wb = self.w_block()
-        return np.vstack([s * wb for s in self.block_scales])
-
-    def a_norm(self) -> float:
-        """||A @ U|| = ||A||: U is orthogonal."""
-        return self.base.a_norm()
-
-    def spectral_norm_bound(self) -> float:
-        return self.base.spectral_norm_bound()
-
-
-Instance = WorstCaseInstance | RotatedInstance
 
 
 def build_instance(
@@ -272,20 +220,30 @@ def build_instance(
     )
 
 
-def matvec_a(inst: Instance, x: np.ndarray) -> np.ndarray:
+def matvec_a(inst: WorstCaseInstance, x: np.ndarray) -> np.ndarray:
     """A @ x (A @ U @ x for a rotated instance), O(k) per block."""
     x = np.asarray(x, dtype=float)
     if x.shape != (inst.k,):
         raise ValueError(f"dimension mismatch: expected ({inst.k},), got {x.shape}")
-    return inst.data_matrix_times(x)
+    if isinstance(inst, RotatedInstance):
+        x = inst.U @ x
+    wx = inst.w.apply(x)
+    return np.concatenate([s * wx for s in inst.block_scales])
 
 
-def matvec_at(inst: Instance, v: np.ndarray) -> np.ndarray:
+def matvec_at(inst: WorstCaseInstance, v: np.ndarray) -> np.ndarray:
     """A.T @ v (U.T @ A.T @ v for a rotated instance), O(k) per block."""
-    return inst.data_matrix_transpose_times(v)
+    v = np.asarray(v, dtype=float)
+    if v.shape != (inst.n_rows,):
+        raise ValueError(f"dimension mismatch: expected ({inst.n_rows},), got {v.shape}")
+    combined = np.zeros(inst.k)
+    for s, blk in zip(inst.block_scales, v.reshape(len(inst.block_scales), inst.k)):
+        combined += s * blk
+    atv = inst.w.apply(combined)
+    return inst.U.T @ atv if isinstance(inst, RotatedInstance) else atv
 
 
-def export(inst: Instance, format: str, path, extra_meta: dict | None = None) -> None:
+def export(inst: WorstCaseInstance, format: str, path, extra_meta: dict | None = None) -> None:
     """Write the dataset to ``path`` in one of three formats.
 
     - ``csv``: header feature_1..feature_k,label; one dense row per datum.

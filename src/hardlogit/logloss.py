@@ -14,7 +14,9 @@ tanh odd, so with w = Wx and drift = sum_i s_i*l_i
 where mult counts the blocks of magnitude |s|.  ``loss`` evaluates this on
 one (distinct |s|) x k array and never forms the N-vector Ax: the
 four-block variant costs 2k transcendentals, not 4k.  A rotated instance
-(matrix A U) runs the same kernel at U x and pulls the gradient back by U'.
+has the same blocks and labels with matrix A U, so it runs the same kernel
+at U x and pulls the gradient back by U'; ``loss`` and ``datasets``'
+``matvec_a``/``matvec_at`` are the only places that apply U.
 
 Optimizers never see A or b: they receive an opaque oracle handle that
 returns (value, gradient) pairs only.
@@ -24,14 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datasets import (
-    Instance,
-    RotatedInstance,
-    Variant,
-    WorstCaseInstance,
-    matvec_a,
-    matvec_at,
-)
+from .datasets import RotatedInstance, Variant, WorstCaseInstance, matvec_a, matvec_at
 
 LOG2 = float(np.log(2.0))
 
@@ -63,7 +58,8 @@ class OracleResponse:
 
 
 def _block_loss(inst: WorstCaseInstance, x: np.ndarray) -> tuple[float, np.ndarray]:
-    """(value, gradient) of a base instance at x, one row per distinct |s|."""
+    """(value, gradient) of the unrotated blocks of ``inst`` at x, one row
+    per distinct |s|."""
     w = inst.w.apply(x)
     groups = {}  # |s| -> number of blocks with that magnitude
     for s in inst.block_scales:
@@ -84,7 +80,7 @@ def _block_loss(inst: WorstCaseInstance, x: np.ndarray) -> tuple[float, np.ndarr
     return value, gradient
 
 
-def loss(inst: Instance, x: np.ndarray) -> OracleResponse:
+def loss(inst: WorstCaseInstance, x: np.ndarray) -> OracleResponse:
     """Loss value and gradient at x.
 
     value = h(Ax) - b'Ax, gradient = A'(tanh(Ax/2) - b), evaluated once
@@ -97,13 +93,13 @@ def loss(inst: Instance, x: np.ndarray) -> OracleResponse:
     if x.shape != (inst.k,):
         raise ValueError(f"dimension mismatch: expected ({inst.k},), got {x.shape}")
     if isinstance(inst, RotatedInstance):
-        value, gradient = _block_loss(inst.base, inst.U @ x)
+        value, gradient = _block_loss(inst, inst.U @ x)
         return OracleResponse(value=value, gradient=inst.U.T @ gradient)
     value, gradient = _block_loss(inst, x)
     return OracleResponse(value=value, gradient=gradient)
 
 
-def phi(inst: Instance, x: np.ndarray, y: float):
+def phi(inst: WorstCaseInstance, x: np.ndarray, y: float):
     """Full model with intercept: value, x-gradient and y-derivative.
 
     Only defined for the four-block variant, whose label blocks are mirror
@@ -121,7 +117,7 @@ def phi(inst: Instance, x: np.ndarray, y: float):
     return value, grad_x, grad_y
 
 
-def lipschitz(inst: Instance) -> float:
+def lipschitz(inst: WorstCaseInstance) -> float:
     """Smoothness constant L = ||A||^2 / 2 from the exact spectral norm.
 
     Each component of h has second derivative sech^2(u/2)/2 <= 1/2, so the
@@ -137,7 +133,7 @@ class FirstOrderOracle:
     deliberately not exposed on the public surface.
     """
 
-    def __init__(self, inst: Instance):
+    def __init__(self, inst: WorstCaseInstance):
         self._inst = inst
         self.k = inst.k
 

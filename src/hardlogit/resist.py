@@ -28,7 +28,6 @@ from .datasets import (
     Variant,
     WorstCaseInstance,
     build_instance,
-    matvec_at,
 )
 from .logloss import FirstOrderOracle, OracleResponse, lipschitz, loss
 from .optimizers import MethodSpec, Trace, drive
@@ -122,23 +121,24 @@ def orthogonality_residual(adv: ResistingOracle | RotatedInstance) -> float:
 
 
 def data_direction_residual(adv: ResistingOracle | RotatedInstance) -> float:
-    """max |U.T (A'b) - A'b| for the base instance's A and b: the
-    label-signal direction must stay fixed.  Accepts an oracle or a
-    rotated instance."""
-    atb = matvec_at(adv.base, adv.base.labels)
+    """max |U.T (A'b) - A'b| for the unrotated A and b: the label-signal
+    direction must stay fixed.  A'b = (sum_i s_i l_i) e_k because W 1 = e_k.
+    Accepts an oracle or a rotated instance."""
+    inst = adv.base if isinstance(adv, ResistingOracle) else adv
+    atb = np.zeros(adv.k)
+    atb[-1] = sum(s * lab for s, lab in zip(inst.block_scales, inst.block_labels))
     return float(np.max(np.abs(adv.U.T @ atb - atb)))
 
 
-def containment_residuals(oracle: ResistingOracle, index_shift: int = 1) -> np.ndarray:
+def containment_residuals(oracle: ResistingOracle) -> np.ndarray:
     """Leakage of each placed point outside its trap subspace.
 
-    Entry i is the norm of the leading k-(2i+shift) components of
-    U @ point_i; with the default shift of 1 this checks membership of the
-    span of the trailing 2i+1 coordinates.
+    Entry i is the norm of the leading k-(2i+1) components of U @ point_i:
+    point i must lie in the span of the trailing 2i+1 coordinates.
     """
     out = np.zeros(len(oracle.points))
     for i, p in enumerate(oracle.points):
-        lead = oracle.k - (2 * i + index_shift)
+        lead = oracle.k - (2 * i + 1)
         if lead > 0:
             out[i] = np.linalg.norm((oracle.U @ p)[:lead])
     return out
@@ -198,7 +198,7 @@ def replay_check(
             f"length mismatch: trace dimension {trace.iterates.shape[1]} "
             f"vs instance dimension {final_inst.k}"
         )
-    method = _with_default_step(method, final_inst.base)
+    method = _with_default_step(method, final_inst)
     iterates, _, _ = drive(method, FirstOrderOracle(final_inst), len(trace) - 1)
     return bool(np.max(np.abs(iterates - trace.iterates)) <= tol)
 

@@ -253,16 +253,17 @@ def test_criterion_08_general_lower_bound(adversarial_results):
     cells, elapsed = adversarial_results
     failures = []
     for (name, T), (_, trace, final) in cells.items():
-        base = final.base
-        prof = profile(base)
+        base = build_instance(4 * T + 2, SIGMA, ZETA)
+        prof = profile(final)
         a_norm = final.a_norm()
         lb = bound_general(T, a_norm, prof.xstar_norm_sq)
         z_star = final.U.T @ prof.x_star
         gap = trace.values[-1] - prof.f_star
         d = trace.iterates[-1] - z_star
         ortho = float(np.max(np.abs(final.U.T @ final.U - np.eye(base.k))))
+        # the rotated dataset's A'b (= U' A'b) must equal the unrotated one
         atb = matvec_at(base, base.labels)
-        fixed = float(np.max(np.abs(final.U.T @ atb - atb)))
+        fixed = float(np.max(np.abs(matvec_at(final, final.labels) - atb)))
         if not (gap > lb.gap):
             failures.append(f"{name}/T={T}: gap")
         if not (float(d @ d) > prof.xstar_norm_sq / 8.0):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hardlogit import (
     FirstOrderOracle,
@@ -70,6 +72,28 @@ class TestSolveC:
         # sigma >= 2*zeta has no closed-form bracket; the root must still solve
         c = solve_c(5.0, 1.0)
         assert abs(_residual(c, 5.0, 1.0)) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    ratio=st.floats(1.01, 1e4),
+    log_scale=st.floats(-8.0, 8.0),
+    k=st.integers(1, 300),
+    variant=st.sampled_from(("fourblock", "twoblock")),
+)
+@pytest.mark.filterwarnings("ignore:sigma=.*bracket is undefined:UserWarning")
+def test_root_property_sweep(ratio, log_scale, k, variant):
+    """The root and the optimum it gives hold to relative machine precision
+    at any scale of (sigma, zeta), not only near zeta = 1."""
+    zeta = 10.0**log_scale
+    sigma = ratio * zeta
+    c = solve_c(sigma, zeta)
+    assert abs(_residual(c, sigma, zeta)) <= 1e-13 * sigma
+    inst = build_instance(k, sigma, zeta, variant)
+    prof = profile(inst)
+    assert prof.c == c
+    gradient = loss(inst, prof.x_star).gradient
+    assert np.max(np.abs(gradient)) <= 1e-12 * inst.a_norm()
 
 
 class TestProfile:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -6,9 +7,11 @@ import pytest
 from hardlogit import (
     RotatedInstance,
     Variant,
+    WorstCaseInstance,
     build_instance,
     build_w,
     export,
+    loss,
     matvec_a,
     matvec_at,
 )
@@ -174,6 +177,71 @@ class TestMatvec:
             matvec_a(inst, np.ones(4))
         with pytest.raises(ValueError, match="dimension mismatch"):
             matvec_at(inst, np.ones(5))
+
+
+FAMILY = ("k", "sigma", "zeta", "variant", "n_rows", "w", "block_scales", "block_labels")
+
+
+def _same_family(a, b):
+    for name in FAMILY:
+        assert getattr(a, name) == getattr(b, name), name
+    assert np.array_equal(a.labels, b.labels)
+    assert a.a_norm() == b.a_norm()
+    assert a.spectral_norm_bound() == b.spectral_norm_bound()
+
+
+class TestRotatedInstance:
+    """A rotated instance is the same member of the family, with U."""
+
+    @pytest.mark.parametrize("variant", ["fourblock", "twoblock"])
+    def test_identity_rotation_is_the_base(self, variant, tmp_path, rng):
+        k = 9
+        inst = build_instance(k, 1.3, 0.7, variant)
+        rot = RotatedInstance(inst, np.eye(k))
+        for _ in range(5):
+            x = rng.standard_normal(k)
+            got, ref = loss(rot, x), loss(inst, x)
+            assert got.value == ref.value
+            assert np.array_equal(got.gradient, ref.gradient)
+            assert np.array_equal(matvec_a(rot, x), matvec_a(inst, x))
+            v = rng.standard_normal(inst.n_rows)
+            assert np.array_equal(matvec_at(rot, v), matvec_at(inst, v))
+        for fmt in ("csv", "libsvm"):
+            export(inst, fmt, tmp_path / f"base.{fmt}")
+            export(rot, fmt, tmp_path / f"rot.{fmt}")
+            assert (tmp_path / f"rot.{fmt}").read_bytes() == (
+                tmp_path / f"base.{fmt}").read_bytes()
+
+    @pytest.mark.parametrize("variant", ["fourblock", "twoblock"])
+    def test_inherits_the_family(self, variant):
+        inst = build_instance(7, 1.3, 0.7, variant)
+        rot = RotatedInstance(inst, random_orthogonal(7, seed=1))
+        assert isinstance(rot, WorstCaseInstance)
+        assert not hasattr(rot, "base")
+        _same_family(rot, inst)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rot.U = np.eye(7)
+
+    def test_rotating_replaces_the_rotation(self, rng):
+        inst = build_instance(8, 1.3, 1.0)
+        U1, U2 = random_orthogonal(8, seed=1), random_orthogonal(8, seed=2)
+        twice = RotatedInstance(RotatedInstance(inst, U1), U2)
+        once = RotatedInstance(inst, U2)
+        assert np.array_equal(twice.U, U2)
+        _same_family(twice, once)
+        assert twice.orthogonality_residual == once.orthogonality_residual
+        assert np.array_equal(twice.dense(), once.dense())
+        x = rng.standard_normal(8)
+        assert loss(twice, x).value == loss(once, x).value
+        assert np.array_equal(loss(twice, x).gradient, loss(once, x).gradient)
+        assert np.array_equal(matvec_a(twice, x), matvec_a(once, x))
+
+    def test_construction_records_the_orthogonality_check(self):
+        U = random_orthogonal(6, seed=4)
+        rot = RotatedInstance(build_instance(6, 1.3, 1.0), U)
+        assert rot.orthogonality_residual == float(np.max(np.abs(U.T @ U - np.eye(6))))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            RotatedInstance(build_instance(6, 1.3, 1.0), np.eye(5))
 
 
 def _svd_norm(k, sigma, zeta, variant):

@@ -153,9 +153,9 @@ class TestAdversarialRun:
     def test_bounds_and_rotation_invariants(self, name):
         T = 4
         trace, final = adversarial_run(MethodSpec(name=name), T, 1.3, 1.0)
-        base = final.base
-        assert base.k == 4 * T + 2
-        prof = profile(base)
+        assert final.k == 4 * T + 2
+        base = build_instance(final.k, 1.3, 1.0)
+        prof = profile(final)
         z_star = final.U.T @ prof.x_star
 
         gap = trace.values[-1] - prof.f_star
@@ -170,13 +170,19 @@ class TestAdversarialRun:
         atb = matvec_at(base, base.labels)
         fixed = np.max(np.abs(final.U.T @ atb - atb))
         assert fixed <= 1e-10
-        # the residual helpers take the final rotated instance as well
+        assert np.array_equal(matvec_at(final, final.labels), final.U.T @ atb)
+        # the residual helpers take the final rotated instance as well, and
+        # the instance keeps the max |U'U - I| of its construction check
         assert orthogonality_residual(final) == ortho
+        assert final.orthogonality_residual == ortho
         assert data_direction_residual(final) == fixed
 
     def test_rotated_optimum_value_is_invariant(self):
         trace, final = adversarial_run(MethodSpec(name="denseprobe"), 3, 1.3, 1.0)
-        prof = profile(final.base)
+        prof = profile(final)
+        unrotated = profile(build_instance(final.k, 1.3, 1.0))
+        assert np.array_equal(prof.x_star, unrotated.x_star)
+        assert prof.f_star == unrotated.f_star
         z_star = final.U.T @ prof.x_star
         resp = loss(final, z_star)
         assert abs(resp.value - prof.f_star) <= 1e-10 * (1 + abs(prof.f_star))
@@ -187,15 +193,12 @@ class TestAdversarialRun:
         # point i must sit in U' times the span of the trailing 2i+1 coords
         T = 4
         trace, final = adversarial_run(MethodSpec(name="denseprobe"), T, 1.3, 1.0)
-        oracle = _oracle_after(final.base, *trace.iterates[1:-1])
+        oracle = _oracle_after(build_instance(final.k, 1.3, 1.0), *trace.iterates[1:-1])
         replayed = oracle.finalize(trace.iterates[-1])
         assert np.array_equal(oracle.U, final.U)
         assert np.array_equal(replayed.U, final.U)
         assert len(oracle.points) == T + 1
-        res = containment_residuals(oracle)
-        assert np.max(res) <= 1e-8
-        # the looser two-steps-out containment holds a fortiori
-        assert np.max(containment_residuals(oracle, index_shift=3)) <= np.max(res) + 1e-15
+        assert np.max(containment_residuals(oracle)) <= 1e-8
 
     def test_trace_values_recomputable_against_final(self):
         trace, final = adversarial_run(MethodSpec(name="gd"), 3, 1.3, 1.0)
@@ -240,7 +243,7 @@ class TestReplay:
     def test_replay_detects_wrong_rotation(self):
         # against a different rotation the method walks a different path
         trace, final = adversarial_run(MethodSpec(name="denseprobe"), 3, 1.3, 1.0)
-        wrong = RotatedInstance(final.base, random_orthogonal(final.base.k, seed=5))
+        wrong = RotatedInstance(final, random_orthogonal(final.k, seed=5))
         assert replay_check(MethodSpec(name="denseprobe"), wrong, trace) is False
 
 
