@@ -16,9 +16,9 @@ from hardlogit import (
     adversarial_run,
     bound_general,
     data_direction_residual,
+    invariants,
     loss,
     profile,
-    replay_check,
 )
 
 sigma, zeta = 1.3, 1.0
@@ -48,7 +48,7 @@ for name in ("gd", "agd", "denseprobe"):
     print(f"  optimal value unchanged by rotation: "
           f"f(z*) - f* = {loss(final, z_star).value - prof.f_star:.2e}")
     print(f"  replay against the frozen final dataset matches: "
-          f"{replay_check(spec, final, trace)}\n")
+          f"{invariants.replay_matches(spec, final, trace).passed}\n")
 
 print("Even the span-violating probe ends far from the optimum: no"
       "\ndeterministic first-order method escapes the 1/sqrt(eps) oracle cost.")

@@ -53,7 +53,6 @@ from .resist import (
     adversarial_run,
     containment_residuals,
     data_direction_residual,
-    orthogonality_residual,
     replay_check,
     save_matrix_csv,
 )

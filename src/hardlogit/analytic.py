@@ -51,12 +51,11 @@ def solve_c(sigma: float, zeta: float) -> float:
     """The unique positive root of the scaling equation, by bisection.
 
     Bisection runs in the scale-free z = zeta*c with r = sigma/zeta, on
-    r*tanh(r*z) + tanh(z) = r - 1 (the scaling equation divided by zeta),
-    and returns z/zeta, so its absolute stopping rules hold at any scale of
-    (sigma, zeta): it stops when the bracket width falls below
-    1e-15*max(1, z) or the residual magnitude below 1e-14.  The bracket is
-    the closed-form one, ``c_bracket(r, 1)``, when r < 2, otherwise [0, B]
-    with B doubled until the residual turns positive.
+    r*tanh(r*z) + tanh(z) = r - 1, until the bracket's ends are adjacent
+    floats (its midpoint equals one of them), and returns the end with the
+    smaller residual magnitude, divided by zeta.  The bracket is
+    ``c_bracket(r, 1)`` when r < 2, otherwise [0, B] with B doubled until
+    the residual turns positive.
     """
     sigma = float(sigma)
     zeta = float(zeta)
@@ -71,19 +70,17 @@ def solve_c(sigma: float, zeta: float) -> float:
         lo, hi = 0.0, 1.0
         while _root_residual(hi, r, 1.0) <= 0.0:
             hi *= 2.0
-    # residual is increasing in z: keep lo on the <=0 side, hi on the >=0 side
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        res = _root_residual(mid, r, 1.0)
-        if abs(res) <= 1e-14:
-            return mid / zeta
-        if res < 0.0:
+    # residual is increasing in z: keep lo on the <0 side, hi on the >=0 side
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        if _root_residual(mid, r, 1.0) < 0.0:
             lo = mid
         else:
             hi = mid
-        if hi - lo <= 1e-15 * max(1.0, mid):
-            break
-    return 0.5 * (lo + hi) / zeta
+        mid = 0.5 * (lo + hi)
+    if abs(_root_residual(lo, r, 1.0)) <= abs(_root_residual(hi, r, 1.0)):
+        return lo / zeta
+    return hi / zeta
 
 
 def _curvature_gap(z: float) -> float:

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analytic, datasets, logloss, optimizers, resist
+from . import analytic, datasets, invariants, logloss, optimizers, resist
 
 DEFAULT_SIGMA = 1.3
 DEFAULT_ZETA = 1.0
@@ -32,7 +32,8 @@ DEFAULT_ZETA = 1.0
 
 @dataclass
 class ExperimentReport:
-    """Config echo, measured quantities, theoretical targets, verdicts."""
+    """Config echo, measured quantities, theoretical targets, and the
+    verdicts as ``invariants.Check`` records."""
 
     config: dict
     measured: dict
@@ -40,29 +41,15 @@ class ExperimentReport:
     verdicts: list = field(default_factory=list)
     timestamp: str | None = None
 
-    def add_verdict(self, check: str, passed: bool, margin: float) -> None:
-        self.verdicts.append(
-            {"check": check, "passed": bool(passed), "margin": float(margin)}
-        )
-
-    @property
-    def all_passed(self) -> bool:
-        return all(v["passed"] for v in self.verdicts)
-
-    def to_dict(self) -> dict:
-        out = {
-            "config": self.config,
-            "measured": self.measured,
-            "theoretical": self.theoretical,
-            "verdicts": self.verdicts,
-        }
+    def write(self, path) -> None:
+        out = {"config": self.config, "measured": self.measured,
+               "theoretical": self.theoretical, "verdicts": [
+                   {"check": v.name, "passed": bool(v.passed), "margin": float(v.margin)}
+                   for v in self.verdicts]}
         if self.timestamp is not None:
             out["timestamp"] = self.timestamp
-        return out
-
-    def write(self, path) -> None:
         with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
+            json.dump(out, fh, indent=2, sort_keys=True)
             fh.write("\n")
 
 
@@ -95,84 +82,27 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _verify_checks(max_k: int, rng: np.random.Generator):
-    """Yield (name, passed, detail) for every analytic invariant."""
-    sigma, zeta = DEFAULT_SIGMA, DEFAULT_ZETA
-
-    ratio = analytic.constant_c_ratio(sigma, zeta)
-    yield "ratio_constant_above_half", ratio > 0.5, f"C={ratio:.6f}"
-
-    insts = {k: datasets.build_instance(k, sigma, zeta) for k in range(1, max_k + 1)}
-    worst_grad = 0.0
-    worst_f = 0.0
-    worst_dy = 0.0
-    profiles = {}
-    for k, inst in insts.items():
-        prof = profiles[k] = analytic.profile(inst)
-        resp = logloss.loss(inst, prof.x_star)
-        worst_grad = max(worst_grad, float(np.max(np.abs(resp.gradient))))
-        worst_f = max(
-            worst_f, abs(resp.value - prof.f_star) / (1.0 + abs(prof.f_star))
-        )
-        _, _, dy = logloss.phi(inst, prof.x_star, 0.0)
-        worst_dy = max(worst_dy, abs(dy))
-    yield "optimum_gradient_vanishes", worst_grad <= 1e-9, f"max={worst_grad:.2e}"
-    yield "optimum_value_matches_formula", worst_f <= 1e-10, f"max={worst_f:.2e}"
-    yield "intercept_derivative_vanishes", worst_dy <= 1e-9, f"max={worst_dy:.2e}"
-
-    leak = 0.0
-    for k in range(2, max_k + 1):
-        inst = insts[k]
-        for t in range(1, k):
-            x = np.zeros(k)
-            x[k - t:] = rng.standard_normal(t)
-            g = logloss.loss(inst, x).gradient
-            lead = k - (t + 1)
-            if lead > 0:
-                leak = max(leak, float(np.max(np.abs(g[:lead]))))
-    yield "gradients_stay_in_next_subspace", leak <= 1e-10, f"max={leak:.2e}"
-
-    worst_id = 0.0
-    unit_gap = analytic.per_coordinate_gap(sigma, zeta)  # one root solve for all (k, t)
-    for k in range(2, max_k + 1):
-        inst = insts[k]
-        prof_k = profiles[k]
-        for t in range(1, k):
-            prof_t = profiles[t]
-            x = np.zeros(k)
-            x[k - t:] = prof_t.x_star
-            lhs = logloss.loss(inst, x).value
-            rhs = 8.0 * (k - t) * logloss.LOG2 + prof_t.f_star
-            worst_id = max(worst_id, abs(lhs - rhs))
-            gap = 4.0 * (k - t) * unit_gap  # = analytic.subspace_gap(k, t, sigma, zeta)
-            worst_id = max(worst_id, abs((rhs - prof_k.f_star) - gap))
-    yield "restricted_optimum_identity", worst_id <= 1e-9, f"max={worst_id:.2e}"
-
-    worst_err = 0.0
-    worst_excess = -np.inf
-    for k in (1, 2, 3, 5, max_k):
-        inst = insts[k]
-        a_norm = inst.a_norm()
-        svd = float(np.linalg.svd(inst.dense(), compute_uv=False)[0])
-        worst_err = max(worst_err, abs(a_norm - svd) / svd)
-        worst_excess = max(worst_excess, a_norm - inst.spectral_norm_bound())
-    yield (
-        "norm_below_closed_form_bound",
-        worst_err <= 1e-14 and worst_excess <= 0.0,
-        f"max relative error vs SVD={worst_err:.2e}, max excess={worst_excess:.2e}",
-    )
-
-
 def cmd_verify(args) -> int:
     if args.max_k < 2:
         print("error: --max-k must be >= 2", file=sys.stderr)
         return 2
+    insts = [datasets.build_instance(k, DEFAULT_SIGMA, DEFAULT_ZETA)
+             for k in range(1, args.max_k + 1)]
+    profiles = [analytic.profile(inst) for inst in insts]
     rng = np.random.default_rng(20240601)
-    failures = 0
-    for name, passed, detail in _verify_checks(args.max_k, rng):
-        status = "ok" if passed else "FAIL"
-        print(f"{status:4s} {name}: {detail}")
-        failures += 0 if passed else 1
+    trap_points = ((inst, np.concatenate([np.zeros(inst.k - t), rng.standard_normal(t)]))
+                   for inst in insts[1:] for t in range(1, inst.k))  # t < k
+    checks = [
+        invariants.ratio_constant(insts[0]),
+        *invariants.optimum(zip(insts, profiles)),
+        invariants.gradient_trap(trap_points),
+        invariants.restricted_optimum_identity(insts, profiles),
+        invariants.norm_bound([i for i in insts if i.k in (1, 2, 3, 5, args.max_k)]),
+    ]
+    for check in checks:
+        status = "ok" if check.passed else "FAIL"
+        print(f"{status:4s} {check.name}: {check.detail}")
+    failures = sum(not check.passed for check in checks)
     print(f"{failures} failure(s)")
     return 1 if failures else 0
 
@@ -186,13 +116,9 @@ def _bound_report(args, inst, T, trace, prof, x_star, span, ts):
     diff = trace.iterates[-1] - x_star
     dist_sq = float(diff @ diff)
     dist0_sq = prof.xstar_norm_sq
-    if span:
-        bound = analytic.bound_linear_span(T, a_norm, dist0_sq)
-        bound_name = "gap_above_span_lower_bound"
-    else:
-        bound = analytic.bound_general(T, a_norm, dist0_sq)
-        bound_name = "gap_above_general_lower_bound"
-    report = ExperimentReport(
+    bound_at = analytic.bound_linear_span if span else analytic.bound_general
+    bound = bound_at(T, a_norm, dist0_sq)
+    return ExperimentReport(
         config={
             "method": args.method, "k": inst.k, "sigma": args.sigma,
             "zeta": args.zeta, "T": T, "variant": inst.variant.value,
@@ -205,15 +131,9 @@ def _bound_report(args, inst, T, trace, prof, x_star, span, ts):
             "gap_lower_bound": bound.gap, "dist_factor": bound.dist_factor,
             "dist0_sq": dist0_sq,
         },
+        verdicts=list(invariants.lower_bound(inst, trace, prof, x_star, span)),
         timestamp=ts,
     )
-    report.add_verdict(bound_name, gap > bound.gap, gap - bound.gap)
-    report.add_verdict(
-        "dist_sq_above_one_eighth",
-        dist_sq > bound.dist_factor * dist0_sq,
-        dist_sq - bound.dist_factor * dist0_sq,
-    )
-    return report
 
 
 def _emit(report, out_dir, stem, trace, f_star, x_star) -> bool:
@@ -223,9 +143,9 @@ def _emit(report, out_dir, stem, trace, f_star, x_star) -> bool:
     optimizers.trace_to_csv(trace, out_dir / f"trace_{stem}.csv", f_star, x_star)
     T = report.config["T"]
     for v in report.verdicts:
-        status = "ok" if v["passed"] else "FAIL"
-        print(f"{status:4s} T={T} {v['check']} (margin {v['margin']:.3e})")
-    return report.all_passed
+        status = "ok" if v.passed else "FAIL"
+        print(f"{status:4s} T={T} {v.name} (margin {v.margin:.3e})")
+    return all(v.passed for v in report.verdicts)
 
 
 def _race_cell(args, T, ts, out_dir) -> bool:
@@ -234,17 +154,15 @@ def _race_cell(args, T, ts, out_dir) -> bool:
     lips = logloss.lipschitz(inst)
     spec = optimizers.MethodSpec(name=args.method, step_size=1.0 / lips)
     trace = optimizers.run(spec, logloss.FirstOrderOracle(inst), T)
-    frontier = optimizers.support_frontier(trace)
-    is_span = frontier <= 0
-    report = _bound_report(args, inst, T, trace, prof, prof.x_star, is_span, ts)
-    report.measured["span_method"] = is_span
-    report.measured["support_frontier"] = frontier
+    chain = invariants.zero_chain(trace)
+    report = _bound_report(args, inst, T, trace, prof, prof.x_star, chain.passed, ts)
+    report.measured["span_method"] = chain.passed
+    report.measured["support_frontier"] = int(-chain.margin)
     if args.method == "agd":
-        gap = report.measured["final_gap"]
         upper = analytic.agd_upper_bound(T, lips, prof.xstar_norm_sq)
         report.theoretical["agd_upper_bound"] = upper
         report.theoretical["sandwich_ratio"] = analytic.sandwich_ratio(T)
-        report.add_verdict("gap_below_agd_upper_bound", gap <= upper, upper - gap)
+        report.verdicts.append(invariants.agd_upper_bound(inst, trace, prof))
     stem = f"{args.method}_T{T}"
     return _emit(report, out_dir, stem, trace, prof.f_star, prof.x_star)
 
@@ -271,14 +189,11 @@ def cmd_resist(args) -> int:
     prof = analytic.profile(final)
     z_star = final.U.T @ prof.x_star
     report = _bound_report(args, final, T, trace, prof, z_star, False, ts)
-    ortho = final.orthogonality_residual  # max |U'U - I|, from construction
-    fixed_dir = resist.data_direction_residual(final)
-    replay_ok = resist.replay_check(method, final, trace)
-    report.measured["orthogonality_residual"] = ortho
-    report.measured["data_direction_residual"] = fixed_dir
-    report.add_verdict("rotation_orthogonal", ortho <= 1e-10, 1e-10 - ortho)
-    report.add_verdict("data_direction_fixed", fixed_dir <= 1e-10, 1e-10 - fixed_dir)
-    report.add_verdict("replay_matches", replay_ok, 0.0 if replay_ok else -1.0)
+    report.measured["orthogonality_residual"] = final.orthogonality_residual
+    report.measured["data_direction_residual"] = resist.data_direction_residual(final)
+    report.verdicts += [invariants.rotation_orthogonal(final),
+                        invariants.data_direction_fixed(final),
+                        invariants.replay_matches(method, final, trace)]
 
     stem = f"resist_{args.method}_T{T}"
     datasets.export(final, "libsvm", out_dir / f"dataset_{stem}.libsvm")

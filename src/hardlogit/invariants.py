@@ -1,0 +1,197 @@
+"""Every invariant the harness checks, each with its tolerance.
+
+A check runs on instances, profiles, points or traces and returns a
+``Check``: ``margin`` is how far the measured quantity lies inside its
+limit (negative on failure), ``detail`` the text ``verify`` prints.
+``verify``, the verdicts of ``race`` and ``resist`` and the acceptance
+suite all come from here.  Calls into the package go through module
+attributes (``logloss.loss``), so a wrapper installed on one sees them.
+"""
+
+import itertools
+from typing import NamedTuple
+
+import numpy as np
+
+from . import analytic, datasets, logloss, optimizers, resist
+
+RATIO_FLOOR = 0.5  # C(sigma/zeta) must exceed it for the per-coordinate gap bound
+GRADIENT_TOL = 1e-9  # sup-norm of the gradient and the intercept derivative at x*
+VALUE_TOL = 1e-10  # |f(x*) - f*| / (1 + |f*|)
+LEAK_TOL = 1e-10  # gradient entries outside the next trap subspace
+IDENTITY_TOL = 1e-9  # restricted-optimum identity, absolute
+RUN_STEPS = 100_000  # accelerated steps of a restricted run
+RUN_TOL = 1e-6  # a restricted run's value against the identity, absolute
+NORM_TOL = 1e-14  # closed-form ||A|| against a dense SVD, relative
+SANDWICH_TOL = 1e-9  # upper/lower bound against sandwich_ratio(T), relative
+SANDWICH_CAP = 256.0 / 3.0
+ROTATION_TOL = datasets.ORTHOGONALITY_TOL  # max |U'U - I|
+DIRECTION_TOL = 1e-10  # max |U'(A'b) - A'b|
+REPLAY_TOL = 1e-8  # replayed against adaptive iterates, sup-norm
+
+
+class Check(NamedTuple):
+    name: str
+    passed: bool
+    margin: float
+    detail: str
+
+
+def _at_most(name: str, worst: float, tol: float) -> Check:
+    return Check(name, bool(worst <= tol), tol - worst, f"max={worst:.2e}")
+
+
+def ratio_constant(inst) -> Check:
+    """The ratio constant C(sigma/zeta) of the instance is above 1/2."""
+    ratio = analytic.constant_c_ratio(inst.sigma, inst.zeta)
+    return Check("ratio_constant_above_half", bool(ratio > RATIO_FLOOR),
+                 ratio - RATIO_FLOOR, f"C={ratio:.6f}")
+
+
+def optimum(pairs) -> tuple[Check, Check, Check]:
+    """At the closed-form x* of each (instance, profile): the gradient
+    vanishes, the loss is f*, and so does the intercept derivative."""
+    grad = value = dy = 0.0
+    for inst, prof in pairs:
+        resp = logloss.loss(inst, prof.x_star)
+        grad = max(grad, float(np.max(np.abs(resp.gradient))))
+        value = max(value, abs(resp.value - prof.f_star) / (1.0 + abs(prof.f_star)))
+        dy = max(dy, abs(logloss.phi(inst, prof.x_star, 0.0)[2]))
+    return (
+        _at_most("optimum_gradient_vanishes", grad, GRADIENT_TOL),
+        _at_most("optimum_value_matches_formula", value, VALUE_TOL),
+        _at_most("intercept_derivative_vanishes", dy, GRADIENT_TOL),
+    )
+
+
+def gradient_trap(cases) -> Check:
+    """For each (instance, x): x supported on its trailing t coordinates
+    gets a gradient supported on the trailing t+1 (the zero chain)."""
+    leak = 0.0
+    for inst, x in cases:
+        nonzero = np.flatnonzero(x)
+        lead = (nonzero[0] if nonzero.size else inst.k) - 1  # k - (t+1)
+        g = logloss.loss(inst, x).gradient
+        if lead > 0:
+            leak = max(leak, float(np.max(np.abs(g[:lead]))))
+    return _at_most("gradients_stay_in_next_subspace", leak, LEAK_TOL)
+
+
+def zero_chain(trace) -> Check:
+    """Every iterate x_t is supported on the trailing t coordinates, the
+    one hypothesis of the span lower bound; exact.  The margin is minus
+    the support frontier."""
+    frontier = optimizers.support_frontier(trace)
+    return Check("iterates_in_span", frontier <= 0, float(-frontier),
+                 f"support frontier {frontier}")
+
+
+def restricted_optimum_identity(insts, profiles) -> Check:
+    """``insts`` and their ``profiles`` in dimensions 1, 2, ..., n, one
+    (sigma, zeta): for t < k <= n the k-dimensional loss at (0, x*_t) is
+    8(k-t)log 2 + f*_t, and that minus f*_k is ``subspace_gap(k, t)``."""
+    unit_gap = analytic.per_coordinate_gap(insts[0].sigma, insts[0].zeta)
+    worst = 0.0
+    for inst, prof_k in zip(insts[1:], profiles[1:]):
+        k = inst.k
+        for t, prof_t in enumerate(profiles[: k - 1], start=1):
+            x = np.zeros(k)
+            x[k - t:] = prof_t.x_star
+            rhs = 8.0 * (k - t) * logloss.LOG2 + prof_t.f_star
+            worst = max(worst, abs(logloss.loss(inst, x).value - rhs),
+                        abs((rhs - prof_k.f_star) - 4.0 * (k - t) * unit_gap))
+    return _at_most("restricted_optimum_identity", worst, IDENTITY_TOL)
+
+
+def restricted_run(cases) -> Check:
+    """For each (k-dimensional instance, t-dimensional profile), RUN_STEPS
+    accelerated steps on the trailing t coordinates reach 8(k-t)log 2 + f*_t."""
+    worst = 0.0
+    for inst, prof in cases:
+        k, t = inst.k, len(prof.x_star)
+        x = np.zeros(k)
+
+        def ask(y):  # the loss at (0, y), its gradient on the trailing t
+            x[k - t:] = y
+            resp = logloss.loss(inst, x)
+            return logloss.OracleResponse(resp.value, resp.gradient[k - t:])
+
+        spec = optimizers.MethodSpec("agd", step_size=1.0 / logloss.lipschitz(inst))
+        steps = optimizers.iterate_steps(spec, ask, t)
+        x[k - t:] = next(itertools.islice(steps, RUN_STEPS - 1, None))
+        expected = 8.0 * (k - t) * logloss.LOG2 + prof.f_star
+        worst = max(worst, abs(logloss.loss(inst, x).value - expected))
+    return _at_most("restricted_run_reaches_identity", worst, RUN_TOL)
+
+
+def norm_bound(insts) -> Check:
+    """The closed-form ||A|| of each instance matches a dense SVD and lies
+    below the row-structure bound."""
+    err, excess = 0.0, -np.inf
+    for inst in insts:
+        a_norm = inst.a_norm()
+        svd = float(np.linalg.svd(inst.dense(), compute_uv=False)[0])
+        err = max(err, abs(a_norm - svd) / svd)
+        excess = max(excess, a_norm - inst.spectral_norm_bound())
+    return Check("norm_below_closed_form_bound", bool(err <= NORM_TOL and excess < 0.0),
+                 min(NORM_TOL - err, -excess),
+                 f"max relative error vs SVD={err:.2e}, max excess={excess:.2e}")
+
+
+def lower_bound(inst, trace, prof, x_star, span) -> tuple[Check, Check]:
+    """The final gap of a T-step run lies above the span lower bound
+    (``span``) or the general one, and its squared distance to ``x_star``
+    (x* in the run's coordinates) above 1/8 of the start's."""
+    dist0_sq = prof.xstar_norm_sq
+    bound_at = analytic.bound_linear_span if span else analytic.bound_general
+    bound = bound_at(len(trace) - 1, inst.a_norm(), dist0_sq)
+    gap = float(trace.values[-1] - prof.f_star)
+    diff = trace.iterates[-1] - x_star
+    dist_sq = float(diff @ diff)
+    floor = bound.dist_factor * dist0_sq
+    return (
+        Check(f"gap_above_{'span' if span else 'general'}_lower_bound", gap > bound.gap,
+              gap - bound.gap, f"gap={gap:.3e}, bound={bound.gap:.3e}"),
+        Check("dist_sq_above_one_eighth", dist_sq > floor, dist_sq - floor,
+              f"dist_sq={dist_sq:.3e}, floor={floor:.3e}"),
+    )
+
+
+def agd_upper_bound(inst, trace, prof) -> Check:
+    """The final gap of an accelerated T-step run is below 2L||x*||^2/(T+1)^2."""
+    upper = analytic.agd_upper_bound(len(trace) - 1, logloss.lipschitz(inst),
+                                     prof.xstar_norm_sq)
+    gap = float(trace.values[-1] - prof.f_star)
+    return Check("gap_below_agd_upper_bound", gap <= upper, upper - gap,
+                 f"gap={gap:.3e}, bound={upper:.3e}")
+
+
+def sandwich(inst, trace, prof) -> Check:
+    """That upper bound over the span lower bound at T is the closed form
+    ``sandwich_ratio(T)``, below 256/3."""
+    T = len(trace) - 1
+    upper = analytic.agd_upper_bound(T, logloss.lipschitz(inst), prof.xstar_norm_sq)
+    ratio = upper / analytic.bound_linear_span(T, inst.a_norm(), prof.xstar_norm_sq).gap
+    err = abs(ratio - analytic.sandwich_ratio(T))
+    return Check("sandwich_ratio_matches_closed_form",
+                 bool(err <= SANDWICH_TOL * ratio and ratio <= SANDWICH_CAP),
+                 min(SANDWICH_TOL * ratio - err, SANDWICH_CAP - ratio), f"ratio={ratio:.2f}")
+
+
+def rotation_orthogonal(inst) -> Check:
+    """The rotated instance's U is orthogonal (max |U'U - I| from construction)."""
+    return _at_most("rotation_orthogonal", inst.orthogonality_residual, ROTATION_TOL)
+
+
+def data_direction_fixed(inst) -> Check:
+    """The rotated instance keeps the label direction: U'(A'b) = A'b."""
+    return _at_most("data_direction_fixed", resist.data_direction_residual(inst),
+                    DIRECTION_TOL)
+
+
+def replay_matches(method, inst, trace) -> Check:
+    """Re-running ``method`` against the frozen rotated instance reproduces
+    the adaptive run's iterates."""
+    drift = resist.replay_check(method, inst, trace)
+    passed = bool(drift <= REPLAY_TOL)
+    return Check("replay_matches", passed, 0.0 if passed else -1.0, f"max={drift:.2e}")

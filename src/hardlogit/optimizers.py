@@ -18,23 +18,22 @@ from .datasets import canonical_name
 
 @dataclass(frozen=True)
 class MethodSpec:
-    """A named deterministic method and its step parameters.
+    """A named deterministic method and its step size.
 
     ``step_size`` is usually 1/L with L the smoothness constant of the
-    target instance; the harness fills it in.  ``momentum`` applies to
-    heavyball only, ``probe_scale`` to dense_probe only.
+    target instance; the harness fills it in.
     """
 
     name: str
     step_size: float | None = None
-    momentum: float = 0.9
-    probe_scale: float = 1e-3
 
     def with_step(self, step_size: float) -> "MethodSpec":
         return replace(self, step_size=step_size)
 
 
 METHOD_NAMES = ("gd", "agd", "heavyball", "denseprobe")
+MOMENTUM = 0.9  # heavyball
+PROBE_SCALE = 1e-3  # denseprobe: the weight of its all-ones direction
 
 
 @dataclass(frozen=True)
@@ -95,20 +94,18 @@ def iterate_steps(method: MethodSpec, ask, k: int):
             t += 1
             yield x_new
     elif name == "heavyball":
-        beta = float(method.momentum)
         x_prev = x
         while True:
             g = ask(x).gradient
-            x_new = x - eta * g + beta * (x - x_prev)
+            x_new = x - eta * g + MOMENTUM * (x - x_prev)
             x_prev = x
             x = x_new
             yield x
     else:  # denseprobe
         ones_dir = np.full(k, 1.0 / np.sqrt(k))
-        scale = float(method.probe_scale)
         while True:
             g = ask(x).gradient
-            x = x - eta * g + scale * float(np.linalg.norm(g)) * ones_dir
+            x = x - eta * g + PROBE_SCALE * float(np.linalg.norm(g)) * ones_dir
             yield x
 
 

@@ -1,8 +1,9 @@
 """Acceptance suite: one test (and one printed pass/fail line) per criterion.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines and
-timings.  Every tolerance is pinned here; the heavy adversarial runs are
-shared between the two criteria that inspect them.
+timings.  The verdicts come from ``hardlogit.invariants``, which pins every
+tolerance; the time budgets are pinned here, and the heavy adversarial runs
+are shared between the two criteria that inspect them.
 """
 
 import time
@@ -14,31 +15,31 @@ from hardlogit import (
     FirstOrderOracle,
     MethodSpec,
     adversarial_run,
-    agd_upper_bound,
-    bound_general,
-    bound_linear_span,
     build_instance,
     constant_c_ratio,
+    invariants,
     lipschitz,
-    loss,
-    matvec_at,
-    phi,
     profile,
-    replay_check,
     run,
-    sandwich_ratio,
     solve_c,
-    subspace_gap,
-    support_frontier,
 )
 
-LOG2 = np.log(2.0)
 SIGMA, ZETA = 1.3, 1.0
 
 
 def _line(num, ok, elapsed, detail):
     status = "PASS" if ok else "FAIL"
     print(f"{status} criterion {num:2d} [{elapsed:8.3f} s] {detail}", flush=True)
+
+
+def _criterion(num, elapsed, budget, cells, detail=None):
+    """Print the criterion's line (``detail``, or every check's), then require
+    every check of ``cells`` ((cell, Check) pairs) to pass within ``budget`` s."""
+    failed = [f"{cell} {c.name}: {c.detail}" for cell, c in cells if not c.passed]
+    detail = detail or "; ".join(f"{c.name} {c.detail}" for _, c in cells)
+    _line(num, not failed and elapsed < budget, elapsed, failed or detail)
+    assert not failed, failed
+    assert elapsed < budget
 
 
 @pytest.fixture(scope="module")
@@ -53,13 +54,11 @@ def warmed_up():
 
 
 def test_criterion_01_ratio_constant_above_half(warmed_up):
+    inst = build_instance(1, 1.3, 1.0)
     t0 = time.perf_counter()
-    ratio = constant_c_ratio(1.3, 1.0)
+    check = invariants.ratio_constant(inst)
     elapsed = time.perf_counter() - t0
-    ok = ratio > 0.5 and elapsed < 1e-3
-    _line(1, ok, elapsed, f"C(1.3) = {ratio:.6f} > 0.5")
-    assert ratio > 0.5
-    assert elapsed < 1e-3
+    _criterion(1, elapsed, 1e-3, [("", check)], f"{check.detail} > 0.5")
 
 
 def test_criterion_02_root_quality(warmed_up):
@@ -84,157 +83,76 @@ def test_criterion_02_root_quality(warmed_up):
 
 def test_criterion_03_optimum_verification(warmed_up):
     t0 = time.perf_counter()
-    worst_grad = worst_f = worst_dy = 0.0
-    for k in (1, 2, 10, 100):
-        for zeta in (0.5, 1.0, 2.0):
-            inst = build_instance(k, 1.3 * zeta, zeta)
-            prof = profile(inst)
-            resp = loss(inst, prof.x_star)
-            worst_grad = max(worst_grad, float(np.max(np.abs(resp.gradient))))
-            worst_f = max(
-                worst_f, abs(resp.value - prof.f_star) / (1.0 + abs(prof.f_star))
-            )
-            _, _, dy = phi(inst, prof.x_star, 0.0)
-            worst_dy = max(worst_dy, abs(dy))
+    insts = [build_instance(k, 1.3 * zeta, zeta)
+             for k in (1, 2, 10, 100) for zeta in (0.5, 1.0, 2.0)]
+    cells = [("", c) for c in invariants.optimum([(i, profile(i)) for i in insts])]
     elapsed = time.perf_counter() - t0
-    ok = worst_grad <= 1e-9 and worst_f <= 1e-10 and worst_dy <= 1e-9 and elapsed < 1.0
-    _line(3, ok, elapsed,
-          f"grad {worst_grad:.2e}, value {worst_f:.2e}, intercept {worst_dy:.2e}")
-    assert worst_grad <= 1e-9
-    assert worst_f <= 1e-10
-    assert worst_dy <= 1e-9
-    assert elapsed < 1.0
+    _criterion(3, elapsed, 1.0, cells)
 
 
 def test_criterion_04_subspace_trapping(warmed_up):
     t0 = time.perf_counter()
     rng = np.random.default_rng(41)
-    grad_leak = 0.0
-    for k in range(2, 31):
-        inst = build_instance(k, SIGMA, ZETA)
-        for t in range(1, k):
-            lead = k - (t + 1)
-            for _ in range(100):
-                x = np.zeros(k)
-                x[k - t:] = rng.standard_normal(t)
-                g = loss(inst, x).gradient
-                if lead > 0:
-                    grad_leak = max(grad_leak, float(np.max(np.abs(g[:lead]))))
-    iterate_leak = 0.0
+    points = ((inst, np.concatenate([np.zeros(inst.k - t), rng.standard_normal(t)]))
+              for inst in (build_instance(k, SIGMA, ZETA) for k in range(2, 31))
+              for t in range(1, inst.k) for _ in range(100))  # 100 per trap subspace
+    cells = [("k<=30", invariants.gradient_trap(points))]
     inst = build_instance(30, SIGMA, ZETA)
     L = lipschitz(inst)
     for name in ("gd", "agd", "heavyball"):
         trace = run(MethodSpec(name=name, step_size=1.0 / L),
                     FirstOrderOracle(inst), 29)
-        for t in range(len(trace)):
-            lead = 30 - t
-            if lead > 0:
-                iterate_leak = max(
-                    iterate_leak, float(np.max(np.abs(trace.iterates[t][:lead])))
-                )
+        cells.append((name, invariants.zero_chain(trace)))
     elapsed = time.perf_counter() - t0
-    ok = grad_leak <= 1e-10 and iterate_leak <= 1e-10 and elapsed < 5.0
-    _line(4, ok, elapsed,
-          f"gradient leak {grad_leak:.2e}, iterate leak {iterate_leak:.2e}")
-    assert grad_leak <= 1e-10
-    assert iterate_leak <= 1e-10
-    assert elapsed < 5.0
+    _criterion(4, elapsed, 5.0, cells)
 
 
 def test_criterion_05_restricted_optimum(warmed_up):
     t0 = time.perf_counter()
-    profs = {k: profile(build_instance(k, SIGMA, ZETA)) for k in range(1, 21)}
-    worst_id = 0.0
-    for k in range(2, 21):
-        inst = build_instance(k, SIGMA, ZETA)
-        for t in range(1, k):
-            x = np.zeros(k)
-            x[k - t:] = profs[t].x_star
-            lhs = loss(inst, x).value
-            rhs = 8 * (k - t) * LOG2 + profs[t].f_star
-            worst_id = max(worst_id, abs(lhs - rhs))
-
+    insts = [build_instance(k, SIGMA, ZETA) for k in range(1, 21)]
+    profs = [profile(inst) for inst in insts]
     # long restricted runs on representative pairs (full grid would blow the
-    # stated runtime budget; the closed-form identity above covers all pairs)
-    worst_run = 0.0
-    for k, t in ((6, 3), (12, 5), (20, 7)):
-        inst = build_instance(k, SIGMA, ZETA)
-        step = 1.0 / lipschitz(inst)
-        pad = np.zeros(k - t)
-        u_prev = np.zeros(t)
-        y = np.zeros(t)
-        u = u_prev
-        for s in range(1, 100_001):
-            g = loss(inst, np.concatenate([pad, y])).gradient[k - t:]
-            u = y - step * g
-            y = u + ((s - 1) / (s + 2)) * (u - u_prev)
-            u_prev = u
-        found = loss(inst, np.concatenate([pad, u])).value
-        expected = 8 * (k - t) * LOG2 + profs[t].f_star
-        worst_run = max(worst_run, abs(found - expected))
+    # stated runtime budget; the closed-form identity covers all pairs)
+    pairs = ((6, 3), (12, 5), (20, 7))
+    cells = [
+        ("k<=20", invariants.restricted_optimum_identity(insts, profs)),
+        (pairs, invariants.restricted_run([(insts[k - 1], profs[t - 1]) for k, t in pairs])),
+    ]
     elapsed = time.perf_counter() - t0
-    ok = worst_id <= 1e-9 and worst_run <= 1e-6 and elapsed < 30.0
-    _line(5, ok, elapsed,
-          f"identity {worst_id:.2e} (all k<=20), long-run {worst_run:.2e}")
-    assert worst_id <= 1e-9
-    assert worst_run <= 1e-6
-    assert elapsed < 30.0
+    _criterion(5, elapsed, 30.0, cells)
 
 
 def test_criterion_06_linear_span_lower_bound(warmed_up):
     t0 = time.perf_counter()
-    results = []
+    cells = []
     for T in (5, 25, 50):
         inst = build_instance(2 * T, SIGMA, ZETA)
         prof = profile(inst)
-        a_norm = inst.a_norm()
-        lb = bound_linear_span(T, a_norm, prof.xstar_norm_sq)
+        L = lipschitz(inst)
         for name in ("gd", "agd", "heavyball"):
-            trace = run(MethodSpec(name=name, step_size=2.0 / a_norm**2),
+            trace = run(MethodSpec(name=name, step_size=1.0 / L),
                         FirstOrderOracle(inst), T)
-            gap = trace.values[-1] - prof.f_star
-            d = trace.iterates[-1] - prof.x_star
-            results.append((name, T, gap > lb.gap,
-                            float(d @ d) > prof.xstar_norm_sq / 8.0,
-                            gap / lb.gap))
+            checks = invariants.lower_bound(inst, trace, prof, prof.x_star, span=True)
+            cells += [(f"{name}/T={T}", c) for c in checks]
     elapsed = time.perf_counter() - t0
-    ok = all(g and d for _, _, g, d, _ in results) and elapsed < 10.0
-    margins = ", ".join(f"{n}/T={T}:{r:.2f}x" for n, T, _, _, r in results[:3])
-    _line(6, ok, elapsed, f"9 method/T cells, gap margins e.g. {margins}")
-    for name, T, gap_ok, dist_ok, _ in results:
-        assert gap_ok, f"{name} T={T} gap below span lower bound"
-        assert dist_ok, f"{name} T={T} distance below 1/8 floor"
-    assert elapsed < 10.0
+    _criterion(6, elapsed, 10.0, cells,
+               f"{len(cells) // 2} method/T cells, e.g. gd/T=5 {cells[0][1].detail}")
 
 
 def test_criterion_07_tightness_sandwich(warmed_up):
     t0 = time.perf_counter()
-    rows = []
+    cells = []
     for T in (5, 25, 50):
         inst = build_instance(2 * T, SIGMA, ZETA)
         prof = profile(inst)
-        a_norm = inst.a_norm()
-        L = 0.5 * a_norm**2
-        trace = run(MethodSpec(name="agd", step_size=1.0 / L),
+        trace = run(MethodSpec(name="agd", step_size=1.0 / lipschitz(inst)),
                     FirstOrderOracle(inst), T)
-        gap = trace.values[-1] - prof.f_star
-        upper = agd_upper_bound(T, L, prof.xstar_norm_sq)
-        lower = bound_linear_span(T, a_norm, prof.xstar_norm_sq).gap
-        rows.append((T, gap <= upper, upper / lower))
+        cells += [(f"T={T}", invariants.agd_upper_bound(inst, trace, prof)),
+                  (f"T={T}", invariants.sandwich(inst, trace, prof))]
     elapsed = time.perf_counter() - t0
-    ratio_ok = all(
-        abs(r - sandwich_ratio(T)) <= 1e-9 * r and r <= 256.0 / 3.0
-        for T, _, r in rows
-    )
-    ok = all(u for _, u, _ in rows) and ratio_ok and elapsed < 10.0
-    _line(7, ok, elapsed,
-          "upper bound holds; upper/lower = "
-          + ", ".join(f"T={T}:{r:.2f}" for T, _, r in rows)
-          + " (cap 85.33)")
-    for T, upper_ok, _ in rows:
-        assert upper_ok, f"T={T} accelerated gap above its upper bound"
-    assert ratio_ok
-    assert elapsed < 10.0
+    _criterion(7, elapsed, 10.0, cells,
+               "upper bound holds; upper/lower "
+               + ", ".join(f"{cell}:{c.detail}" for cell, c in cells[1::2]) + " (cap 85.33)")
 
 
 @pytest.fixture(scope="module")
@@ -251,47 +169,25 @@ def adversarial_results(warmed_up):
 
 def test_criterion_08_general_lower_bound(adversarial_results):
     cells, elapsed = adversarial_results
-    failures = []
+    checks = []
     for (name, T), (_, trace, final) in cells.items():
-        base = build_instance(4 * T + 2, SIGMA, ZETA)
         prof = profile(final)
-        a_norm = final.a_norm()
-        lb = bound_general(T, a_norm, prof.xstar_norm_sq)
         z_star = final.U.T @ prof.x_star
-        gap = trace.values[-1] - prof.f_star
-        d = trace.iterates[-1] - z_star
-        ortho = float(np.max(np.abs(final.U.T @ final.U - np.eye(base.k))))
-        # the rotated dataset's A'b (= U' A'b) must equal the unrotated one
-        atb = matvec_at(base, base.labels)
-        fixed = float(np.max(np.abs(matvec_at(final, final.labels) - atb)))
-        if not (gap > lb.gap):
-            failures.append(f"{name}/T={T}: gap")
-        if not (float(d @ d) > prof.xstar_norm_sq / 8.0):
-            failures.append(f"{name}/T={T}: dist")
-        if not (ortho <= 1e-10):
-            failures.append(f"{name}/T={T}: orthogonality {ortho:.2e}")
-        if not (fixed <= 1e-10):
-            failures.append(f"{name}/T={T}: data direction {fixed:.2e}")
-    ok = not failures and elapsed < 60.0
-    _line(8, ok, elapsed,
-          f"9 adversarial cells (k up to 102): {'all hold' if not failures else failures}")
-    assert not failures, failures
-    assert elapsed < 60.0
+        checks += [(f"{name}/T={T}", c) for c in (
+            *invariants.lower_bound(final, trace, prof, z_star, span=False),
+            invariants.rotation_orthogonal(final),
+            invariants.data_direction_fixed(final),
+        )]
+    _criterion(8, elapsed, 60.0, checks, "9 adversarial cells (k up to 102): all hold")
 
 
 def test_criterion_09_indistinguishability(adversarial_results):
     cells, _ = adversarial_results
     t0 = time.perf_counter()
-    bad = [
-        f"{name}/T={T}"
-        for (name, T), (spec, trace, final) in cells.items()
-        if not replay_check(spec, final, trace, tol=1e-8)
-    ]
+    checks = [(f"{name}/T={T}", invariants.replay_matches(spec, final, trace))
+              for (name, T), (spec, trace, final) in cells.items()]
     elapsed = time.perf_counter() - t0
-    ok = not bad
-    _line(9, ok, elapsed,
-          "replays match within 1e-8 for all 9 cells" if ok else f"mismatch: {bad}")
-    assert not bad, bad
+    _criterion(9, elapsed, np.inf, checks, "replays match within 1e-8 for all 9 cells")
 
 
 def test_criterion_10_span_violation_detection(warmed_up):
@@ -304,7 +200,7 @@ def test_criterion_10_span_violation_detection(warmed_up):
         for name in ("gd", "agd", "heavyball", "denseprobe"):
             trace = run(MethodSpec(name=name, step_size=1.0 / L),
                         FirstOrderOracle(inst), T)
-            verdicts[(name, k)] = support_frontier(trace) <= 0
+            verdicts[(name, k)] = invariants.zero_chain(trace).passed
     elapsed = time.perf_counter() - t0
     expected = {name: name != "denseprobe" for name in
                 ("gd", "agd", "heavyball", "denseprobe")}
@@ -317,21 +213,11 @@ def test_criterion_10_span_violation_detection(warmed_up):
 
 def test_criterion_11_norm_bound(warmed_up):
     t0 = time.perf_counter()
-    worst_err = 0.0
-    worst_excess = -np.inf
-    eight_sigma_ok = True
-    for k in range(1, 201):
-        inst = build_instance(k, SIGMA, ZETA)  # sigma = 1.3 * zeta
-        a_norm = inst.a_norm()
-        svd = np.linalg.svd(inst.dense(), compute_uv=False)[0]
-        worst_err = max(worst_err, abs(a_norm - svd) / svd)
-        worst_excess = max(worst_excess, a_norm - inst.spectral_norm_bound())
-        eight_sigma_ok = eight_sigma_ok and (a_norm < 8.0 * SIGMA)
+    insts = [build_instance(k, SIGMA, ZETA) for k in range(1, 201)]  # sigma = 1.3 * zeta
+    check = invariants.norm_bound(insts)
+    eight_sigma_ok = all(inst.a_norm() < 8.0 * SIGMA for inst in insts)
     elapsed = time.perf_counter() - t0
-    ok = worst_err <= 1e-14 and worst_excess < 0.0 and eight_sigma_ok
-    _line(11, ok, elapsed,
-          f"||A|| matches dense SVD to {worst_err:.2e} relative; "
-          f"max excess over the row bound {worst_excess:.2e}; all below 8*sigma")
-    assert worst_err <= 1e-14
-    assert worst_excess < 0.0
+    _line(11, check.passed and eight_sigma_ok, elapsed,
+          f"{check.detail}; all below 8*sigma: {eight_sigma_ok}")
+    assert check.passed, check
     assert eight_sigma_ok

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from hardlogit import (
     build_instance,
     c_bracket,
     constant_c_ratio,
+    invariants,
     lipschitz,
     logcosh,
     loss,
@@ -67,6 +69,28 @@ class TestSolveC:
             solve_c(1.0, 1.0)
         with pytest.raises(ValueError, match="invalid parameters"):
             solve_c(1.0, -0.5)
+
+    @pytest.mark.parametrize("sigma, zeta", [
+        # the four (sigma, zeta) perfbench/run.py draws with seed 1, and the default
+        (2.906755196744478, 1.925695544488903), (2.337043757151506, 1.9229741707058658),
+        (1.531629023118017, 1.1349896734588634), (1.9626938364115, 1.1137987045537419),
+        (1.3, 1.0),
+    ])
+    def test_within_eight_ulps_of_50_digit_root(self, sigma, zeta):
+        with mpmath.workdps(50):
+            s, z = mpmath.mpf(sigma), mpmath.mpf(zeta)
+
+            def res(c):
+                return s * mpmath.tanh(s * c) + z * mpmath.tanh(z * c) - s + z
+
+            lo, hi = mpmath.mpf(0), mpmath.mpf(1)
+            while res(hi) <= 0:
+                hi *= 2
+            for _ in range(200):
+                mid = (lo + hi) / 2
+                lo, hi = (mid, hi) if res(mid) < 0 else (lo, mid)
+            c = solve_c(sigma, zeta)
+            assert abs(mpmath.mpf(c) - lo) <= 8 * np.spacing(c)
 
     def test_doubling_bracket_above_two(self):
         # sigma >= 2*zeta has no closed-form bracket; the root must still solve
@@ -230,18 +254,14 @@ class TestSubspaceGap:
         assert abs(measured - subspace_gap(k, t, sigma, zeta)) <= 1e-7
 
     def test_restricted_identity_all_pairs_k20(self):
-        sigma, zeta = 1.3, 1.0
-        profs = {k: profile(build_instance(k, sigma, zeta)) for k in range(1, 21)}
-        for k in range(2, 21):
-            inst = build_instance(k, sigma, zeta)
-            for t in range(1, k):
-                x = np.zeros(k)
-                x[k - t:] = profs[t].x_star
-                resp = loss(inst, x)
-                expected = 8 * (k - t) * LOG2 + profs[t].f_star
-                assert abs(resp.value - expected) <= 1e-9
-                # the trailing block is optimal there: those gradient entries vanish
-                assert np.max(np.abs(resp.gradient[k - t:])) <= 1e-9
+        insts = [build_instance(k, 1.3, 1.0) for k in range(1, 21)]
+        profs = [profile(inst) for inst in insts]
+        assert invariants.restricted_optimum_identity(insts, profs).passed
+        # the trailing block is optimal there: those gradient entries vanish
+        for inst in insts[1:]:
+            for t, prof in enumerate(profs[: inst.k - 1], start=1):
+                x = np.concatenate([np.zeros(inst.k - t), prof.x_star])
+                assert np.max(np.abs(loss(inst, x).gradient[-t:])) <= 1e-9
 
     def test_exceeds_twice_per_coordinate_floor_at_ratio_13(self):
         # consequence of the ratio constant exceeding 1/2 at sigma/zeta = 1.3

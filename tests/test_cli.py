@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -61,12 +62,18 @@ def test_generate_invalid_dimension(tmp_path, monkeypatch, capsys):
     assert "invalid dimension" in capsys.readouterr().err
 
 
-def test_verify_passes(capsys):
-    rc = main(["verify", "--max-k", "8"])
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert "0 failure(s)" in out
-    assert "ratio_constant_above_half" in out
+def test_verify_passes(capsys, monkeypatch):
+    # the invariant lines in the order the benchmark's reference checks them;
+    # below k = 5 the norm check samples the dimensions there are
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from reference import VERIFY_INVARIANTS
+
+    for max_k in ("8", "4", "2"):
+        assert main(["verify", "--max-k", max_k]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[1].rstrip(":") for line in lines[:-1]] == list(VERIFY_INVARIANTS)
+        assert all(line.startswith("ok ") for line in lines[:-1])
+        assert lines[-1] == "0 failure(s)"
 
 
 def test_verify_max_k_too_small(capsys):
@@ -87,11 +94,10 @@ def test_race_agd_report(tmp_path, capsys):
     assert report["measured"]["span_method"] is True
     assert report["measured"]["support_frontier"] == 0
     assert all(v["passed"] for v in report["verdicts"])
-    checks = {v["check"] for v in report["verdicts"]}
-    assert checks == {
+    assert [v["check"] for v in report["verdicts"]] == [
         "gap_above_span_lower_bound", "dist_sq_above_one_eighth",
         "gap_below_agd_upper_bound",
-    }
+    ]
     assert (tmp_path / "trace_agd_T5.csv").exists()
 
 
@@ -136,11 +142,10 @@ def test_resist_report_and_exports(tmp_path):
     report = json.loads((tmp_path / f"report_resist_denseprobe_T{T}.json").read_text())
     assert report["config"]["k"] == 4 * T + 2
     assert all(v["passed"] for v in report["verdicts"])
-    checks = {v["check"] for v in report["verdicts"]}
-    assert checks == {
+    assert [v["check"] for v in report["verdicts"]] == [
         "gap_above_general_lower_bound", "dist_sq_above_one_eighth",
         "rotation_orthogonal", "data_direction_fixed", "replay_matches",
-    }
+    ]
     dataset = (tmp_path / f"dataset_resist_denseprobe_T{T}.libsvm").read_text()
     assert len(dataset.strip().splitlines()) == 16 * T + 8
     rotation = np.loadtxt(tmp_path / f"rotation_resist_denseprobe_T{T}.csv",

@@ -7,8 +7,8 @@ from hardlogit import (
     FirstOrderOracle,
     MethodSpec,
     OracleResponse,
-    bound_linear_span,
     build_instance,
+    invariants,
     lipschitz,
     loss,
     optimizers,
@@ -162,16 +162,11 @@ class TestSubspaceTrapping:
             assert not np.any(trace.iterates[t][:lead]), f"x_{t} leaks"
 
     def test_gradients_map_subspace_one_step_out(self, rng):
-        for k in (5, 17, 30):
-            inst = build_instance(k, 1.3, 1.0)
-            for t in range(1, k):
-                for _ in range(10):
-                    x = np.zeros(k)
-                    x[k - t:] = rng.standard_normal(t)
-                    g = loss(inst, x).gradient
-                    lead = k - (t + 1)
-                    if lead > 0:
-                        assert np.max(np.abs(g[:lead])) <= 1e-10
+        points = ((inst, np.concatenate([np.zeros(inst.k - t), rng.standard_normal(t)]))
+                  for inst in (build_instance(k, 1.3, 1.0) for k in (5, 17, 30))
+                  for t in range(1, inst.k) for _ in range(10))
+        check = invariants.gradient_trap(points)
+        assert check.passed, check
 
 
 class TestSupportFrontier:
@@ -235,8 +230,8 @@ def test_agd_gap_exceeds_span_lower_bound():
     inst = build_instance(2 * T, 1.3, 1.0)
     prof = profile(inst)
     trace = run(_method("agd", inst), FirstOrderOracle(inst), T)
-    gap = trace.values[-1] - prof.f_star
-    assert gap > bound_linear_span(T, inst.a_norm(), prof.xstar_norm_sq).gap
+    for check in invariants.lower_bound(inst, trace, prof, prof.x_star, span=True):
+        assert check.passed, check
 
 
 class TestSerialization:

@@ -6,13 +6,12 @@ from hardlogit import (
     ResistingOracle,
     RotatedInstance,
     adversarial_run,
-    bound_general,
     build_instance,
     containment_residuals,
     data_direction_residual,
+    invariants,
     loss,
     matvec_at,
-    orthogonality_residual,
     profile,
     replay_check,
     save_matrix_csv,
@@ -45,7 +44,7 @@ class TestFixAndMap:
         oracle = _oracle_after(inst, rng.standard_normal(11))
         y = oracle.U @ oracle.points[-1]
         assert np.linalg.norm(y[: 11 - 3]) <= 1e-10
-        assert orthogonality_residual(oracle) <= 1e-10
+        assert np.max(np.abs(oracle.U.T @ oracle.U - np.eye(11))) <= 1e-10
 
     def test_fixes_already_trapped_vectors(self, rng):
         inst = build_instance(10, 1.3, 1.0)
@@ -93,8 +92,8 @@ class TestFixAndMap:
         oracle = _oracle_after(inst)
         for _ in range(5):
             oracle(rng.standard_normal(13))
-            assert data_direction_residual(oracle) <= 1e-10
-            assert orthogonality_residual(oracle) <= 1e-10
+            assert data_direction_residual(RotatedInstance(inst, oracle.U)) <= 1e-10
+            assert np.max(np.abs(oracle.U.T @ oracle.U - np.eye(13))) <= 1e-10
 
     def test_optimal_value_invariant_after_every_step(self, rng):
         # rotating the dataset never changes the optimal value: the rotated
@@ -157,12 +156,8 @@ class TestAdversarialRun:
         base = build_instance(final.k, 1.3, 1.0)
         prof = profile(final)
         z_star = final.U.T @ prof.x_star
-
-        gap = trace.values[-1] - prof.f_star
-        d = trace.iterates[-1] - z_star
-        lb = bound_general(T, final.a_norm(), prof.xstar_norm_sq)
-        assert gap > lb.gap
-        assert d @ d > 0.125 * prof.xstar_norm_sq
+        for check in invariants.lower_bound(final, trace, prof, z_star, span=False):
+            assert check.passed, check
 
         eye = np.eye(base.k)
         ortho = np.max(np.abs(final.U.T @ final.U - eye))
@@ -171,9 +166,7 @@ class TestAdversarialRun:
         fixed = np.max(np.abs(final.U.T @ atb - atb))
         assert fixed <= 1e-10
         assert np.array_equal(matvec_at(final, final.labels), final.U.T @ atb)
-        # the residual helpers take the final rotated instance as well, and
         # the instance keeps the max |U'U - I| of its construction check
-        assert orthogonality_residual(final) == ortho
         assert final.orthogonality_residual == ortho
         assert data_direction_residual(final) == fixed
 
@@ -221,7 +214,7 @@ class TestAdversarialRun:
         # 1e-12 is where a re-orthogonalization would have to start; the
         # reflections alone stay below it at T = 130 (k = 522)
         _, final = adversarial_run(MethodSpec(name="denseprobe"), 130, 1.3, 1.0)
-        assert orthogonality_residual(final) <= 1e-12
+        assert np.max(np.abs(final.U.T @ final.U - np.eye(final.k))) <= 1e-12
 
     def test_t_zero_rejected(self):
         with pytest.raises(ValueError, match="T must be"):
@@ -232,7 +225,7 @@ class TestReplay:
     @pytest.mark.parametrize("name", ADVERSARY_METHODS)
     def test_replay_matches(self, name):
         trace, final = adversarial_run(MethodSpec(name=name), 5, 1.3, 1.0)
-        assert replay_check(MethodSpec(name=name), final, trace) is True
+        assert invariants.replay_matches(MethodSpec(name=name), final, trace).passed
 
     def test_length_mismatch(self):
         trace, final = adversarial_run(MethodSpec(name="gd"), 3, 1.3, 1.0)
@@ -244,7 +237,7 @@ class TestReplay:
         # against a different rotation the method walks a different path
         trace, final = adversarial_run(MethodSpec(name="denseprobe"), 3, 1.3, 1.0)
         wrong = RotatedInstance(final, random_orthogonal(final.k, seed=5))
-        assert replay_check(MethodSpec(name="denseprobe"), wrong, trace) is False
+        assert not invariants.replay_matches(MethodSpec(name="denseprobe"), wrong, trace).passed
 
 
 def test_save_matrix_csv_roundtrip(tmp_path):
