@@ -13,7 +13,6 @@ import numpy as np
 
 from hardlogit import (
     FirstOrderOracle,
-    MethodSpec,
     agd_upper_bound,
     bound_linear_span,
     build_instance,
@@ -30,11 +29,9 @@ for T in (5, 25, 50):
     inst = build_instance(2 * T, sigma, zeta)
     prof = profile(inst)
     a_norm = inst.a_norm()
-    L = 0.5 * a_norm**2
     lb = bound_linear_span(T, a_norm, prof.xstar_norm_sq)
     for name in ("gd", "agd", "heavyball", "denseprobe"):
-        spec = MethodSpec(name=name, step_size=1.0 / L)
-        trace = run(spec, FirstOrderOracle(inst), T)
+        trace = run(name, FirstOrderOracle(inst), T)
         gap = trace.values[-1] - prof.f_star
         d = trace.iterates[-1] - prof.x_star
         is_span = support_frontier(trace) <= 0
@@ -51,7 +48,7 @@ for T in (5, 25, 50):
     prof = profile(inst)
     a_norm = inst.a_norm()
     L = 0.5 * a_norm**2
-    trace = run(MethodSpec(name="agd", step_size=1.0 / L), FirstOrderOracle(inst), T)
+    trace = run("agd", FirstOrderOracle(inst), T)
     gap = trace.values[-1] - prof.f_star
     lower = bound_linear_span(T, a_norm, prof.xstar_norm_sq).gap
     upper = agd_upper_bound(T, L, prof.xstar_norm_sq)

@@ -12,7 +12,6 @@ replaying against it reproduces the run.
 import numpy as np
 
 from hardlogit import (
-    MethodSpec,
     adversarial_run,
     bound_general,
     data_direction_residual,
@@ -26,8 +25,7 @@ T = 10
 
 print(f"adversarial budget: T = {T} oracle queries, dimension k = {4 * T + 2}\n")
 for name in ("gd", "agd", "denseprobe"):
-    spec = MethodSpec(name=name)
-    trace, final = adversarial_run(spec, T, sigma, zeta)
+    trace, final = adversarial_run(name, T, sigma, zeta)
     prof = profile(final)  # rotation keeps c, x* and f*; the optimum moves to U'x*
     z_star = final.U.T @ prof.x_star
 
@@ -48,7 +46,7 @@ for name in ("gd", "agd", "denseprobe"):
     print(f"  optimal value unchanged by rotation: "
           f"f(z*) - f* = {loss(final, z_star).value - prof.f_star:.2e}")
     print(f"  replay against the frozen final dataset matches: "
-          f"{invariants.replay_matches(spec, final, trace).passed}\n")
+          f"{invariants.replay_matches(name, final, trace).passed}\n")
 
 print("Even the span-violating probe ends far from the optimum: no"
       "\ndeterministic first-order method escapes the 1/sqrt(eps) oracle cost.")

@@ -40,7 +40,6 @@ from .logloss import (
 )
 from .optimizers import (
     METHOD_NAMES,
-    MethodSpec,
     Trace,
     drive,
     iterate_steps,

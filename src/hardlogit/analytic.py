@@ -88,12 +88,6 @@ def _curvature_gap(z: float) -> float:
     return z * np.tanh(z) - logcosh(z)
 
 
-def _sharp_ratio(c: float, sigma: float, zeta: float) -> float:
-    """The sharp ratio constant evaluated at the root c."""
-    num = _curvature_gap(sigma * c) + _curvature_gap(zeta * c)
-    return float(num / (c**2 * sigma**2))
-
-
 def constant_c_ratio(sigma: float, zeta: float, conservative: bool = False) -> float:
     """The ratio constant C(sigma/zeta) in the per-coordinate gap bound
 
@@ -118,9 +112,10 @@ def constant_c_ratio(sigma: float, zeta: float, conservative: bool = False) -> f
         )
     if conservative:
         c_lb, c_ub = c_bracket(sigma, zeta)
-        num = _curvature_gap(sigma * c_lb) + _curvature_gap(zeta * c_lb)
-        return float(num / (c_ub**2 * sigma**2))
-    return _sharp_ratio(solve_c(sigma, zeta), sigma, zeta)
+    else:
+        c_lb = c_ub = solve_c(sigma, zeta)
+    num = _curvature_gap(sigma * c_lb) + _curvature_gap(zeta * c_lb)
+    return float(num / (c_ub**2 * sigma**2))
 
 
 @dataclass(frozen=True)
@@ -131,9 +126,6 @@ class AnalyticProfile:
     x_star: np.ndarray
     f_star: float
     xstar_norm_sq: float
-    C_ratio: float | None  # None when sigma >= 2*zeta
-    c_lb: float
-    c_ub: float
 
 
 def per_coordinate_gap(sigma: float, zeta: float) -> float:
@@ -143,7 +135,7 @@ def per_coordinate_gap(sigma: float, zeta: float) -> float:
 
 
 def profile(inst: WorstCaseInstance) -> AnalyticProfile:
-    """Assemble c, x*, f*, ||x*||^2 and the ratio constant for an instance.
+    """Assemble c, x*, f* and ||x*||^2 for an instance.
 
     Both variants share x* and c; the two-block f* is half the four-block one.
     """
@@ -156,16 +148,8 @@ def profile(inst: WorstCaseInstance) -> AnalyticProfile:
     if inst.variant is Variant.TWO_BLOCK:
         f_star /= 2.0
     norm_sq = c * c * k * (k + 1) * (2 * k + 1) / 6.0
-    if sigma < 2.0 * zeta:
-        c_lb, c_ub = c_bracket(sigma, zeta)
-        ratio = _sharp_ratio(c, sigma, zeta)
-    else:
-        c_lb, c_ub = 0.0, float("inf")
-        ratio = None
-    return AnalyticProfile(
-        c=c, x_star=x_star, f_star=float(f_star), xstar_norm_sq=float(norm_sq),
-        C_ratio=ratio, c_lb=c_lb, c_ub=c_ub,
-    )
+    return AnalyticProfile(c=c, x_star=x_star, f_star=float(f_star),
+                           xstar_norm_sq=float(norm_sq))
 
 
 def profile_metadata(p: AnalyticProfile) -> dict:

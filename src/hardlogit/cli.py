@@ -151,15 +151,13 @@ def _emit(report, out_dir, stem, trace, f_star, x_star) -> bool:
 def _race_cell(args, T, ts, out_dir) -> bool:
     inst = datasets.build_instance(2 * T, args.sigma, args.zeta)
     prof = analytic.profile(inst)
-    lips = logloss.lipschitz(inst)
-    spec = optimizers.MethodSpec(name=args.method, step_size=1.0 / lips)
-    trace = optimizers.run(spec, logloss.FirstOrderOracle(inst), T)
+    trace = optimizers.run(args.method, logloss.FirstOrderOracle(inst), T)
     chain = invariants.zero_chain(trace)
     report = _bound_report(args, inst, T, trace, prof, prof.x_star, chain.passed, ts)
     report.measured["span_method"] = chain.passed
     report.measured["support_frontier"] = int(-chain.margin)
     if args.method == "agd":
-        upper = analytic.agd_upper_bound(T, lips, prof.xstar_norm_sq)
+        upper = analytic.agd_upper_bound(T, logloss.lipschitz(inst), prof.xstar_norm_sq)
         report.theoretical["agd_upper_bound"] = upper
         report.theoretical["sandwich_ratio"] = analytic.sandwich_ratio(T)
         report.verdicts.append(invariants.agd_upper_bound(inst, trace, prof))
@@ -184,8 +182,7 @@ def cmd_resist(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     T = args.T
-    method = optimizers.MethodSpec(name=args.method)
-    trace, final = resist.adversarial_run(method, T, args.sigma, args.zeta)
+    trace, final = resist.adversarial_run(args.method, T, args.sigma, args.zeta)
     prof = analytic.profile(final)
     z_star = final.U.T @ prof.x_star
     report = _bound_report(args, final, T, trace, prof, z_star, False, ts)
@@ -193,7 +190,7 @@ def cmd_resist(args) -> int:
     report.measured["data_direction_residual"] = resist.data_direction_residual(final)
     report.verdicts += [invariants.rotation_orthogonal(final),
                         invariants.data_direction_fixed(final),
-                        invariants.replay_matches(method, final, trace)]
+                        invariants.replay_matches(args.method, final, trace)]
 
     stem = f"resist_{args.method}_T{T}"
     datasets.export(final, "libsvm", out_dir / f"dataset_{stem}.libsvm")

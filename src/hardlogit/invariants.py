@@ -116,8 +116,7 @@ def restricted_run(cases) -> Check:
             resp = logloss.loss(inst, x)
             return logloss.OracleResponse(resp.value, resp.gradient[k - t:])
 
-        spec = optimizers.MethodSpec("agd", step_size=1.0 / logloss.lipschitz(inst))
-        steps = optimizers.iterate_steps(spec, ask, t)
+        steps = optimizers.iterate_steps("agd", ask, t, 1.0 / logloss.lipschitz(inst))
         x[k - t:] = next(itertools.islice(steps, RUN_STEPS - 1, None))
         expected = 8.0 * (k - t) * logloss.LOG2 + prof.f_star
         worst = max(worst, abs(logloss.loss(inst, x).value - expected))
@@ -189,9 +188,7 @@ def data_direction_fixed(inst) -> Check:
                     DIRECTION_TOL)
 
 
-def replay_matches(method, inst, trace) -> Check:
-    """Re-running ``method`` against the frozen rotated instance reproduces
-    the adaptive run's iterates."""
-    drift = resist.replay_check(method, inst, trace)
-    passed = bool(drift <= REPLAY_TOL)
-    return Check("replay_matches", passed, 0.0 if passed else -1.0, f"max={drift:.2e}")
+def replay_matches(name, inst, trace) -> Check:
+    """Re-running method ``name`` against the frozen rotated instance
+    reproduces the adaptive run's iterates."""
+    return _at_most("replay_matches", resist.replay_check(name, inst, trace), REPLAY_TOL)

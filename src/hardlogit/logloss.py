@@ -130,12 +130,14 @@ class FirstOrderOracle:
     """Black-box (value, gradient) access to one instance's loss.
 
     This is the only channel optimizers may use; the wrapped instance is
-    deliberately not exposed on the public surface.
+    deliberately not exposed on the public surface, only its dimension
+    ``k`` and smoothness constant ``lipschitz``.
     """
 
     def __init__(self, inst: WorstCaseInstance):
         self._inst = inst
         self.k = inst.k
+        self.lipschitz = lipschitz(inst)
 
     def __call__(self, x: np.ndarray) -> OracleResponse:
         return loss(self._inst, x)

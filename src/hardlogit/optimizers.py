@@ -1,35 +1,20 @@
 """Deterministic first-order methods driven purely by the oracle.
 
-Every method starts at x_0 = 0 and is fully deterministic; the methods
-here make one oracle call per iteration, and ``drive`` counts every call
-whatever their number.  ``dense_probe`` deliberately leaves the span of
-past gradients (it adds a scaled all-ones direction) while still
-converging, so the support test and the adaptive adversary have a method
-to catch.
+A method is its name.  Every method starts at x_0 = 0, takes the step 1/L
+for the smoothness constant L the oracle exposes, and is fully
+deterministic; the methods here make one oracle call per iteration, and
+``drive`` counts every call whatever their number.  ``dense_probe``
+deliberately leaves the span of past gradients (it adds a scaled all-ones
+direction) while still converging, so the support test and the adaptive
+adversary have a method to catch.
 """
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .datasets import canonical_name
-
-
-@dataclass(frozen=True)
-class MethodSpec:
-    """A named deterministic method and its step size.
-
-    ``step_size`` is usually 1/L with L the smoothness constant of the
-    target instance; the harness fills it in.
-    """
-
-    name: str
-    step_size: float | None = None
-
-    def with_step(self, step_size: float) -> "MethodSpec":
-        return replace(self, step_size=step_size)
-
 
 METHOD_NAMES = ("gd", "agd", "heavyball", "denseprobe")
 MOMENTUM = 0.9  # heavyball
@@ -64,22 +49,20 @@ class Trace:
         )
 
 
-def iterate_steps(method: MethodSpec, ask, k: int):
-    """Generate iterates x_1, x_2, ... calling ask(x) for oracle answers.
+def iterate_steps(name: str, ask, k: int, step: float):
+    """Generate iterates x_1, x_2, ... of method ``name`` with step size ``step``,
+    calling ask(x) for oracle answers.
 
     The generator is infinite; callers take as many steps as they need.
     For gd / heavyball / denseprobe the oracle is queried at each iterate;
     agd queries at its extrapolated points.
     """
-    name = canonical_name(method.name, METHOD_NAMES, "method")
-    if method.step_size is None or not method.step_size > 0:
-        raise ValueError("method.step_size must be a positive real")
-    eta = float(method.step_size)
+    name = canonical_name(name, METHOD_NAMES, "method")
     x = np.zeros(k)
     if name == "gd":
         while True:
             g = ask(x).gradient
-            x = x - eta * g
+            x = x - step * g
             yield x
     elif name == "agd":
         # query at the extrapolated point y_t, report the descent point x_t
@@ -88,7 +71,7 @@ def iterate_steps(method: MethodSpec, ask, k: int):
         t = 1
         while True:
             g = ask(y).gradient
-            x_new = y - eta * g
+            x_new = y - step * g
             y = x_new + ((t - 1) / (t + 2)) * (x_new - x_prev)
             x_prev = x_new
             t += 1
@@ -97,7 +80,7 @@ def iterate_steps(method: MethodSpec, ask, k: int):
         x_prev = x
         while True:
             g = ask(x).gradient
-            x_new = x - eta * g + MOMENTUM * (x - x_prev)
+            x_new = x - step * g + MOMENTUM * (x - x_prev)
             x_prev = x
             x = x_new
             yield x
@@ -105,14 +88,15 @@ def iterate_steps(method: MethodSpec, ask, k: int):
         ones_dir = np.full(k, 1.0 / np.sqrt(k))
         while True:
             g = ask(x).gradient
-            x = x - eta * g + PROBE_SCALE * float(np.linalg.norm(g)) * ones_dir
+            x = x - step * g + PROBE_SCALE * float(np.linalg.norm(g)) * ones_dir
             yield x
 
 
-def drive(method: MethodSpec, oracle, T: int):
-    """Step the method T times from x_0 = 0 against ``oracle``.
+def drive(name: str, oracle, T: int):
+    """Step method ``name`` T times from x_0 = 0 against ``oracle``.
 
-    The oracle must expose the dimension as ``oracle.k``.  Returns
+    The oracle exposes the dimension as ``oracle.k`` and the smoothness
+    constant of its loss as ``oracle.lipschitz``; the step is 1/L.  Returns
     ``(iterates, answers, calls)``: the (T+1, k) iterates, for each
     iterate t the first answer received at a query point equal to x_t
     (None when the method never queried there), and the number of oracle
@@ -134,20 +118,20 @@ def drive(method: MethodSpec, oracle, T: int):
             answers[t] = resp
         return resp
 
-    stepper = iterate_steps(method, ask, k)
+    stepper = iterate_steps(name, ask, k, 1.0 / oracle.lipschitz)
     for t in range(T):
         iterates[t + 1] = next(stepper)
     return iterates, answers, calls
 
 
-def run(method: MethodSpec, oracle, T: int) -> Trace:
+def run(name: str, oracle, T: int) -> Trace:
     """Execute exactly T iterations from x_0 = 0 and assemble the trace.
 
     Trace values come from the answers the method received at its
     iterates; each iterate it never queried (x_T, and agd's x_2 .. x_T)
     costs one extra oracle call.  ``oracle_calls`` counts everything.
     """
-    iterates, answers, calls = drive(method, oracle, T)
+    iterates, answers, calls = drive(name, oracle, T)
     responses = [a if a is not None else oracle(x) for a, x in zip(answers, iterates)]
     extra = sum(a is None for a in answers)
     return Trace.from_responses(iterates, responses, calls + extra)

@@ -30,7 +30,7 @@ from .datasets import (
     build_instance,
 )
 from .logloss import FirstOrderOracle, OracleResponse, lipschitz, loss
-from .optimizers import MethodSpec, Trace, drive
+from .optimizers import Trace, drive
 
 TIE_BREAK = 1e-12
 
@@ -61,15 +61,16 @@ class ResistingOracle:
     j = len(points), a reflection of the leading k-2j coordinates, which
     requires j <= (k-3)/2.  After every step, point i lies in U.T times the
     span of the trailing 2i+1 coordinates.  ``finalize`` places the
-    method's reported solution and freezes the rotation.
+    method's reported solution and freezes the rotation.  Rotation leaves
+    ||A|| unchanged, so ``lipschitz`` is that of the base instance.
     """
 
     def __init__(self, inst: WorstCaseInstance):
         self.base = inst
         self.k = inst.k
+        self.lipschitz = lipschitz(inst)
         self.U = np.eye(inst.k)
         self.points = []
-        self.calls = 0
         self._frozen = False
 
     def _place(self, x: np.ndarray) -> np.ndarray:
@@ -104,7 +105,6 @@ class ResistingOracle:
 
     def __call__(self, x: np.ndarray) -> OracleResponse:
         y = self._place(x)
-        self.calls += 1
         # loss of the rotated dataset: value at U x, gradient pulled back by U.T
         base_resp = loss(self.base, y)
         return OracleResponse(value=base_resp.value, gradient=self.U.T @ base_resp.gradient)
@@ -139,17 +139,9 @@ def containment_residuals(oracle: ResistingOracle) -> np.ndarray:
     return out
 
 
-def _with_default_step(method: MethodSpec, inst: WorstCaseInstance) -> MethodSpec:
-    """The method, with step 1/L of ``inst`` when it names no step."""
-    if method.step_size is None:
-        return method.with_step(1.0 / lipschitz(inst))
-    return method
-
-
-def adversarial_run(
-    method: MethodSpec, T: int, sigma: float, zeta: float
-) -> tuple[Trace, RotatedInstance]:
-    """Race a method for T iterations against the adaptive adversary.
+def adversarial_run(name: str, T: int, sigma: float,
+                    zeta: float) -> tuple[Trace, RotatedInstance]:
+    """Race method ``name`` for T iterations against the adaptive adversary.
 
     Builds the four-block instance in dimension k = 4T+2, answers every
     oracle query through the rotating oracle, and finally places the
@@ -161,7 +153,7 @@ def adversarial_run(
         raise ValueError(f"T must be >= 1, got {T}")
     inst = build_instance(4 * T + 2, sigma, zeta, Variant.FOUR_BLOCK)
     oracle = ResistingOracle(inst)
-    iterates, _, _ = drive(_with_default_step(method, inst), oracle, T)
+    iterates, _, calls = drive(name, oracle, T)
     final = oracle.finalize(iterates[-1])
     # loss(final, x) for every iterate, batched: the base loss at each row of
     # X U', whose row is then overwritten by its base gradient, and one
@@ -175,12 +167,12 @@ def adversarial_run(
     grads = grads @ final.U
     grad_norms = np.max(np.abs(grads, out=grads), axis=1)
     trace = Trace(iterates=iterates, values=values, grad_norms=grad_norms,
-                  oracle_calls=oracle.calls)
+                  oracle_calls=calls)
     return trace, final
 
 
-def replay_check(method: MethodSpec, final_inst: RotatedInstance, trace: Trace) -> float:
-    """Re-run the method against the frozen final instance and compare.
+def replay_check(name: str, final_inst: RotatedInstance, trace: Trace) -> float:
+    """Re-run method ``name`` against the frozen final instance and compare.
 
     Returns the largest sup-norm distance between a replayed iterate and
     the adaptive run's; 0 (or rounding) means the adversary could have
@@ -191,8 +183,7 @@ def replay_check(method: MethodSpec, final_inst: RotatedInstance, trace: Trace) 
             f"length mismatch: trace dimension {trace.iterates.shape[1]} "
             f"vs instance dimension {final_inst.k}"
         )
-    method = _with_default_step(method, final_inst)
-    iterates, _, _ = drive(method, FirstOrderOracle(final_inst), len(trace) - 1)
+    iterates, _, _ = drive(name, FirstOrderOracle(final_inst), len(trace) - 1)
     return float(np.max(np.abs(iterates - trace.iterates)))
 
 

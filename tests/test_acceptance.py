@@ -13,12 +13,10 @@ import pytest
 
 from hardlogit import (
     FirstOrderOracle,
-    MethodSpec,
     adversarial_run,
     build_instance,
     constant_c_ratio,
     invariants,
-    lipschitz,
     profile,
     run,
     solve_c,
@@ -47,8 +45,7 @@ def warmed_up():
     # first-touch numpy/import costs must not pollute the timed criteria
     inst = build_instance(4, SIGMA, ZETA)
     profile(inst)
-    run(MethodSpec(name="gd", step_size=1.0 / lipschitz(inst)),
-        FirstOrderOracle(inst), 2)
+    run("gd", FirstOrderOracle(inst), 2)
     constant_c_ratio(SIGMA, ZETA)
     return True
 
@@ -98,10 +95,8 @@ def test_criterion_04_subspace_trapping(warmed_up):
               for t in range(1, inst.k) for _ in range(100))  # 100 per trap subspace
     cells = [("k<=30", invariants.gradient_trap(points))]
     inst = build_instance(30, SIGMA, ZETA)
-    L = lipschitz(inst)
     for name in ("gd", "agd", "heavyball"):
-        trace = run(MethodSpec(name=name, step_size=1.0 / L),
-                    FirstOrderOracle(inst), 29)
+        trace = run(name, FirstOrderOracle(inst), 29)
         cells.append((name, invariants.zero_chain(trace)))
     elapsed = time.perf_counter() - t0
     _criterion(4, elapsed, 5.0, cells)
@@ -128,10 +123,8 @@ def test_criterion_06_linear_span_lower_bound(warmed_up):
     for T in (5, 25, 50):
         inst = build_instance(2 * T, SIGMA, ZETA)
         prof = profile(inst)
-        L = lipschitz(inst)
         for name in ("gd", "agd", "heavyball"):
-            trace = run(MethodSpec(name=name, step_size=1.0 / L),
-                        FirstOrderOracle(inst), T)
+            trace = run(name, FirstOrderOracle(inst), T)
             checks = invariants.lower_bound(inst, trace, prof, prof.x_star, span=True)
             cells += [(f"{name}/T={T}", c) for c in checks]
     elapsed = time.perf_counter() - t0
@@ -145,8 +138,7 @@ def test_criterion_07_tightness_sandwich(warmed_up):
     for T in (5, 25, 50):
         inst = build_instance(2 * T, SIGMA, ZETA)
         prof = profile(inst)
-        trace = run(MethodSpec(name="agd", step_size=1.0 / lipschitz(inst)),
-                    FirstOrderOracle(inst), T)
+        trace = run("agd", FirstOrderOracle(inst), T)
         cells += [(f"T={T}", invariants.agd_upper_bound(inst, trace, prof)),
                   (f"T={T}", invariants.sandwich(inst, trace, prof))]
     elapsed = time.perf_counter() - t0
@@ -161,16 +153,14 @@ def adversarial_results(warmed_up):
     cells = {}
     for T in (5, 10, 25):
         for name in ("gd", "agd", "denseprobe"):
-            spec = MethodSpec(name=name)
-            trace, final = adversarial_run(spec, T, SIGMA, ZETA)
-            cells[(name, T)] = (spec, trace, final)
+            cells[(name, T)] = adversarial_run(name, T, SIGMA, ZETA)
     return cells, time.perf_counter() - t0
 
 
 def test_criterion_08_general_lower_bound(adversarial_results):
     cells, elapsed = adversarial_results
     checks = []
-    for (name, T), (_, trace, final) in cells.items():
+    for (name, T), (trace, final) in cells.items():
         prof = profile(final)
         z_star = final.U.T @ prof.x_star
         checks += [(f"{name}/T={T}", c) for c in (
@@ -184,8 +174,8 @@ def test_criterion_08_general_lower_bound(adversarial_results):
 def test_criterion_09_indistinguishability(adversarial_results):
     cells, _ = adversarial_results
     t0 = time.perf_counter()
-    checks = [(f"{name}/T={T}", invariants.replay_matches(spec, final, trace))
-              for (name, T), (spec, trace, final) in cells.items()]
+    checks = [(f"{name}/T={T}", invariants.replay_matches(name, final, trace))
+              for (name, T), (trace, final) in cells.items()]
     elapsed = time.perf_counter() - t0
     _criterion(9, elapsed, np.inf, checks, "replays match within 1e-8 for all 9 cells")
 
@@ -195,11 +185,9 @@ def test_criterion_10_span_violation_detection(warmed_up):
     verdicts = {}
     for k in (3, 10, 30):
         inst = build_instance(k, SIGMA, ZETA)
-        L = lipschitz(inst)
         T = k - 1
         for name in ("gd", "agd", "heavyball", "denseprobe"):
-            trace = run(MethodSpec(name=name, step_size=1.0 / L),
-                        FirstOrderOracle(inst), T)
+            trace = run(name, FirstOrderOracle(inst), T)
             verdicts[(name, k)] = invariants.zero_chain(trace).passed
     elapsed = time.perf_counter() - t0
     expected = {name: name != "denseprobe" for name in

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from hardlogit import (
     FirstOrderOracle,
-    MethodSpec,
     RotatedInstance,
     build_instance,
     h_grad,
@@ -306,8 +305,7 @@ class TestLipschitz:
 
     def test_gd_step_descends(self):
         inst = build_instance(10, 1.3, 1.0)
-        spec = MethodSpec(name="gd", step_size=1.0 / lipschitz(inst))
-        trace = run(spec, FirstOrderOracle(inst), 200)
+        trace = run("gd", FirstOrderOracle(inst), 200)
         assert np.all(np.diff(trace.values) <= 1e-12)
 
 

@@ -5,8 +5,9 @@ import pytest
 
 from hardlogit import (
     FirstOrderOracle,
-    MethodSpec,
     OracleResponse,
+    ResistingOracle,
+    adversarial_run,
     build_instance,
     invariants,
     lipschitz,
@@ -41,47 +42,42 @@ class _RecordingOracle(FirstOrderOracle):
         return resp
 
 
-def _method(name, inst):
-    return MethodSpec(name=name, step_size=1.0 / lipschitz(inst))
-
-
 class TestRun:
     def test_gd_converges_in_one_dimension(self):
         inst = build_instance(1, 1.3, 1.0)
-        trace = run(_method("gd", inst), FirstOrderOracle(inst), 200)
+        trace = run("gd", FirstOrderOracle(inst), 200)
         assert trace.grad_norms[-1] <= 1e-6
 
     @pytest.mark.parametrize("name", ALL_METHODS)
     def test_stationary_start_stays_put(self, name):
         class ZeroOracle:
             k = 4
+            lipschitz = 4.0
 
             def __call__(self, x):
                 return OracleResponse(value=0.0, gradient=np.zeros(4))
 
-        spec = MethodSpec(name=name, step_size=0.25)
-        trace = run(spec, ZeroOracle(), 10)
+        trace = run(name, ZeroOracle(), 10)
         assert np.array_equal(trace.iterates, np.zeros((11, 4)))
 
     @pytest.mark.parametrize("name", ALL_METHODS)
     def test_bit_identical_reruns(self, name):
         inst = build_instance(8, 1.3, 1.0)
-        spec = _method(name, inst)
-        t1 = run(spec, FirstOrderOracle(inst), 12)
-        t2 = run(spec, FirstOrderOracle(inst), 12)
+        t1 = run(name, FirstOrderOracle(inst), 12)
+        t2 = run(name, FirstOrderOracle(inst), 12)
         assert np.array_equal(t1.iterates, t2.iterates)
         assert np.array_equal(t1.values, t2.values)
         assert t1.oracle_calls == t2.oracle_calls
 
     def test_gd_monotone_descent(self):
         inst = build_instance(12, 1.3, 1.0)
-        trace = run(_method("gd", inst), FirstOrderOracle(inst), 60)
+        trace = run("gd", FirstOrderOracle(inst), 60)
         assert np.all(np.diff(trace.values) <= 1e-12)
 
     @pytest.mark.parametrize("name", ALL_METHODS)
     def test_trace_contract(self, name):
         inst = build_instance(6, 1.3, 1.0)
-        trace = run(_method(name, inst), FirstOrderOracle(inst), 7)
+        trace = run(name, FirstOrderOracle(inst), 7)
         assert np.array_equal(trace.iterates[0], np.zeros(6))
         assert len(trace) == 8
         for i in range(8):
@@ -92,20 +88,29 @@ class TestRun:
     def test_errors(self):
         inst = build_instance(3, 1.3, 1.0)
         with pytest.raises(ValueError, match="unknown method"):
-            run(MethodSpec(name="newton", step_size=0.1), FirstOrderOracle(inst), 3)
+            run("newton", FirstOrderOracle(inst), 3)
         with pytest.raises(ValueError, match="unknown method"):
-            run(MethodSpec(name="heavy ball", step_size=0.1), FirstOrderOracle(inst), 3)
+            run("heavy ball", FirstOrderOracle(inst), 3)
         # case, '_' and '-' do not matter in a method name
         for alias, name in (("AGD", "agd"), ("heavy_ball", "heavyball"),
                             (" Dense-Probe ", "denseprobe")):
-            got = run(_method(alias, inst), FirstOrderOracle(inst), 3)
-            want = run(_method(name, inst), FirstOrderOracle(inst), 3)
+            got = run(alias, FirstOrderOracle(inst), 3)
+            want = run(name, FirstOrderOracle(inst), 3)
             assert np.array_equal(got.iterates, want.iterates)
         with pytest.raises(ValueError, match="T must be"):
-            run(_method("gd", inst), FirstOrderOracle(inst), 0)
-        with pytest.raises(ValueError, match="step_size"):
-            run(MethodSpec(name="gd"), FirstOrderOracle(inst), 3)
+            run("gd", FirstOrderOracle(inst), 0)
 
+    def test_step_is_one_over_the_oracle_lipschitz(self):
+        # the step comes from the oracle's L, derived from the instance, and
+        # the adaptive run reports drive's count, T calls for every method
+        inst = build_instance(6, 1.3, 1.0)
+        L = lipschitz(inst)
+        assert FirstOrderOracle(inst).lipschitz == ResistingOracle(inst).lipschitz == L
+        x1 = run("gd", FirstOrderOracle(inst), 1).iterates[1]
+        assert np.array_equal(x1, np.zeros(6) - (1.0 / L) * loss(inst, np.zeros(6)).gradient)
+        T = 4
+        for name in ALL_METHODS:
+            assert adversarial_run(name, T, 1.3, 1.0)[0].oracle_calls == T
 
     def test_trace_records_received_gradients(self):
         inst = build_instance(6, 1.3, 1.0)
@@ -113,36 +118,35 @@ class TestRun:
         # gd queries at x_0 .. x_{T-1}, one call each, and x_T costs one more;
         # the trace reads its metrics from the gradients the method received
         oracle = _RecordingOracle(inst)
-        trace = run(_method("gd", inst), oracle, T)
+        trace = run("gd", oracle, T)
         assert trace.oracle_calls == len(oracle.gradients) == T + 1
         for t in range(T + 1):
             assert np.array_equal(oracle.queries[t], trace.iterates[t])
             assert trace.grad_norms[t] == np.max(np.abs(oracle.gradients[t]))
-        iterates, answers, calls = optimizers.drive(
-            _method("gd", inst), FirstOrderOracle(inst), T)
+        iterates, answers, calls = optimizers.drive("gd", FirstOrderOracle(inst), T)
         assert calls == T
         for t in range(T):
             _assert_same_response(answers[t], loss(inst, iterates[t]))
         assert answers[T] is None
-        agd = run(_method("agd", inst), FirstOrderOracle(inst), T)
+        agd = run("agd", FirstOrderOracle(inst), T)
         # agd's queries y_0 = x_0 and y_1 = x_1 coincide with iterates, so
         # only x_2 .. x_T need an extra call
         assert agd.oracle_calls == 2 * T - 1
 
     def test_drive_records_every_call_of_a_two_call_method(self, monkeypatch):
         # a method that probes a side point before querying its iterate
-        def two_calls(method, ask, k):
+        def two_calls(name, ask, k, step):
             x = np.zeros(k)
             while True:
                 ask(x + 1.0)
-                x = x - method.step_size * ask(x).gradient
+                x = x - step * ask(x).gradient
                 yield x
 
         monkeypatch.setattr(optimizers, "iterate_steps", two_calls)
         inst = build_instance(5, 1.3, 1.0)
         T = 6
         oracle = _RecordingOracle(inst)
-        iterates, answers, calls = optimizers.drive(_method("gd", inst), oracle, T)
+        iterates, answers, calls = optimizers.drive("gd", oracle, T)
         assert calls == len(oracle.queries) == 2 * T
         for t in range(T):
             assert np.array_equal(oracle.queries[2 * t], iterates[t] + 1.0)
@@ -156,7 +160,7 @@ class TestSubspaceTrapping:
     def test_iterates_stay_in_trailing_subspaces(self, name):
         # iterate t may only touch the trailing t coordinates
         inst = build_instance(30, 1.3, 1.0)
-        trace = run(_method(name, inst), FirstOrderOracle(inst), 29)
+        trace = run(name, FirstOrderOracle(inst), 29)
         for t in range(len(trace)):
             lead = 30 - t
             assert not np.any(trace.iterates[t][:lead]), f"x_{t} leaks"
@@ -175,7 +179,7 @@ class TestSupportFrontier:
     ])
     def test_span_methods_detected(self, name, expected):
         inst = build_instance(10, 1.3, 1.0)
-        trace = run(_method(name, inst), FirstOrderOracle(inst), 8)
+        trace = run(name, FirstOrderOracle(inst), 8)
         frontier = support_frontier(trace)
         assert (frontier <= 0) is expected
         if not expected:
@@ -183,7 +187,7 @@ class TestSupportFrontier:
 
     def test_denseprobe_detected_at_small_k(self):
         inst = build_instance(3, 1.3, 1.0)
-        trace = run(_method("denseprobe", inst), FirstOrderOracle(inst), 2)
+        trace = run("denseprobe", FirstOrderOracle(inst), 2)
         assert support_frontier(trace) == 3 - 1
 
     def test_frontier_of_hand_built_iterates(self):
@@ -199,7 +203,7 @@ class TestSupportFrontier:
 
     def test_empty_trace_rejected(self):
         inst = build_instance(3, 1.3, 1.0)
-        trace = run(_method("gd", inst), FirstOrderOracle(inst), 2)
+        trace = run("gd", FirstOrderOracle(inst), 2)
         hollow = type(trace)(
             iterates=trace.iterates[:0], values=trace.values[:0],
             grad_norms=trace.grad_norms[:0], oracle_calls=0,
@@ -213,7 +217,7 @@ class TestSupportFrontier:
         # reference: x_t lies in the span of the first t received gradients
         inst = build_instance(k, 1.3, 1.0)
         oracle = _RecordingOracle(inst)
-        trace = run(_method(name, inst), oracle, k - 1)
+        trace = run(name, oracle, k - 1)
         in_span = True
         for t in range(1, len(trace)):
             x = trace.iterates[t]
@@ -229,7 +233,7 @@ def test_agd_gap_exceeds_span_lower_bound():
     T = 25
     inst = build_instance(2 * T, 1.3, 1.0)
     prof = profile(inst)
-    trace = run(_method("agd", inst), FirstOrderOracle(inst), T)
+    trace = run("agd", FirstOrderOracle(inst), T)
     for check in invariants.lower_bound(inst, trace, prof, prof.x_star, span=True):
         assert check.passed, check
 
@@ -238,7 +242,7 @@ class TestSerialization:
     def test_csv_columns_and_values(self, tmp_path):
         inst = build_instance(5, 1.3, 1.0)
         prof = profile(inst)
-        trace = run(_method("gd", inst), FirstOrderOracle(inst), 4)
+        trace = run("gd", FirstOrderOracle(inst), 4)
         path = tmp_path / "trace.csv"
         trace_to_csv(trace, path, prof.f_star, prof.x_star)
         with open(path) as fh:

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from hardlogit import (
-    MethodSpec,
     ResistingOracle,
     RotatedInstance,
     adversarial_run,
@@ -151,7 +150,7 @@ class TestAdversarialRun:
     @pytest.mark.parametrize("name", ADVERSARY_METHODS)
     def test_bounds_and_rotation_invariants(self, name):
         T = 4
-        trace, final = adversarial_run(MethodSpec(name=name), T, 1.3, 1.0)
+        trace, final = adversarial_run(name, T, 1.3, 1.0)
         assert final.k == 4 * T + 2
         base = build_instance(final.k, 1.3, 1.0)
         prof = profile(final)
@@ -171,7 +170,7 @@ class TestAdversarialRun:
         assert data_direction_residual(final) == fixed
 
     def test_rotated_optimum_value_is_invariant(self):
-        trace, final = adversarial_run(MethodSpec(name="denseprobe"), 3, 1.3, 1.0)
+        trace, final = adversarial_run("denseprobe", 3, 1.3, 1.0)
         prof = profile(final)
         unrotated = profile(build_instance(final.k, 1.3, 1.0))
         assert np.array_equal(prof.x_star, unrotated.x_star)
@@ -185,7 +184,7 @@ class TestAdversarialRun:
         # for an iterate-querying method the placed points are the iterates;
         # point i must sit in U' times the span of the trailing 2i+1 coords
         T = 4
-        trace, final = adversarial_run(MethodSpec(name="denseprobe"), T, 1.3, 1.0)
+        trace, final = adversarial_run("denseprobe", T, 1.3, 1.0)
         oracle = _oracle_after(build_instance(final.k, 1.3, 1.0), *trace.iterates[1:-1])
         replayed = oracle.finalize(trace.iterates[-1])
         assert np.array_equal(oracle.U, final.U)
@@ -194,7 +193,7 @@ class TestAdversarialRun:
         assert np.max(containment_residuals(oracle)) <= 1e-8
 
     def test_trace_values_recomputable_against_final(self):
-        trace, final = adversarial_run(MethodSpec(name="gd"), 3, 1.3, 1.0)
+        trace, final = adversarial_run("gd", 3, 1.3, 1.0)
         for i in range(len(trace)):
             assert trace.values[i] == loss(final, trace.iterates[i]).value
 
@@ -202,7 +201,7 @@ class TestAdversarialRun:
     def test_batched_trace_matches_per_iterate_loss(self, name):
         # the trace is computed in one batch: base loss at the rows of X U',
         # one product of the stacked gradients with U
-        trace, final = adversarial_run(MethodSpec(name=name), 40, 1.3, 1.0)
+        trace, final = adversarial_run(name, 40, 1.3, 1.0)
         assert len(trace) == 41
         for t, x in enumerate(trace.iterates):
             resp = loss(final, x)
@@ -213,35 +212,35 @@ class TestAdversarialRun:
     def test_no_drift_at_benchmark_size(self):
         # 1e-12 is where a re-orthogonalization would have to start; the
         # reflections alone stay below it at T = 130 (k = 522)
-        _, final = adversarial_run(MethodSpec(name="denseprobe"), 130, 1.3, 1.0)
+        _, final = adversarial_run("denseprobe", 130, 1.3, 1.0)
         assert np.max(np.abs(final.U.T @ final.U - np.eye(final.k))) <= 1e-12
 
     def test_t_zero_rejected(self):
         with pytest.raises(ValueError, match="T must be"):
-            adversarial_run(MethodSpec(name="gd"), 0, 1.3, 1.0)
+            adversarial_run("gd", 0, 1.3, 1.0)
 
 
 class TestReplay:
     @pytest.mark.parametrize("name", ADVERSARY_METHODS)
     def test_replay_matches(self, name):
-        trace, final = adversarial_run(MethodSpec(name=name), 5, 1.3, 1.0)
-        assert invariants.replay_matches(MethodSpec(name=name), final, trace).passed
+        trace, final = adversarial_run(name, 5, 1.3, 1.0)
+        assert invariants.replay_matches(name, final, trace).passed
 
     def test_length_mismatch(self):
-        trace, final = adversarial_run(MethodSpec(name="gd"), 3, 1.3, 1.0)
-        _, other = adversarial_run(MethodSpec(name="gd"), 4, 1.3, 1.0)
+        trace, final = adversarial_run("gd", 3, 1.3, 1.0)
+        _, other = adversarial_run("gd", 4, 1.3, 1.0)
         with pytest.raises(ValueError, match="length mismatch"):
-            replay_check(MethodSpec(name="gd"), other, trace)
+            replay_check("gd", other, trace)
 
     def test_replay_detects_wrong_rotation(self):
         # against a different rotation the method walks a different path
-        trace, final = adversarial_run(MethodSpec(name="denseprobe"), 3, 1.3, 1.0)
+        trace, final = adversarial_run("denseprobe", 3, 1.3, 1.0)
         wrong = RotatedInstance(final, random_orthogonal(final.k, seed=5))
-        assert not invariants.replay_matches(MethodSpec(name="denseprobe"), wrong, trace).passed
+        assert not invariants.replay_matches("denseprobe", wrong, trace).passed
 
 
 def test_save_matrix_csv_roundtrip(tmp_path):
-    trace, final = adversarial_run(MethodSpec(name="denseprobe"), 2, 1.3, 1.0)
+    trace, final = adversarial_run("denseprobe", 2, 1.3, 1.0)
     path = tmp_path / "rotation.csv"
     save_matrix_csv(final.U, path)
     loaded = np.loadtxt(path, delimiter=",")
