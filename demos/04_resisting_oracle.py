@@ -4,9 +4,11 @@
 A method may probe outside the span of returned gradients (our dense_probe
 does exactly that).  The adversary answers each query with a freshly
 rotated dataset that (a) leaves every past answer untouched and (b) folds
-the new query into a low-dimensional trap.  The final rotation is a single
-fixed dataset the method cannot distinguish from what it experienced, so
-replaying against it reproduces the run.
+the new query into a low-dimensional trap.  The rotation is kept as the
+Householder reflectors it took (``final.U`` is a ``Rotation``; ``dense()``
+multiplies them out).  The final rotation is a single fixed dataset the
+method cannot distinguish from what it experienced, so replaying against
+it reproduces the run.
 """
 
 import numpy as np
@@ -25,21 +27,22 @@ T = 10
 
 print(f"adversarial budget: T = {T} oracle queries, dimension k = {4 * T + 2}\n")
 for name in ("gd", "agd", "denseprobe"):
-    trace, final = adversarial_run(name, T, sigma, zeta)
+    trace, final, oracle = adversarial_run(name, T, sigma, zeta)
     prof = profile(final)  # rotation keeps c, x* and f*; the optimum moves to U'x*
-    z_star = final.U.T @ prof.x_star
+    z_star = final.U.apply_t(prof.x_star)
 
     gap = trace.values[-1] - prof.f_star
     d = trace.iterates[-1] - z_star
     lb = bound_general(T, final.a_norm(), prof.xstar_norm_sq)
-    rotation_size = np.max(np.abs(final.U - np.eye(final.k)))
+    rotation_size = np.max(np.abs(final.U.dense() - np.eye(final.k)))
 
     print(f"{name}:")
     print(f"  gap {gap:.6f} > lower bound {lb.gap:.6f} "
           f"({gap / lb.gap:.2f}x margin)")
     print(f"  ||x_T - z*||^2 / ||x_0 - z*||^2 = "
           f"{float(d @ d) / prof.xstar_norm_sq:.4f}  (> 1/8)")
-    print(f"  rotation distance from identity: {rotation_size:.3e}"
+    print(f"  reflections taken: {len(final.U)} of {len(oracle.points) - 1} steps; "
+          f"rotation distance from identity: {rotation_size:.3e}"
           + ("  (span methods never force a real rotation)" if rotation_size < 1e-9 else ""))
     print(f"  label direction preserved: |U'A'b - A'b| = "
           f"{data_direction_residual(final):.1e}")

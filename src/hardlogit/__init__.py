@@ -20,6 +20,7 @@ from .analytic import (
 )
 from .datasets import (
     RotatedInstance,
+    Rotation,
     Variant,
     WOperator,
     WorstCaseInstance,

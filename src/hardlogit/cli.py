@@ -74,6 +74,7 @@ def cmd_generate(args) -> int:
     fmt = args.format.lower()
     ext = {"csv": "csv", "libsvm": "libsvm"}[fmt]
     out = Path(args.out) if args.out else Path(f"wc_k{inst.k}_{inst.variant.value}.{ext}")
+    out.parent.mkdir(parents=True, exist_ok=True)
     datasets.export(inst, fmt, out)
     sidecar = out.with_suffix(out.suffix + ".meta.json")
     extra = analytic.profile_metadata(analytic.profile(inst))
@@ -182,12 +183,16 @@ def cmd_resist(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     T = args.T
-    trace, final = resist.adversarial_run(args.method, T, args.sigma, args.zeta)
+    trace, final, oracle = resist.adversarial_run(args.method, T, args.sigma, args.zeta)
+    adversary = {"reflections": len(oracle.U), "skipped": oracle.skipped,
+                 "max_containment_residual": float(np.max(resist.containment_residuals(oracle)))}
+    del oracle  # its T+2 placed points; the exports below need the memory more
     prof = analytic.profile(final)
-    z_star = final.U.T @ prof.x_star
+    z_star = final.U.apply_t(prof.x_star)
     report = _bound_report(args, final, T, trace, prof, z_star, False, ts)
     report.measured["orthogonality_residual"] = final.orthogonality_residual
     report.measured["data_direction_residual"] = resist.data_direction_residual(final)
+    report.measured.update(adversary)
     report.verdicts += [invariants.rotation_orthogonal(final),
                         invariants.data_direction_fixed(final),
                         invariants.replay_matches(args.method, final, trace)]
@@ -198,7 +203,7 @@ def cmd_resist(args) -> int:
         final, "json-meta", out_dir / f"dataset_{stem}.libsvm.meta.json",
         extra_meta=analytic.profile_metadata(prof),
     )
-    resist.save_matrix_csv(final.U, out_dir / f"rotation_{stem}.csv")
+    resist.save_matrix_csv(final.U.dense(), out_dir / f"rotation_{stem}.csv")
     if not _emit(report, out_dir, stem, trace, prof.f_star, z_star) and args.strict:
         return 1
     return 0

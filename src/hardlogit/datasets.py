@@ -14,22 +14,23 @@ Two stacked-block variants are provided:
   the rows, same W structure, nonzero optimal intercept.
 
 A ``RotatedInstance`` is a ``WorstCaseInstance`` with data matrix A U for
-an orthogonal U: the same k, sigma, zeta, blocks, labels and ||A||, with
-block W U in place of W.  ``matvec_a``/``matvec_at`` apply W by its index
-structure in O(k) per block (plus U when rotated); only ``dense()`` builds
-the N x k matrix (``export`` writes rows from one k x k block).
+an orthogonal U held as a ``Rotation``, the product of its Householder
+reflectors in compact WY form: the same k, sigma, zeta, blocks, labels and
+||A||, with block W U in place of W.  ``matvec_a``/``matvec_at`` apply W by
+its index structure in O(k) per block, plus U in O(jk) for j reflectors;
+only ``dense()`` builds the N x k matrix, and only the exports and the
+U'U measurement build U (``export`` writes rows from one k x k block).
 """
 
 from __future__ import annotations
 
 import enum
 import json
-import warnings
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-ORTHOGONALITY_TOL = 1e-10
+GRAM_ROWS = 256  # rows of U'U per block of the orthogonality measurement
 
 
 def canonical_name(name: str, choices, what: str) -> str:
@@ -79,6 +80,102 @@ def build_w(k: int) -> WOperator:
     if not isinstance(k, (int, np.integer)) or k < 1:
         raise ValueError(f"invalid dimension: k must be a positive integer, got {k!r}")
     return WOperator(int(k))
+
+
+def _wy_update(x: np.ndarray, V: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """x - ((x V') M) V as a new array, for x of shape (k,) or a stack of rows."""
+    out = np.array(x, dtype=float)
+    if len(V):
+        out -= ((out @ V.T) @ M) @ V
+    return out
+
+
+class Rotation:
+    """An orthogonal k x k matrix U kept as the product of the Householder
+    reflectors taken so far, in compact WY form (Schreiber & Van Loan 1989).
+
+    Reflector i is H_i = I - beta_i v_i v_i' and U = H_{j-1} ... H_1 H_0,
+    the newest on the left.  Row i of ``V`` is v_i, zero beyond the leading
+    coordinates it acts on, and ``triangular`` is the j x j upper-triangular
+    factor T with U = I - V' T' V and U' = I - V' T V; its diagonal holds
+    the beta_i.
+    ``apply`` and ``apply_t`` take a vector or a stack of rows (a row x
+    becomes U x, so a stack X becomes X U') in O(jk) per row, and with no
+    reflector return a copy.  ``dense()`` builds U.
+    """
+
+    def __init__(self, k: int):
+        self.k = int(k)
+        self._V = np.zeros((0, self.k))  # rows beyond len(self) are spare capacity
+        self._T = np.zeros((0, 0))
+        self._n = 0
+
+    def __len__(self) -> int:
+        return self._n
+
+    @property
+    def V(self) -> np.ndarray:
+        return self._V[: self._n]
+
+    @property
+    def triangular(self) -> np.ndarray:
+        return self._T[: self._n, : self._n]
+
+    def append(self, v: np.ndarray) -> None:
+        """U <- H U for H = I - beta v v' with beta = 2/(v'v), v acting on the
+        leading len(v) coordinates: one row of V, amortised O(k) by doubling
+        the capacity, and one column of T, -beta T (V v), in O(jk)."""
+        v = np.asarray(v, dtype=float)
+        n, m = self._n, v.shape[0]
+        if v.ndim != 1 or not 0 < m <= self.k:
+            raise ValueError(
+                f"dimension mismatch: reflector of shape {v.shape} in dimension {self.k}"
+            )
+        if n == len(self._V):
+            cap = max(1, 2 * n)
+            V, T = np.zeros((cap, self.k)), np.zeros((cap, cap))
+            V[:n], T[:n, :n] = self.V, self.triangular
+            self._V, self._T = V, T
+        beta = 2.0 / float(v @ v)
+        self._V[n, :m] = v
+        self._T[:n, n] = -beta * (self.triangular @ (self.V @ self._V[n]))
+        self._T[n, n] = beta
+        self._n = n + 1
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """U x, or X U' for a stack of rows X."""
+        return _wy_update(x, self.V, self.triangular)
+
+    def apply_t(self, g: np.ndarray) -> np.ndarray:
+        """U' g, or G U for a stack of rows G."""
+        return _wy_update(g, self.V, self.triangular.T)
+
+    def apply_newest(self, y: np.ndarray) -> np.ndarray:
+        """H y for the newest reflector H alone, by the arithmetic ``apply``
+        uses: after the first reflector, apply(x) == apply_newest(x) bit for
+        bit."""
+        n = self._n
+        return _wy_update(y, self._V[n - 1 : n], self._T[n - 1 : n, n - 1 : n])
+
+    def dense(self) -> np.ndarray:
+        """U = I - (V' T') V, built in one k x k array."""
+        if not self._n:
+            return np.eye(self.k)
+        U = np.matmul((self.triangular @ self.V).T, self.V, out=np.empty((self.k, self.k)))
+        np.subtract(0.0, U, out=U)  # -(V'T'V); 0 - (+-0) is +0, so exact zeros stay +0
+        U[np.diag_indices(self.k)] += 1.0
+        return U
+
+
+def _orthogonality_residual(U: np.ndarray) -> float:
+    """max |U'U - I|, GRAM_ROWS rows of U'U at a time: no second k x k array."""
+    worst = 0.0
+    for a in range(0, len(U), GRAM_ROWS):
+        block = U[:, a : a + GRAM_ROWS].T @ U
+        rows = np.arange(len(block))
+        block[rows, a + rows] -= 1.0
+        worst = max(worst, float(np.max(np.abs(block, out=block))))
+    return worst
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,30 +247,26 @@ class RotatedInstance(WorstCaseInstance):
     the base instance's; only the k x k block is W U instead of W.
 
     ``RotatedInstance(inst, U)`` copies the family fields of ``inst`` and
-    takes U as the rotation, so rotating a rotated instance replaces its U.
-    ``orthogonality_residual`` is max |U'U - I|, checked at construction.
+    takes the ``Rotation`` U, so rotating a rotated instance replaces its U.
+    ``orthogonality_residual`` is max |U'U - I|, measured at construction on
+    the materialized U; ``invariants.rotation_orthogonal`` judges it.
     """
 
-    U: np.ndarray = field(repr=False)
+    U: Rotation = field(repr=False)
     orthogonality_residual: float = field(repr=False)
 
-    def __init__(self, base: WorstCaseInstance, U: np.ndarray):
-        U = np.asarray(U, dtype=float)
-        k = base.k
-        if U.shape != (k, k):
-            raise ValueError(f"dimension mismatch: U must be ({k},{k}), got {U.shape}")
-        gram = U.T @ U  # max |U'U - I| in place: one k x k temporary, not four
-        gram[np.diag_indices(k)] -= 1.0
-        drift = float(np.max(np.abs(gram, out=gram)))
-        if drift > ORTHOGONALITY_TOL:
-            raise ValueError(f"U is not orthogonal: max |U'U - I| = {drift:.3e}")
+    def __init__(self, base: WorstCaseInstance, U: Rotation):
+        if U.k != base.k:
+            raise ValueError(
+                f"dimension mismatch: U must be ({base.k},{base.k}), got ({U.k},{U.k})"
+            )
         super().__init__(**{f.name: getattr(base, f.name) for f in fields(WorstCaseInstance)})
         object.__setattr__(self, "U", U)
-        object.__setattr__(self, "orthogonality_residual", drift)
+        object.__setattr__(self, "orthogonality_residual", _orthogonality_residual(U.dense()))
 
     def w_block(self) -> np.ndarray:
-        """W U, by W's two-slice row difference in O(k^2); no GEMM."""
-        return self.w.apply(self.U)
+        """W U, by W's two-slice row difference on the materialized U; no GEMM."""
+        return self.w.apply(self.U.dense())
 
     def w_nonzeros(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(rows, cols, vals) of the nonzeros of W U in row-major order."""
@@ -185,24 +278,13 @@ class RotatedInstance(WorstCaseInstance):
 def build_instance(
     k: int, sigma: float, zeta: float, variant: Variant | str = Variant.FOUR_BLOCK
 ) -> WorstCaseInstance:
-    """Construct an instance of the family.
-
-    Requires sigma > zeta > 0.  Warns (does not fail) when sigma >= 2*zeta:
-    the dataset is still valid, but the closed-form bracket behind the
-    ratio constant is then undefined.
-    """
+    """Construct an instance of the family; requires sigma > zeta > 0."""
     w = build_w(k)
     sigma = float(sigma)
     zeta = float(zeta)
     if not (zeta > 0.0) or not (sigma > zeta):
         raise ValueError(
             f"invalid parameters: need sigma > zeta > 0, got sigma={sigma}, zeta={zeta}"
-        )
-    if sigma >= 2.0 * zeta:
-        warnings.warn(
-            f"sigma={sigma} >= 2*zeta={2*zeta}: the ratio-constant bracket is "
-            "undefined for this instance (dataset itself is fine)",
-            stacklevel=2,
         )
     if isinstance(variant, str):
         variant = Variant.parse(variant)
@@ -226,7 +308,7 @@ def matvec_a(inst: WorstCaseInstance, x: np.ndarray) -> np.ndarray:
     if x.shape != (inst.k,):
         raise ValueError(f"dimension mismatch: expected ({inst.k},), got {x.shape}")
     if isinstance(inst, RotatedInstance):
-        x = inst.U @ x
+        x = inst.U.apply(x)
     wx = inst.w.apply(x)
     return np.concatenate([s * wx for s in inst.block_scales])
 
@@ -240,7 +322,7 @@ def matvec_at(inst: WorstCaseInstance, v: np.ndarray) -> np.ndarray:
     for s, blk in zip(inst.block_scales, v.reshape(len(inst.block_scales), inst.k)):
         combined += s * blk
     atv = inst.w.apply(combined)
-    return inst.U.T @ atv if isinstance(inst, RotatedInstance) else atv
+    return inst.U.apply_t(atv) if isinstance(inst, RotatedInstance) else atv
 
 
 def export(inst: WorstCaseInstance, format: str, path, extra_meta: dict | None = None) -> None:

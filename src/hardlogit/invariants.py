@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import analytic, datasets, logloss, optimizers, resist
+from . import analytic, logloss, optimizers, resist
 
 RATIO_FLOOR = 0.5  # C(sigma/zeta) must exceed it for the per-coordinate gap bound
 GRADIENT_TOL = 1e-9  # sup-norm of the gradient and the intercept derivative at x*
@@ -25,7 +25,7 @@ RUN_TOL = 1e-6  # a restricted run's value against the identity, absolute
 NORM_TOL = 1e-14  # closed-form ||A|| against a dense SVD, relative
 SANDWICH_TOL = 1e-9  # upper/lower bound against sandwich_ratio(T), relative
 SANDWICH_CAP = 256.0 / 3.0
-ROTATION_TOL = datasets.ORTHOGONALITY_TOL  # max |U'U - I|
+ROTATION_TOL = resist.ORTHOGONALITY_TOL  # max |U'U - I|
 DIRECTION_TOL = 1e-10  # max |U'(A'b) - A'b|
 REPLAY_TOL = 1e-8  # replayed against adaptive iterates, sup-norm
 
@@ -178,7 +178,8 @@ def sandwich(inst, trace, prof) -> Check:
 
 
 def rotation_orthogonal(inst) -> Check:
-    """The rotated instance's U is orthogonal (max |U'U - I| from construction)."""
+    """The rotated instance's U is orthogonal: max |U'U - I|, measured on the
+    materialized U when the instance was built, is within ROTATION_TOL."""
     return _at_most("rotation_orthogonal", inst.orthogonality_residual, ROTATION_TOL)
 
 

@@ -15,8 +15,9 @@ where mult counts the blocks of magnitude |s|.  ``loss`` evaluates this on
 one (distinct |s|) x k array and never forms the N-vector Ax: the
 four-block variant costs 2k transcendentals, not 4k.  A rotated instance
 has the same blocks and labels with matrix A U, so it runs the same kernel
-at U x and pulls the gradient back by U'; ``loss`` and ``datasets``'
-``matvec_a``/``matvec_at`` are the only places that apply U.
+at U x and pulls the gradient back by U', both through its ``Rotation`` in
+O(jk) for j reflectors; ``loss`` and ``datasets``' ``matvec_a``/``matvec_at``
+are the only places that apply U.
 
 Optimizers never see A or b: they receive an opaque oracle handle that
 returns (value, gradient) pairs only.
@@ -93,8 +94,8 @@ def loss(inst: WorstCaseInstance, x: np.ndarray) -> OracleResponse:
     if x.shape != (inst.k,):
         raise ValueError(f"dimension mismatch: expected ({inst.k},), got {x.shape}")
     if isinstance(inst, RotatedInstance):
-        value, gradient = _block_loss(inst, inst.U @ x)
-        return OracleResponse(value=value, gradient=inst.U.T @ gradient)
+        value, gradient = _block_loss(inst, inst.U.apply(x))
+        return OracleResponse(value=value, gradient=inst.U.apply_t(gradient))
     value, gradient = _block_loss(inst, x)
     return OracleResponse(value=value, gradient=gradient)
 

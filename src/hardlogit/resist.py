@@ -3,14 +3,19 @@
 Any deterministic method that starts at zero can be trapped without the
 gradient-span assumption.  The first query is the zero start; before
 answering query number j after it (j >= 1, repeats of an earlier point
-included), the adversary applies an orthogonal update U <- R @ U where R
-is a reflection that
+included), the adversary applies an orthogonal update U <- H @ U where H
+is a Householder reflection that
 
-- acts only on the leading k-2j coordinates (so everything previously
+- acts only on the leading m = k-2j coordinates (so everything previously
   revealed, which lives in the span of the trailing 2j coordinates after
   rotation, is untouched and all past answers stay valid), and
-- sends the query's leading block to a single coordinate direction, so the
-  rotated query lands in the span of the trailing 2j+1 coordinates.
+- sends the query's leading block z to +||z|| e_m, with Parlett's
+  sign-stable vector (Golub & Van Loan, Matrix Computations, 5.1.6), so
+  the rotated query lands in the span of the trailing 2j+1 coordinates.
+
+U is a ``datasets.Rotation``: the reflectors taken so far in compact WY
+form, never a dense k x k matrix while the run lasts.  A query costs
+O(jk) after j reflections, and only copies when none was taken.
 
 The oracle answers with the loss of the rotated dataset A @ U at the query
 point.  Because each update fixes everything the method has seen, the
@@ -22,59 +27,41 @@ the method against the fixed final instance reproduces the same iterates
 
 import numpy as np
 
-from .datasets import (
-    ORTHOGONALITY_TOL,
-    RotatedInstance,
-    Variant,
-    WorstCaseInstance,
-    build_instance,
-)
+from .datasets import RotatedInstance, Rotation, Variant, WorstCaseInstance, build_instance
 from .logloss import FirstOrderOracle, OracleResponse, lipschitz, loss
 from .optimizers import Trace, drive
 
 TIE_BREAK = 1e-12
-
-
-def _reflect_leading_block(U: np.ndarray, y: np.ndarray, m: int) -> None:
-    """Replace U by R @ U in place, where R maps y[:m] to ||y[:m]|| * e_m
-    inside the leading m coordinates and is the identity elsewhere."""
-    z = y[:m]
-    z_norm = np.linalg.norm(z)
-    if z_norm <= TIE_BREAK * (1.0 + np.linalg.norm(y)):
-        return  # already inside the target subspace
-    sign = 1.0 if z[m - 1] >= 0.0 else -1.0
-    tau = -sign * z_norm  # choose the far root so v has no cancellation
-    v = z.copy()
-    v[m - 1] -= tau
-    lead = U[:m, :]
-    lead -= np.outer(v, (2.0 / (v @ v)) * (v @ lead))
-    if tau < 0.0:
-        U[m - 1, :] *= -1.0  # flip so the image lands on +||z|| * e_m
+ORTHOGONALITY_TOL = 1e-10
 
 
 class ResistingOracle:
     """Adaptive first-order oracle: rotate for each new query, then answer.
 
-    ``U`` is the current rotation and ``points`` the queries placed so far,
-    the zero start first: the first query must be the zero vector (every
-    method here starts there), and each later query is step
+    ``U`` is the current ``Rotation`` and ``points`` the queries placed so
+    far, the zero start first: the first query must be the zero vector
+    (every method here starts there), and each later query is step
     j = len(points), a reflection of the leading k-2j coordinates, which
     requires j <= (k-3)/2.  After every step, point i lies in U.T times the
-    span of the trailing 2i+1 coordinates.  ``finalize`` places the
-    method's reported solution and freezes the rotation.  Rotation leaves
-    ||A|| unchanged, so ``lipschitz`` is that of the base instance.
+    span of the trailing 2i+1 coordinates.  ``skipped`` counts the steps
+    that took no reflection because the query already lay in its trap
+    subspace, so len(U) + skipped = len(points) - 1.  ``finalize`` places
+    the method's reported solution and freezes the rotation.  Rotation
+    leaves ||A|| unchanged, so ``lipschitz`` is that of the base instance.
     """
 
     def __init__(self, inst: WorstCaseInstance):
         self.base = inst
         self.k = inst.k
         self.lipschitz = lipschitz(inst)
-        self.U = np.eye(inst.k)
+        self.U = Rotation(inst.k)
         self.points = []
+        self.skipped = 0
         self._frozen = False
 
     def _place(self, x: np.ndarray) -> np.ndarray:
-        """Take the step for query ``x`` and return the rotated query U @ x.
+        """Take the step for query ``x`` and return the rotated query U @ x:
+        the product with the rotation before the step, then its reflection.
 
         U is orthogonal, so ||U x|| = ||x||; a rotation that breaks this
         raises instead of answering.
@@ -85,6 +72,7 @@ class ResistingOracle:
         k, j = self.k, len(self.points)
         if x.shape != (k,):
             raise ValueError(f"dimension mismatch: expected ({k},), got {x.shape}")
+        y = self.U.apply(x)
         if j == 0:
             if np.any(x != 0.0):
                 raise ValueError("first oracle query must be the zero start")
@@ -93,8 +81,7 @@ class ResistingOracle:
                 f"step budget exceeded: step {j} needs dimension >= {2 * j + 3}, have {k}"
             )
         else:
-            _reflect_leading_block(self.U, self.U @ x, k - 2 * j)
-        y = self.U @ x
+            y = self._reflect(y, k - 2 * j)
         x_norm, y_norm = np.linalg.norm(x), np.linalg.norm(y)
         if abs(y_norm - x_norm) > ORTHOGONALITY_TOL * (1.0 + x_norm):
             raise ValueError(
@@ -103,11 +90,25 @@ class ResistingOracle:
         self.points.append(x.copy())
         return y
 
+    def _reflect(self, y: np.ndarray, m: int) -> np.ndarray:
+        """H y, for the reflector H that sends the leading block z = y[:m] to
+        +||z|| e_m, appended to U; y itself when z is already there."""
+        z = y[:m]
+        z_norm = np.linalg.norm(z)
+        head = float(z[:-1] @ z[:-1])
+        if z_norm <= TIE_BREAK * (1.0 + np.linalg.norm(y)) or (head == 0.0 and z[-1] > 0.0):
+            self.skipped += 1
+            return y
+        v = z.copy()  # z - ||z|| e_m, its last entry without cancellation (Parlett)
+        v[-1] = -head / (z[-1] + z_norm) if z[-1] > 0.0 else z[-1] - z_norm
+        self.U.append(v)
+        return self.U.apply_newest(y)
+
     def __call__(self, x: np.ndarray) -> OracleResponse:
         y = self._place(x)
         # loss of the rotated dataset: value at U x, gradient pulled back by U.T
         base_resp = loss(self.base, y)
-        return OracleResponse(value=base_resp.value, gradient=self.U.T @ base_resp.gradient)
+        return OracleResponse(value=base_resp.value, gradient=self.U.apply_t(base_resp.gradient))
 
     def finalize(self, x_final: np.ndarray) -> RotatedInstance:
         self._place(x_final)
@@ -118,9 +119,11 @@ class ResistingOracle:
 def data_direction_residual(inst: RotatedInstance) -> float:
     """max |U'(A'b) - A'b| for the unrotated A and b: the label-signal
     direction must stay fixed.  A'b = (sum_i s_i l_i) e_k because W 1 = e_k,
-    so U'(A'b) is that sum times the last row of U."""
+    so U'(A'b) is that sum times U' e_k, the last row of U."""
     atb = sum(s * lab for s, lab in zip(inst.block_scales, inst.block_labels))
-    drift = atb * inst.U[-1]
+    e_k = np.zeros(inst.k)
+    e_k[-1] = 1.0
+    drift = atb * inst.U.apply_t(e_k)
     drift[-1] -= atb
     return float(np.max(np.abs(drift)))
 
@@ -131,23 +134,25 @@ def containment_residuals(oracle: ResistingOracle) -> np.ndarray:
     Entry i is the norm of the leading k-(2i+1) components of U @ point_i:
     point i must lie in the span of the trailing 2i+1 coordinates.
     """
-    out = np.zeros(len(oracle.points))
-    for i, p in enumerate(oracle.points):
+    rotated = oracle.U.apply(np.array(oracle.points))  # row i is U @ point_i
+    out = np.zeros(len(rotated))
+    for i, row in enumerate(rotated):
         lead = oracle.k - (2 * i + 1)
         if lead > 0:
-            out[i] = np.linalg.norm((oracle.U @ p)[:lead])
+            out[i] = np.linalg.norm(row[:lead])
     return out
 
 
 def adversarial_run(name: str, T: int, sigma: float,
-                    zeta: float) -> tuple[Trace, RotatedInstance]:
+                    zeta: float) -> tuple[Trace, RotatedInstance, ResistingOracle]:
     """Race method ``name`` for T iterations against the adaptive adversary.
 
     Builds the four-block instance in dimension k = 4T+2, answers every
     oracle query through the rotating oracle, and finally places the
-    reported iterate x_T.  Per-iterate trace values are computed against
-    the returned final instance (whose loss agrees with every answer the
-    method received); ``oracle_calls`` counts the adaptive answers.
+    reported iterate x_T.  Returns the trace, the final instance and the
+    frozen oracle.  Per-iterate trace values are computed against the final
+    instance (whose loss agrees with every answer the method received);
+    ``oracle_calls`` counts the adaptive answers.
     """
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
@@ -158,17 +163,17 @@ def adversarial_run(name: str, T: int, sigma: float,
     # loss(final, x) for every iterate, batched: the base loss at each row of
     # X U', whose row is then overwritten by its base gradient, and one
     # pull-back of all the gradients by U
-    grads = iterates @ final.U.T
-    values = np.empty(len(grads))
-    for t, row in enumerate(grads):
+    rows = final.U.apply(iterates)
+    values = np.empty(len(rows))
+    for t, row in enumerate(rows):
         resp = loss(inst, row)
         values[t] = resp.value
         row[:] = resp.gradient
-    grads = grads @ final.U
+    grads = final.U.apply_t(rows)
     grad_norms = np.max(np.abs(grads, out=grads), axis=1)
     trace = Trace(iterates=iterates, values=values, grad_norms=grad_norms,
                   oracle_calls=calls)
-    return trace, final
+    return trace, final, oracle
 
 
 def replay_check(name: str, final_inst: RotatedInstance, trace: Trace) -> float:

@@ -8,6 +8,8 @@ the package code under test never checks itself.
 import numpy as np
 import pytest
 
+from hardlogit import Rotation
+
 
 def dense_w(k: int) -> np.ndarray:
     """W from the literal row rule: row i (1-based, i<k) has -1 at column
@@ -76,10 +78,24 @@ def central_diff_grad(f, x: np.ndarray, step: float = 1e-6) -> np.ndarray:
     return g
 
 
-def random_orthogonal(k: int, seed: int) -> np.ndarray:
+def random_orthogonal(k: int, seed: int) -> Rotation:
+    """A generic orthogonal operator: k random Householder reflectors,
+    reflector i acting on the leading k-i coordinates."""
     rng = np.random.default_rng(seed)
-    q, r = np.linalg.qr(rng.standard_normal((k, k)))
-    return q * np.sign(np.diag(r))
+    U = Rotation(k)
+    for m in range(k, 0, -1):
+        U.append(rng.standard_normal(m))
+    return U
+
+
+def reflector_product(U: Rotation) -> np.ndarray:
+    """H_{j-1} ... H_1 H_0 as a dense matrix, one reflector at a time, with
+    H_i = I - 2 v_i v_i' / (v_i'v_i) from the rows of ``U.V`` alone (the
+    triangular factor is not read)."""
+    out = np.eye(U.k)
+    for v in U.V:
+        out -= np.outer((2.0 / (v @ v)) * v, v @ out)
+    return out
 
 
 @pytest.fixture

@@ -160,9 +160,9 @@ def adversarial_results(warmed_up):
 def test_criterion_08_general_lower_bound(adversarial_results):
     cells, elapsed = adversarial_results
     checks = []
-    for (name, T), (trace, final) in cells.items():
+    for (name, T), (trace, final, _) in cells.items():
         prof = profile(final)
-        z_star = final.U.T @ prof.x_star
+        z_star = final.U.apply_t(prof.x_star)
         checks += [(f"{name}/T={T}", c) for c in (
             *invariants.lower_bound(final, trace, prof, z_star, span=False),
             invariants.rotation_orthogonal(final),
@@ -175,7 +175,7 @@ def test_criterion_09_indistinguishability(adversarial_results):
     cells, _ = adversarial_results
     t0 = time.perf_counter()
     checks = [(f"{name}/T={T}", invariants.replay_matches(name, final, trace))
-              for (name, T), (trace, final) in cells.items()]
+              for (name, T), (trace, final, _) in cells.items()]
     elapsed = time.perf_counter() - t0
     _criterion(9, elapsed, np.inf, checks, "replays match within 1e-8 for all 9 cells")
 

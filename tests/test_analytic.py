@@ -105,7 +105,6 @@ class TestSolveC:
     k=st.integers(1, 300),
     variant=st.sampled_from(("fourblock", "twoblock")),
 )
-@pytest.mark.filterwarnings("ignore:sigma=.*bracket is undefined:UserWarning")
 def test_root_property_sweep(ratio, log_scale, k, variant):
     """The root and the optimum it gives hold to relative machine precision
     at any scale of (sigma, zeta), not only near zeta = 1."""
@@ -138,7 +137,6 @@ class TestProfile:
         assert prof.xstar_norm_sq / prof.c**2 == pytest.approx(14.0, rel=1e-13)
         assert np.allclose(prof.x_star, prof.c * np.arange(1, 4), rtol=0, atol=0)
 
-    @pytest.mark.filterwarnings("ignore:sigma=.*bracket is undefined:UserWarning")
     def test_two_block_closed_form(self):
         # h is even, so the two-block loss is half the four-block loss:
         # same x*, half the optimal value

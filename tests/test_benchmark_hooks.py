@@ -5,6 +5,7 @@ one small ``resist`` under the tracer and under the speed probe makes a
 refactor that drops or renames one of those names fail here, instead of in
 every benchmark run."""
 
+import json
 from pathlib import Path
 
 import pytest
@@ -66,3 +67,24 @@ def test_speed_probe_runs_under_its_wrappers(perfbench, tmp_path):
     assert rc == 0 and raw > 0.0 and adjusted > 0.0
     assert _bound(tracer_mod.METHODS) == originals
     assert _outputs(out) == _untraced(tmp_path)
+
+
+def test_resist_outputs_pass_the_benchmark_reference(perfbench, tmp_path):
+    # the benchmark's independent check of a resist run: the rotation CSV is
+    # orthogonal and keeps A'b, the libsvm rows are A U, and a dense replay
+    # reproduces the trace and stays above the general bound
+    import reference
+
+    T, sigma, zeta = 4, 1.3, 1.0
+    argv = ["resist", "--method", "denseprobe", "--T", str(T), "--sigma", repr(sigma),
+            "--zeta", repr(zeta), "--out", str(tmp_path), "--strict", "--no-timestamp"]
+    assert cli.main(argv) == 0
+    stem = f"resist_denseprobe_T{T}"
+    report = json.loads((tmp_path / f"report_{stem}.json").read_text())
+    trace = reference.read_trace(tmp_path / f"trace_{stem}.csv")
+    u = reference.read_matrix_csv(tmp_path / f"rotation_{stem}.csv")
+    ref = reference.Reference(4 * T + 2, sigma, zeta)
+    assert report["measured"]["reflections"] >= 1
+    assert reference.check_resist(report, trace, u, tmp_path / f"dataset_{stem}.libsvm",
+                                  "denseprobe", T, ref) == []
+    assert reference.check_a_norm(report, ref) == []

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hardlogit import build_instance, matvec_a
+from hardlogit import build_instance, invariants, matvec_a
 from hardlogit.cli import main
 from conftest import dense_ab, logistic_form, rotated_ab
 
@@ -53,6 +53,14 @@ def test_generate_libsvm_roundtrip(tmp_path):
     assert np.array_equal(rows, inst.dense())
     x = np.arange(1.0, 6.0)
     assert np.allclose(rows @ x, matvec_a(inst, x), rtol=1e-12, atol=1e-12)
+
+
+def test_generate_creates_the_output_directory(tmp_path, capsys):
+    out = tmp_path / "missing" / "nested" / "data.csv"
+    assert main(["generate", "--k", "3", "--out", str(out)]) == 0
+    assert out.is_file() and out.with_suffix(".csv.meta.json").is_file()
+    assert len(out.read_text().splitlines()) == 1 + 12
+    assert capsys.readouterr().err == ""
 
 
 def test_generate_invalid_dimension(tmp_path, monkeypatch, capsys):
@@ -146,12 +154,29 @@ def test_resist_report_and_exports(tmp_path):
         "gap_above_general_lower_bound", "dist_sq_above_one_eighth",
         "rotation_orthogonal", "data_direction_fixed", "replay_matches",
     ]
+    measured = report["measured"]
+    # every step either reflected or found its query already trapped
+    assert measured["reflections"] >= 1
+    assert measured["reflections"] + measured["skipped"] == measured["oracle_calls"] == T
+    assert 0.0 <= measured["max_containment_residual"] <= 1e-12
     dataset = (tmp_path / f"dataset_resist_denseprobe_T{T}.libsvm").read_text()
     assert len(dataset.strip().splitlines()) == 16 * T + 8
     rotation = np.loadtxt(tmp_path / f"rotation_resist_denseprobe_T{T}.csv",
                           delimiter=",")
     assert rotation.shape == (4 * T + 2, 4 * T + 2)
     assert np.max(np.abs(rotation.T @ rotation - np.eye(4 * T + 2))) <= 1e-10
+
+
+def test_resist_strict_fails_on_rotation_verdict(tmp_path, monkeypatch):
+    # the instance records max |U'U - I| without raising; the verdict alone
+    # decides, so a tolerance below the measured residual fails --strict
+    argv = ["resist", "--method", "denseprobe", "--T", "4", "--no-timestamp", "--strict"]
+    monkeypatch.setattr(invariants, "ROTATION_TOL", 0.0)
+    assert main(argv + ["--out", str(tmp_path)]) == 1
+    report = json.loads((tmp_path / "report_resist_denseprobe_T4.json").read_text())
+    assert report["measured"]["orthogonality_residual"] > 0.0
+    failed = [v["check"] for v in report["verdicts"] if not v["passed"]]
+    assert failed == ["rotation_orthogonal"]
 
 
 def test_resist_libsvm_holds_exact_rotated_rows(tmp_path):

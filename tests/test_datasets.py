@@ -6,16 +6,26 @@ import pytest
 
 from hardlogit import (
     RotatedInstance,
+    Rotation,
     Variant,
     WorstCaseInstance,
     build_instance,
     build_w,
+    constant_c_ratio,
     export,
+    invariants,
     loss,
     matvec_a,
     matvec_at,
 )
-from conftest import dense_ab, dense_w, random_orthogonal, rotated_ab, w_rows_times
+from conftest import (
+    dense_ab,
+    dense_w,
+    random_orthogonal,
+    reflector_product,
+    rotated_ab,
+    w_rows_times,
+)
 
 
 class TestWOperator:
@@ -91,8 +101,7 @@ class TestBuildInstance:
         assert np.max(np.abs(atb - expected)) <= 1e-15
 
     def test_two_block_layout(self):
-        with pytest.warns(UserWarning):  # sigma = 2*zeta: bracket undefined
-            inst = build_instance(3, 2.0, 1.0, "twoblock")
+        inst = build_instance(3, 2.0, 1.0, "twoblock")  # sigma = 2*zeta is a valid instance
         assert inst.n_rows == 6
         assert inst.labels.tolist() == [1, 1, 1, -1, -1, -1]
         atb = matvec_at(inst, inst.labels)
@@ -108,9 +117,15 @@ class TestBuildInstance:
         with pytest.raises(ValueError, match="invalid dimension"):
             build_instance(0, 1.3, 1.0)
 
-    def test_warns_when_bracket_undefined(self):
-        with pytest.warns(UserWarning, match="bracket"):
-            build_instance(3, 2.5, 1.0)
+    def test_ratio_constant_raises_when_bracket_undefined(self):
+        # sigma >= 2*zeta builds a valid instance; the ratio constant, the
+        # one quantity undefined there, raises instead
+        for sigma in (2.0, 2.5):
+            inst = build_instance(3, sigma, 1.0)
+            with pytest.raises(ValueError, match="undefined constant"):
+                constant_c_ratio(inst.sigma, inst.zeta)
+            with pytest.raises(ValueError, match="undefined constant"):
+                invariants.ratio_constant(inst)
 
     def test_variant_parsing(self):
         assert build_instance(2, 1.3, 1.0, "four_block").variant is Variant.FOUR_BLOCK
@@ -160,16 +175,25 @@ class TestMatvec:
         U = random_orthogonal(k, seed=7)
         rot = RotatedInstance(inst, U)
         A, _ = dense_ab(k, 1.3, 1.0)
-        AU = A @ U
+        AU = A @ reflector_product(U)
         x = rng.standard_normal(k)
         assert np.allclose(matvec_a(rot, x), AU @ x, rtol=1e-12, atol=1e-12)
         v = rng.standard_normal(4 * k)
         assert np.allclose(matvec_at(rot, v), AU.T @ v, rtol=1e-12, atol=1e-12)
 
     def test_rotation_must_be_orthogonal(self):
+        # a reflector row moved off by 1e-6 leaves U non-orthogonal: the
+        # instance records the measured max |U'U - I| and the verdict fails
         inst = build_instance(3, 1.3, 1.0)
-        with pytest.raises(ValueError, match="orthogonal"):
-            RotatedInstance(inst, np.full((3, 3), 0.5))
+        U = random_orthogonal(3, seed=2)
+        U.V[0, 0] += 1e-6
+        rot = RotatedInstance(inst, U)
+        dense = U.dense()
+        drift = float(np.max(np.abs(dense.T @ dense - np.eye(3))))
+        assert rot.orthogonality_residual == drift > 1e-8
+        check = invariants.rotation_orthogonal(rot)
+        assert not check.passed
+        assert check.margin == invariants.ROTATION_TOL - drift < 0.0
 
     def test_dimension_mismatch(self):
         inst = build_instance(3, 1.3, 1.0)
@@ -177,6 +201,61 @@ class TestMatvec:
             matvec_a(inst, np.ones(4))
         with pytest.raises(ValueError, match="dimension mismatch"):
             matvec_at(inst, np.ones(5))
+
+
+class TestRotation:
+    """The compact-WY operator against its reflectors multiplied out."""
+
+    @pytest.mark.parametrize("k", [1, 2, 7, 40])
+    def test_matches_the_reflector_product(self, k, rng):
+        U = random_orthogonal(k, seed=k)
+        assert len(U) == k
+        P = reflector_product(U)
+        assert np.max(np.abs(U.dense() - P)) <= 1e-14
+        x, g = rng.standard_normal(k), rng.standard_normal(k)
+        assert np.max(np.abs(U.apply(x) - P @ x)) <= 1e-14 * np.linalg.norm(x)
+        assert np.max(np.abs(U.apply_t(g) - P.T @ g)) <= 1e-14 * np.linalg.norm(g)
+        X, G = rng.standard_normal((5, k)), rng.standard_normal((5, k))
+        assert np.max(np.abs(U.apply(X) - X @ P.T)) <= 1e-14 * np.max(np.abs(X)) * np.sqrt(k)
+        assert np.max(np.abs(U.apply_t(G) - G @ P)) <= 1e-14 * np.max(np.abs(G)) * np.sqrt(k)
+        # a row of the batched form is the vector form, and U' undoes U
+        assert np.max(np.abs(U.apply(X)[2] - U.apply(X[2]))) <= 1e-15 * np.linalg.norm(X[2])
+        assert np.max(np.abs(U.apply_t(U.apply(x)) - x)) <= 1e-14 * np.linalg.norm(x)
+
+    def test_triangular_factor_is_upper_with_the_betas(self):
+        U = random_orthogonal(9, seed=3)
+        assert np.array_equal(U.triangular, np.triu(U.triangular))
+        assert np.array_equal(np.diag(U.triangular), [2.0 / (v @ v) for v in U.V])
+        # reflector i acts on the leading k - i coordinates only
+        for i, v in enumerate(U.V):
+            assert not np.any(v[9 - i:])
+
+    def test_no_reflector_is_a_bitwise_copy(self, rng):
+        U = Rotation(6)
+        x, X = rng.standard_normal(6), rng.standard_normal((3, 6))
+        for out, src in ((U.apply(x), x), (U.apply_t(x), x), (U.apply(X), X),
+                         (U.apply_t(X), X)):
+            assert out is not src and np.array_equal(out, src)
+        assert np.array_equal(U.dense(), np.eye(6))
+
+    def test_newest_reflector_alone(self, rng):
+        # after one reflector, H x by ``apply_newest`` is ``apply`` bit for bit
+        U = Rotation(8)
+        U.append(rng.standard_normal(6))
+        x = rng.standard_normal(8)
+        assert np.array_equal(U.apply_newest(x), U.apply(x))
+        U.append(rng.standard_normal(4))
+        H = np.eye(8)
+        v = U.V[1]
+        H -= np.outer((2.0 / (v @ v)) * v, v)
+        assert np.max(np.abs(U.apply_newest(x) - H @ x)) <= 1e-15 * np.linalg.norm(x)
+
+    def test_append_checks_the_reflector(self):
+        U = Rotation(4)
+        for bad in (np.ones(5), np.ones(0), np.ones((2, 2))):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                U.append(bad)
+        assert len(U) == 0
 
 
 FAMILY = ("k", "sigma", "zeta", "variant", "n_rows", "w", "block_scales", "block_labels")
@@ -197,7 +276,7 @@ class TestRotatedInstance:
     def test_identity_rotation_is_the_base(self, variant, tmp_path, rng):
         k = 9
         inst = build_instance(k, 1.3, 0.7, variant)
-        rot = RotatedInstance(inst, np.eye(k))
+        rot = RotatedInstance(inst, Rotation(k))
         for _ in range(5):
             x = rng.standard_normal(k)
             got, ref = loss(rot, x), loss(inst, x)
@@ -227,7 +306,7 @@ class TestRotatedInstance:
         U1, U2 = random_orthogonal(8, seed=1), random_orthogonal(8, seed=2)
         twice = RotatedInstance(RotatedInstance(inst, U1), U2)
         once = RotatedInstance(inst, U2)
-        assert np.array_equal(twice.U, U2)
+        assert twice.U is U2
         _same_family(twice, once)
         assert twice.orthogonality_residual == once.orthogonality_residual
         assert np.array_equal(twice.dense(), once.dense())
@@ -239,9 +318,26 @@ class TestRotatedInstance:
     def test_construction_records_the_orthogonality_check(self):
         U = random_orthogonal(6, seed=4)
         rot = RotatedInstance(build_instance(6, 1.3, 1.0), U)
-        assert rot.orthogonality_residual == float(np.max(np.abs(U.T @ U - np.eye(6))))
+        dense = U.dense()
+        assert rot.orthogonality_residual == float(np.max(np.abs(dense.T @ dense - np.eye(6))))
         with pytest.raises(ValueError, match="dimension mismatch"):
-            RotatedInstance(build_instance(6, 1.3, 1.0), np.eye(5))
+            RotatedInstance(build_instance(6, 1.3, 1.0), Rotation(5))
+
+    def test_orthogonality_is_measured_on_every_row(self, rng):
+        # U'U is measured a block of rows at a time; a defect confined to
+        # the trailing coordinates of a k = 300 rotation must still show
+        k = 300
+        U = Rotation(k)
+        v = np.zeros(k)
+        v[280:] = rng.standard_normal(20)
+        U.append(v)
+        U.triangular[0, 0] *= 1.0 + 1e-6
+        dense = U.dense()
+        drift = float(np.max(np.abs(dense.T @ dense - np.eye(k))))
+        rot = RotatedInstance(build_instance(k, 1.3, 1.0), U)
+        assert drift > 1e-8
+        assert abs(rot.orthogonality_residual - drift) <= 1e-12 * drift
+        assert not invariants.rotation_orthogonal(rot).passed
 
 
 def _svd_norm(k, sigma, zeta, variant):
@@ -370,7 +466,7 @@ class TestExport:
         inst = build_instance(5, 1.3, 1.0)
         U = random_orthogonal(5, seed=11)
         rot = RotatedInstance(inst, U)
-        AU, b = rotated_ab(U, 1.3, 1.0)
+        AU, b = rotated_ab(U.dense(), 1.3, 1.0)
         assert np.array_equal(rot.dense(), AU)
         path = tmp_path / "rot.csv"
         export(rot, "csv", path)
@@ -435,7 +531,7 @@ class TestExport:
             assert np.array_equal(got[1], cols)
             assert np.array_equal(got[2], W[rows, cols])
         U = random_orthogonal(9, seed=2)
-        WU = w_rows_times(U)
+        WU = w_rows_times(U.dense())
         rows, cols = np.nonzero(WU)
         got = RotatedInstance(build_instance(9, 1.3, 1.0), U).w_nonzeros()
         assert np.array_equal(got[0], rows) and np.array_equal(got[1], cols)

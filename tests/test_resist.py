@@ -8,6 +8,7 @@ from hardlogit import (
     build_instance,
     containment_residuals,
     data_direction_residual,
+    drive,
     invariants,
     loss,
     matvec_at,
@@ -15,7 +16,7 @@ from hardlogit import (
     replay_check,
     save_matrix_csv,
 )
-from conftest import random_orthogonal
+from conftest import random_orthogonal, reflector_product
 
 ADVERSARY_METHODS = ["gd", "agd", "denseprobe"]
 
@@ -35,38 +36,48 @@ class TestFixAndMap:
         x = np.zeros(9)
         x[-3:] = [0.4, -1.0, 2.0]  # already inside the step-1 trap subspace
         oracle = _oracle_after(inst, x)
-        assert np.array_equal(oracle.U, np.eye(9))
+        assert len(oracle.U) == 0 and oracle.skipped == 1
+        assert np.array_equal(oracle.U.dense(), np.eye(9))
         assert len(oracle.points) == 2
 
     def test_places_new_point(self, rng):
         inst = build_instance(11, 1.3, 1.0)
         oracle = _oracle_after(inst, rng.standard_normal(11))
-        y = oracle.U @ oracle.points[-1]
+        assert len(oracle.U) == 1 and oracle.skipped == 0
+        y = oracle.U.apply(oracle.points[-1])
         assert np.linalg.norm(y[: 11 - 3]) <= 1e-10
-        assert np.max(np.abs(oracle.U.T @ oracle.U - np.eye(11))) <= 1e-10
+        U = oracle.U.dense()
+        assert np.max(np.abs(U.T @ U - np.eye(11))) <= 1e-10
 
     def test_fixes_already_trapped_vectors(self, rng):
         inst = build_instance(10, 1.3, 1.0)
         oracle = _oracle_after(inst, rng.standard_normal(10))
-        prev_u = oracle.U.copy()
+        prev_u = oracle.U.dense()
         oracle(rng.standard_normal(10))
         # vectors already inside the fixed subspace must be untouched:
         # U_s (U_{s-1}' v) = v whenever v has support on the trailing 2s coords
         for _ in range(20):
             v = np.zeros(10)
             v[-4:] = rng.standard_normal(4)
-            image = oracle.U @ (prev_u.T @ v)
+            image = oracle.U.apply(prev_u.T @ v)
             assert np.max(np.abs(image - v)) <= 1e-12 * max(1.0, np.max(np.abs(v)))
 
     def test_k7_first_step_structure(self):
         inst = build_instance(7, 1.3, 1.0)
-        U = _oracle_after(inst, np.arange(1.0, 8.0)).U
+        rotation = _oracle_after(inst, np.arange(1.0, 8.0)).U
+        U = rotation.dense()
         assert np.array_equal(U[5:, :], np.eye(7)[5:, :])
         assert np.array_equal(U[:, 5:], np.eye(7)[:, 5:])
         e7 = np.eye(7)[:, 6]
         assert np.array_equal(U @ e7, e7)
         assert np.array_equal(U.T @ e7, e7)
-        assert np.linalg.norm((U @ np.arange(1.0, 8.0))[:4]) <= 1e-10
+        assert np.array_equal(rotation.apply(e7), e7)
+        assert np.array_equal(rotation.apply_t(e7), e7)
+        # the leading block (1, ..., 5) lands on +||(1, ..., 5)|| e_5, no sign flip
+        y = rotation.apply(np.arange(1.0, 8.0))
+        assert np.linalg.norm(y[:4]) <= 1e-10
+        assert abs(y[4] - np.sqrt(55.0)) <= 1e-14 * np.sqrt(55.0)
+        assert np.array_equal(y[5:], [6.0, 7.0])
 
     def test_step_budget(self):
         inst = build_instance(7, 1.3, 1.0)
@@ -92,7 +103,8 @@ class TestFixAndMap:
         for _ in range(5):
             oracle(rng.standard_normal(13))
             assert data_direction_residual(RotatedInstance(inst, oracle.U)) <= 1e-10
-            assert np.max(np.abs(oracle.U.T @ oracle.U - np.eye(13))) <= 1e-10
+            U = oracle.U.dense()
+            assert np.max(np.abs(U.T @ U - np.eye(13))) <= 1e-10
 
     def test_optimal_value_invariant_after_every_step(self, rng):
         # rotating the dataset never changes the optimal value: the rotated
@@ -103,14 +115,18 @@ class TestFixAndMap:
         for _ in range(5):
             oracle(rng.standard_normal(13))
             rotated = RotatedInstance(inst, oracle.U)
-            resp = loss(rotated, oracle.U.T @ prof.x_star)
+            resp = loss(rotated, oracle.U.apply_t(prof.x_star))
             assert abs(resp.value - prof.f_star) <= 1e-10 * (1 + abs(prof.f_star))
 
     def test_corrupted_rotation_raises(self, rng):
-        # the per-query norm probe catches a U that is no longer orthogonal
+        # a reflector whose beta is off by 1e-6 is no longer orthogonal: the
+        # per-query norm probe raises, and the verdict on it fails
         inst = build_instance(10, 1.3, 1.0)
         oracle = _oracle_after(inst, rng.standard_normal(10))
-        oracle.U[0, 0] += 1e-6
+        assert len(oracle.U) == 1
+        oracle.U.triangular[0, 0] *= 1.0 + 1e-6
+        check = invariants.rotation_orthogonal(RotatedInstance(inst, oracle.U))
+        assert not check.passed and check.margin < 0.0
         with pytest.raises(ValueError, match="not orthogonal"):
             oracle(rng.standard_normal(10))
 
@@ -129,11 +145,12 @@ class TestResistingOracle:
         assert r0.value == loss(inst, np.zeros(10)).value
         x1 = rng.standard_normal(10)
         r1 = oracle(x1)
-        # the answer is the loss of the currently rotated dataset at x1
-        U = oracle.U
-        base = loss(inst, U @ x1)
+        assert len(oracle.U) == 1
+        # the answer is the loss of the currently rotated dataset at x1,
+        # bit for bit as the rotation itself applies U and U'
+        base = loss(inst, oracle.U.apply(x1))
         assert r1.value == base.value
-        assert np.array_equal(r1.gradient, U.T @ base.gradient)
+        assert np.array_equal(r1.gradient, oracle.U.apply_t(base.gradient))
 
     def test_frozen_after_finalize(self, rng):
         inst = build_instance(10, 1.3, 1.0)
@@ -150,32 +167,33 @@ class TestAdversarialRun:
     @pytest.mark.parametrize("name", ADVERSARY_METHODS)
     def test_bounds_and_rotation_invariants(self, name):
         T = 4
-        trace, final = adversarial_run(name, T, 1.3, 1.0)
+        trace, final, oracle = adversarial_run(name, T, 1.3, 1.0)
         assert final.k == 4 * T + 2
+        assert final.U is oracle.U
         base = build_instance(final.k, 1.3, 1.0)
         prof = profile(final)
-        z_star = final.U.T @ prof.x_star
+        z_star = final.U.apply_t(prof.x_star)
         for check in invariants.lower_bound(final, trace, prof, z_star, span=False):
             assert check.passed, check
 
-        eye = np.eye(base.k)
-        ortho = np.max(np.abs(final.U.T @ final.U - eye))
+        U = final.U.dense()
+        ortho = np.max(np.abs(U.T @ U - np.eye(base.k)))
         assert ortho <= 1e-10
         atb = matvec_at(base, base.labels)
-        fixed = np.max(np.abs(final.U.T @ atb - atb))
-        assert fixed <= 1e-10
-        assert np.array_equal(matvec_at(final, final.labels), final.U.T @ atb)
-        # the instance keeps the max |U'U - I| of its construction check
+        # no reflector touches the last coordinate, so A'b stays exactly put
+        assert np.array_equal(U.T @ atb, atb)
+        assert np.array_equal(matvec_at(final, final.labels), final.U.apply_t(atb))
+        # the instance keeps the max |U'U - I| measured on the materialized U
         assert final.orthogonality_residual == ortho
-        assert data_direction_residual(final) == fixed
+        assert data_direction_residual(final) == 0.0
 
     def test_rotated_optimum_value_is_invariant(self):
-        trace, final = adversarial_run("denseprobe", 3, 1.3, 1.0)
+        trace, final, _ = adversarial_run("denseprobe", 3, 1.3, 1.0)
         prof = profile(final)
         unrotated = profile(build_instance(final.k, 1.3, 1.0))
         assert np.array_equal(prof.x_star, unrotated.x_star)
         assert prof.f_star == unrotated.f_star
-        z_star = final.U.T @ prof.x_star
+        z_star = final.U.apply_t(prof.x_star)
         resp = loss(final, z_star)
         assert abs(resp.value - prof.f_star) <= 1e-10 * (1 + abs(prof.f_star))
         assert np.max(np.abs(resp.gradient)) <= 1e-8
@@ -184,16 +202,17 @@ class TestAdversarialRun:
         # for an iterate-querying method the placed points are the iterates;
         # point i must sit in U' times the span of the trailing 2i+1 coords
         T = 4
-        trace, final = adversarial_run("denseprobe", T, 1.3, 1.0)
+        trace, final, _ = adversarial_run("denseprobe", T, 1.3, 1.0)
         oracle = _oracle_after(build_instance(final.k, 1.3, 1.0), *trace.iterates[1:-1])
         replayed = oracle.finalize(trace.iterates[-1])
-        assert np.array_equal(oracle.U, final.U)
-        assert np.array_equal(replayed.U, final.U)
+        assert np.array_equal(oracle.U.V, final.U.V)
+        assert np.array_equal(oracle.U.triangular, final.U.triangular)
+        assert np.array_equal(replayed.U.dense(), final.U.dense())
         assert len(oracle.points) == T + 1
         assert np.max(containment_residuals(oracle)) <= 1e-8
 
     def test_trace_values_recomputable_against_final(self):
-        trace, final = adversarial_run("gd", 3, 1.3, 1.0)
+        trace, final, _ = adversarial_run("gd", 3, 1.3, 1.0)
         for i in range(len(trace)):
             assert trace.values[i] == loss(final, trace.iterates[i]).value
 
@@ -201,7 +220,7 @@ class TestAdversarialRun:
     def test_batched_trace_matches_per_iterate_loss(self, name):
         # the trace is computed in one batch: base loss at the rows of X U',
         # one product of the stacked gradients with U
-        trace, final = adversarial_run(name, 40, 1.3, 1.0)
+        trace, final, _ = adversarial_run(name, 40, 1.3, 1.0)
         assert len(trace) == 41
         for t, x in enumerate(trace.iterates):
             resp = loss(final, x)
@@ -212,36 +231,100 @@ class TestAdversarialRun:
     def test_no_drift_at_benchmark_size(self):
         # 1e-12 is where a re-orthogonalization would have to start; the
         # reflections alone stay below it at T = 130 (k = 522)
-        _, final = adversarial_run("denseprobe", 130, 1.3, 1.0)
-        assert np.max(np.abs(final.U.T @ final.U - np.eye(final.k))) <= 1e-12
+        _, final, _ = adversarial_run("denseprobe", 130, 1.3, 1.0)
+        U = final.U.dense()
+        assert np.max(np.abs(U.T @ U - np.eye(final.k))) <= 1e-12
 
     def test_t_zero_rejected(self):
         with pytest.raises(ValueError, match="T must be"):
             adversarial_run("gd", 0, 1.3, 1.0)
 
 
+class _Recording:
+    """An oracle wrapper that keeps every (query, answer) pair."""
+
+    def __init__(self, oracle):
+        self.oracle, self.k, self.lipschitz = oracle, oracle.k, oracle.lipschitz
+        self.log = []
+
+    def __call__(self, x):
+        resp = self.oracle(x)
+        self.log.append((x.copy(), resp))
+        return resp
+
+
+class TestReflectorNative:
+    """The rotation stays a short list of reflectors, never a k x k matrix."""
+
+    def test_agd_takes_no_reflection_and_answers_the_base_loss(self):
+        T = 30
+        _, _, oracle = adversarial_run("agd", T, 1.3, 1.0)
+        assert len(oracle.U) == 0 and oracle.skipped == T
+        inst = build_instance(4 * T + 2, 1.3, 1.0)
+        recording = _Recording(ResistingOracle(inst))
+        drive("agd", recording, T)
+        assert len(recording.oracle.U) == 0
+        for x, resp in recording.log:
+            base = loss(inst, x)
+            assert resp.value == base.value
+            assert np.array_equal(resp.gradient, base.gradient)
+
+    def test_denseprobe_holds_no_k_squared_array(self):
+        trace, final, oracle = adversarial_run("denseprobe", 40, 1.3, 1.0)
+        k = final.k
+        assert len(oracle.U) >= 1
+        assert len(oracle.U) + oracle.skipped == len(oracle.points) - 1 == trace.oracle_calls
+        for owner in (oracle, final, oracle.U, final.U):
+            for name, value in vars(owner).items():
+                arrays = value if isinstance(value, list) else [value]
+                for a in arrays:
+                    if isinstance(a, np.ndarray):
+                        assert a.size < k * k, name
+
+    def test_a_reflection_at_every_step(self, rng):
+        # queries in general position take a reflection at every step, up to
+        # the budget; the operator matches the reflectors multiplied out one
+        # by one, stays orthogonal and keeps every point in its trap subspace
+        k = 41
+        steps = (k - 3) // 2
+        inst = build_instance(k, 1.3, 1.0)
+        oracle = _oracle_after(inst, *rng.standard_normal((steps, k)))
+        assert len(oracle.U) == steps and oracle.skipped == 0
+        U = oracle.U.dense()
+        assert np.max(np.abs(U - reflector_product(oracle.U))) <= 1e-14
+        assert np.max(np.abs(U.T @ U - np.eye(k))) <= 1e-14
+        assert np.max(containment_residuals(oracle)) <= 1e-13
+        for j, p in enumerate(oracle.points[1:], start=1):
+            # step j sent the leading k-2j block to +its norm times e_{k-2j}
+            y = oracle.U.apply(p)
+            assert y[k - 2 * j - 1] > 0.0
+        with pytest.raises(ValueError, match="step budget exceeded"):
+            oracle(rng.standard_normal(k))
+
+
 class TestReplay:
     @pytest.mark.parametrize("name", ADVERSARY_METHODS)
     def test_replay_matches(self, name):
-        trace, final = adversarial_run(name, 5, 1.3, 1.0)
+        trace, final, _ = adversarial_run(name, 5, 1.3, 1.0)
         assert invariants.replay_matches(name, final, trace).passed
 
     def test_length_mismatch(self):
-        trace, final = adversarial_run("gd", 3, 1.3, 1.0)
-        _, other = adversarial_run("gd", 4, 1.3, 1.0)
+        trace, final, _ = adversarial_run("gd", 3, 1.3, 1.0)
+        _, other, _ = adversarial_run("gd", 4, 1.3, 1.0)
         with pytest.raises(ValueError, match="length mismatch"):
             replay_check("gd", other, trace)
 
     def test_replay_detects_wrong_rotation(self):
         # against a different rotation the method walks a different path
-        trace, final = adversarial_run("denseprobe", 3, 1.3, 1.0)
+        trace, final, _ = adversarial_run("denseprobe", 3, 1.3, 1.0)
         wrong = RotatedInstance(final, random_orthogonal(final.k, seed=5))
         assert not invariants.replay_matches("denseprobe", wrong, trace).passed
 
 
 def test_save_matrix_csv_roundtrip(tmp_path):
-    trace, final = adversarial_run("denseprobe", 2, 1.3, 1.0)
+    trace, final, _ = adversarial_run("denseprobe", 2, 1.3, 1.0)
     path = tmp_path / "rotation.csv"
-    save_matrix_csv(final.U, path)
+    U = final.U.dense()
+    save_matrix_csv(U, path)
     loaded = np.loadtxt(path, delimiter=",")
-    assert np.array_equal(loaded, final.U)
+    assert np.array_equal(loaded, U)
