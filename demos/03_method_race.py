@@ -4,7 +4,8 @@
 On the dimension-2T instance, any method whose iterates stay in the span of
 past gradients is provably stuck above a gap floor after T oracle calls, no
 matter how clever it is: its iterate x_t can touch only the trailing t
-coordinates, which ``support_frontier`` checks exactly (a frontier <= 0).
+coordinates, which the trace's ``support_frontier`` checks exactly (a
+frontier <= 0).  A run folds each iterate into the trace as it arrives.
 The accelerated method also carries its textbook upper bound, so the floor
 and ceiling squeeze it from both sides.
 """
@@ -18,7 +19,6 @@ from hardlogit import (
     build_instance,
     profile,
     run,
-    support_frontier,
 )
 
 sigma, zeta = 1.3, 1.0
@@ -31,12 +31,11 @@ for T in (5, 25, 50):
     a_norm = inst.a_norm()
     lb = bound_linear_span(T, a_norm, prof.xstar_norm_sq)
     for name in ("gd", "agd", "heavyball", "denseprobe"):
-        trace = run(name, FirstOrderOracle(inst), T)
+        trace = run(name, FirstOrderOracle(inst), T, prof.x_star)
         gap = trace.values[-1] - prof.f_star
-        d = trace.iterates[-1] - prof.x_star
-        is_span = support_frontier(trace) <= 0
+        is_span = trace.support_frontier <= 0
         print(f"{name:>10s} {T:>4d} {gap:>12.6f} {lb.gap:>12.6f} "
-              f"{gap / lb.gap:>7.2f}x {float(d @ d) / prof.xstar_norm_sq:>12.4f} "
+              f"{gap / lb.gap:>7.2f}x {trace.dist_sq[-1] / prof.xstar_norm_sq:>12.4f} "
               f"{str(is_span):>6s}")
 
 print("\nEvery method stays above the floor, and every final point keeps more"
@@ -48,7 +47,7 @@ for T in (5, 25, 50):
     prof = profile(inst)
     a_norm = inst.a_norm()
     L = 0.5 * a_norm**2
-    trace = run("agd", FirstOrderOracle(inst), T)
+    trace = run("agd", FirstOrderOracle(inst), T, prof.x_star)
     gap = trace.values[-1] - prof.f_star
     lower = bound_linear_span(T, a_norm, prof.xstar_norm_sq).gap
     upper = agd_upper_bound(T, L, prof.xstar_norm_sq)

@@ -16,6 +16,7 @@ import numpy as np
 from hardlogit import (
     adversarial_run,
     bound_general,
+    build_instance,
     data_direction_residual,
     invariants,
     loss,
@@ -27,12 +28,12 @@ T = 10
 
 print(f"adversarial budget: T = {T} oracle queries, dimension k = {4 * T + 2}\n")
 for name in ("gd", "agd", "denseprobe"):
-    trace, final, oracle = adversarial_run(name, T, sigma, zeta)
-    prof = profile(final)  # rotation keeps c, x* and f*; the optimum moves to U'x*
+    inst = build_instance(4 * T + 2, sigma, zeta)
+    prof = profile(inst)  # rotation keeps c, x* and f*; the optimum moves to U'x*
+    trace, iterates, final, oracle = adversarial_run(name, inst, T, prof.x_star)
     z_star = final.U.apply_t(prof.x_star)
 
     gap = trace.values[-1] - prof.f_star
-    d = trace.iterates[-1] - z_star
     lb = bound_general(T, final.a_norm(), prof.xstar_norm_sq)
     rotation_size = np.max(np.abs(final.U.dense() - np.eye(final.k)))
 
@@ -40,7 +41,7 @@ for name in ("gd", "agd", "denseprobe"):
     print(f"  gap {gap:.6f} > lower bound {lb.gap:.6f} "
           f"({gap / lb.gap:.2f}x margin)")
     print(f"  ||x_T - z*||^2 / ||x_0 - z*||^2 = "
-          f"{float(d @ d) / prof.xstar_norm_sq:.4f}  (> 1/8)")
+          f"{trace.dist_sq[-1] / prof.xstar_norm_sq:.4f}  (> 1/8)")
     print(f"  reflections taken: {len(final.U)} of {len(oracle.points) - 1} steps; "
           f"rotation distance from identity: {rotation_size:.3e}"
           + ("  (span methods never force a real rotation)" if rotation_size < 1e-9 else ""))
@@ -49,7 +50,7 @@ for name in ("gd", "agd", "denseprobe"):
     print(f"  optimal value unchanged by rotation: "
           f"f(z*) - f* = {loss(final, z_star).value - prof.f_star:.2e}")
     print(f"  replay against the frozen final dataset matches: "
-          f"{invariants.replay_matches(name, final, trace).passed}\n")
+          f"{invariants.replay_matches(name, final, iterates).passed}\n")
 
 print("Even the span-violating probe ends far from the optimum: no"
       "\ndeterministic first-order method escapes the 1/sqrt(eps) oracle cost.")

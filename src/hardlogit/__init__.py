@@ -45,7 +45,6 @@ from .optimizers import (
     drive,
     iterate_steps,
     run,
-    support_frontier,
     trace_to_csv,
 )
 from .resist import (

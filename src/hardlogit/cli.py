@@ -108,14 +108,11 @@ def cmd_verify(args) -> int:
     return 1 if failures else 0
 
 
-def _bound_report(args, inst, T, trace, prof, x_star, span, ts):
-    """Report of a T-iteration run of ``args.method`` on ``inst`` (optimum
-    ``x_star`` in the run's coordinates) against the span lower bound, or
-    the general one when ``span`` is false."""
+def _bound_report(args, inst, T, trace, prof, span, ts):
+    """Report of a T-iteration run of ``args.method`` on ``inst`` against the
+    span lower bound, or the general one when ``span`` is false."""
     a_norm = inst.a_norm()
     gap = float(trace.values[-1] - prof.f_star)
-    diff = trace.iterates[-1] - x_star
-    dist_sq = float(diff @ diff)
     dist0_sq = prof.xstar_norm_sq
     bound_at = analytic.bound_linear_span if span else analytic.bound_general
     bound = bound_at(T, a_norm, dist0_sq)
@@ -125,23 +122,23 @@ def _bound_report(args, inst, T, trace, prof, x_star, span, ts):
             "zeta": args.zeta, "T": T, "variant": inst.variant.value,
         },
         measured={
-            "final_gap": gap, "final_dist_sq": dist_sq, "a_norm": a_norm,
+            "final_gap": gap, "final_dist_sq": float(trace.dist_sq[-1]), "a_norm": a_norm,
             "oracle_calls": trace.oracle_calls,
         },
         theoretical={
             "gap_lower_bound": bound.gap, "dist_factor": bound.dist_factor,
             "dist0_sq": dist0_sq,
         },
-        verdicts=list(invariants.lower_bound(inst, trace, prof, x_star, span)),
+        verdicts=list(invariants.lower_bound(inst, trace, prof, span)),
         timestamp=ts,
     )
 
 
-def _emit(report, out_dir, stem, trace, f_star, x_star) -> bool:
+def _emit(report, out_dir, stem, trace, f_star) -> bool:
     """Write the report and the trace CSV, print the verdicts, and return
     whether all passed."""
     report.write(out_dir / f"report_{stem}.json")
-    optimizers.trace_to_csv(trace, out_dir / f"trace_{stem}.csv", f_star, x_star)
+    optimizers.trace_to_csv(trace, out_dir / f"trace_{stem}.csv", f_star)
     T = report.config["T"]
     for v in report.verdicts:
         status = "ok" if v.passed else "FAIL"
@@ -152,9 +149,9 @@ def _emit(report, out_dir, stem, trace, f_star, x_star) -> bool:
 def _race_cell(args, T, ts, out_dir) -> bool:
     inst = datasets.build_instance(2 * T, args.sigma, args.zeta)
     prof = analytic.profile(inst)
-    trace = optimizers.run(args.method, logloss.FirstOrderOracle(inst), T)
+    trace = optimizers.run(args.method, logloss.FirstOrderOracle(inst), T, prof.x_star)
     chain = invariants.zero_chain(trace)
-    report = _bound_report(args, inst, T, trace, prof, prof.x_star, chain.passed, ts)
+    report = _bound_report(args, inst, T, trace, prof, chain.passed, ts)
     report.measured["span_method"] = chain.passed
     report.measured["support_frontier"] = int(-chain.margin)
     if args.method == "agd":
@@ -163,7 +160,7 @@ def _race_cell(args, T, ts, out_dir) -> bool:
         report.theoretical["sandwich_ratio"] = analytic.sandwich_ratio(T)
         report.verdicts.append(invariants.agd_upper_bound(inst, trace, prof))
     stem = f"{args.method}_T{T}"
-    return _emit(report, out_dir, stem, trace, prof.f_star, prof.x_star)
+    return _emit(report, out_dir, stem, trace, prof.f_star)
 
 
 def cmd_race(args) -> int:
@@ -183,19 +180,20 @@ def cmd_resist(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     T = args.T
-    trace, final, oracle = resist.adversarial_run(args.method, T, args.sigma, args.zeta)
+    inst = datasets.build_instance(4 * T + 2, args.sigma, args.zeta)
+    prof = analytic.profile(inst)
+    trace, iterates, final, oracle = resist.adversarial_run(args.method, inst, T, prof.x_star)
     adversary = {"reflections": len(oracle.U), "skipped": oracle.skipped,
                  "max_containment_residual": float(np.max(resist.containment_residuals(oracle)))}
-    del oracle  # its T+2 placed points; the exports below need the memory more
-    prof = analytic.profile(final)
-    z_star = final.U.apply_t(prof.x_star)
-    report = _bound_report(args, final, T, trace, prof, z_star, False, ts)
+    replay = invariants.replay_matches(args.method, final, iterates)
+    del oracle, iterates  # (T+2) + (T+1) k-vectors; the exports below need the memory more
+    report = _bound_report(args, final, T, trace, prof, False, ts)
     report.measured["orthogonality_residual"] = final.orthogonality_residual
     report.measured["data_direction_residual"] = resist.data_direction_residual(final)
     report.measured.update(adversary)
     report.verdicts += [invariants.rotation_orthogonal(final),
                         invariants.data_direction_fixed(final),
-                        invariants.replay_matches(args.method, final, trace)]
+                        replay]
 
     stem = f"resist_{args.method}_T{T}"
     datasets.export(final, "libsvm", out_dir / f"dataset_{stem}.libsvm")
@@ -204,7 +202,7 @@ def cmd_resist(args) -> int:
         extra_meta=analytic.profile_metadata(prof),
     )
     resist.save_matrix_csv(final.U.dense(), out_dir / f"rotation_{stem}.csv")
-    if not _emit(report, out_dir, stem, trace, prof.f_star, z_star) and args.strict:
+    if not _emit(report, out_dir, stem, trace, prof.f_star) and args.strict:
         return 1
     return 0
 

@@ -81,7 +81,7 @@ def zero_chain(trace) -> Check:
     """Every iterate x_t is supported on the trailing t coordinates, the
     one hypothesis of the span lower bound; exact.  The margin is minus
     the support frontier."""
-    frontier = optimizers.support_frontier(trace)
+    frontier = trace.support_frontier
     return Check("iterates_in_span", frontier <= 0, float(-frontier),
                  f"support frontier {frontier}")
 
@@ -137,16 +137,15 @@ def norm_bound(insts) -> Check:
                  f"max relative error vs SVD={err:.2e}, max excess={excess:.2e}")
 
 
-def lower_bound(inst, trace, prof, x_star, span) -> tuple[Check, Check]:
+def lower_bound(inst, trace, prof, span) -> tuple[Check, Check]:
     """The final gap of a T-step run lies above the span lower bound
-    (``span``) or the general one, and its squared distance to ``x_star``
-    (x* in the run's coordinates) above 1/8 of the start's."""
+    (``span``) or the general one, and its squared distance to the optimum
+    above 1/8 of the start's."""
     dist0_sq = prof.xstar_norm_sq
     bound_at = analytic.bound_linear_span if span else analytic.bound_general
     bound = bound_at(len(trace) - 1, inst.a_norm(), dist0_sq)
     gap = float(trace.values[-1] - prof.f_star)
-    diff = trace.iterates[-1] - x_star
-    dist_sq = float(diff @ diff)
+    dist_sq = float(trace.dist_sq[-1])
     floor = bound.dist_factor * dist0_sq
     return (
         Check(f"gap_above_{'span' if span else 'general'}_lower_bound", gap > bound.gap,
@@ -189,7 +188,7 @@ def data_direction_fixed(inst) -> Check:
                     DIRECTION_TOL)
 
 
-def replay_matches(name, inst, trace) -> Check:
+def replay_matches(name, inst, iterates) -> Check:
     """Re-running method ``name`` against the frozen rotated instance
-    reproduces the adaptive run's iterates."""
-    return _at_most("replay_matches", resist.replay_check(name, inst, trace), REPLAY_TOL)
+    reproduces the adaptive run's ``iterates``."""
+    return _at_most("replay_matches", resist.replay_check(name, inst, iterates), REPLAY_TOL)

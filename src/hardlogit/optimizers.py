@@ -3,7 +3,8 @@
 A method is its name.  Every method starts at x_0 = 0, takes the step 1/L
 for the smoothness constant L the oracle exposes, and is fully
 deterministic; the methods here make one oracle call per iteration, and
-``drive`` counts every call whatever their number.  ``dense_probe``
+``drive`` counts every call whatever their number as it streams the
+iterates, which ``run`` folds into scalars in O(k) memory.  ``dense_probe``
 deliberately leaves the span of past gradients (it adds a scaled all-ones
 direction) while still converging, so the support test and the adaptive
 adversary have a method to catch.
@@ -23,30 +24,26 @@ PROBE_SCALE = 1e-3  # denseprobe: the weight of its all-ones direction
 
 @dataclass(frozen=True)
 class Trace:
-    """One run's iterates and per-iterate metrics.
+    """One run's per-iterate metrics, folded from the iterates as they arrive.
 
-    iterates[0] is always the zero start; values[i] and grad_norms[i]
-    (sup-norm) are the loss data at iterates[i], recomputable exactly.
+    Entry t of ``values``, ``grad_norms`` (sup-norm) and ``dist_sq`` is the
+    loss, its gradient and the squared distance to the optimum at x_t
+    (x_0 = 0); ``final`` is x_T.  ``support_frontier`` is max over t of
+    supp(x_t) - t, supp(x) being k minus the index of the first nonzero of
+    x (0 for x = 0): a frontier <= 0 certifies exactly that every x_t lies
+    on the trailing t coordinates, the one property of a gradient-span
+    method the span lower bound uses (the zero-chain argument).
     """
 
-    iterates: np.ndarray  # (T+1, k)
     values: np.ndarray  # (T+1,)
     grad_norms: np.ndarray  # (T+1,)
+    dist_sq: np.ndarray  # (T+1,)
+    final: np.ndarray  # (k,)
+    support_frontier: int
     oracle_calls: int
 
     def __len__(self) -> int:
-        return self.iterates.shape[0]
-
-    @classmethod
-    def from_responses(cls, iterates, responses, oracle_calls) -> "Trace":
-        """The trace whose values and grad_norms are read from one oracle
-        response per iterate."""
-        return cls(
-            iterates=iterates,
-            values=np.array([r.value for r in responses]),
-            grad_norms=np.array([np.max(np.abs(r.gradient)) for r in responses]),
-            oracle_calls=oracle_calls,
-        )
+        return len(self.values)
 
 
 def iterate_steps(name: str, ask, k: int, step: float):
@@ -96,76 +93,74 @@ def drive(name: str, oracle, T: int):
     """Step method ``name`` T times from x_0 = 0 against ``oracle``.
 
     The oracle exposes the dimension as ``oracle.k`` and the smoothness
-    constant of its loss as ``oracle.lipschitz``; the step is 1/L.  Returns
-    ``(iterates, answers, calls)``: the (T+1, k) iterates, for each
-    iterate t the first answer received at a query point equal to x_t
-    (None when the method never queried there), and the number of oracle
-    calls the method made.
+    constant of its loss as ``oracle.lipschitz``; the step is 1/L.  Yields
+    ``(x_t, answer_t, calls)`` for t = 0 .. T, each once the method has
+    computed x_{t+1}: answer_t is the first answer it received at a query
+    point equal to x_t (None when it never queried there, as at x_T), and
+    ``calls`` the oracle calls it has made so far, all of them at t = T.
+    Only the newest iterates and that answer are held.
     """
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
-    k = oracle.k
-    iterates = np.zeros((T + 1, k))
-    answers = [None] * (T + 1)
+    x = np.zeros(oracle.k)
+    answer = None
     calls = 0
-    t = 0  # index of the newest iterate while the method computes the next
 
-    def ask(x):
-        nonlocal calls
-        resp = oracle(x)
+    def ask(query):
+        nonlocal answer, calls
+        resp = oracle(query)
         calls += 1
-        if answers[t] is None and np.array_equal(x, iterates[t]):
-            answers[t] = resp
+        if answer is None and np.array_equal(query, x):
+            answer = resp
         return resp
 
-    stepper = iterate_steps(name, ask, k, 1.0 / oracle.lipschitz)
-    for t in range(T):
-        iterates[t + 1] = next(stepper)
-    return iterates, answers, calls
+    stepper = iterate_steps(name, ask, oracle.k, 1.0 / oracle.lipschitz)
+    for _ in range(T):
+        x_next = next(stepper)
+        yield x, answer, calls
+        x, answer = x_next, None
+    yield x, None, calls
 
 
-def run(name: str, oracle, T: int) -> Trace:
-    """Execute exactly T iterations from x_0 = 0 and assemble the trace.
+def _support_frontier(frontier: int, x: np.ndarray, t: int) -> int:
+    """max(frontier, supp(x) - t), reading only the leading coordinates
+    where a nonzero would raise it."""
+    lead = x[: max(len(x) - t - frontier, 0)]
+    if lead.any():
+        return len(x) - int(np.argmax(lead != 0.0)) - t
+    return frontier
 
-    Trace values come from the answers the method received at its
-    iterates; each iterate it never queried (x_T, and agd's x_2 .. x_T)
-    costs one extra oracle call.  ``oracle_calls`` counts everything.
+
+def run(name: str, oracle, T: int, x_star: np.ndarray) -> Trace:
+    """Execute exactly T iterations from x_0 = 0, folding each iterate into
+    the trace as it arrives (distances to ``x_star``, the optimum in the
+    oracle's coordinates); no iterate is kept.
+
+    Values and gradient norms come from the answer the method received at
+    the iterate; each iterate it never queried (x_T, and agd's x_2 .. x_T)
+    costs one extra oracle call, made on arrival.  ``oracle_calls`` counts
+    everything.
     """
-    iterates, answers, calls = drive(name, oracle, T)
-    responses = [a if a is not None else oracle(x) for a, x in zip(answers, iterates)]
-    extra = sum(a is None for a in answers)
-    return Trace.from_responses(iterates, responses, calls + extra)
+    values, grad_norms, dist_sq = np.empty((3, T + 1))
+    frontier = extra = 0
+    for t, (x, answer, calls) in enumerate(drive(name, oracle, T)):
+        if answer is None:
+            answer = oracle(x)
+            extra += 1
+        values[t] = answer.value
+        grad_norms[t] = np.max(np.abs(answer.gradient))
+        d = x - x_star
+        dist_sq[t] = d @ d
+        frontier = _support_frontier(frontier, x, t)
+    return Trace(values, grad_norms, dist_sq, x, frontier, calls + extra)
 
 
-def support_frontier(trace: Trace) -> int:
-    """max over t of supp(x_t) - t, where supp(x) is k minus the index of
-    the first nonzero entry of x (0 for the zero vector).
-
-    A value <= 0 certifies that every iterate x_t is supported on the
-    trailing t coordinates, the one property of a gradient-span method
-    that the span lower bound uses (the zero-chain argument).  The test is
-    exact: one O(Tk) pass over the iterates, no tolerance.
-    """
-    x = trace.iterates
-    if len(x) == 0:
-        raise ValueError("empty trace")
-    nonzero = x != 0.0
-    supp = np.where(nonzero.any(axis=1), x.shape[1] - nonzero.argmax(axis=1), 0)
-    return int(np.max(supp - np.arange(len(x))))
-
-
-def trace_to_csv(trace: Trace, path, f_star: float, x_star: np.ndarray) -> None:
+def trace_to_csv(trace: Trace, path, f_star: float) -> None:
     """Per-iteration metrics: t, value, gap, dist_sq, grad_norm."""
-    x_star = np.asarray(x_star, dtype=float)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "value", "gap", "dist_sq", "grad_norm"])
-        for t in range(len(trace)):
-            d = trace.iterates[t] - x_star
-            writer.writerow([
-                t,
-                f"{trace.values[t]:.17g}",
-                f"{trace.values[t] - f_star:.17g}",
-                f"{float(d @ d):.17g}",
-                f"{trace.grad_norms[t]:.17g}",
-            ])
+        for t, (value, dist_sq, grad_norm) in enumerate(
+                zip(trace.values, trace.dist_sq, trace.grad_norms)):
+            writer.writerow([t, f"{value:.17g}", f"{value - f_star:.17g}",
+                             f"{dist_sq:.17g}", f"{grad_norm:.17g}"])

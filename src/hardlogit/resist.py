@@ -23,13 +23,16 @@ adversary could have committed to the final U from the start: re-running
 the method against the fixed final instance reproduces the same iterates
 (``replay_check``).  The last basis direction carries the label signal
 (A'b) and is never touched, so the rotated dataset stays in the family.
+
+Unlike ``optimizers.run``, an adversarial run keeps its (T+1) x k iterates:
+the replay and the trace, batched against the final instance, need them.
 """
 
 import numpy as np
 
-from .datasets import RotatedInstance, Rotation, Variant, WorstCaseInstance, build_instance
+from .datasets import RotatedInstance, Rotation, WorstCaseInstance
 from .logloss import FirstOrderOracle, OracleResponse, lipschitz, loss
-from .optimizers import Trace, drive
+from .optimizers import Trace, _support_frontier, drive
 
 TIE_BREAK = 1e-12
 ORTHOGONALITY_TOL = 1e-10
@@ -143,53 +146,57 @@ def containment_residuals(oracle: ResistingOracle) -> np.ndarray:
     return out
 
 
-def adversarial_run(name: str, T: int, sigma: float,
-                    zeta: float) -> tuple[Trace, RotatedInstance, ResistingOracle]:
-    """Race method ``name`` for T iterations against the adaptive adversary.
+def adversarial_run(name: str, inst: WorstCaseInstance, T: int, x_star: np.ndarray
+                    ) -> tuple[Trace, np.ndarray, RotatedInstance, ResistingOracle]:
+    """Race method ``name`` for T iterations against the adversary rotating
+    ``inst``, whose optimum is ``x_star``.
 
-    Builds the four-block instance in dimension k = 4T+2, answers every
-    oracle query through the rotating oracle, and finally places the
-    reported iterate x_T.  Returns the trace, the final instance and the
-    frozen oracle.  Per-iterate trace values are computed against the final
-    instance (whose loss agrees with every answer the method received);
+    Answers every oracle query through the rotating oracle and finally
+    places the reported iterate x_T.  Returns the trace, the (T+1, k)
+    iterates, the final instance and the frozen oracle.  Per-iterate trace
+    values are computed against the final instance (whose loss agrees with
+    every answer the method received) and distances to its optimum U'x*;
     ``oracle_calls`` counts the adaptive answers.
     """
-    if T < 1:
-        raise ValueError(f"T must be >= 1, got {T}")
-    inst = build_instance(4 * T + 2, sigma, zeta, Variant.FOUR_BLOCK)
     oracle = ResistingOracle(inst)
-    iterates, _, calls = drive(name, oracle, T)
+    iterates = np.empty((T + 1, inst.k))
+    for t, (x, _, calls) in enumerate(drive(name, oracle, T)):
+        iterates[t] = x
     final = oracle.finalize(iterates[-1])
+    z_star = final.U.apply_t(x_star)
     # loss(final, x) for every iterate, batched: the base loss at each row of
     # X U', whose row is then overwritten by its base gradient, and one
     # pull-back of all the gradients by U
     rows = final.U.apply(iterates)
-    values = np.empty(len(rows))
-    for t, row in enumerate(rows):
+    values, dist_sq = np.empty((2, T + 1))
+    frontier = 0
+    for t, (x, row) in enumerate(zip(iterates, rows)):
         resp = loss(inst, row)
         values[t] = resp.value
         row[:] = resp.gradient
+        d = x - z_star
+        dist_sq[t] = d @ d
+        frontier = _support_frontier(frontier, x, t)
     grads = final.U.apply_t(rows)
     grad_norms = np.max(np.abs(grads, out=grads), axis=1)
-    trace = Trace(iterates=iterates, values=values, grad_norms=grad_norms,
-                  oracle_calls=calls)
-    return trace, final, oracle
+    trace = Trace(values, grad_norms, dist_sq, iterates[-1], frontier, calls)
+    return trace, iterates, final, oracle
 
 
-def replay_check(name: str, final_inst: RotatedInstance, trace: Trace) -> float:
+def replay_check(name: str, final_inst: RotatedInstance, iterates: np.ndarray) -> float:
     """Re-run method ``name`` against the frozen final instance and compare.
 
     Returns the largest sup-norm distance between a replayed iterate and
-    the adaptive run's; 0 (or rounding) means the adversary could have
-    committed to its final rotation from the start.
+    the adaptive run's ``iterates``; 0 (or rounding) means the adversary
+    could have committed to its final rotation from the start.
     """
-    if trace.iterates.shape[1] != final_inst.k:
+    if iterates.shape[1] != final_inst.k:
         raise ValueError(
-            f"length mismatch: trace dimension {trace.iterates.shape[1]} "
+            f"length mismatch: iterate dimension {iterates.shape[1]} "
             f"vs instance dimension {final_inst.k}"
         )
-    iterates, _, _ = drive(name, FirstOrderOracle(final_inst), len(trace) - 1)
-    return float(np.max(np.abs(iterates - trace.iterates)))
+    replay = drive(name, FirstOrderOracle(final_inst), len(iterates) - 1)
+    return float(np.max(np.abs(np.array([x for x, _, _ in replay]) - iterates)))
 
 
 def save_matrix_csv(matrix: np.ndarray, path) -> None:

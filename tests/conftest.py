@@ -2,13 +2,14 @@
 
 Everything here recomputes expected values from first principles (literal
 index rules, naive formulas, finite differences, dense linear algebra) so
-the package code under test never checks itself.
+the package code under test never checks itself, plus ``adversarial``,
+the shorthand for an adversarial run that several test modules share.
 """
 
 import numpy as np
 import pytest
 
-from hardlogit import Rotation
+from hardlogit import Rotation, adversarial_run, build_instance, profile
 
 
 def dense_w(k: int) -> np.ndarray:
@@ -96,6 +97,13 @@ def reflector_product(U: Rotation) -> np.ndarray:
     for v in U.V:
         out -= np.outer((2.0 / (v @ v)) * v, v @ out)
     return out
+
+
+def adversarial(name: str, T: int, sigma: float = 1.3, zeta: float = 1.0):
+    """``adversarial_run`` of method ``name`` for T iterations on the
+    dimension-(4T+2) instance: (trace, iterates, final instance, oracle)."""
+    inst = build_instance(4 * T + 2, sigma, zeta)
+    return adversarial_run(name, inst, T, profile(inst).x_star)
 
 
 @pytest.fixture

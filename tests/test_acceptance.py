@@ -11,9 +11,9 @@ import time
 import numpy as np
 import pytest
 
+from conftest import adversarial
 from hardlogit import (
     FirstOrderOracle,
-    adversarial_run,
     build_instance,
     constant_c_ratio,
     invariants,
@@ -44,8 +44,7 @@ def _criterion(num, elapsed, budget, cells, detail=None):
 def warmed_up():
     # first-touch numpy/import costs must not pollute the timed criteria
     inst = build_instance(4, SIGMA, ZETA)
-    profile(inst)
-    run("gd", FirstOrderOracle(inst), 2)
+    run("gd", FirstOrderOracle(inst), 2, profile(inst).x_star)
     constant_c_ratio(SIGMA, ZETA)
     return True
 
@@ -95,8 +94,9 @@ def test_criterion_04_subspace_trapping(warmed_up):
               for t in range(1, inst.k) for _ in range(100))  # 100 per trap subspace
     cells = [("k<=30", invariants.gradient_trap(points))]
     inst = build_instance(30, SIGMA, ZETA)
+    x_star = profile(inst).x_star
     for name in ("gd", "agd", "heavyball"):
-        trace = run(name, FirstOrderOracle(inst), 29)
+        trace = run(name, FirstOrderOracle(inst), 29, x_star)
         cells.append((name, invariants.zero_chain(trace)))
     elapsed = time.perf_counter() - t0
     _criterion(4, elapsed, 5.0, cells)
@@ -124,8 +124,8 @@ def test_criterion_06_linear_span_lower_bound(warmed_up):
         inst = build_instance(2 * T, SIGMA, ZETA)
         prof = profile(inst)
         for name in ("gd", "agd", "heavyball"):
-            trace = run(name, FirstOrderOracle(inst), T)
-            checks = invariants.lower_bound(inst, trace, prof, prof.x_star, span=True)
+            trace = run(name, FirstOrderOracle(inst), T, prof.x_star)
+            checks = invariants.lower_bound(inst, trace, prof, span=True)
             cells += [(f"{name}/T={T}", c) for c in checks]
     elapsed = time.perf_counter() - t0
     _criterion(6, elapsed, 10.0, cells,
@@ -138,7 +138,7 @@ def test_criterion_07_tightness_sandwich(warmed_up):
     for T in (5, 25, 50):
         inst = build_instance(2 * T, SIGMA, ZETA)
         prof = profile(inst)
-        trace = run("agd", FirstOrderOracle(inst), T)
+        trace = run("agd", FirstOrderOracle(inst), T, prof.x_star)
         cells += [(f"T={T}", invariants.agd_upper_bound(inst, trace, prof)),
                   (f"T={T}", invariants.sandwich(inst, trace, prof))]
     elapsed = time.perf_counter() - t0
@@ -153,18 +153,17 @@ def adversarial_results(warmed_up):
     cells = {}
     for T in (5, 10, 25):
         for name in ("gd", "agd", "denseprobe"):
-            cells[(name, T)] = adversarial_run(name, T, SIGMA, ZETA)
+            cells[(name, T)] = adversarial(name, T, SIGMA, ZETA)
     return cells, time.perf_counter() - t0
 
 
 def test_criterion_08_general_lower_bound(adversarial_results):
     cells, elapsed = adversarial_results
     checks = []
-    for (name, T), (trace, final, _) in cells.items():
+    for (name, T), (trace, _, final, _) in cells.items():
         prof = profile(final)
-        z_star = final.U.apply_t(prof.x_star)
         checks += [(f"{name}/T={T}", c) for c in (
-            *invariants.lower_bound(final, trace, prof, z_star, span=False),
+            *invariants.lower_bound(final, trace, prof, span=False),
             invariants.rotation_orthogonal(final),
             invariants.data_direction_fixed(final),
         )]
@@ -174,8 +173,8 @@ def test_criterion_08_general_lower_bound(adversarial_results):
 def test_criterion_09_indistinguishability(adversarial_results):
     cells, _ = adversarial_results
     t0 = time.perf_counter()
-    checks = [(f"{name}/T={T}", invariants.replay_matches(name, final, trace))
-              for (name, T), (trace, final, _) in cells.items()]
+    checks = [(f"{name}/T={T}", invariants.replay_matches(name, final, iterates))
+              for (name, T), (_, iterates, final, _) in cells.items()]
     elapsed = time.perf_counter() - t0
     _criterion(9, elapsed, np.inf, checks, "replays match within 1e-8 for all 9 cells")
 
@@ -185,9 +184,10 @@ def test_criterion_10_span_violation_detection(warmed_up):
     verdicts = {}
     for k in (3, 10, 30):
         inst = build_instance(k, SIGMA, ZETA)
+        x_star = profile(inst).x_star
         T = k - 1
         for name in ("gd", "agd", "heavyball", "denseprobe"):
-            trace = run(name, FirstOrderOracle(inst), T)
+            trace = run(name, FirstOrderOracle(inst), T, x_star)
             verdicts[(name, k)] = invariants.zero_chain(trace).passed
     elapsed = time.perf_counter() - t0
     expected = {name: name != "denseprobe" for name in

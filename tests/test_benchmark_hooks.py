@@ -1,9 +1,10 @@
 """The benchmark in ``perfbench/`` wraps package functions and methods by
 name from outside ``src/`` (``tracer.METHODS`` binds class attributes such
-as ``datasets.RotatedInstance.__init__`` through ``cls.__dict__``).  Running
-one small ``resist`` under the tracer and under the speed probe makes a
-refactor that drops or renames one of those names fail here, instead of in
-every benchmark run."""
+as ``datasets.RotatedInstance.__init__`` through ``cls.__dict__``, and its
+per-layer metrics read functions such as ``optimizers.run`` by name).
+Running one small ``resist`` and one small ``race`` under the tracer and
+under the speed probe makes a refactor that drops or renames one of those
+names fail here, instead of silently reading 0 in every benchmark run."""
 
 import json
 from pathlib import Path
@@ -16,6 +17,7 @@ from hardlogit import cli
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 RESIST = ["resist", "--method", "denseprobe", "--T", "2", "--no-timestamp"]
+RACE = ["race", "--method", "agd", "--T", "3,5", "--no-timestamp"]
 
 
 def _bound(methods):
@@ -36,9 +38,9 @@ def _outputs(out_dir):
     return {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
 
 
-def _untraced(tmp_path):
+def _untraced(tmp_path, argv=RESIST):
     out = tmp_path / "plain"
-    assert cli.main(RESIST + ["--out", str(out)]) == 0
+    assert cli.main(argv + ["--out", str(out)]) == 0
     return _outputs(out)
 
 
@@ -56,6 +58,24 @@ def test_tracer_wraps_every_hook(perfbench, tmp_path):
     for hook in tracer_mod.METHODS:  # every hooked method runs in a resist
         assert tracer.stats[".".join(hook)].calls > 0
     assert _outputs(out) == _untraced(tmp_path)
+
+
+def test_tracer_times_the_race_layers(perfbench, tmp_path):
+    tracer_mod, _ = perfbench
+    tracer = tracer_mod.Tracer(hardlogit)
+    out = tmp_path / "traced"
+    tracer.install()
+    try:
+        assert cli.main(RACE + ["--out", str(out)]) == 0
+    finally:
+        tracer.uninstall()
+    layers = tracer.layer_metrics()
+    # one run and one trace CSV per T, each timed under the name the metric reads
+    assert tracer.stats["optimizers.run"].calls == 2
+    assert tracer.stats["optimizers.trace_to_csv"].calls == 2
+    assert layers["optimizers.run.s"] > 0.0 and layers["optimizers.trace_to_csv.s"] > 0.0
+    assert layers["logloss.loss.calls"] > 0
+    assert _outputs(out) == _untraced(tmp_path, RACE)
 
 
 def test_speed_probe_runs_under_its_wrappers(perfbench, tmp_path):

@@ -211,3 +211,9 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["race", "--method", "simplex"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("T", ["0", "-1"])
+def test_resist_rejects_a_nonpositive_T(tmp_path, capsys, T):
+    assert main(["resist", "--T", T, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")

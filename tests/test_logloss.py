@@ -304,7 +304,7 @@ class TestLipschitz:
 
     def test_gd_step_descends(self):
         inst = build_instance(10, 1.3, 1.0)
-        trace = run("gd", FirstOrderOracle(inst), 200)
+        trace = run("gd", FirstOrderOracle(inst), 200, profile(inst).x_star)
         assert np.all(np.diff(trace.values) <= 1e-12)
 
 

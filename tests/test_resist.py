@@ -16,7 +16,7 @@ from hardlogit import (
     replay_check,
     save_matrix_csv,
 )
-from conftest import random_orthogonal, reflector_product
+from conftest import adversarial, random_orthogonal, reflector_product
 
 ADVERSARY_METHODS = ["gd", "agd", "denseprobe"]
 
@@ -167,13 +167,16 @@ class TestAdversarialRun:
     @pytest.mark.parametrize("name", ADVERSARY_METHODS)
     def test_bounds_and_rotation_invariants(self, name):
         T = 4
-        trace, final, oracle = adversarial_run(name, T, 1.3, 1.0)
+        trace, iterates, final, oracle = adversarial(name, T)
         assert final.k == 4 * T + 2
         assert final.U is oracle.U
         base = build_instance(final.k, 1.3, 1.0)
         prof = profile(final)
         z_star = final.U.apply_t(prof.x_star)
-        for check in invariants.lower_bound(final, trace, prof, z_star, span=False):
+        # the distance is to the optimum in the rotated coordinates, U'x*
+        d = iterates[-1] - z_star
+        assert trace.dist_sq[-1] == d @ d
+        for check in invariants.lower_bound(final, trace, prof, span=False):
             assert check.passed, check
 
         U = final.U.dense()
@@ -188,7 +191,7 @@ class TestAdversarialRun:
         assert data_direction_residual(final) == 0.0
 
     def test_rotated_optimum_value_is_invariant(self):
-        trace, final, _ = adversarial_run("denseprobe", 3, 1.3, 1.0)
+        _, _, final, _ = adversarial("denseprobe", 3)
         prof = profile(final)
         unrotated = profile(build_instance(final.k, 1.3, 1.0))
         assert np.array_equal(prof.x_star, unrotated.x_star)
@@ -202,9 +205,10 @@ class TestAdversarialRun:
         # for an iterate-querying method the placed points are the iterates;
         # point i must sit in U' times the span of the trailing 2i+1 coords
         T = 4
-        trace, final, _ = adversarial_run("denseprobe", T, 1.3, 1.0)
-        oracle = _oracle_after(build_instance(final.k, 1.3, 1.0), *trace.iterates[1:-1])
-        replayed = oracle.finalize(trace.iterates[-1])
+        trace, iterates, final, _ = adversarial("denseprobe", T)
+        assert np.array_equal(trace.final, iterates[-1])
+        oracle = _oracle_after(build_instance(final.k, 1.3, 1.0), *iterates[1:-1])
+        replayed = oracle.finalize(iterates[-1])
         assert np.array_equal(oracle.U.V, final.U.V)
         assert np.array_equal(oracle.U.triangular, final.U.triangular)
         assert np.array_equal(replayed.U.dense(), final.U.dense())
@@ -212,32 +216,40 @@ class TestAdversarialRun:
         assert np.max(containment_residuals(oracle)) <= 1e-8
 
     def test_trace_values_recomputable_against_final(self):
-        trace, final, _ = adversarial_run("gd", 3, 1.3, 1.0)
+        trace, iterates, final, _ = adversarial("gd", 3)
+        assert len(trace) == len(iterates) == 4
         for i in range(len(trace)):
-            assert trace.values[i] == loss(final, trace.iterates[i]).value
+            assert trace.values[i] == loss(final, iterates[i]).value
 
     @pytest.mark.parametrize("name", ADVERSARY_METHODS)
     def test_batched_trace_matches_per_iterate_loss(self, name):
         # the trace is computed in one batch: base loss at the rows of X U',
         # one product of the stacked gradients with U
-        trace, final, _ = adversarial_run(name, 40, 1.3, 1.0)
-        assert len(trace) == 41
-        for t, x in enumerate(trace.iterates):
+        trace, iterates, final, _ = adversarial(name, 40)
+        assert len(trace) == len(iterates) == 41
+        z_star = final.U.apply_t(profile(final).x_star)
+        for t, x in enumerate(iterates):
             resp = loss(final, x)
             assert abs(trace.values[t] - resp.value) <= 1e-13 * abs(resp.value)
             norm = np.max(np.abs(resp.gradient))
             assert abs(trace.grad_norms[t] - norm) <= 1e-13 * norm
+            d = x - z_star
+            assert trace.dist_sq[t] == d @ d
+        nonzero = iterates != 0.0
+        supp = np.where(nonzero.any(axis=1), final.k - nonzero.argmax(axis=1), 0)
+        assert trace.support_frontier == int(np.max(supp - np.arange(41)))
 
     def test_no_drift_at_benchmark_size(self):
         # 1e-12 is where a re-orthogonalization would have to start; the
         # reflections alone stay below it at T = 130 (k = 522)
-        _, final, _ = adversarial_run("denseprobe", 130, 1.3, 1.0)
+        _, _, final, _ = adversarial("denseprobe", 130)
         U = final.U.dense()
         assert np.max(np.abs(U.T @ U - np.eye(final.k))) <= 1e-12
 
     def test_t_zero_rejected(self):
+        inst = build_instance(2, 1.3, 1.0)
         with pytest.raises(ValueError, match="T must be"):
-            adversarial_run("gd", 0, 1.3, 1.0)
+            adversarial_run("gd", inst, 0, profile(inst).x_star)
 
 
 class _Recording:
@@ -258,11 +270,12 @@ class TestReflectorNative:
 
     def test_agd_takes_no_reflection_and_answers_the_base_loss(self):
         T = 30
-        _, _, oracle = adversarial_run("agd", T, 1.3, 1.0)
+        _, _, _, oracle = adversarial("agd", T)
         assert len(oracle.U) == 0 and oracle.skipped == T
         inst = build_instance(4 * T + 2, 1.3, 1.0)
         recording = _Recording(ResistingOracle(inst))
-        drive("agd", recording, T)
+        for _ in drive("agd", recording, T):
+            pass
         assert len(recording.oracle.U) == 0
         for x, resp in recording.log:
             base = loss(inst, x)
@@ -270,7 +283,7 @@ class TestReflectorNative:
             assert np.array_equal(resp.gradient, base.gradient)
 
     def test_denseprobe_holds_no_k_squared_array(self):
-        trace, final, oracle = adversarial_run("denseprobe", 40, 1.3, 1.0)
+        trace, _, final, oracle = adversarial("denseprobe", 40)
         k = final.k
         assert len(oracle.U) >= 1
         assert len(oracle.U) + oracle.skipped == len(oracle.points) - 1 == trace.oracle_calls
@@ -305,24 +318,31 @@ class TestReflectorNative:
 class TestReplay:
     @pytest.mark.parametrize("name", ADVERSARY_METHODS)
     def test_replay_matches(self, name):
-        trace, final, _ = adversarial_run(name, 5, 1.3, 1.0)
-        assert invariants.replay_matches(name, final, trace).passed
+        _, iterates, final, _ = adversarial(name, 5)
+        assert invariants.replay_matches(name, final, iterates).passed
 
     def test_length_mismatch(self):
-        trace, final, _ = adversarial_run("gd", 3, 1.3, 1.0)
-        _, other, _ = adversarial_run("gd", 4, 1.3, 1.0)
+        _, iterates, _, _ = adversarial("gd", 3)
+        _, _, other, _ = adversarial("gd", 4)
         with pytest.raises(ValueError, match="length mismatch"):
-            replay_check("gd", other, trace)
+            replay_check("gd", other, iterates)
 
     def test_replay_detects_wrong_rotation(self):
         # against a different rotation the method walks a different path
-        trace, final, _ = adversarial_run("denseprobe", 3, 1.3, 1.0)
+        _, iterates, final, _ = adversarial("denseprobe", 3)
         wrong = RotatedInstance(final, random_orthogonal(final.k, seed=5))
-        assert not invariants.replay_matches("denseprobe", wrong, trace).passed
+        assert not invariants.replay_matches("denseprobe", wrong, iterates).passed
+
+    def test_nan_deviation_fails(self):
+        # a NaN iterate must not read as a zero deviation
+        _, iterates, final, _ = adversarial("gd", 3)
+        iterates[2, 0] = np.nan
+        assert np.isnan(replay_check("gd", final, iterates))
+        assert not invariants.replay_matches("gd", final, iterates).passed
 
 
 def test_save_matrix_csv_roundtrip(tmp_path):
-    trace, final, _ = adversarial_run("denseprobe", 2, 1.3, 1.0)
+    _, _, final, _ = adversarial("denseprobe", 2)
     path = tmp_path / "rotation.csv"
     U = final.U.dense()
     save_matrix_csv(U, path)
