@@ -8,7 +8,7 @@ the new query into a low-dimensional trap.  The rotation is kept as the
 Householder reflectors it took (``final.U`` is a ``Rotation``; ``dense()``
 multiplies them out).  The final rotation is a single fixed dataset the
 method cannot distinguish from what it experienced, so replaying against
-it reproduces the run.
+it reproduces the run; that replay is where the run's trace comes from.
 """
 
 import numpy as np
@@ -30,7 +30,7 @@ print(f"adversarial budget: T = {T} oracle queries, dimension k = {4 * T + 2}\n"
 for name in ("gd", "agd", "denseprobe"):
     inst = build_instance(4 * T + 2, sigma, zeta)
     prof = profile(inst)  # rotation keeps c, x* and f*; the optimum moves to U'x*
-    trace, iterates, final, oracle = adversarial_run(name, inst, T, prof.x_star)
+    trace, deviation, final, oracle = adversarial_run(name, inst, T, prof.x_star)
     z_star = final.U.apply_t(prof.x_star)
 
     gap = trace.values[-1] - prof.f_star
@@ -50,7 +50,7 @@ for name in ("gd", "agd", "denseprobe"):
     print(f"  optimal value unchanged by rotation: "
           f"f(z*) - f* = {loss(final, z_star).value - prof.f_star:.2e}")
     print(f"  replay against the frozen final dataset matches: "
-          f"{invariants.replay_matches(name, final, iterates).passed}\n")
+          f"{invariants.replay_matches(deviation).passed}\n")
 
 print("Even the span-violating probe ends far from the optimum: no"
       "\ndeterministic first-order method escapes the 1/sqrt(eps) oracle cost.")

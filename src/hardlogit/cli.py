@@ -41,6 +41,12 @@ class ExperimentReport:
     verdicts: list = field(default_factory=list)
     timestamp: str | None = None
 
+    def add(self, findings) -> None:
+        """Take ``invariants.Findings``: its figures and its checks."""
+        self.measured.update(findings.measured)
+        self.theoretical.update(findings.theoretical)
+        self.verdicts += findings.checks
+
     def write(self, path) -> None:
         out = {"config": self.config, "measured": self.measured,
                "theoretical": self.theoretical, "verdicts": [
@@ -111,27 +117,17 @@ def cmd_verify(args) -> int:
 def _bound_report(args, inst, T, trace, prof, span, ts):
     """Report of a T-iteration run of ``args.method`` on ``inst`` against the
     span lower bound, or the general one when ``span`` is false."""
-    a_norm = inst.a_norm()
-    gap = float(trace.values[-1] - prof.f_star)
-    dist0_sq = prof.xstar_norm_sq
-    bound_at = analytic.bound_linear_span if span else analytic.bound_general
-    bound = bound_at(T, a_norm, dist0_sq)
-    return ExperimentReport(
+    report = ExperimentReport(
         config={
             "method": args.method, "k": inst.k, "sigma": args.sigma,
             "zeta": args.zeta, "T": T, "variant": inst.variant.value,
         },
-        measured={
-            "final_gap": gap, "final_dist_sq": float(trace.dist_sq[-1]), "a_norm": a_norm,
-            "oracle_calls": trace.oracle_calls,
-        },
-        theoretical={
-            "gap_lower_bound": bound.gap, "dist_factor": bound.dist_factor,
-            "dist0_sq": dist0_sq,
-        },
-        verdicts=list(invariants.lower_bound(inst, trace, prof, span)),
+        measured={"oracle_calls": trace.oracle_calls},
+        theoretical={},
         timestamp=ts,
     )
+    report.add(invariants.lower_bound(inst, trace, prof, span))
+    return report
 
 
 def _emit(report, out_dir, stem, trace, f_star) -> bool:
@@ -153,12 +149,10 @@ def _race_cell(args, T, ts, out_dir) -> bool:
     chain = invariants.zero_chain(trace)
     report = _bound_report(args, inst, T, trace, prof, chain.passed, ts)
     report.measured["span_method"] = chain.passed
-    report.measured["support_frontier"] = int(-chain.margin)
+    report.measured["support_frontier"] = trace.support_frontier
     if args.method == "agd":
-        upper = analytic.agd_upper_bound(T, logloss.lipschitz(inst), prof.xstar_norm_sq)
-        report.theoretical["agd_upper_bound"] = upper
+        report.add(invariants.agd_upper_bound(inst, trace, prof))
         report.theoretical["sandwich_ratio"] = analytic.sandwich_ratio(T)
-        report.verdicts.append(invariants.agd_upper_bound(inst, trace, prof))
     stem = f"{args.method}_T{T}"
     return _emit(report, out_dir, stem, trace, prof.f_star)
 
@@ -182,18 +176,15 @@ def cmd_resist(args) -> int:
     T = args.T
     inst = datasets.build_instance(4 * T + 2, args.sigma, args.zeta)
     prof = analytic.profile(inst)
-    trace, iterates, final, oracle = resist.adversarial_run(args.method, inst, T, prof.x_star)
+    trace, deviation, final, oracle = resist.adversarial_run(args.method, inst, T, prof.x_star)
     adversary = {"reflections": len(oracle.U), "skipped": oracle.skipped,
                  "max_containment_residual": float(np.max(resist.containment_residuals(oracle)))}
-    replay = invariants.replay_matches(args.method, final, iterates)
-    del oracle, iterates  # (T+2) + (T+1) k-vectors; the exports below need the memory more
+    del oracle  # T+2 placed k-vectors; the exports below need the memory more
     report = _bound_report(args, final, T, trace, prof, False, ts)
-    report.measured["orthogonality_residual"] = final.orthogonality_residual
-    report.measured["data_direction_residual"] = resist.data_direction_residual(final)
-    report.measured.update(adversary)
-    report.verdicts += [invariants.rotation_orthogonal(final),
-                        invariants.data_direction_fixed(final),
-                        replay]
+    report.measured.update(adversary, orthogonality_residual=final.orthogonality_residual)
+    report.verdicts.append(invariants.rotation_orthogonal(final))
+    report.add(invariants.data_direction_fixed(final))
+    report.verdicts.append(invariants.replay_matches(deviation))
 
     stem = f"resist_{args.method}_T{T}"
     datasets.export(final, "libsvm", out_dir / f"dataset_{stem}.libsvm")

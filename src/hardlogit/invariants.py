@@ -2,9 +2,10 @@
 
 A check runs on instances, profiles, points or traces and returns a
 ``Check``: ``margin`` is how far the measured quantity lies inside its
-limit (negative on failure), ``detail`` the text ``verify`` prints.
-``verify``, the verdicts of ``race`` and ``resist`` and the acceptance
-suite all come from here.  Calls into the package go through module
+limit (negative on failure), ``detail`` the text ``verify`` prints; one
+whose figures a report prints returns them with it, as ``Findings``.
+``verify``, the verdicts and figures of ``race`` and ``resist`` and the
+acceptance suite all come from here.  Calls into the package go through module
 attributes (``logloss.loss``), so a wrapper installed on one sees them.
 """
 
@@ -35,6 +36,15 @@ class Check(NamedTuple):
     passed: bool
     margin: float
     detail: str
+
+
+class Findings(NamedTuple):
+    """Checks with the figures they compared, under the names a report
+    prints them: ``measured`` from the run, ``theoretical`` the targets."""
+
+    checks: tuple
+    measured: dict
+    theoretical: dict
 
 
 def _at_most(name: str, worst: float, tol: float) -> Check:
@@ -137,31 +147,35 @@ def norm_bound(insts) -> Check:
                  f"max relative error vs SVD={err:.2e}, max excess={excess:.2e}")
 
 
-def lower_bound(inst, trace, prof, span) -> tuple[Check, Check]:
+def lower_bound(inst, trace, prof, span) -> Findings:
     """The final gap of a T-step run lies above the span lower bound
     (``span``) or the general one, and its squared distance to the optimum
     above 1/8 of the start's."""
     dist0_sq = prof.xstar_norm_sq
+    a_norm = inst.a_norm()
     bound_at = analytic.bound_linear_span if span else analytic.bound_general
-    bound = bound_at(len(trace) - 1, inst.a_norm(), dist0_sq)
+    bound = bound_at(len(trace) - 1, a_norm, dist0_sq)
     gap = float(trace.values[-1] - prof.f_star)
     dist_sq = float(trace.dist_sq[-1])
     floor = bound.dist_factor * dist0_sq
-    return (
-        Check(f"gap_above_{'span' if span else 'general'}_lower_bound", gap > bound.gap,
-              gap - bound.gap, f"gap={gap:.3e}, bound={bound.gap:.3e}"),
-        Check("dist_sq_above_one_eighth", dist_sq > floor, dist_sq - floor,
-              f"dist_sq={dist_sq:.3e}, floor={floor:.3e}"),
+    return Findings(
+        (Check(f"gap_above_{'span' if span else 'general'}_lower_bound", gap > bound.gap,
+               gap - bound.gap, f"gap={gap:.3e}, bound={bound.gap:.3e}"),
+         Check("dist_sq_above_one_eighth", dist_sq > floor, dist_sq - floor,
+               f"dist_sq={dist_sq:.3e}, floor={floor:.3e}")),
+        {"final_gap": gap, "final_dist_sq": dist_sq, "a_norm": a_norm},
+        {"gap_lower_bound": bound.gap, "dist_factor": bound.dist_factor, "dist0_sq": dist0_sq},
     )
 
 
-def agd_upper_bound(inst, trace, prof) -> Check:
+def agd_upper_bound(inst, trace, prof) -> Findings:
     """The final gap of an accelerated T-step run is below 2L||x*||^2/(T+1)^2."""
     upper = analytic.agd_upper_bound(len(trace) - 1, logloss.lipschitz(inst),
                                      prof.xstar_norm_sq)
     gap = float(trace.values[-1] - prof.f_star)
-    return Check("gap_below_agd_upper_bound", gap <= upper, upper - gap,
-                 f"gap={gap:.3e}, bound={upper:.3e}")
+    return Findings((Check("gap_below_agd_upper_bound", gap <= upper, upper - gap,
+                           f"gap={gap:.3e}, bound={upper:.3e}"),),
+                    {}, {"agd_upper_bound": upper})
 
 
 def sandwich(inst, trace, prof) -> Check:
@@ -182,13 +196,14 @@ def rotation_orthogonal(inst) -> Check:
     return _at_most("rotation_orthogonal", inst.orthogonality_residual, ROTATION_TOL)
 
 
-def data_direction_fixed(inst) -> Check:
+def data_direction_fixed(inst) -> Findings:
     """The rotated instance keeps the label direction: U'(A'b) = A'b."""
-    return _at_most("data_direction_fixed", resist.data_direction_residual(inst),
-                    DIRECTION_TOL)
+    residual = resist.data_direction_residual(inst)
+    return Findings((_at_most("data_direction_fixed", residual, DIRECTION_TOL),),
+                    {"data_direction_residual": residual}, {})
 
 
-def replay_matches(name, inst, iterates) -> Check:
-    """Re-running method ``name`` against the frozen rotated instance
-    reproduces the adaptive run's ``iterates``."""
-    return _at_most("replay_matches", resist.replay_check(name, inst, iterates), REPLAY_TOL)
+def replay_matches(deviation) -> Check:
+    """An adaptive run's replay on its frozen instance reproduces its
+    iterates: ``deviation`` is ``resist.replay_check``'s; NaN fails."""
+    return _at_most("replay_matches", deviation, REPLAY_TOL)

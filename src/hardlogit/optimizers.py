@@ -4,10 +4,11 @@ A method is its name.  Every method starts at x_0 = 0, takes the step 1/L
 for the smoothness constant L the oracle exposes, and is fully
 deterministic; the methods here make one oracle call per iteration, and
 ``drive`` counts every call whatever their number as it streams the
-iterates, which ``run`` folds into scalars in O(k) memory.  ``dense_probe``
-deliberately leaves the span of past gradients (it adds a scaled all-ones
-direction) while still converging, so the support test and the adaptive
-adversary have a method to catch.
+iterates, which ``run`` folds into scalars in O(k) memory, its count the
+trace's ``oracle_calls``.  ``dense_probe`` deliberately leaves the span of
+past gradients (it adds a scaled all-ones direction) while still
+converging, so the support test and the adaptive adversary have a method
+to catch.
 """
 
 import csv
@@ -40,7 +41,7 @@ class Trace:
     dist_sq: np.ndarray  # (T+1,)
     final: np.ndarray  # (k,)
     support_frontier: int
-    oracle_calls: int
+    oracle_calls: int  # the calls the method made, drive's count
 
     def __len__(self) -> int:
         return len(self.values)
@@ -122,37 +123,33 @@ def drive(name: str, oracle, T: int):
     yield x, None, calls
 
 
-def _support_frontier(frontier: int, x: np.ndarray, t: int) -> int:
-    """max(frontier, supp(x) - t), reading only the leading coordinates
-    where a nonzero would raise it."""
-    lead = x[: max(len(x) - t - frontier, 0)]
-    if lead.any():
-        return len(x) - int(np.argmax(lead != 0.0)) - t
-    return frontier
+def _fold(stream, oracle, x_star: np.ndarray) -> Trace:
+    """Fold ``drive``'s ``(x, answer, calls)`` stream into a trace as each
+    iterate arrives (distances to ``x_star``, the optimum in the oracle's
+    coordinates); no iterate is kept.
+
+    Values and gradient norms come from the answer the method received at
+    the iterate; an iterate it never queried (x_T, and agd's x_2 .. x_T) is
+    evaluated by ``oracle`` on arrival, a call ``oracle_calls`` leaves out.
+    """
+    values, grad_norms, dist_sq = [], [], []
+    frontier = 0
+    for t, (x, answer, calls) in enumerate(stream):
+        if answer is None:
+            answer = oracle(x)
+        values.append(answer.value)
+        grad_norms.append(np.max(np.abs(answer.gradient)))
+        d = x - x_star
+        dist_sq.append(d @ d)
+        lead = x[: max(len(x) - t - frontier, 0)]  # where a nonzero raises the frontier
+        if lead.any():
+            frontier = len(x) - int(np.argmax(lead != 0.0)) - t
+    return Trace(np.array(values), np.array(grad_norms), np.array(dist_sq), x, frontier, calls)
 
 
 def run(name: str, oracle, T: int, x_star: np.ndarray) -> Trace:
-    """Execute exactly T iterations from x_0 = 0, folding each iterate into
-    the trace as it arrives (distances to ``x_star``, the optimum in the
-    oracle's coordinates); no iterate is kept.
-
-    Values and gradient norms come from the answer the method received at
-    the iterate; each iterate it never queried (x_T, and agd's x_2 .. x_T)
-    costs one extra oracle call, made on arrival.  ``oracle_calls`` counts
-    everything.
-    """
-    values, grad_norms, dist_sq = np.empty((3, T + 1))
-    frontier = extra = 0
-    for t, (x, answer, calls) in enumerate(drive(name, oracle, T)):
-        if answer is None:
-            answer = oracle(x)
-            extra += 1
-        values[t] = answer.value
-        grad_norms[t] = np.max(np.abs(answer.gradient))
-        d = x - x_star
-        dist_sq[t] = d @ d
-        frontier = _support_frontier(frontier, x, t)
-    return Trace(values, grad_norms, dist_sq, x, frontier, calls + extra)
+    """T iterations of method ``name`` against ``oracle``, folded; distances to ``x_star``."""
+    return _fold(drive(name, oracle, T), oracle, x_star)
 
 
 def trace_to_csv(trace: Trace, path, f_star: float) -> None:

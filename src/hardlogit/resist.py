@@ -21,18 +21,17 @@ The oracle answers with the loss of the rotated dataset A @ U at the query
 point.  Because each update fixes everything the method has seen, the
 adversary could have committed to the final U from the start: re-running
 the method against the fixed final instance reproduces the same iterates
-(``replay_check``).  The last basis direction carries the label signal
-(A'b) and is never touched, so the rotated dataset stays in the family.
-
-Unlike ``optimizers.run``, an adversarial run keeps its (T+1) x k iterates:
-the replay and the trace, batched against the final instance, need them.
+(``replay_check``), and that replay, folded as ``optimizers.run`` folds a
+run, is the adversarial run's trace.  The last basis direction carries the
+label signal (A'b) and is never touched, so the rotated dataset stays in
+the family.
 """
 
 import numpy as np
 
 from .datasets import RotatedInstance, Rotation, WorstCaseInstance
 from .logloss import FirstOrderOracle, OracleResponse, lipschitz, loss
-from .optimizers import Trace, _support_frontier, drive
+from .optimizers import Trace, _fold, drive
 
 TIE_BREAK = 1e-12
 ORTHOGONALITY_TOL = 1e-10
@@ -147,56 +146,49 @@ def containment_residuals(oracle: ResistingOracle) -> np.ndarray:
 
 
 def adversarial_run(name: str, inst: WorstCaseInstance, T: int, x_star: np.ndarray
-                    ) -> tuple[Trace, np.ndarray, RotatedInstance, ResistingOracle]:
+                    ) -> tuple[Trace, float, RotatedInstance, ResistingOracle]:
     """Race method ``name`` for T iterations against the adversary rotating
     ``inst``, whose optimum is ``x_star``.
 
-    Answers every oracle query through the rotating oracle and finally
-    places the reported iterate x_T.  Returns the trace, the (T+1, k)
-    iterates, the final instance and the frozen oracle.  Per-iterate trace
-    values are computed against the final instance (whose loss agrees with
-    every answer the method received) and distances to its optimum U'x*;
-    ``oracle_calls`` counts the adaptive answers.
+    Answers every query through the rotating oracle, places the reported
+    x_T, and keeps the (T+1, k) iterates for one replay on the frozen
+    instance.  Returns its trace (distances to U'x*) and deviation
+    (``replay_check``), the final instance and the frozen oracle.
     """
     oracle = ResistingOracle(inst)
     iterates = np.empty((T + 1, inst.k))
-    for t, (x, _, calls) in enumerate(drive(name, oracle, T)):
+    for t, (x, _, _) in enumerate(drive(name, oracle, T)):
         iterates[t] = x
     final = oracle.finalize(iterates[-1])
-    z_star = final.U.apply_t(x_star)
-    # loss(final, x) for every iterate, batched: the base loss at each row of
-    # X U', whose row is then overwritten by its base gradient, and one
-    # pull-back of all the gradients by U
-    rows = final.U.apply(iterates)
-    values, dist_sq = np.empty((2, T + 1))
-    frontier = 0
-    for t, (x, row) in enumerate(zip(iterates, rows)):
-        resp = loss(inst, row)
-        values[t] = resp.value
-        row[:] = resp.gradient
-        d = x - z_star
-        dist_sq[t] = d @ d
-        frontier = _support_frontier(frontier, x, t)
-    grads = final.U.apply_t(rows)
-    grad_norms = np.max(np.abs(grads, out=grads), axis=1)
-    trace = Trace(values, grad_norms, dist_sq, iterates[-1], frontier, calls)
-    return trace, iterates, final, oracle
+    trace, deviation = replay_check(name, final, iterates, final.U.apply_t(x_star))
+    return trace, deviation, final, oracle
 
 
-def replay_check(name: str, final_inst: RotatedInstance, iterates: np.ndarray) -> float:
-    """Re-run method ``name`` against the frozen final instance and compare.
+def replay_check(name: str, final_inst: RotatedInstance, iterates: np.ndarray,
+                 z_star: np.ndarray) -> tuple[Trace, float]:
+    """Re-run method ``name`` against the frozen final instance, comparing
+    each replayed iterate with the adaptive run's ``iterates`` as it arrives.
 
-    Returns the largest sup-norm distance between a replayed iterate and
-    the adaptive run's ``iterates``; 0 (or rounding) means the adversary
-    could have committed to its final rotation from the start.
+    Returns the replay's trace, distances to ``z_star``, and the largest
+    sup-norm deviation of a replayed iterate (NaN if any entry is): 0 (or
+    rounding) means the adversary could have committed to its final
+    rotation from the start.
     """
     if iterates.shape[1] != final_inst.k:
         raise ValueError(
             f"length mismatch: iterate dimension {iterates.shape[1]} "
             f"vs instance dimension {final_inst.k}"
         )
-    replay = drive(name, FirstOrderOracle(final_inst), len(iterates) - 1)
-    return float(np.max(np.abs(np.array([x for x, _, _ in replay]) - iterates)))
+    deviations = np.empty(len(iterates))
+
+    def compared(stream):
+        for t, step in enumerate(stream):
+            deviations[t] = np.max(np.abs(step[0] - iterates[t]))
+            yield step
+
+    oracle = FirstOrderOracle(final_inst)
+    trace = _fold(compared(drive(name, oracle, len(iterates) - 1)), oracle, z_star)
+    return trace, float(np.max(deviations))
 
 
 def save_matrix_csv(matrix: np.ndarray, path) -> None:

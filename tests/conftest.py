@@ -3,13 +3,14 @@
 Everything here recomputes expected values from first principles (literal
 index rules, naive formulas, finite differences, dense linear algebra) so
 the package code under test never checks itself, plus ``adversarial``,
-the shorthand for an adversarial run that several test modules share.
+the shorthand for an adversarial run that several test modules share, and
+``adaptive_iterates``, the iterates that run's method is answered along.
 """
 
 import numpy as np
 import pytest
 
-from hardlogit import Rotation, adversarial_run, build_instance, profile
+from hardlogit import ResistingOracle, Rotation, adversarial_run, build_instance, drive, profile
 
 
 def dense_w(k: int) -> np.ndarray:
@@ -101,9 +102,18 @@ def reflector_product(U: Rotation) -> np.ndarray:
 
 def adversarial(name: str, T: int, sigma: float = 1.3, zeta: float = 1.0):
     """``adversarial_run`` of method ``name`` for T iterations on the
-    dimension-(4T+2) instance: (trace, iterates, final instance, oracle)."""
+    dimension-(4T+2) instance: (trace, replay deviation, final instance,
+    oracle)."""
     inst = build_instance(4 * T + 2, sigma, zeta)
     return adversarial_run(name, inst, T, profile(inst).x_star)
+
+
+def adaptive_iterates(name: str, T: int, sigma: float = 1.3, zeta: float = 1.0):
+    """The (T+1, k) iterates of ``adversarial(name, T, sigma, zeta)``'s
+    adaptive run: ``drive``'s, stacked, against a fresh resisting oracle
+    (the method and the adversary are deterministic)."""
+    oracle = ResistingOracle(build_instance(4 * T + 2, sigma, zeta))
+    return np.array([x for x, _, _ in drive(name, oracle, T)])
 
 
 @pytest.fixture

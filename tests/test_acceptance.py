@@ -125,7 +125,7 @@ def test_criterion_06_linear_span_lower_bound(warmed_up):
         prof = profile(inst)
         for name in ("gd", "agd", "heavyball"):
             trace = run(name, FirstOrderOracle(inst), T, prof.x_star)
-            checks = invariants.lower_bound(inst, trace, prof, span=True)
+            checks = invariants.lower_bound(inst, trace, prof, span=True).checks
             cells += [(f"{name}/T={T}", c) for c in checks]
     elapsed = time.perf_counter() - t0
     _criterion(6, elapsed, 10.0, cells,
@@ -139,8 +139,8 @@ def test_criterion_07_tightness_sandwich(warmed_up):
         inst = build_instance(2 * T, SIGMA, ZETA)
         prof = profile(inst)
         trace = run("agd", FirstOrderOracle(inst), T, prof.x_star)
-        cells += [(f"T={T}", invariants.agd_upper_bound(inst, trace, prof)),
-                  (f"T={T}", invariants.sandwich(inst, trace, prof))]
+        (upper,) = invariants.agd_upper_bound(inst, trace, prof).checks
+        cells += [(f"T={T}", upper), (f"T={T}", invariants.sandwich(inst, trace, prof))]
     elapsed = time.perf_counter() - t0
     _criterion(7, elapsed, 10.0, cells,
                "upper bound holds; upper/lower "
@@ -163,9 +163,9 @@ def test_criterion_08_general_lower_bound(adversarial_results):
     for (name, T), (trace, _, final, _) in cells.items():
         prof = profile(final)
         checks += [(f"{name}/T={T}", c) for c in (
-            *invariants.lower_bound(final, trace, prof, span=False),
+            *invariants.lower_bound(final, trace, prof, span=False).checks,
             invariants.rotation_orthogonal(final),
-            invariants.data_direction_fixed(final),
+            *invariants.data_direction_fixed(final).checks,
         )]
     _criterion(8, elapsed, 60.0, checks, "9 adversarial cells (k up to 102): all hold")
 
@@ -173,8 +173,8 @@ def test_criterion_08_general_lower_bound(adversarial_results):
 def test_criterion_09_indistinguishability(adversarial_results):
     cells, _ = adversarial_results
     t0 = time.perf_counter()
-    checks = [(f"{name}/T={T}", invariants.replay_matches(name, final, iterates))
-              for (name, T), (_, iterates, final, _) in cells.items()]
+    checks = [(f"{name}/T={T}", invariants.replay_matches(deviation))
+              for (name, T), (_, deviation, _, _) in cells.items()]
     elapsed = time.perf_counter() - t0
     _criterion(9, elapsed, np.inf, checks, "replays match within 1e-8 for all 9 cells")
 

@@ -57,6 +57,9 @@ def test_tracer_wraps_every_hook(perfbench, tmp_path):
     assert _bound(tracer_mod.METHODS) == originals
     for hook in tracer_mod.METHODS:  # every hooked method runs in a resist
         assert tracer.stats[".".join(hook)].calls > 0
+    # the replay, which now makes the resist trace, is timed under its name
+    assert tracer.stats["resist.replay_check"].calls == 1
+    assert tracer.layer_metrics()["resist.replay_check.s"] > 0.0
     assert _outputs(out) == _untraced(tmp_path)
 
 

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hardlogit import build_instance, invariants, matvec_a
+from hardlogit import analytic, build_instance, invariants, matvec_a, resist
 from hardlogit.cli import main
 from conftest import dense_ab, logistic_form, rotated_ab
 
@@ -205,6 +205,52 @@ def test_resist_libsvm_holds_exact_rotated_rows(tmp_path):
         assert vals == row[nz].tolist()
         entries += len(pairs)
     assert entries == np.count_nonzero(AU) < AU.size
+
+
+ALL_METHODS = ["gd", "agd", "heavyball", "denseprobe"]
+
+
+@pytest.mark.parametrize("method", ALL_METHODS)
+def test_reports_count_the_method_inquiries(tmp_path, method):
+    # oracle_calls is drive's count, T for every method here, in race and
+    # resist alike; the fold's evaluations at unqueried iterates are not in it
+    Ts = [3, 7]
+    assert main(["race", "--method", method, "--T", ",".join(map(str, Ts)),
+                 "--out", str(tmp_path), "--no-timestamp"]) == 0
+    for T in Ts:
+        report = json.loads((tmp_path / f"report_{method}_T{T}.json").read_text())
+        assert report["measured"]["oracle_calls"] == T
+    T = 5
+    assert main(["resist", "--method", method, "--T", str(T), "--out", str(tmp_path),
+                 "--no-timestamp"]) == 0
+    report = json.loads((tmp_path / f"report_resist_{method}_T{T}.json").read_text())
+    assert report["measured"]["oracle_calls"] == T
+
+
+def _count_calls(monkeypatch, owner, name, counts):
+    original = getattr(owner, name)
+
+    def counted(*args):
+        counts[name] = counts.get(name, 0) + 1
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+@pytest.mark.parametrize("argv, expected", [  # one call per cell: two race cells, one resist
+    (["race", "--method", "agd", "--T", "3,6"], {"bound_linear_span": 2, "agd_upper_bound": 2}),
+    (["race", "--method", "denseprobe", "--T", "3,6"], {"bound_general": 2}),
+    (["resist", "--method", "denseprobe", "--T", "4"],
+     {"bound_general": 1, "data_direction_residual": 1}),
+], ids=["race-agd", "race-denseprobe", "resist"])
+def test_report_figures_computed_once_per_cell(tmp_path, monkeypatch, argv, expected):
+    # the report reads the figures its verdicts computed; nothing recomputes them
+    counts = {}
+    for owner, name in ((analytic, "bound_linear_span"), (analytic, "bound_general"),
+                        (analytic, "agd_upper_bound"), (resist, "data_direction_residual")):
+        _count_calls(monkeypatch, owner, name, counts)
+    assert main(argv + ["--out", str(tmp_path), "--no-timestamp", "--strict"]) == 0
+    assert counts == expected
 
 
 def test_usage_error_exit_code():

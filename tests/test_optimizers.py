@@ -169,11 +169,13 @@ class TestRun:
         inst = build_instance(6, 1.3, 1.0)
         T = 7
         iterates = _stacked("gd", FirstOrderOracle(inst), T)
-        # gd queries at x_0 .. x_{T-1}, one call each, and x_T costs one more;
-        # the trace reads its metrics from the gradients the method received
+        # gd queries at x_0 .. x_{T-1}, one call each, and the fold evaluates
+        # x_T with one more, which oracle_calls leaves out; the trace reads its
+        # metrics from the gradients the method received
         oracle = _RecordingOracle(inst)
         trace = run("gd", oracle, T, profile(inst).x_star)
-        assert trace.oracle_calls == len(oracle.gradients) == T + 1
+        assert trace.oracle_calls == T
+        assert len(oracle.gradients) == T + 1
         for t in range(T + 1):
             assert np.array_equal(oracle.queries[t], iterates[t])
             assert trace.grad_norms[t] == np.max(np.abs(oracle.gradients[t]))
@@ -184,10 +186,11 @@ class TestRun:
             assert np.array_equal(x, iterates[t])
             _assert_same_response(answer, loss(inst, x))
         assert stream[T][1] is None
-        agd = _exact_run("agd", inst, T)
-        # agd's queries y_0 = x_0 and y_1 = x_1 coincide with iterates, so
-        # only x_2 .. x_T need an extra call
-        assert agd.oracle_calls == 2 * T - 1
+        # agd makes T inquiries too, at y_0 .. y_{T-1}; the fold's calls at
+        # x_2 .. x_T, which it never queried, are not the method's
+        oracle = _RecordingOracle(inst)
+        assert run("agd", oracle, T, profile(inst).x_star).oracle_calls == T
+        assert len(oracle.queries) == 2 * T - 1
 
     def test_drive_records_every_call_of_a_two_call_method(self, monkeypatch):
         # a method that probes a side point before querying its iterate
@@ -210,8 +213,8 @@ class TestRun:
             assert np.array_equal(oracle.queries[2 * t + 1], x)
             _assert_same_response(answer, loss(inst, x))
         assert stream[T][1] is None
-        # run counts both calls per step, and one more at x_T
-        assert _exact_run("gd", inst, T).oracle_calls == 2 * T + 1
+        # run counts both inquiries per step, not the fold's call at x_T
+        assert _exact_run("gd", inst, T).oracle_calls == 2 * T
 
 
 class TestFold:
@@ -244,9 +247,11 @@ class TestFold:
             d = x - x_star
             assert trace.dist_sq[t] == d @ d
         assert trace.support_frontier == _frontier_of(iterates)
-        # every call is counted: the method's, plus one per unanswered iterate
+        # the trace counts the method's calls; the oracle also saw one per
+        # unanswered iterate, from the fold
         unanswered = sum(answer is None for _, answer, _ in stream)
-        assert trace.oracle_calls == len(oracle.queries) == stream[-1][2] + unanswered
+        assert trace.oracle_calls == stream[-1][2]
+        assert len(oracle.queries) == stream[-1][2] + unanswered
 
     def test_run_holds_o_of_k_memory(self):
         k, T = 4000, 2000
@@ -347,7 +352,7 @@ def test_agd_gap_exceeds_span_lower_bound():
     inst = build_instance(2 * T, 1.3, 1.0)
     prof = profile(inst)
     trace = run("agd", FirstOrderOracle(inst), T, prof.x_star)
-    for check in invariants.lower_bound(inst, trace, prof, span=True):
+    for check in invariants.lower_bound(inst, trace, prof, span=True).checks:
         assert check.passed, check
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hardlogit import (
+    FirstOrderOracle,
     ResistingOracle,
     RotatedInstance,
     adversarial_run,
@@ -10,15 +11,19 @@ from hardlogit import (
     data_direction_residual,
     drive,
     invariants,
+    logloss,
     loss,
     matvec_at,
     profile,
     replay_check,
+    resist,
+    run,
     save_matrix_csv,
 )
-from conftest import adversarial, random_orthogonal, reflector_product
+from conftest import adaptive_iterates, adversarial, random_orthogonal, reflector_product
 
 ADVERSARY_METHODS = ["gd", "agd", "denseprobe"]
+ALL_METHODS = ["gd", "agd", "heavyball", "denseprobe"]
 
 
 def _oracle_after(inst, *queries):
@@ -167,7 +172,8 @@ class TestAdversarialRun:
     @pytest.mark.parametrize("name", ADVERSARY_METHODS)
     def test_bounds_and_rotation_invariants(self, name):
         T = 4
-        trace, iterates, final, oracle = adversarial(name, T)
+        trace, _, final, oracle = adversarial(name, T)
+        iterates = adaptive_iterates(name, T)
         assert final.k == 4 * T + 2
         assert final.U is oracle.U
         base = build_instance(final.k, 1.3, 1.0)
@@ -176,7 +182,7 @@ class TestAdversarialRun:
         # the distance is to the optimum in the rotated coordinates, U'x*
         d = iterates[-1] - z_star
         assert trace.dist_sq[-1] == d @ d
-        for check in invariants.lower_bound(final, trace, prof, span=False):
+        for check in invariants.lower_bound(final, trace, prof, span=False).checks:
             assert check.passed, check
 
         U = final.U.dense()
@@ -205,7 +211,8 @@ class TestAdversarialRun:
         # for an iterate-querying method the placed points are the iterates;
         # point i must sit in U' times the span of the trailing 2i+1 coords
         T = 4
-        trace, iterates, final, _ = adversarial("denseprobe", T)
+        trace, _, final, _ = adversarial("denseprobe", T)
+        iterates = adaptive_iterates("denseprobe", T)
         assert np.array_equal(trace.final, iterates[-1])
         oracle = _oracle_after(build_instance(final.k, 1.3, 1.0), *iterates[1:-1])
         replayed = oracle.finalize(iterates[-1])
@@ -216,23 +223,25 @@ class TestAdversarialRun:
         assert np.max(containment_residuals(oracle)) <= 1e-8
 
     def test_trace_values_recomputable_against_final(self):
-        trace, iterates, final, _ = adversarial("gd", 3)
+        trace, _, final, _ = adversarial("gd", 3)
+        iterates = adaptive_iterates("gd", 3)
         assert len(trace) == len(iterates) == 4
         for i in range(len(trace)):
             assert trace.values[i] == loss(final, iterates[i]).value
 
     @pytest.mark.parametrize("name", ADVERSARY_METHODS)
-    def test_batched_trace_matches_per_iterate_loss(self, name):
-        # the trace is computed in one batch: base loss at the rows of X U',
-        # one product of the stacked gradients with U
-        trace, iterates, final, _ = adversarial(name, 40)
+    def test_trace_matches_per_iterate_loss(self, name):
+        # the trace is the replay's: the final instance's loss at each
+        # adaptive iterate, which the replay reproduces bit for bit
+        trace, deviation, final, _ = adversarial(name, 40)
+        iterates = adaptive_iterates(name, 40)
+        assert deviation == 0.0
         assert len(trace) == len(iterates) == 41
         z_star = final.U.apply_t(profile(final).x_star)
         for t, x in enumerate(iterates):
             resp = loss(final, x)
-            assert abs(trace.values[t] - resp.value) <= 1e-13 * abs(resp.value)
-            norm = np.max(np.abs(resp.gradient))
-            assert abs(trace.grad_norms[t] - norm) <= 1e-13 * norm
+            assert trace.values[t] == resp.value
+            assert trace.grad_norms[t] == np.max(np.abs(resp.gradient))
             d = x - z_star
             assert trace.dist_sq[t] == d @ d
         nonzero = iterates != 0.0
@@ -315,30 +324,69 @@ class TestReflectorNative:
             oracle(rng.standard_normal(k))
 
 
+class _CountingLoss:
+    """``loss`` wrapped to count its calls."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __call__(self, inst, x):
+        self.calls += 1
+        return loss(inst, x)
+
+
 class TestReplay:
     @pytest.mark.parametrize("name", ADVERSARY_METHODS)
     def test_replay_matches(self, name):
-        _, iterates, final, _ = adversarial(name, 5)
-        assert invariants.replay_matches(name, final, iterates).passed
+        _, deviation, final, _ = adversarial(name, 5)
+        assert invariants.replay_matches(deviation).passed
+        z_star = final.U.apply_t(profile(final).x_star)
+        assert replay_check(name, final, adaptive_iterates(name, 5), z_star)[1] == deviation
+
+    @pytest.mark.parametrize("name", ALL_METHODS)
+    def test_one_pass_replay(self, name, monkeypatch):
+        # the adaptive run answers its T inquiries; the replay answers T more
+        # and evaluates the final instance only where the method never asked
+        # (x_T, and agd's x_2 .. x_T): no other loss of the final instance
+        T = 6
+        inst = build_instance(4 * T + 2, 1.3, 1.0)
+        x_star = profile(inst).x_star
+        counting = _CountingLoss()
+        monkeypatch.setattr(logloss, "loss", counting)
+        monkeypatch.setattr(resist, "loss", counting)
+        trace, deviation, final, _ = adversarial_run(name, inst, T, x_star)
+        monkeypatch.undo()
+        assert counting.calls == (3 * T - 1 if name == "agd" else 2 * T + 1)
+        assert deviation == 0.0
+        # the trace is the method's run on the frozen instance, field for field
+        want = run(name, FirstOrderOracle(final), T, final.U.apply_t(x_star))
+        for field in ("values", "grad_norms", "dist_sq", "final"):
+            assert np.array_equal(getattr(trace, field), getattr(want, field)), field
+        assert trace.support_frontier == want.support_frontier
+        assert trace.oracle_calls == want.oracle_calls == T
 
     def test_length_mismatch(self):
-        _, iterates, _, _ = adversarial("gd", 3)
+        iterates = adaptive_iterates("gd", 3)
         _, _, other, _ = adversarial("gd", 4)
         with pytest.raises(ValueError, match="length mismatch"):
-            replay_check("gd", other, iterates)
+            replay_check("gd", other, iterates, np.zeros(other.k))
 
     def test_replay_detects_wrong_rotation(self):
         # against a different rotation the method walks a different path
-        _, iterates, final, _ = adversarial("denseprobe", 3)
+        _, _, final, _ = adversarial("denseprobe", 3)
         wrong = RotatedInstance(final, random_orthogonal(final.k, seed=5))
-        assert not invariants.replay_matches("denseprobe", wrong, iterates).passed
+        iterates = adaptive_iterates("denseprobe", 3)
+        _, deviation = replay_check("denseprobe", wrong, iterates, np.zeros(final.k))
+        assert not invariants.replay_matches(deviation).passed
 
     def test_nan_deviation_fails(self):
         # a NaN iterate must not read as a zero deviation
-        _, iterates, final, _ = adversarial("gd", 3)
+        _, _, final, _ = adversarial("gd", 3)
+        iterates = adaptive_iterates("gd", 3)
         iterates[2, 0] = np.nan
-        assert np.isnan(replay_check("gd", final, iterates))
-        assert not invariants.replay_matches("gd", final, iterates).passed
+        _, deviation = replay_check("gd", final, iterates, np.zeros(final.k))
+        assert np.isnan(deviation)
+        assert not invariants.replay_matches(deviation).passed
 
 
 def test_save_matrix_csv_roundtrip(tmp_path):
