@@ -10,16 +10,15 @@ Subcommands:
 - ``resist``: race a method against the adaptive rotation adversary
   (dimension 4T+2) and check the general lower bounds plus replay.
 
-Exit codes: 0 pass, 1 assertion failure, 2 usage error.  Reports are
-canonical JSON (sorted keys); pass --no-timestamp for byte-identical
-reruns.
+Exit codes: 0 pass, 1 assertion failure, 2 usage error.  A report's
+figures and verdicts are those of its ``invariants.Findings``; reports are
+canonical JSON (sorted keys); pass --no-timestamp for byte-identical reruns.
 """
 
 import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -28,35 +27,6 @@ from . import analytic, datasets, invariants, logloss, optimizers, resist
 
 DEFAULT_SIGMA = 1.3
 DEFAULT_ZETA = 1.0
-
-
-@dataclass
-class ExperimentReport:
-    """Config echo, measured quantities, theoretical targets, and the
-    verdicts as ``invariants.Check`` records."""
-
-    config: dict
-    measured: dict
-    theoretical: dict
-    verdicts: list = field(default_factory=list)
-    timestamp: str | None = None
-
-    def add(self, findings) -> None:
-        """Take ``invariants.Findings``: its figures and its checks."""
-        self.measured.update(findings.measured)
-        self.theoretical.update(findings.theoretical)
-        self.verdicts += findings.checks
-
-    def write(self, path) -> None:
-        out = {"config": self.config, "measured": self.measured,
-               "theoretical": self.theoretical, "verdicts": [
-                   {"check": v.name, "passed": bool(v.passed), "margin": float(v.margin)}
-                   for v in self.verdicts]}
-        if self.timestamp is not None:
-            out["timestamp"] = self.timestamp
-        with open(path, "w") as fh:
-            json.dump(out, fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
 
 def _timestamp(args) -> str | None:
@@ -114,47 +84,46 @@ def cmd_verify(args) -> int:
     return 1 if failures else 0
 
 
-def _bound_report(args, inst, T, trace, prof, span, ts):
-    """Report of a T-iteration run of ``args.method`` on ``inst`` against the
-    span lower bound, or the general one when ``span`` is false."""
-    report = ExperimentReport(
-        config={
-            "method": args.method, "k": inst.k, "sigma": args.sigma,
-            "zeta": args.zeta, "T": T, "variant": inst.variant.value,
-        },
-        measured={"oracle_calls": trace.oracle_calls},
-        theoretical={},
-        timestamp=ts,
-    )
-    report.add(invariants.lower_bound(inst, trace, prof, span))
-    return report
-
-
-def _emit(report, out_dir, stem, trace, f_star) -> bool:
-    """Write the report and the trace CSV, print the verdicts, and return
-    whether all passed."""
-    report.write(out_dir / f"report_{stem}.json")
-    optimizers.trace_to_csv(trace, out_dir / f"trace_{stem}.csv", f_star)
-    T = report.config["T"]
-    for v in report.verdicts:
-        status = "ok" if v.passed else "FAIL"
-        print(f"{status:4s} T={T} {v.name} (margin {v.margin:.3e})")
-    return all(v.passed for v in report.verdicts)
+def _emit(args, inst, T, stem, trace, prof, findings, ts, out_dir) -> bool:
+    """Write the report of a T-iteration run of ``args.method`` on ``inst``
+    from ``findings``, a list of ``invariants.Findings`` (their figures, and
+    their checks as the verdicts, in order), and the trace CSV; print the
+    verdicts and return whether all passed."""
+    report = {"config": {"method": args.method, "k": inst.k, "sigma": args.sigma,
+                         "zeta": args.zeta, "T": T, "variant": inst.variant.value},
+              "measured": {}, "theoretical": {}}
+    checks = []
+    for found in findings:
+        report["measured"].update(found.measured)
+        report["theoretical"].update(found.theoretical)
+        checks += found.checks
+    report["verdicts"] = [{"check": c.name, "passed": bool(c.passed), "margin": float(c.margin)}
+                          for c in checks]
+    if ts is not None:
+        report["timestamp"] = ts
+    with open(out_dir / f"report_{stem}.json", "w") as fh:
+        json.dump(report, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    optimizers.trace_to_csv(trace, out_dir / f"trace_{stem}.csv", prof.f_star)
+    for c in checks:
+        status = "ok" if c.passed else "FAIL"
+        print(f"{status:4s} T={T} {c.name} (margin {c.margin:.3e})")
+    return all(c.passed for c in checks)
 
 
 def _race_cell(args, T, ts, out_dir) -> bool:
     inst = datasets.build_instance(2 * T, args.sigma, args.zeta)
     prof = analytic.profile(inst)
     trace = optimizers.run(args.method, logloss.FirstOrderOracle(inst), T, prof.x_star)
-    chain = invariants.zero_chain(trace)
-    report = _bound_report(args, inst, T, trace, prof, chain.passed, ts)
-    report.measured["span_method"] = chain.passed
-    report.measured["support_frontier"] = trace.support_frontier
+    span = invariants.zero_chain(trace).passed
+    findings = [
+        invariants.lower_bound(inst, trace, prof, span),
+        invariants.Findings(
+            (), {"span_method": span, "support_frontier": trace.support_frontier}, {}),
+    ]
     if args.method == "agd":
-        report.add(invariants.agd_upper_bound(inst, trace, prof))
-        report.theoretical["sandwich_ratio"] = analytic.sandwich_ratio(T)
-    stem = f"{args.method}_T{T}"
-    return _emit(report, out_dir, stem, trace, prof.f_star)
+        findings.append(invariants.agd_upper_bound(inst, trace, prof))
+    return _emit(args, inst, T, f"{args.method}_T{T}", trace, prof, findings, ts, out_dir)
 
 
 def cmd_race(args) -> int:
@@ -177,14 +146,9 @@ def cmd_resist(args) -> int:
     inst = datasets.build_instance(4 * T + 2, args.sigma, args.zeta)
     prof = analytic.profile(inst)
     trace, deviation, final, oracle = resist.adversarial_run(args.method, inst, T, prof.x_star)
-    adversary = {"reflections": len(oracle.U), "skipped": oracle.skipped,
-                 "max_containment_residual": float(np.max(resist.containment_residuals(oracle)))}
+    findings = [invariants.lower_bound(final, trace, prof, False),
+                invariants.adversary(oracle, final, deviation)]
     del oracle  # T+2 placed k-vectors; the exports below need the memory more
-    report = _bound_report(args, final, T, trace, prof, False, ts)
-    report.measured.update(adversary, orthogonality_residual=final.orthogonality_residual)
-    report.verdicts.append(invariants.rotation_orthogonal(final))
-    report.add(invariants.data_direction_fixed(final))
-    report.verdicts.append(invariants.replay_matches(deviation))
 
     stem = f"resist_{args.method}_T{T}"
     datasets.export(final, "libsvm", out_dir / f"dataset_{stem}.libsvm")
@@ -193,7 +157,7 @@ def cmd_resist(args) -> int:
         extra_meta=analytic.profile_metadata(prof),
     )
     resist.save_matrix_csv(final.U.dense(), out_dir / f"rotation_{stem}.csv")
-    if not _emit(report, out_dir, stem, trace, prof.f_star) and args.strict:
+    if not _emit(args, final, T, stem, trace, prof, findings, ts, out_dir) and args.strict:
         return 1
     return 0
 

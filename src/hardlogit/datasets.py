@@ -18,8 +18,9 @@ an orthogonal U held as a ``Rotation``, the product of its Householder
 reflectors in compact WY form: the same k, sigma, zeta, blocks, labels and
 ||A||, with block W U in place of W.  ``matvec_a``/``matvec_at`` apply W by
 its index structure in O(k) per block, plus U in O(jk) for j reflectors;
-only ``dense()`` builds the N x k matrix, and only the exports and the
-U'U measurement build U (``export`` writes rows from one k x k block).
+only ``dense()`` builds the N x k matrix, and only the exports (``export``
+writes rows from one k x k block) and ``invariants.rotation_orthogonal``
+build U; constructing the instance does not.
 """
 
 from __future__ import annotations
@@ -29,8 +30,6 @@ import json
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-
-GRAM_ROWS = 256  # rows of U'U per block of the orthogonality measurement
 
 
 def canonical_name(name: str, choices, what: str) -> str:
@@ -167,17 +166,6 @@ class Rotation:
         return U
 
 
-def _orthogonality_residual(U: np.ndarray) -> float:
-    """max |U'U - I|, GRAM_ROWS rows of U'U at a time: no second k x k array."""
-    worst = 0.0
-    for a in range(0, len(U), GRAM_ROWS):
-        block = U[:, a : a + GRAM_ROWS].T @ U
-        rows = np.arange(len(block))
-        block[rows, a + rows] -= 1.0
-        worst = max(worst, float(np.max(np.abs(block, out=block))))
-    return worst
-
-
 @dataclass(frozen=True, eq=False)
 class WorstCaseInstance:
     """One dataset of the family: N x k data matrix A and labels b in {-1,+1}.
@@ -247,13 +235,11 @@ class RotatedInstance(WorstCaseInstance):
     the base instance's; only the k x k block is W U instead of W.
 
     ``RotatedInstance(inst, U)`` copies the family fields of ``inst`` and
-    takes the ``Rotation`` U, so rotating a rotated instance replaces its U.
-    ``orthogonality_residual`` is max |U'U - I|, measured at construction on
-    the materialized U; ``invariants.rotation_orthogonal`` judges it.
+    takes the ``Rotation`` U, so rotating a rotated instance replaces its U;
+    it builds nothing, and ``invariants.rotation_orthogonal`` measures U'U.
     """
 
     U: Rotation = field(repr=False)
-    orthogonality_residual: float = field(repr=False)
 
     def __init__(self, base: WorstCaseInstance, U: Rotation):
         if U.k != base.k:
@@ -262,7 +248,6 @@ class RotatedInstance(WorstCaseInstance):
             )
         super().__init__(**{f.name: getattr(base, f.name) for f in fields(WorstCaseInstance)})
         object.__setattr__(self, "U", U)
-        object.__setattr__(self, "orthogonality_residual", _orthogonality_residual(U.dense()))
 
     def w_block(self) -> np.ndarray:
         """W U, by W's two-slice row difference on the materialized U; no GEMM."""

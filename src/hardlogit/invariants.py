@@ -4,9 +4,12 @@ A check runs on instances, profiles, points or traces and returns a
 ``Check``: ``margin`` is how far the measured quantity lies inside its
 limit (negative on failure), ``detail`` the text ``verify`` prints; one
 whose figures a report prints returns them with it, as ``Findings``.
-``verify``, the verdicts and figures of ``race`` and ``resist`` and the
-acceptance suite all come from here.  Calls into the package go through module
-attributes (``logloss.loss``), so a wrapper installed on one sees them.
+``verify`` and the acceptance suite take their checks from here, and a
+``race`` or ``resist`` report is the list of its ``Findings``: every figure
+it prints is measured, and every verdict judged, in this module (the U'U
+of a rotated instance too, on its materialized U).  Calls into the package
+go through module attributes (``logloss.loss``), so a wrapper installed on
+one sees them.
 """
 
 import itertools
@@ -27,6 +30,7 @@ NORM_TOL = 1e-14  # closed-form ||A|| against a dense SVD, relative
 SANDWICH_TOL = 1e-9  # upper/lower bound against sandwich_ratio(T), relative
 SANDWICH_CAP = 256.0 / 3.0
 ROTATION_TOL = resist.ORTHOGONALITY_TOL  # max |U'U - I|
+GRAM_ROWS = 256  # rows of U'U per block of the orthogonality measurement
 DIRECTION_TOL = 1e-10  # max |U'(A'b) - A'b|
 REPLAY_TOL = 1e-8  # replayed against adaptive iterates, sup-norm
 
@@ -150,7 +154,7 @@ def norm_bound(insts) -> Check:
 def lower_bound(inst, trace, prof, span) -> Findings:
     """The final gap of a T-step run lies above the span lower bound
     (``span``) or the general one, and its squared distance to the optimum
-    above 1/8 of the start's."""
+    above 1/8 of the start's; with the run's ``oracle_calls``."""
     dist0_sq = prof.xstar_norm_sq
     a_norm = inst.a_norm()
     bound_at = analytic.bound_linear_span if span else analytic.bound_general
@@ -163,37 +167,48 @@ def lower_bound(inst, trace, prof, span) -> Findings:
                gap - bound.gap, f"gap={gap:.3e}, bound={bound.gap:.3e}"),
          Check("dist_sq_above_one_eighth", dist_sq > floor, dist_sq - floor,
                f"dist_sq={dist_sq:.3e}, floor={floor:.3e}")),
-        {"final_gap": gap, "final_dist_sq": dist_sq, "a_norm": a_norm},
+        {"final_gap": gap, "final_dist_sq": dist_sq, "a_norm": a_norm,
+         "oracle_calls": trace.oracle_calls},
         {"gap_lower_bound": bound.gap, "dist_factor": bound.dist_factor, "dist0_sq": dist0_sq},
     )
 
 
 def agd_upper_bound(inst, trace, prof) -> Findings:
-    """The final gap of an accelerated T-step run is below 2L||x*||^2/(T+1)^2."""
-    upper = analytic.agd_upper_bound(len(trace) - 1, logloss.lipschitz(inst),
-                                     prof.xstar_norm_sq)
+    """The final gap of an accelerated T-step run is below 2L||x*||^2/(T+1)^2;
+    with the closed-form ratio of that bound to the span lower bound."""
+    T = len(trace) - 1
+    upper = analytic.agd_upper_bound(T, logloss.lipschitz(inst), prof.xstar_norm_sq)
     gap = float(trace.values[-1] - prof.f_star)
     return Findings((Check("gap_below_agd_upper_bound", gap <= upper, upper - gap,
                            f"gap={gap:.3e}, bound={upper:.3e}"),),
-                    {}, {"agd_upper_bound": upper})
+                    {}, {"agd_upper_bound": upper, "sandwich_ratio": analytic.sandwich_ratio(T)})
 
 
-def sandwich(inst, trace, prof) -> Check:
-    """That upper bound over the span lower bound at T is the closed form
+def sandwich(T, upper, lower) -> Check:
+    """The ``agd_upper_bound`` over the span ``lower_bound`` of one T-step
+    run, both as their ``Findings`` report them, is the closed form
     ``sandwich_ratio(T)``, below 256/3."""
-    T = len(trace) - 1
-    upper = analytic.agd_upper_bound(T, logloss.lipschitz(inst), prof.xstar_norm_sq)
-    ratio = upper / analytic.bound_linear_span(T, inst.a_norm(), prof.xstar_norm_sq).gap
+    ratio = upper.theoretical["agd_upper_bound"] / lower.theoretical["gap_lower_bound"]
     err = abs(ratio - analytic.sandwich_ratio(T))
     return Check("sandwich_ratio_matches_closed_form",
                  bool(err <= SANDWICH_TOL * ratio and ratio <= SANDWICH_CAP),
                  min(SANDWICH_TOL * ratio - err, SANDWICH_CAP - ratio), f"ratio={ratio:.2f}")
 
 
-def rotation_orthogonal(inst) -> Check:
-    """The rotated instance's U is orthogonal: max |U'U - I|, measured on the
-    materialized U when the instance was built, is within ROTATION_TOL."""
-    return _at_most("rotation_orthogonal", inst.orthogonality_residual, ROTATION_TOL)
+def rotation_orthogonal(inst) -> Findings:
+    """The rotated instance's U is orthogonal: max |U'U - I| on the
+    materialized U, GRAM_ROWS rows of U'U at a time (no second k x k
+    array), is within ROTATION_TOL; a NaN anywhere in U fails."""
+    U = inst.U.dense()
+    block_max = []
+    for a in range(0, len(U), GRAM_ROWS):
+        block = U[:, a : a + GRAM_ROWS].T @ U
+        rows = np.arange(len(block))
+        block[rows, a + rows] -= 1.0
+        block_max.append(np.max(np.abs(block, out=block)))
+    residual = float(np.max(block_max))
+    return Findings((_at_most("rotation_orthogonal", residual, ROTATION_TOL),),
+                    {"orthogonality_residual": residual}, {})
 
 
 def data_direction_fixed(inst) -> Findings:
@@ -207,3 +222,19 @@ def replay_matches(deviation) -> Check:
     """An adaptive run's replay on its frozen instance reproduces its
     iterates: ``deviation`` is ``resist.replay_check``'s; NaN fails."""
     return _at_most("replay_matches", deviation, REPLAY_TOL)
+
+
+def adversary(oracle, final, deviation) -> Findings:
+    """The promises of the adversary behind ``final``, the frozen instance
+    of ``oracle``'s run: its U is orthogonal and fixes the label direction,
+    and the replay on it reproduced the run (``deviation``).  With the
+    reflections taken, the steps skipped and the largest leak of a placed
+    point out of its trap subspace."""
+    orthogonal, direction = rotation_orthogonal(final), data_direction_fixed(final)
+    return Findings(
+        orthogonal.checks + direction.checks + (replay_matches(deviation),),
+        {"reflections": len(oracle.U), "skipped": oracle.skipped,
+         "max_containment_residual": float(np.max(resist.containment_residuals(oracle))),
+         **orthogonal.measured, **direction.measured},
+        {},
+    )

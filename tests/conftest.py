@@ -5,10 +5,22 @@ index rules, naive formulas, finite differences, dense linear algebra) so
 the package code under test never checks itself, plus ``adversarial``,
 the shorthand for an adversarial run that several test modules share, and
 ``adaptive_iterates``, the iterates that run's method is answered along.
+
+It also imports hypothesis's patch writer up front, with its import-time
+DeprecationWarning (from ``libcst``'s use of ``mypy_extensions.TypedDict``)
+silenced: hypothesis imports it from its report hook when a ``@given`` test
+fails, where ``filterwarnings = ["error"]`` would turn that warning into an
+INTERNALERROR that ends the session.
 """
+
+import warnings
 
 import numpy as np
 import pytest
+
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    import hypothesis.extra._patching  # noqa: F401
 
 from hardlogit import ResistingOracle, Rotation, adversarial_run, build_instance, drive, profile
 

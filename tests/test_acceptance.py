@@ -139,8 +139,9 @@ def test_criterion_07_tightness_sandwich(warmed_up):
         inst = build_instance(2 * T, SIGMA, ZETA)
         prof = profile(inst)
         trace = run("agd", FirstOrderOracle(inst), T, prof.x_star)
-        (upper,) = invariants.agd_upper_bound(inst, trace, prof).checks
-        cells += [(f"T={T}", upper), (f"T={T}", invariants.sandwich(inst, trace, prof))]
+        upper = invariants.agd_upper_bound(inst, trace, prof)
+        lower = invariants.lower_bound(inst, trace, prof, span=True)
+        cells += [(f"T={T}", upper.checks[0]), (f"T={T}", invariants.sandwich(T, upper, lower))]
     elapsed = time.perf_counter() - t0
     _criterion(7, elapsed, 10.0, cells,
                "upper bound holds; upper/lower "
@@ -164,7 +165,7 @@ def test_criterion_08_general_lower_bound(adversarial_results):
         prof = profile(final)
         checks += [(f"{name}/T={T}", c) for c in (
             *invariants.lower_bound(final, trace, prof, span=False).checks,
-            invariants.rotation_orthogonal(final),
+            *invariants.rotation_orthogonal(final).checks,
             *invariants.data_direction_fixed(final).checks,
         )]
     _criterion(8, elapsed, 60.0, checks, "9 adversarial cells (k up to 102): all hold")

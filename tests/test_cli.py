@@ -4,7 +4,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hardlogit import analytic, build_instance, invariants, matvec_a, resist
+from hardlogit import (
+    FirstOrderOracle,
+    analytic,
+    build_instance,
+    invariants,
+    matvec_a,
+    profile,
+    resist,
+    run,
+)
 from hardlogit.cli import main
 from conftest import dense_ab, logistic_form, rotated_ab
 
@@ -168,8 +177,8 @@ def test_resist_report_and_exports(tmp_path):
 
 
 def test_resist_strict_fails_on_rotation_verdict(tmp_path, monkeypatch):
-    # the instance records max |U'U - I| without raising; the verdict alone
-    # decides, so a tolerance below the measured residual fails --strict
+    # the verdict measures max |U'U - I| and reports it without raising; it
+    # alone decides, so a tolerance below the measured residual fails --strict
     argv = ["resist", "--method", "denseprobe", "--T", "4", "--no-timestamp", "--strict"]
     monkeypatch.setattr(invariants, "ROTATION_TOL", 0.0)
     assert main(argv + ["--out", str(tmp_path)]) == 1
@@ -251,6 +260,46 @@ def test_report_figures_computed_once_per_cell(tmp_path, monkeypatch, argv, expe
         _count_calls(monkeypatch, owner, name, counts)
     assert main(argv + ["--out", str(tmp_path), "--no-timestamp", "--strict"]) == 0
     assert counts == expected
+
+
+BOUND_FIGURES = {"final_gap", "final_dist_sq", "a_norm", "oracle_calls"}
+BOUND_TARGETS = {"gap_lower_bound", "dist_factor", "dist0_sq"}
+
+
+@pytest.mark.parametrize("argv, stem, measured, theoretical", [
+    (["race", "--method", "gd", "--T", "4"], "gd_T4",
+     BOUND_FIGURES | {"span_method", "support_frontier"}, BOUND_TARGETS),
+    (["race", "--method", "agd", "--T", "4"], "agd_T4",
+     BOUND_FIGURES | {"span_method", "support_frontier"},
+     BOUND_TARGETS | {"agd_upper_bound", "sandwich_ratio"}),
+    (["resist", "--method", "denseprobe", "--T", "4"], "resist_denseprobe_T4",
+     BOUND_FIGURES | {"reflections", "skipped", "max_containment_residual",
+                      "orthogonality_residual", "data_direction_residual"}, BOUND_TARGETS),
+], ids=["race-gd", "race-agd", "resist-denseprobe"])
+def test_report_schema(tmp_path, argv, stem, measured, theoretical):
+    assert main(argv + ["--out", str(tmp_path), "--no-timestamp"]) == 0
+    report = json.loads((tmp_path / f"report_{stem}.json").read_text())
+    assert set(report) == {"config", "measured", "theoretical", "verdicts"}
+    assert set(report["measured"]) == measured
+    assert set(report["theoretical"]) == theoretical
+
+
+def test_sandwich_reads_the_bounds_it_is_given(monkeypatch):
+    # a criterion-07 cell: the upper and span lower bounds are computed once,
+    # by the findings that report them, and the sandwich divides those
+    counts = {}
+    for name in ("agd_upper_bound", "bound_linear_span"):
+        _count_calls(monkeypatch, analytic, name, counts)
+    for T in (5, 25):
+        counts.clear()
+        inst = build_instance(2 * T, 1.3, 1.0)
+        prof = profile(inst)
+        trace = run("agd", FirstOrderOracle(inst), T, prof.x_star)
+        upper = invariants.agd_upper_bound(inst, trace, prof)
+        lower = invariants.lower_bound(inst, trace, prof, span=True)
+        check = invariants.sandwich(T, upper, lower)
+        assert check.passed, check
+        assert counts == {"agd_upper_bound": 1, "bound_linear_span": 1}
 
 
 def test_usage_error_exit_code():

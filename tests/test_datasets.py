@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -183,15 +184,15 @@ class TestMatvec:
 
     def test_rotation_must_be_orthogonal(self):
         # a reflector row moved off by 1e-6 leaves U non-orthogonal: the
-        # instance records the measured max |U'U - I| and the verdict fails
+        # verdict measures max |U'U - I| on the materialized U and fails
         inst = build_instance(3, 1.3, 1.0)
         U = random_orthogonal(3, seed=2)
         U.V[0, 0] += 1e-6
-        rot = RotatedInstance(inst, U)
+        found = invariants.rotation_orthogonal(RotatedInstance(inst, U))
         dense = U.dense()
         drift = float(np.max(np.abs(dense.T @ dense - np.eye(3))))
-        assert rot.orthogonality_residual == drift > 1e-8
-        check = invariants.rotation_orthogonal(rot)
+        assert found.measured == {"orthogonality_residual": drift} and drift > 1e-8
+        (check,) = found.checks
         assert not check.passed
         assert check.margin == invariants.ROTATION_TOL - drift < 0.0
 
@@ -308,18 +309,29 @@ class TestRotatedInstance:
         once = RotatedInstance(inst, U2)
         assert twice.U is U2
         _same_family(twice, once)
-        assert twice.orthogonality_residual == once.orthogonality_residual
         assert np.array_equal(twice.dense(), once.dense())
         x = rng.standard_normal(8)
         assert loss(twice, x).value == loss(once, x).value
         assert np.array_equal(loss(twice, x).gradient, loss(once, x).gradient)
         assert np.array_equal(matvec_a(twice, x), matvec_a(once, x))
 
-    def test_construction_records_the_orthogonality_check(self):
-        U = random_orthogonal(6, seed=4)
-        rot = RotatedInstance(build_instance(6, 1.3, 1.0), U)
-        dense = U.dense()
-        assert rot.orthogonality_residual == float(np.max(np.abs(dense.T @ dense - np.eye(6))))
+    def test_construction_builds_no_dense_rotation(self, rng):
+        # the constructor checks the dimension and copies the fields and U;
+        # a dense U at k = 4000 would be 128 MB
+        k = 4000
+        U = Rotation(k)
+        U.append(rng.standard_normal(k))
+        base = build_instance(k, 1.3, 1.0)
+        tracemalloc.start()
+        try:
+            rot = RotatedInstance(base, U)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+        assert rot.U is U
+        assert [f.name for f in dataclasses.fields(rot)] == [
+            f.name for f in dataclasses.fields(WorstCaseInstance)] + ["U"]
         with pytest.raises(ValueError, match="dimension mismatch"):
             RotatedInstance(build_instance(6, 1.3, 1.0), Rotation(5))
 
@@ -334,10 +346,26 @@ class TestRotatedInstance:
         U.triangular[0, 0] *= 1.0 + 1e-6
         dense = U.dense()
         drift = float(np.max(np.abs(dense.T @ dense - np.eye(k))))
-        rot = RotatedInstance(build_instance(k, 1.3, 1.0), U)
+        found = invariants.rotation_orthogonal(RotatedInstance(build_instance(k, 1.3, 1.0), U))
         assert drift > 1e-8
-        assert abs(rot.orthogonality_residual - drift) <= 1e-12 * drift
-        assert not invariants.rotation_orthogonal(rot).passed
+        assert abs(found.measured["orthogonality_residual"] - drift) <= 1e-12 * drift
+        assert not found.checks[0].passed
+
+    def test_nan_in_the_rotation_fails_the_orthogonality_check(self, rng):
+        # a NaN in one reflector makes U all NaN; the block maxima must not
+        # drop it, as a running Python max(worst, block) would (k = 300 spans
+        # two row blocks)
+        k = 300
+        U = Rotation(k)
+        v = rng.standard_normal(k)
+        v[7] = np.nan
+        U.append(v)
+        inst = RotatedInstance(build_instance(k, 1.3, 1.0), U)
+        found = invariants.rotation_orthogonal(inst)
+        assert np.isnan(found.measured["orthogonality_residual"])
+        (check,) = found.checks
+        assert not check.passed and np.isnan(check.margin)
+        assert not invariants.data_direction_fixed(inst).checks[0].passed
 
 
 def _svd_norm(k, sigma, zeta, variant):

@@ -130,7 +130,7 @@ class TestFixAndMap:
         oracle = _oracle_after(inst, rng.standard_normal(10))
         assert len(oracle.U) == 1
         oracle.U.triangular[0, 0] *= 1.0 + 1e-6
-        check = invariants.rotation_orthogonal(RotatedInstance(inst, oracle.U))
+        (check,) = invariants.rotation_orthogonal(RotatedInstance(inst, oracle.U)).checks
         assert not check.passed and check.margin < 0.0
         with pytest.raises(ValueError, match="not orthogonal"):
             oracle(rng.standard_normal(10))
@@ -192,8 +192,8 @@ class TestAdversarialRun:
         # no reflector touches the last coordinate, so A'b stays exactly put
         assert np.array_equal(U.T @ atb, atb)
         assert np.array_equal(matvec_at(final, final.labels), final.U.apply_t(atb))
-        # the instance keeps the max |U'U - I| measured on the materialized U
-        assert final.orthogonality_residual == ortho
+        # the verdict measures max |U'U - I| on the materialized U
+        assert invariants.rotation_orthogonal(final).measured == {"orthogonality_residual": ortho}
         assert data_direction_residual(final) == 0.0
 
     def test_rotated_optimum_value_is_invariant(self):
