@@ -3,7 +3,7 @@
 
 import numpy as np
 
-from hardlogit import Variant, build_instance, build_w, export, matvec_a, matvec_at
+from hardlogit import Variant, build_instance, build_w, export
 
 np.set_printoptions(precision=3, suppress=True, linewidth=120)
 
@@ -21,16 +21,16 @@ print("W @ (1..5)/10 =", w.apply(np.arange(1.0, 6.0) / 10), " (a scaled ramp bec
 inst = build_instance(6, sigma=1.3, zeta=1.0, variant=Variant.FOUR_BLOCK)
 print(f"\nfour-block instance: {inst.n_rows} rows x {inst.k} features")
 print("labels:", inst.labels.astype(int))
-print("A' b   =", matvec_at(inst, inst.labels), " (only the last feature sees the labels)")
+A = inst.dense()
+print("A' b   =", A.T @ inst.labels, " (only the last feature sees the labels)")
 
 # W'W = tridiag(-1, [2,...,2,1], -1), so ||A|| is known exactly.
 print(f"\n||A|| = 2*sqrt(sum s_i^2)*cos(pi/(2k+1)) = {inst.a_norm():.6f}")
-print(f"largest singular value of dense A         = {np.linalg.norm(inst.dense(), 2):.6f}")
+print(f"largest singular value of dense A         = {np.linalg.norm(A, 2):.6f}")
 print(f"row-structure bound 4*sqrt(2(sigma^2+zeta^2)) = {inst.spectral_norm_bound():.6f}")
 
-# Products never materialize A: cost is O(k) per block.
-x = np.arange(1.0, 7.0)
-print("\nA @ (1..6) head:", matvec_a(inst, x)[:8])
+# A ramp maps to constant blocks: W (1..6) = 1.
+print("\nA @ (1..6) head:", (A @ np.arange(1.0, 7.0))[:8])
 
 # The half-size variant drops the mirrored blocks.
 small = build_instance(3, 1.3, 1.0, Variant.TWO_BLOCK)

@@ -8,8 +8,8 @@ from hardlogit import (
     build_instance,
     c_bracket,
     constant_c_ratio,
+    invariants,
     loss,
-    phi,
     profile,
     solve_c,
     subspace_gap,
@@ -33,8 +33,8 @@ print(f"gradient sup-norm at x*:  {np.max(np.abs(resp.gradient)):.2e}")
 print(f"||x*||^2 = {prof.xstar_norm_sq:.6f}  (= c^2 k(k+1)(2k+1)/6)")
 
 # With an intercept in the model, (x*, 0) is still optimal.
-_, gx, gy = phi(inst, prof.x_star, 0.0)
-print(f"intercept derivative at (x*, 0): {gy:.2e}")
+intercept = invariants.optimum([(inst, prof)])[2]
+print(f"{intercept.name} at (x*, 0): {intercept.detail}")
 
 # Freezing the leading coordinates at zero costs a fixed amount per frozen
 # coordinate; that amount, relative to c^2 sigma^2, is the ratio constant.

@@ -27,17 +27,12 @@ from .datasets import (
     build_instance,
     build_w,
     export,
-    matvec_a,
-    matvec_at,
 )
 from .logloss import (
     FirstOrderOracle,
     OracleResponse,
-    h_grad,
-    h_value,
     lipschitz,
     loss,
-    phi,
 )
 from .optimizers import (
     METHOD_NAMES,

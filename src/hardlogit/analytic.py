@@ -189,15 +189,15 @@ def bound_linear_span(T: int, a_norm: float, dist0_sq: float) -> LowerBound:
 
 def bound_general(T: int, a_norm: float, dist0_sq: float) -> LowerBound:
     """Iteration-T lower bound for arbitrary deterministic first-order
-    methods (dimension 4T+2, adaptively rotated instance).
+    methods (dimension 4T+2, adaptively rotated instance): the span bound
+    at 2T+1 iterations, whose dimension 2(2T+1) is the same.
 
     gap(x_T) > 3*||A||^2*||x0-z*||^2 / (32*(4T+3)*(8T+5)) and
     ||x_T - z*||^2 > ||x0-z*||^2 / 8.
     """
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
-    gap = 3.0 * a_norm**2 * dist0_sq / (32.0 * (4 * T + 3) * (8 * T + 5))
-    return LowerBound(gap=float(gap), dist_factor=0.125)
+    return bound_linear_span(2 * T + 1, a_norm, dist0_sq)
 
 
 def sandwich_ratio(T: int) -> float:

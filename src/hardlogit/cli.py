@@ -10,7 +10,8 @@ Subcommands:
 - ``resist``: race a method against the adaptive rotation adversary
   (dimension 4T+2) and check the general lower bounds plus replay.
 
-Exit codes: 0 pass, 1 assertion failure, 2 usage error.  A report's
+Exit codes: 0 pass, 1 assertion failure, 2 usage error (a bad argument,
+or an output path that cannot be written).  A report's
 figures and verdicts are those of its ``invariants.Findings``; reports are
 canonical JSON (sorted keys); pass --no-timestamp for byte-identical reruns.
 """
@@ -212,7 +213,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -16,11 +16,11 @@ Two stacked-block variants are provided:
 A ``RotatedInstance`` is a ``WorstCaseInstance`` with data matrix A U for
 an orthogonal U held as a ``Rotation``, the product of its Householder
 reflectors in compact WY form: the same k, sigma, zeta, blocks, labels and
-||A||, with block W U in place of W.  ``matvec_a``/``matvec_at`` apply W by
-its index structure in O(k) per block, plus U in O(jk) for j reflectors;
-only ``dense()`` builds the N x k matrix, and only the exports (``export``
-writes rows from one k x k block) and ``invariants.rotation_orthogonal``
-build U; constructing the instance does not.
+||A||, with block W U in place of W.  ``logloss.loss`` applies W by its
+index structure in O(k) and U in O(jk) for j reflectors; only ``dense()``
+builds the N x k matrix, and only the exports (``export`` writes rows from
+one k x k block) and ``invariants.rotation_orthogonal`` build U;
+constructing the instance does not.
 """
 
 from __future__ import annotations
@@ -285,29 +285,6 @@ def build_instance(
         k=int(k), sigma=sigma, zeta=zeta, variant=variant,
         w=w, block_scales=scales, block_labels=labels,
     )
-
-
-def matvec_a(inst: WorstCaseInstance, x: np.ndarray) -> np.ndarray:
-    """A @ x (A @ U @ x for a rotated instance), O(k) per block."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (inst.k,):
-        raise ValueError(f"dimension mismatch: expected ({inst.k},), got {x.shape}")
-    if isinstance(inst, RotatedInstance):
-        x = inst.U.apply(x)
-    wx = inst.w.apply(x)
-    return np.concatenate([s * wx for s in inst.block_scales])
-
-
-def matvec_at(inst: WorstCaseInstance, v: np.ndarray) -> np.ndarray:
-    """A.T @ v (U.T @ A.T @ v for a rotated instance), O(k) per block."""
-    v = np.asarray(v, dtype=float)
-    if v.shape != (inst.n_rows,):
-        raise ValueError(f"dimension mismatch: expected ({inst.n_rows},), got {v.shape}")
-    combined = np.zeros(inst.k)
-    for s, blk in zip(inst.block_scales, v.reshape(len(inst.block_scales), inst.k)):
-        combined += s * blk
-    atv = inst.w.apply(combined)
-    return inst.U.apply_t(atv) if isinstance(inst, RotatedInstance) else atv
 
 
 def export(inst: WorstCaseInstance, format: str, path, extra_meta: dict | None = None) -> None:

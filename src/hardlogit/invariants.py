@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import analytic, logloss, optimizers, resist
+from . import analytic, datasets, logloss, optimizers, resist
 
 RATIO_FLOOR = 0.5  # C(sigma/zeta) must exceed it for the per-coordinate gap bound
 GRADIENT_TOL = 1e-9  # sup-norm of the gradient and the intercept derivative at x*
@@ -63,14 +63,21 @@ def ratio_constant(inst) -> Check:
 
 
 def optimum(pairs) -> tuple[Check, Check, Check]:
-    """At the closed-form x* of each (instance, profile): the gradient
-    vanishes, the loss is f*, and so does the intercept derivative."""
+    """At the closed-form x* of each (base instance, profile): the gradient
+    vanishes, the loss is f*, and so does the derivative in an intercept y
+    at y = 0, sum tanh(A x*/2) - sum b.  That derivative vanishes only for
+    the four-block variant, whose label blocks are mirror images; any other
+    raises ValueError."""
     grad = value = dy = 0.0
     for inst, prof in pairs:
+        if inst.variant is not datasets.Variant.FOUR_BLOCK:
+            raise ValueError("unsupported variant: the intercept derivative needs four_block")
         resp = logloss.loss(inst, prof.x_star)
         grad = max(grad, float(np.max(np.abs(resp.gradient))))
         value = max(value, abs(resp.value - prof.f_star) / (1.0 + abs(prof.f_star)))
-        dy = max(dy, abs(logloss.phi(inst, prof.x_star, 0.0)[2]))
+        wx = inst.w.apply(prof.x_star)
+        u = np.concatenate([s * wx for s in inst.block_scales])  # A x*, all N rows
+        dy = max(dy, abs(float(np.sum(np.tanh(0.5 * u)) - np.sum(inst.labels))))
     return (
         _at_most("optimum_gradient_vanishes", grad, GRADIENT_TOL),
         _at_most("optimum_value_matches_formula", value, VALUE_TOL),

@@ -16,8 +16,8 @@ one (distinct |s|) x k array and never forms the N-vector Ax: the
 four-block variant costs 2k transcendentals, not 4k.  A rotated instance
 has the same blocks and labels with matrix A U, so it runs the same kernel
 at U x and pulls the gradient back by U', both through its ``Rotation`` in
-O(jk) for j reflectors; ``loss`` and ``datasets``' ``matvec_a``/``matvec_at``
-are the only places that apply U.
+O(jk) for j reflectors.  ``loss`` is the package's one evaluation of the
+model; ``invariants.optimum`` alone adds the intercept derivative at x*.
 
 Optimizers never see A or b: they receive an opaque oracle handle that
 returns (value, gradient) pairs only.
@@ -27,29 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datasets import RotatedInstance, Variant, WorstCaseInstance, matvec_a, matvec_at
+from .datasets import RotatedInstance, WorstCaseInstance
 
 LOG2 = float(np.log(2.0))
-
-
-def _require_finite(u: np.ndarray, what: str) -> np.ndarray:
-    u = np.asarray(u, dtype=float)
-    if not np.all(np.isfinite(u)):
-        raise ValueError(f"{what} must be finite")
-    return u
-
-
-def h_value(u: np.ndarray) -> float:
-    """sum_i [ |u_i| + 2*log1p(exp(-|u_i|)) ]; even in u, minimized at 0."""
-    u = _require_finite(u, "h_value input")
-    a = np.abs(u)
-    return float(np.sum(a + 2.0 * np.log1p(np.exp(-a))))
-
-
-def h_grad(u: np.ndarray) -> np.ndarray:
-    """Componentwise tanh(u_i/2); odd, every component in (-1, 1)."""
-    u = _require_finite(u, "h_grad input")
-    return np.tanh(0.5 * u)
 
 
 @dataclass(frozen=True)
@@ -98,24 +78,6 @@ def loss(inst: WorstCaseInstance, x: np.ndarray) -> OracleResponse:
         return OracleResponse(value=value, gradient=inst.U.apply_t(gradient))
     value, gradient = _block_loss(inst, x)
     return OracleResponse(value=value, gradient=gradient)
-
-
-def phi(inst: WorstCaseInstance, x: np.ndarray, y: float):
-    """Full model with intercept: value, x-gradient and y-derivative.
-
-    Only defined for the four-block variant, whose label blocks are mirror
-    images so the optimal intercept is zero.  It keeps the N-row form: the
-    intercept breaks the evenness the block kernel of ``loss`` relies on.
-    """
-    if inst.variant is not Variant.FOUR_BLOCK:
-        raise ValueError("unsupported variant: the intercept model needs four_block")
-    u = matvec_a(inst, np.asarray(x, dtype=float)) + float(y)
-    b = inst.labels
-    t = h_grad(u)
-    value = h_value(u) - float(b @ u)
-    grad_x = matvec_at(inst, t - b)
-    grad_y = float(np.sum(t) - np.sum(b))
-    return value, grad_x, grad_y
 
 
 def lipschitz(inst: WorstCaseInstance) -> float:

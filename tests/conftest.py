@@ -70,12 +70,6 @@ def rotated_ab(U: np.ndarray, sigma: float, zeta: float):
     return A, b
 
 
-def naive_h(u: np.ndarray) -> float:
-    """Direct 2*log(2*cosh(u/2)) sum; valid only for moderate |u|."""
-    u = np.asarray(u, dtype=float)
-    return float(np.sum(2.0 * np.log(2.0 * np.cosh(u / 2.0))))
-
-
 def logistic_form(A: np.ndarray, b: np.ndarray, x: np.ndarray) -> float:
     """The log1p(exp(.)) form of the loss, from the dense data."""
     margins = b * (A @ x)

@@ -9,7 +9,6 @@ from hardlogit import (
     analytic,
     build_instance,
     invariants,
-    matvec_a,
     profile,
     resist,
     run,
@@ -60,8 +59,6 @@ def test_generate_libsvm_roundtrip(tmp_path):
             idx, val = pair.split(":")
             rows[i, int(idx) - 1] = float(val)
     assert np.array_equal(rows, inst.dense())
-    x = np.arange(1.0, 6.0)
-    assert np.allclose(rows @ x, matvec_a(inst, x), rtol=1e-12, atol=1e-12)
 
 
 def test_generate_creates_the_output_directory(tmp_path, capsys):
@@ -77,6 +74,20 @@ def test_generate_invalid_dimension(tmp_path, monkeypatch, capsys):
     rc = main(["generate", "--k", "0"])
     assert rc != 0
     assert "invalid dimension" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, out", [
+    (["generate", "--k", "3"], "sub/data.csv"),
+    (["race", "--method", "gd", "--T", "2"], "sub"),
+    (["resist", "--method", "gd", "--T", "2"], "sub"),
+], ids=["generate", "race", "resist"])
+def test_unwritable_output_is_a_usage_error(tmp_path, capsys, argv, out):
+    # an --out below a regular file: an error line and exit 2, no traceback
+    (tmp_path / "file").write_text("")
+    assert main(argv + ["--out", str(tmp_path / "file" / out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(tmp_path / "file") in err
+    assert (tmp_path / "file").read_text() == ""
 
 
 def test_verify_passes(capsys, monkeypatch):
@@ -248,9 +259,10 @@ def _count_calls(monkeypatch, owner, name, counts):
 
 @pytest.mark.parametrize("argv, expected", [  # one call per cell: two race cells, one resist
     (["race", "--method", "agd", "--T", "3,6"], {"bound_linear_span": 2, "agd_upper_bound": 2}),
-    (["race", "--method", "denseprobe", "--T", "3,6"], {"bound_general": 2}),
+    (["race", "--method", "denseprobe", "--T", "3,6"],  # bound_general is the span bound at 2T+1
+     {"bound_general": 2, "bound_linear_span": 2}),
     (["resist", "--method", "denseprobe", "--T", "4"],
-     {"bound_general": 1, "data_direction_residual": 1}),
+     {"bound_general": 1, "bound_linear_span": 1, "data_direction_residual": 1}),
 ], ids=["race-agd", "race-denseprobe", "resist"])
 def test_report_figures_computed_once_per_cell(tmp_path, monkeypatch, argv, expected):
     # the report reads the figures its verdicts computed; nothing recomputes them

@@ -16,8 +16,6 @@ from hardlogit import (
     export,
     invariants,
     loss,
-    matvec_a,
-    matvec_at,
 )
 from conftest import (
     dense_ab,
@@ -96,7 +94,7 @@ class TestBuildInstance:
     def test_four_block_layout(self):
         inst = build_instance(4, 1.3, 1.0)
         assert inst.n_rows == 16
-        atb = matvec_at(inst, inst.labels)
+        atb = inst.dense().T @ inst.labels
         expected = np.zeros(4)
         expected[3] = 4.0 * (1.3 - 1.0)
         assert np.max(np.abs(atb - expected)) <= 1e-15
@@ -105,8 +103,19 @@ class TestBuildInstance:
         inst = build_instance(3, 2.0, 1.0, "twoblock")  # sigma = 2*zeta is a valid instance
         assert inst.n_rows == 6
         assert inst.labels.tolist() == [1, 1, 1, -1, -1, -1]
-        atb = matvec_at(inst, inst.labels)
+        atb = inst.dense().T @ inst.labels
         assert np.allclose(atb, [0, 0, 2.0 * (2.0 - 1.0)], atol=1e-15)
+
+    def test_ramp_gives_constant_blocks(self):
+        k, sigma, zeta, c = 6, 1.3, 1.0, 0.25
+        inst = build_instance(k, sigma, zeta)
+        out = inst.dense() @ (c * np.arange(1, k + 1, dtype=float))
+        ones = np.ones(k)
+        expected = np.concatenate(
+            [2 * sigma * c * ones, -2 * zeta * c * ones,
+             -2 * sigma * c * ones, 2 * zeta * c * ones]
+        )
+        assert np.allclose(out, expected, rtol=0, atol=1e-14)
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError, match="invalid parameters"):
@@ -134,74 +143,6 @@ class TestBuildInstance:
         assert build_instance(2, 1.3, 1.0, " TWO_block ").variant is Variant.TWO_BLOCK
         with pytest.raises(ValueError, match="variant"):
             build_instance(2, 1.3, 1.0, "sixblock")
-
-
-class TestMatvec:
-    def test_zero_maps_to_zero(self):
-        inst = build_instance(5, 1.3, 1.0)
-        assert np.array_equal(matvec_a(inst, np.zeros(5)), np.zeros(20))
-        assert np.array_equal(matvec_at(inst, np.zeros(20)), np.zeros(5))
-
-    def test_ramp_gives_constant_blocks(self):
-        k, sigma, zeta, c = 6, 1.3, 1.0, 0.25
-        inst = build_instance(k, sigma, zeta)
-        out = matvec_a(inst, c * np.arange(1, k + 1, dtype=float))
-        ones = np.ones(k)
-        expected = np.concatenate(
-            [2 * sigma * c * ones, -2 * zeta * c * ones,
-             -2 * sigma * c * ones, 2 * zeta * c * ones]
-        )
-        assert np.allclose(out, expected, rtol=0, atol=1e-14)
-
-    @pytest.mark.parametrize("variant", ["fourblock", "twoblock"])
-    def test_matches_dense_products(self, variant, rng):
-        for k in range(1, 65):
-            inst = build_instance(k, 1.3, 1.0, variant)
-            A, _ = dense_ab(k, 1.3, 1.0, variant)
-            for _ in range(100):
-                x = rng.standard_normal(k)
-                ref = A @ x
-                got = matvec_a(inst, x)
-                scale = max(1.0, np.max(np.abs(ref)))
-                assert np.max(np.abs(got - ref)) <= 1e-12 * scale
-                v = rng.standard_normal(inst.n_rows)
-                ref_t = A.T @ v
-                got_t = matvec_at(inst, v)
-                scale_t = max(1.0, np.max(np.abs(ref_t)))
-                assert np.max(np.abs(got_t - ref_t)) <= 1e-12 * scale_t
-
-    def test_rotated_matches_dense(self, rng):
-        k = 7
-        inst = build_instance(k, 1.3, 1.0)
-        U = random_orthogonal(k, seed=7)
-        rot = RotatedInstance(inst, U)
-        A, _ = dense_ab(k, 1.3, 1.0)
-        AU = A @ reflector_product(U)
-        x = rng.standard_normal(k)
-        assert np.allclose(matvec_a(rot, x), AU @ x, rtol=1e-12, atol=1e-12)
-        v = rng.standard_normal(4 * k)
-        assert np.allclose(matvec_at(rot, v), AU.T @ v, rtol=1e-12, atol=1e-12)
-
-    def test_rotation_must_be_orthogonal(self):
-        # a reflector row moved off by 1e-6 leaves U non-orthogonal: the
-        # verdict measures max |U'U - I| on the materialized U and fails
-        inst = build_instance(3, 1.3, 1.0)
-        U = random_orthogonal(3, seed=2)
-        U.V[0, 0] += 1e-6
-        found = invariants.rotation_orthogonal(RotatedInstance(inst, U))
-        dense = U.dense()
-        drift = float(np.max(np.abs(dense.T @ dense - np.eye(3))))
-        assert found.measured == {"orthogonality_residual": drift} and drift > 1e-8
-        (check,) = found.checks
-        assert not check.passed
-        assert check.margin == invariants.ROTATION_TOL - drift < 0.0
-
-    def test_dimension_mismatch(self):
-        inst = build_instance(3, 1.3, 1.0)
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            matvec_a(inst, np.ones(4))
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            matvec_at(inst, np.ones(5))
 
 
 class TestRotation:
@@ -283,9 +224,9 @@ class TestRotatedInstance:
             got, ref = loss(rot, x), loss(inst, x)
             assert got.value == ref.value
             assert np.array_equal(got.gradient, ref.gradient)
-            assert np.array_equal(matvec_a(rot, x), matvec_a(inst, x))
+            assert np.array_equal(rot.dense() @ x, inst.dense() @ x)
             v = rng.standard_normal(inst.n_rows)
-            assert np.array_equal(matvec_at(rot, v), matvec_at(inst, v))
+            assert np.array_equal(v @ rot.dense(), v @ inst.dense())
         for fmt in ("csv", "libsvm"):
             export(inst, fmt, tmp_path / f"base.{fmt}")
             export(rot, fmt, tmp_path / f"rot.{fmt}")
@@ -313,7 +254,20 @@ class TestRotatedInstance:
         x = rng.standard_normal(8)
         assert loss(twice, x).value == loss(once, x).value
         assert np.array_equal(loss(twice, x).gradient, loss(once, x).gradient)
-        assert np.array_equal(matvec_a(twice, x), matvec_a(once, x))
+
+    def test_rotation_must_be_orthogonal(self):
+        # a reflector row moved off by 1e-6 leaves U non-orthogonal: the
+        # verdict measures max |U'U - I| on the materialized U and fails
+        inst = build_instance(3, 1.3, 1.0)
+        U = random_orthogonal(3, seed=2)
+        U.V[0, 0] += 1e-6
+        found = invariants.rotation_orthogonal(RotatedInstance(inst, U))
+        dense = U.dense()
+        drift = float(np.max(np.abs(dense.T @ dense - np.eye(3))))
+        assert found.measured == {"orthogonality_residual": drift} and drift > 1e-8
+        (check,) = found.checks
+        assert not check.passed
+        assert check.margin == invariants.ROTATION_TOL - drift < 0.0
 
     def test_construction_builds_no_dense_rotation(self, rng):
         # the constructor checks the dimension and copies the fields and U;
@@ -490,7 +444,7 @@ class TestExport:
                              "xstar_norm_sq", "spectral_norm_bound"}
         assert meta["N"] == 16 and meta["variant"] == "fourblock"
 
-    def test_rotated_export_uses_effective_matrix(self, tmp_path, rng):
+    def test_rotated_export_uses_effective_matrix(self, tmp_path):
         inst = build_instance(5, 1.3, 1.0)
         U = random_orthogonal(5, seed=11)
         rot = RotatedInstance(inst, U)
@@ -501,8 +455,6 @@ class TestExport:
         _, data, labels = _parse_csv(path)
         assert np.array_equal(data, AU)
         assert np.array_equal(labels, b)
-        x = rng.standard_normal(5)
-        assert np.allclose(data @ x, matvec_a(rot, x), rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("variant", ["fourblock", "twoblock"])
     @pytest.mark.parametrize("fmt", ["csv", "libsvm"])

@@ -7,11 +7,9 @@ from hardlogit import (
     FirstOrderOracle,
     RotatedInstance,
     build_instance,
-    h_grad,
-    h_value,
+    invariants,
     lipschitz,
     loss,
-    phi,
     profile,
     run,
 )
@@ -19,63 +17,11 @@ from conftest import (
     central_diff_grad,
     dense_ab,
     logistic_form,
-    naive_h,
     random_orthogonal,
     rotated_ab,
 )
 
 LOG2 = np.log(2.0)
-
-
-class TestHValue:
-    def test_zero(self):
-        assert abs(h_value(np.array([0.0])) - 2 * LOG2) <= 1e-15
-
-    def test_huge_argument_no_overflow(self):
-        assert h_value(np.array([1e6])) == 1e6
-
-    def test_matches_naive_formula(self, rng):
-        assert np.isclose(
-            h_value(np.array([1.0, -1.0])),
-            2 * (2 * np.log(2 * np.cosh(0.5))),
-            rtol=1e-14,
-        )
-        for _ in range(50):
-            u = rng.uniform(-5, 5, size=rng.integers(1, 12))
-            assert np.isclose(h_value(u), naive_h(u), rtol=1e-12)
-
-    def test_even_and_minimized_at_zero(self, rng):
-        for _ in range(20):
-            u = rng.standard_normal(6)
-            assert h_value(u) == h_value(-u)
-            assert h_value(u) >= 6 * 2 * LOG2
-        assert h_value(np.zeros(6)) == pytest.approx(12 * LOG2, rel=1e-15)
-
-    def test_nan_rejected(self):
-        with pytest.raises(ValueError, match="finite"):
-            h_value(np.array([1.0, np.nan]))
-        with pytest.raises(ValueError, match="finite"):
-            h_grad(np.array([np.inf]))
-
-
-class TestHGrad:
-    def test_zero(self):
-        assert np.array_equal(h_grad(np.zeros(4)), np.zeros(4))
-
-    def test_atanh_identity(self):
-        u = np.array([2.0 * np.arctanh(0.5)])
-        assert np.allclose(h_grad(u), [0.5], rtol=1e-14)
-
-    def test_odd_and_bounded(self, rng):
-        u = rng.standard_normal(30) * 3
-        g = h_grad(u)
-        assert np.array_equal(h_grad(-u), -g)
-        assert np.all(np.abs(g) < 1.0)
-
-    def test_matches_finite_differences(self, rng):
-        u = rng.standard_normal(9)
-        fd = central_diff_grad(lambda v: h_value(v), u, step=1e-6)
-        assert np.max(np.abs(fd - h_grad(u))) <= 1e-7
 
 
 class TestLoss:
@@ -260,34 +206,23 @@ def test_kernel_property_sweep(ratio, log_scale, k, variant, rotated, seed):
     assert np.max(np.abs(resp.gradient - gradient)) <= 1e-12 * grad_scale
 
 
-class TestPhi:
-    def test_zero_point(self):
-        inst = build_instance(4, 1.3, 1.0)
-        value, grad_x, grad_y = phi(inst, np.zeros(4), 0.0)
-        assert value == pytest.approx(2 * inst.n_rows * LOG2, rel=1e-14)
+class TestOptimumIntercept:
+    """The intercept derivative ``invariants.optimum`` reports at (x*, 0)
+    against sum tanh(A x*/2) - sum b over the N rows of the dense A."""
 
-    def test_intercept_derivative_vanishes_at_optimum(self):
-        inst = build_instance(6, 1.3, 1.0)
+    @pytest.mark.parametrize("k", [1, 2, 10, 80])
+    def test_matches_dense_rows(self, k):
+        inst = build_instance(k, 1.3, 1.0)
         prof = profile(inst)
-        _, grad_x, grad_y = phi(inst, prof.x_star, 0.0)
-        assert abs(grad_y) <= 1e-9
-        assert np.max(np.abs(grad_x)) <= 1e-9
-
-    def test_matches_finite_differences(self, rng):
-        inst = build_instance(4, 1.3, 1.0)
-        x = rng.standard_normal(4)
-        y = rng.standard_normal()
-        fd_x = central_diff_grad(lambda v: phi(inst, v, y)[0], x)
-        _, grad_x, grad_y = phi(inst, x, y)
-        assert np.max(np.abs(fd_x - grad_x)) <= 1e-7
-        step = 1e-6
-        fd_y = (phi(inst, x, y + step)[0] - phi(inst, x, y - step)[0]) / (2 * step)
-        assert abs(fd_y - grad_y) <= 1e-7
+        dense = abs(np.sum(np.tanh(0.5 * (inst.dense() @ prof.x_star))) - np.sum(inst.labels))
+        check = invariants.optimum([(inst, prof)])[2]
+        assert check.name == "intercept_derivative_vanishes" and check.passed
+        assert abs((invariants.GRADIENT_TOL - check.margin) - dense) <= 1e-12 * inst.n_rows
 
     def test_two_block_unsupported(self):
         inst = build_instance(3, 1.3, 1.0, "twoblock")
         with pytest.raises(ValueError, match="unsupported variant"):
-            phi(inst, np.zeros(3), 0.0)
+            invariants.optimum([(inst, profile(inst))])
 
 
 class TestLipschitz:
