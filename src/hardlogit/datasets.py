@@ -19,8 +19,9 @@ reflectors in compact WY form: the same k, sigma, zeta, blocks, labels and
 ||A||, with block W U in place of W.  ``logloss.loss`` applies W by its
 index structure in O(k) and U in O(jk) for j reflectors; only ``dense()``
 builds the N x k matrix, and only the exports (``export`` writes rows from
-one k x k block) and ``invariants.rotation_orthogonal`` build U;
-constructing the instance does not.
+the nonzeros of one k x k block, ``w_nonzeros()``) and
+``invariants.rotation_orthogonal`` build U; constructing the instance does
+not.
 """
 
 from __future__ import annotations
@@ -287,6 +288,23 @@ def build_instance(
     )
 
 
+def csv_lines(k: int, zero: str, rows):
+    """Comma-joined lines of k cells, one per (cols, vals) of ``rows``, two
+    lists: the row's values in "%.17g" at its columns, which increase, and
+    the text ``zero`` (no '%' in it) in every other cell.  Only the values
+    are formatted, and consecutive rows on the same columns share one
+    template, so a dense row costs what ``np.savetxt`` pays for it."""
+    blank = [zero] * k
+    prev = template = None
+    for cols, vals in rows:
+        if cols != prev:
+            cells = blank.copy()
+            for c in cols:
+                cells[c] = "%.17g"
+            template, prev = ",".join(cells), cols
+        yield template % tuple(vals)
+
+
 def export(inst: WorstCaseInstance, format: str, path, extra_meta: dict | None = None) -> None:
     """Write the dataset to ``path`` in one of three formats.
 
@@ -296,10 +314,11 @@ def export(inst: WorstCaseInstance, format: str, path, extra_meta: dict | None =
       spectral_norm_bound} merged with ``extra_meta`` (callers add the
       analytic entries c, f_star, xstar_norm_sq).
 
-    Rows are s * W, or s * (W U) when rotated, whose exact zeros libsvm omits
-    (it reads them from ``w_nonzeros()``, so a base instance builds no k x k
-    block); labels are the integers 1 / -1; floats carry 17 digits (exact
-    round-trip).
+    Rows are s * W, or s * (W U) when rotated.  Both formats read them from
+    ``w_nonzeros()``, so a base instance builds no k x k block: libsvm
+    omits the exact zeros, and csv writes every zero of a block from the
+    one string of s * 0.0 (``csv_lines``).  Labels are the integers 1 / -1;
+    floats carry 17 digits (exact round-trip).
     """
     fmt = str(format).strip().lower().replace("_", "-")
     if fmt == "json-meta":
@@ -321,13 +340,18 @@ def export(inst: WorstCaseInstance, format: str, path, extra_meta: dict | None =
     k = inst.k
     labels = inst.labels.astype(int).tolist()
     if fmt == "csv":
-        wb = inst.w_block()
-        template = ",".join(["%.17g"] * k) + ",%d\n"
-        scaled = (s * w_row for s in inst.block_scales for w_row in wb)
+        rows, cols, w_vals = inst.w_nonzeros()
+        starts = np.searchsorted(rows, np.arange(k + 1)).tolist()
+        cols = cols.tolist()
         with open(path, "w") as fh:
             fh.write(",".join(f"feature_{j + 1}" for j in range(k)) + ",label\n")
-            for row, lab in zip(scaled, labels):
-                fh.write(template % (*row.tolist(), lab))
+            for b, s in enumerate(inst.block_scales):
+                vals = (s * w_vals).tolist()
+                spans = ((cols[lo:hi], vals[lo:hi]) for lo, hi in zip(starts, starts[1:]))
+                # a zero of the block is s * 0.0, so "-0" where s < 0
+                lines = csv_lines(k, "%.17g" % (s * 0.0), spans)
+                for line, lab in zip(lines, labels[b * k : (b + 1) * k]):
+                    fh.write(f"{line},{lab}\n")
     elif fmt == "libsvm":
         rows, cols, w_vals = inst.w_nonzeros()
         with open(path, "w") as fh:

@@ -9,10 +9,13 @@ whose figures a report prints returns them with it, as ``Findings``.
 it prints is measured, and every verdict judged, in this module (the U'U
 of a rotated instance too, on its materialized U).  Calls into the package
 go through module attributes (``logloss.loss``), so a wrapper installed on
-one sees them.
+one sees them.  The sweeps over many points of one instance pass them to
+``logloss.loss`` as one stack: one call per instance in ``gradient_trap``
+and per dimension in ``restricted_optimum_identity``.
 """
 
 import itertools
+import operator
 from typing import NamedTuple
 
 import numpy as np
@@ -87,15 +90,18 @@ def optimum(pairs) -> tuple[Check, Check, Check]:
 
 def gradient_trap(cases) -> Check:
     """For each (instance, x): x supported on its trailing t coordinates
-    gets a gradient supported on the trailing t+1 (the zero chain)."""
-    leak = 0.0
-    for inst, x in cases:
-        nonzero = np.flatnonzero(x)
-        lead = (nonzero[0] if nonzero.size else inst.k) - 1  # k - (t+1)
-        g = logloss.loss(inst, x).gradient
-        if lead > 0:
-            leak = max(leak, float(np.max(np.abs(g[:lead]))))
-    return _at_most("gradients_stay_in_next_subspace", leak, LEAK_TOL)
+    gets a gradient supported on the trailing t+1 (the zero chain).  Each
+    run of consecutive cases on one instance is evaluated as one stack."""
+    leak = [0.0]
+    # instances compare by identity (eq=False), so a run is one instance
+    for inst, run in itertools.groupby(cases, key=operator.itemgetter(0)):
+        X = np.array([x for _, x in run], dtype=float)
+        support = X != 0.0
+        first = np.where(support.any(axis=1), support.argmax(axis=1), inst.k)
+        outside = np.arange(inst.k) < first[:, None] - 1  # the leading k-(t+1)
+        g = logloss.loss(inst, X).gradient
+        leak.append(np.max(np.abs(g), where=outside, initial=0.0))
+    return _at_most("gradients_stay_in_next_subspace", float(np.max(leak)), LEAK_TOL)
 
 
 def zero_chain(trace) -> Check:
@@ -110,18 +116,20 @@ def zero_chain(trace) -> Check:
 def restricted_optimum_identity(insts, profiles) -> Check:
     """``insts`` and their ``profiles`` in dimensions 1, 2, ..., n, one
     (sigma, zeta): for t < k <= n the k-dimensional loss at (0, x*_t) is
-    8(k-t)log 2 + f*_t, and that minus f*_k is ``subspace_gap(k, t)``."""
+    8(k-t)log 2 + f*_t, and that minus f*_k is ``subspace_gap(k, t)``.
+    The k-1 points of dimension k are evaluated as one stack."""
     unit_gap = analytic.per_coordinate_gap(insts[0].sigma, insts[0].zeta)
-    worst = 0.0
+    worst = [0.0]
     for inst, prof_k in zip(insts[1:], profiles[1:]):
         k = inst.k
-        for t, prof_t in enumerate(profiles[: k - 1], start=1):
-            x = np.zeros(k)
-            x[k - t:] = prof_t.x_star
-            rhs = 8.0 * (k - t) * logloss.LOG2 + prof_t.f_star
-            worst = max(worst, abs(logloss.loss(inst, x).value - rhs),
-                        abs((rhs - prof_k.f_star) - 4.0 * (k - t) * unit_gap))
-    return _at_most("restricted_optimum_identity", worst, IDENTITY_TOL)
+        t = np.arange(1, k)
+        X = np.zeros((k - 1, k))
+        for i, prof_t in enumerate(profiles[: k - 1]):  # row i is (0, x*_t), t = i+1
+            X[i, k - 1 - i:] = prof_t.x_star
+        rhs = 8.0 * (k - t) * logloss.LOG2 + np.array([p.f_star for p in profiles[: k - 1]])
+        worst += [np.max(np.abs(logloss.loss(inst, X).value - rhs)),
+                  np.max(np.abs((rhs - prof_k.f_star) - 4.0 * (k - t) * unit_gap))]
+    return _at_most("restricted_optimum_identity", float(np.max(worst)), IDENTITY_TOL)
 
 
 def restricted_run(cases) -> Check:

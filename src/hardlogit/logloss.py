@@ -13,7 +13,10 @@ tanh odd, so with w = Wx and drift = sum_i s_i*l_i
 
 where mult counts the blocks of magnitude |s|.  ``loss`` evaluates this on
 one (distinct |s|) x k array and never forms the N-vector Ax: the
-four-block variant costs 2k transcendentals, not 4k.  A rotated instance
+four-block variant costs 2k transcendentals, not 4k.  It takes a point or
+a stack of m points as an (m, k) array of rows, as ``Rotation.apply``
+does, and evaluates the stack in one pass of the same kernel, so m points
+cost one call's numpy dispatch.  A rotated instance
 has the same blocks and labels with matrix A U, so it runs the same kernel
 at U x and pulls the gradient back by U', both through its ``Rotation`` in
 O(jk) for j reflectors.  ``loss`` is the package's one evaluation of the
@@ -23,6 +26,7 @@ Optimizers never see A or b: they receive an opaque oracle handle that
 returns (value, gradient) pairs only.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,50 +38,67 @@ LOG2 = float(np.log(2.0))
 
 @dataclass(frozen=True)
 class OracleResponse:
-    value: float
+    value: float | np.ndarray  # an (m,) array for a stack of m points
     gradient: np.ndarray
 
 
-def _block_loss(inst: WorstCaseInstance, x: np.ndarray) -> tuple[float, np.ndarray]:
-    """(value, gradient) of the unrotated blocks of ``inst`` at x, one row
-    per distinct |s|."""
-    w = inst.w.apply(x)
+@functools.lru_cache(maxsize=16)
+def _magnitudes(scales: tuple, labels: tuple) -> tuple[np.ndarray, np.ndarray, float]:
+    """The distinct |s| of the blocks, how many blocks share each (both
+    read-only) and the drift sum_i s_i*l_i; cached, since every loss call
+    of an instance asks for the same."""
     groups = {}  # |s| -> number of blocks with that magnitude
-    for s in inst.block_scales:
+    for s in scales:
         groups[abs(s)] = groups.get(abs(s), 0) + 1
     mags = np.array(list(groups))
     mult = np.array(list(groups.values()), dtype=float)
-    drift = sum(s * lab for s, lab in zip(inst.block_scales, inst.block_labels))
-    z = np.multiply.outer(mags, w)  # |s| * Wx, one row per magnitude
+    mags.flags.writeable = mult.flags.writeable = False
+    return mags, mult, sum(s * lab for s, lab in zip(scales, labels))
+
+
+def _block_loss(inst: WorstCaseInstance, x: np.ndarray):
+    """(value, gradient) of the unrotated blocks of ``inst`` at x, a point or
+    a stack of rows, one row of z per distinct |s| and point.  Every sum runs
+    along the contiguous last axis, so a row of a stack gets the bits of the
+    single-point call."""
+    # W is symmetric, so W x for each row x is W applied along the last axis
+    w = np.ascontiguousarray(inst.w.apply(x.T).T)
+    mags, mult, drift = _magnitudes(inst.block_scales, inst.block_labels)
+    z = mags[:, None] * w[..., None, :]  # |s| * Wx, one row per magnitude
     a = np.abs(z)
-    value = float(mult @ np.sum(a + 2.0 * np.log1p(np.exp(-a)), axis=1))
-    value -= drift * float(np.sum(w))
-    if not np.isfinite(value):  # a non-finite |s|*w makes the h sum non-finite
+    value = np.sum(a + 2.0 * np.log1p(np.exp(-a)), axis=-1) @ mult
+    value = value - drift * np.sum(w, axis=-1)
+    if not np.isfinite(value).all():  # a non-finite |s|*w makes the h sum non-finite
         raise ValueError("block margins |s|*Wx must be finite")
     # einsum, not a BLAS gemv: a gemv here raised the race benchmark's peak
     # memory by 1.9 MB in six of ten runs
-    combined = np.einsum("i,ij->j", mult * mags, np.tanh(0.5 * z))
-    gradient = inst.w.apply(combined - drift)
+    combined = np.einsum("i,...ij->...j", mult * mags, np.tanh(0.5 * z))
+    gradient = inst.w.apply((combined - drift).T).T
     return value, gradient
 
 
 def loss(inst: WorstCaseInstance, x: np.ndarray) -> OracleResponse:
-    """Loss value and gradient at x.
+    """Loss value and gradient at x, or at each row of a stack x of shape (m, k).
 
     value = h(Ax) - b'Ax, gradient = A'(tanh(Ax/2) - b), evaluated once
     per distinct block magnitude |s| on w = Wx (see the module notes), in
-    O(k) per magnitude.  For a rotated instance, whose matrix is A U, the
-    base kernel runs at U x and the gradient is pulled back by U'.  A
-    non-finite |s|*w raises ValueError.
+    O(k) per magnitude and point.  A stack gets m values and an (m, k)
+    gradient; on a base instance each row is bit for bit the single-point
+    call's on that row.  For a rotated instance, whose matrix is A U, the
+    base kernel runs at U x and the gradient is pulled back by U' (for a
+    stack by GEMMs, so its rows match single calls to the rounding of the
+    WY update).  A non-finite |s|*w raises ValueError.
     """
     x = np.asarray(x, dtype=float)
-    if x.shape != (inst.k,):
-        raise ValueError(f"dimension mismatch: expected ({inst.k},), got {x.shape}")
+    if x.shape[-1:] != (inst.k,) or x.ndim > 2:
+        raise ValueError(
+            f"dimension mismatch: expected ({inst.k},) or (m, {inst.k}), got {x.shape}")
     if isinstance(inst, RotatedInstance):
         value, gradient = _block_loss(inst, inst.U.apply(x))
-        return OracleResponse(value=value, gradient=inst.U.apply_t(gradient))
-    value, gradient = _block_loss(inst, x)
-    return OracleResponse(value=value, gradient=gradient)
+        gradient = inst.U.apply_t(gradient)
+    else:
+        value, gradient = _block_loss(inst, x)
+    return OracleResponse(value=float(value) if x.ndim == 1 else value, gradient=gradient)
 
 
 def lipschitz(inst: WorstCaseInstance) -> float:

@@ -29,7 +29,7 @@ the family.
 
 import numpy as np
 
-from .datasets import RotatedInstance, Rotation, WorstCaseInstance
+from .datasets import RotatedInstance, Rotation, WorstCaseInstance, csv_lines
 from .logloss import FirstOrderOracle, OracleResponse, lipschitz, loss
 from .optimizers import Trace, _fold, drive
 
@@ -192,5 +192,16 @@ def replay_check(name: str, final_inst: RotatedInstance, iterates: np.ndarray,
 
 
 def save_matrix_csv(matrix: np.ndarray, path) -> None:
-    """Write a dense matrix (e.g. the final rotation) as plain CSV."""
-    np.savetxt(path, np.asarray(matrix, dtype=float), delimiter=",", fmt="%.17g")
+    """Write a 2-D matrix (e.g. the final rotation) as plain CSV, the text
+    ``np.savetxt(path, matrix, delimiter=",", fmt="%.17g")`` writes, with
+    every +0 entry written from one string (``datasets.csv_lines``)."""
+    matrix = np.asarray(matrix, dtype=float)
+
+    def rows():
+        for row in matrix:
+            cols = np.flatnonzero((row != 0.0) | np.signbit(row))  # -0 prints "-0"
+            yield cols.tolist(), row[cols].tolist()
+
+    with open(path, "w") as fh:
+        for line in csv_lines(matrix.shape[1], "0", rows()):
+            fh.write(line + "\n")

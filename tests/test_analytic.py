@@ -1,3 +1,5 @@
+import dataclasses
+
 import mpmath
 import numpy as np
 import pytest
@@ -259,6 +261,15 @@ class TestSubspaceGap:
             for t, prof in enumerate(profs[: inst.k - 1], start=1):
                 x = np.concatenate([np.zeros(inst.k - t), prof.x_star])
                 assert np.max(np.abs(loss(inst, x).gradient[-t:])) <= 1e-9
+
+    @pytest.mark.parametrize("k", [2, 6, 12])  # an f*_k only, both roles, an f*_t only
+    def test_restricted_identity_fails_on_a_perturbed_f_star(self, k):
+        insts = [build_instance(n, 1.3, 1.0) for n in range(1, 13)]
+        profs = [profile(inst) for inst in insts]
+        profs[k - 1] = dataclasses.replace(profs[k - 1], f_star=profs[k - 1].f_star + 1e-6)
+        check = invariants.restricted_optimum_identity(insts, profs)
+        assert not check.passed
+        assert abs(check.margin - (invariants.IDENTITY_TOL - 1e-6)) <= 1e-9
 
     def test_exceeds_twice_per_coordinate_floor_at_ratio_13(self):
         # consequence of the ratio constant exceeding 1/2 at sigma/zeta = 1.3

@@ -9,6 +9,7 @@ from hardlogit import (
     analytic,
     build_instance,
     invariants,
+    logloss,
     profile,
     resist,
     run,
@@ -102,6 +103,16 @@ def test_verify_passes(capsys, monkeypatch):
         assert [line.split()[1].rstrip(":") for line in lines[:-1]] == list(VERIFY_INVARIANTS)
         assert all(line.startswith("ok ") for line in lines[:-1])
         assert lines[-1] == "0 failure(s)"
+
+
+def test_verify_evaluates_one_stack_per_dimension(capsys, monkeypatch):
+    # per k: one loss call at x*, one stack of trap points and one stack of
+    # restricted optima, 238 calls at --max-k 80 where one per point was 6,400
+    counts = {}
+    _count_calls(monkeypatch, logloss, "loss", counts)
+    assert main(["verify", "--max-k", "80"]) == 0
+    assert capsys.readouterr().out.endswith("0 failure(s)\n")
+    assert counts["loss"] <= 250
 
 
 def test_verify_max_k_too_small(capsys):

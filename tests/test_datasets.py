@@ -501,6 +501,37 @@ class TestExport:
         export(rot, "libsvm", path)
         assert path.read_text() == "\n".join(lines) + "\n"
 
+    @pytest.mark.parametrize("case", [
+        *[(variant, k, None) for variant in ("fourblock", "twoblock") for k in (1, 2, 5, 400)],
+        ("fourblock", 12, "reflectors"), ("twoblock", 12, "reflectors"),
+        ("fourblock", 20, "subnormal"),  # many s * (W U) entries underflow to +-0
+    ], ids=lambda case: f"{case[0]}-k{case[1]}-{case[2] or 'base'}")
+    def test_csv_bytes_are_the_dense_rows(self, case, tmp_path):
+        # every cell of inst.dense() in "%.17g", "-0" wherever a negative
+        # scale meets a zero, though the writer formats only the nonzeros
+        variant, k, rotation = case
+        sigma, zeta = (1.3e-322, 1e-322) if rotation == "subnormal" else (1.7, 1.1)
+        inst = build_instance(k, sigma, zeta, variant)
+        if rotation == "reflectors":  # a dense leading block and a zero tail
+            U = Rotation(k)
+            for m, seed in ((k - 2, 1), (k - 5, 2)):
+                U.append(np.random.default_rng(seed).standard_normal(m))
+            inst = RotatedInstance(inst, U)
+        elif rotation == "subnormal":
+            inst = RotatedInstance(inst, random_orthogonal(k, seed=5))
+        rows = inst.dense()
+        texts = ["%.17g" % v for v in rows.ravel()]
+        if variant == "fourblock" and k > 1:
+            assert "-0" in texts
+        lines = [",".join(f"feature_{j}" for j in range(1, k + 1)) + ",label"]
+        lines += [",".join(texts[i * k : (i + 1) * k]) + ",%d" % lab
+                  for i, lab in enumerate(inst.labels)]
+        path = tmp_path / "data.csv"
+        export(inst, "csv", path)
+        text = path.read_text()
+        assert text.endswith("\n")
+        assert text[:-1].split("\n") == lines  # a list: a failure names its first line
+
     def test_w_nonzeros_closed_form(self):
         # the libsvm writer's (rows, cols, vals): row-major, as np.nonzero
         for k in list(range(1, 25)) + [100, 401]:

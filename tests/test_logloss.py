@@ -206,6 +206,81 @@ def test_kernel_property_sweep(ratio, log_scale, k, variant, rotated, seed):
     assert np.max(np.abs(resp.gradient - gradient)) <= 1e-12 * grad_scale
 
 
+@st.composite
+def _stacks(draw):
+    """(instance, stack of m points): k up to 300, m up to 20, each row its
+    own scale between 1e-8 and 1e8."""
+    k = draw(st.integers(1, 300))
+    m = draw(st.integers(1, 20))
+    variant = draw(st.sampled_from(VARIANTS))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    inst = build_instance(k, 1.3, 1.0, variant)
+    X = rng.standard_normal((m, k)) * 10.0 ** rng.uniform(-8, 8, size=(m, 1))
+    return inst, X, seed
+
+
+class TestStackedLoss:
+    """``loss`` on an (m, k) stack answers each row as the single-point call."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=_stacks())
+    def test_base_rows_are_the_single_point_calls(self, case):
+        inst, X, _ = case
+        resp = loss(inst, X)
+        assert resp.value.shape == (len(X),) and resp.gradient.shape == X.shape
+        for row, value, gradient in zip(X, resp.value, resp.gradient):
+            single = loss(inst, row)
+            assert value == single.value  # bit for bit
+            assert np.array_equal(gradient, single.gradient)
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=_stacks())
+    def test_rotated_rows_match_the_single_point_calls(self, case):
+        # U x and U'g of a stack go through GEMMs, a single point's through
+        # GEMVs: the same WY formulas summed in another order.  Each sum has at
+        # most k + 2j terms (x V' over k, then T and V over j), so the computed
+        # U x is off by at most (k + 2j) u (|x| + |V'||T||V| |x|) entrywise in
+        # either evaluation; the kernel turns that into the same multiple of
+        # the magnitude of its terms (``_dense_loss``'s scales)
+        base, X, seed = case
+        k = base.k
+        U = random_orthogonal(k, seed=seed)
+        inst = RotatedInstance(base, U)
+        wy = np.abs(U.V.T) @ np.abs(U.triangular) @ np.abs(U.V)
+        tol = (k + 2 * len(U)) * np.finfo(float).eps / 2 * (1.0 + np.max(wy.sum(axis=1)))
+        A, b = dense_ab(k, base.sigma, base.zeta, base.variant.value)
+        A = A @ U.dense()
+        resp = loss(inst, X)
+        for row, value, gradient in zip(X, resp.value, resp.gradient):
+            single = loss(inst, row)
+            _, _, value_scale, grad_scale = _dense_loss(A, b, row)
+            assert abs(value - single.value) <= tol * value_scale
+            assert np.max(np.abs(gradient - single.gradient)) <= tol * grad_scale
+
+    def test_one_non_finite_row_raises(self):
+        inst = build_instance(6, 1.3, 1.0)
+        rotated = RotatedInstance(inst, random_orthogonal(6, seed=4))
+        X = np.ones((5, 6))
+        overflow = X.copy()
+        overflow[3, 0] = 1e308  # finite row, 2*sigma*Wx is not
+        X[2, 4] = np.nan
+        with np.errstate(over="ignore", invalid="ignore"):
+            for target in (inst, rotated):
+                with pytest.raises(ValueError, match="finite"):
+                    loss(target, X)
+            with pytest.raises(ValueError, match="finite"):
+                loss(inst, overflow)
+
+    def test_wrong_trailing_dimension_raises(self):
+        inst = build_instance(4, 1.3, 1.0)
+        rotated = RotatedInstance(inst, random_orthogonal(4, seed=1))
+        for X in (np.ones((3, 5)), np.ones((4, 3)), np.ones((2, 3, 4))):
+            for target in (inst, rotated):
+                with pytest.raises(ValueError, match="dimension mismatch"):
+                    loss(target, X)
+
+
 class TestOptimumIntercept:
     """The intercept derivative ``invariants.optimum`` reports at (x*, 0)
     against sum tanh(A x*/2) - sum b over the N rows of the dense A."""

@@ -15,6 +15,7 @@ from hardlogit import (
     drive,
     invariants,
     lipschitz,
+    logloss,
     loss,
     optimizers,
     profile,
@@ -288,6 +289,31 @@ class TestSubspaceTrapping:
                   for t in range(1, inst.k) for _ in range(10))
         check = invariants.gradient_trap(points)
         assert check.passed, check
+
+    def test_a_leak_in_one_row_of_one_stack_fails(self, monkeypatch, rng):
+        # the cases on one instance are one stack; a leak planted in row 4 of
+        # the k = 17 stack (t = 5), on the last coordinate it must not reach,
+        # k-t-2, is the maximum the check reports, and a value on the next
+        # one, k-t-1, is no leak
+        leak = 3e-9
+        original = logloss.loss
+
+        def leaky(inst, x):
+            resp = original(inst, x)
+            if inst.k == 17:
+                assert x.shape == (16, 17)  # one call per instance
+                resp.gradient[4, 17 - 5 - 2] += leak
+                resp.gradient[4, 17 - 5 - 1] += 1.0
+            return resp
+
+        monkeypatch.setattr(logloss, "loss", leaky)
+        points = ((inst, np.concatenate([np.zeros(inst.k - t), rng.standard_normal(t)]))
+                  for inst in (build_instance(k, 1.3, 1.0) for k in (5, 17, 30))
+                  for t in range(1, inst.k))
+        check = invariants.gradient_trap(points)
+        assert not check.passed
+        assert check.margin == invariants.LEAK_TOL - leak
+        assert check.detail == "max=3.00e-09"
 
 
 class TestSupportFrontier:

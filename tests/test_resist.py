@@ -5,6 +5,7 @@ from hardlogit import (
     FirstOrderOracle,
     ResistingOracle,
     RotatedInstance,
+    Rotation,
     adversarial_run,
     build_instance,
     containment_residuals,
@@ -395,3 +396,24 @@ def test_save_matrix_csv_roundtrip(tmp_path):
     save_matrix_csv(U, path)
     loaded = np.loadtxt(path, delimiter=",")
     assert np.array_equal(loaded, U)
+
+
+def _reflected(k, lengths, seed):
+    rotation = Rotation(k)
+    rng = np.random.default_rng(seed)
+    for m in lengths:
+        rotation.append(rng.standard_normal(m))
+    return rotation.dense()
+
+
+@pytest.mark.parametrize("matrix", [
+    _reflected(9, (), 0),  # the identity, as the agd cell's U
+    _reflected(12, (10,), 1),  # dense leading block, zero tail
+    _reflected(12, (10, 8, 3), 2),
+    np.array([[0.0, -0.0, 1.5], [np.nan, 0.0, -np.inf]]),
+], ids=["0-reflectors", "1-reflector", "3-reflectors", "signed-zero-nan-inf"])
+def test_save_matrix_csv_is_savetxt(matrix, tmp_path):
+    ours, reference = tmp_path / "ours.csv", tmp_path / "savetxt.csv"
+    save_matrix_csv(matrix, ours)
+    np.savetxt(reference, matrix, fmt="%.17g", delimiter=",")
+    assert ours.read_bytes() == reference.read_bytes()
