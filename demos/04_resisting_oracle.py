@@ -8,7 +8,8 @@ the new query into a low-dimensional trap.  The rotation is kept as the
 Householder reflectors it took (``final.U`` is a ``Rotation``; ``dense()``
 multiplies them out).  The final rotation is a single fixed dataset the
 method cannot distinguish from what it experienced, so replaying against
-it reproduces the run; that replay is where the run's trace comes from.
+it asks at the very points the adversary placed and reproduces the run;
+that replay is where the run's trace comes from.
 """
 
 import numpy as np

@@ -6,7 +6,8 @@ Subcommands:
 - ``verify``: run the analytic invariant suite up to a given dimension.
 - ``race``: run a method on the hard instance (dimension 2T) for each
   requested T and compare the final gap/distance against the span-method
-  lower bounds (and, for agd, the upper bound).
+  lower bounds (and, for agd, the upper bound); a method that leaves the
+  span gets its figures and no bound verdict.
 - ``resist``: race a method against the adaptive rotation adversary
   (dimension 4T+2) and check the general lower bounds plus replay.
 
@@ -116,9 +117,11 @@ def _race_cell(args, T, ts, out_dir) -> bool:
     inst = datasets.build_instance(2 * T, args.sigma, args.zeta)
     prof = analytic.profile(inst)
     trace = optimizers.run(args.method, logloss.FirstOrderOracle(inst), T, prof.x_star)
+    # no bound is a theorem for a non-span method here (the general one needs the adversary)
     span = invariants.zero_chain(trace).passed
     findings = [
-        invariants.lower_bound(inst, trace, prof, span),
+        invariants.lower_bound(inst, trace, prof, True) if span
+        else invariants.run_figures(inst, trace, prof),
         invariants.Findings(
             (), {"span_method": span, "support_frontier": trace.support_frontier}, {}),
     ]
@@ -149,7 +152,7 @@ def cmd_resist(args) -> int:
     trace, deviation, final, oracle = resist.adversarial_run(args.method, inst, T, prof.x_star)
     findings = [invariants.lower_bound(final, trace, prof, False),
                 invariants.adversary(oracle, final, deviation)]
-    del oracle  # T+2 placed k-vectors; the exports below need the memory more
+    del oracle  # T+1 placed k-vectors; the exports below need the memory more
 
     stem = f"resist_{args.method}_T{T}"
     datasets.export(final, "libsvm", out_dir / f"dataset_{stem}.libsvm")

@@ -18,10 +18,8 @@ an orthogonal U held as a ``Rotation``, the product of its Householder
 reflectors in compact WY form: the same k, sigma, zeta, blocks, labels and
 ||A||, with block W U in place of W.  ``logloss.loss`` applies W by its
 index structure in O(k) and U in O(jk) for j reflectors; only ``dense()``
-builds the N x k matrix, and only the exports (``export`` writes rows from
-the nonzeros of one k x k block, ``w_nonzeros()``) and
-``invariants.rotation_orthogonal`` build U; constructing the instance does
-not.
+builds the N x k matrix, and only the exports build U (``export`` writes
+rows from the nonzeros of one k x k block, ``w_nonzeros()``).
 """
 
 from __future__ import annotations
@@ -237,7 +235,7 @@ class RotatedInstance(WorstCaseInstance):
 
     ``RotatedInstance(inst, U)`` copies the family fields of ``inst`` and
     takes the ``Rotation`` U, so rotating a rotated instance replaces its U;
-    it builds nothing, and ``invariants.rotation_orthogonal`` measures U'U.
+    it builds nothing.
     """
 
     U: Rotation = field(repr=False)

@@ -6,12 +6,12 @@ limit (negative on failure), ``detail`` the text ``verify`` prints; one
 whose figures a report prints returns them with it, as ``Findings``.
 ``verify`` and the acceptance suite take their checks from here, and a
 ``race`` or ``resist`` report is the list of its ``Findings``: every figure
-it prints is measured, and every verdict judged, in this module (the U'U
-of a rotated instance too, on its materialized U).  Calls into the package
-go through module attributes (``logloss.loss``), so a wrapper installed on
-one sees them.  The sweeps over many points of one instance pass them to
-``logloss.loss`` as one stack: one call per instance in ``gradient_trap``
-and per dimension in ``restricted_optimum_identity``.
+it prints is measured, and every verdict judged, in this module (U'U on
+the factors of U).  Calls into the package go through module attributes
+(``logloss.loss``), so a wrapper installed on one sees them.  The sweeps
+over many points of one instance pass them to ``logloss.loss`` as one
+stack: one call per instance in ``gradient_trap`` and per dimension in
+``restricted_optimum_identity``.
 """
 
 import itertools
@@ -32,10 +32,9 @@ RUN_TOL = 1e-6  # a restricted run's value against the identity, absolute
 NORM_TOL = 1e-14  # closed-form ||A|| against a dense SVD, relative
 SANDWICH_TOL = 1e-9  # upper/lower bound against sandwich_ratio(T), relative
 SANDWICH_CAP = 256.0 / 3.0
-ROTATION_TOL = resist.ORTHOGONALITY_TOL  # max |U'U - I|
-GRAM_ROWS = 256  # rows of U'U per block of the orthogonality measurement
+ROTATION_TOL = resist.ORTHOGONALITY_TOL  # ||U'U - I||_F
 DIRECTION_TOL = 1e-10  # max |U'(A'b) - A'b|
-REPLAY_TOL = 1e-8  # replayed against adaptive iterates, sup-norm
+REPLAY_TOL = 1e-8  # replayed queries and x_T against the placed points, sup-norm
 
 
 class Check(NamedTuple):
@@ -166,24 +165,29 @@ def norm_bound(insts) -> Check:
                  f"max relative error vs SVD={err:.2e}, max excess={excess:.2e}")
 
 
+def run_figures(inst, trace, prof) -> Findings:
+    """A run's final gap and squared distance to x*, ||A|| and ``oracle_calls``."""
+    return Findings((), {"final_gap": float(trace.values[-1] - prof.f_star),
+                         "final_dist_sq": float(trace.dist_sq[-1]), "a_norm": inst.a_norm(),
+                         "oracle_calls": trace.oracle_calls}, {})
+
+
 def lower_bound(inst, trace, prof, span) -> Findings:
     """The final gap of a T-step run lies above the span lower bound
     (``span``) or the general one, and its squared distance to the optimum
-    above 1/8 of the start's; with the run's ``oracle_calls``."""
+    above 1/8 of the start's; with the ``run_figures``."""
+    figures = run_figures(inst, trace, prof).measured
+    gap, dist_sq = figures["final_gap"], figures["final_dist_sq"]
     dist0_sq = prof.xstar_norm_sq
-    a_norm = inst.a_norm()
     bound_at = analytic.bound_linear_span if span else analytic.bound_general
-    bound = bound_at(len(trace) - 1, a_norm, dist0_sq)
-    gap = float(trace.values[-1] - prof.f_star)
-    dist_sq = float(trace.dist_sq[-1])
+    bound = bound_at(len(trace) - 1, figures["a_norm"], dist0_sq)
     floor = bound.dist_factor * dist0_sq
     return Findings(
         (Check(f"gap_above_{'span' if span else 'general'}_lower_bound", gap > bound.gap,
                gap - bound.gap, f"gap={gap:.3e}, bound={bound.gap:.3e}"),
          Check("dist_sq_above_one_eighth", dist_sq > floor, dist_sq - floor,
                f"dist_sq={dist_sq:.3e}, floor={floor:.3e}")),
-        {"final_gap": gap, "final_dist_sq": dist_sq, "a_norm": a_norm,
-         "oracle_calls": trace.oracle_calls},
+        figures,
         {"gap_lower_bound": bound.gap, "dist_factor": bound.dist_factor, "dist0_sq": dist0_sq},
     )
 
@@ -211,17 +215,15 @@ def sandwich(T, upper, lower) -> Check:
 
 
 def rotation_orthogonal(inst) -> Findings:
-    """The rotated instance's U is orthogonal: max |U'U - I| on the
-    materialized U, GRAM_ROWS rows of U'U at a time (no second k x k
-    array), is within ROTATION_TOL; a NaN anywhere in U fails."""
-    U = inst.U.dense()
-    block_max = []
-    for a in range(0, len(U), GRAM_ROWS):
-        block = U[:, a : a + GRAM_ROWS].T @ U
-        rows = np.arange(len(block))
-        block[rows, a + rows] -= 1.0
-        block_max.append(np.max(np.abs(block, out=block)))
-    residual = float(np.max(block_max))
+    """The rotated instance's U is orthogonal: ||U'U - I||_F is within
+    ROTATION_TOL.  U = I - V'T'V in compact WY form, so U'U - I = V'MV for
+    M = T(VV')T' - T - T', and with R from a QR of V' the residual is
+    ||RMR'||_F: O(j^2 k) for j reflectors, no k x k array, never negative,
+    NaN (a failure) if V or T holds one."""
+    V, T = inst.U.V, inst.U.triangular
+    R = np.linalg.qr(V.T, mode="r")
+    M = T @ (V @ V.T) @ T.T - T - T.T
+    residual = float(np.linalg.norm(R @ M @ R.T))
     return Findings((_at_most("rotation_orthogonal", residual, ROTATION_TOL),),
                     {"orthogonality_residual": residual}, {})
 
@@ -234,8 +236,8 @@ def data_direction_fixed(inst) -> Findings:
 
 
 def replay_matches(deviation) -> Check:
-    """An adaptive run's replay on its frozen instance reproduces its
-    iterates: ``deviation`` is ``resist.replay_check``'s; NaN fails."""
+    """An adaptive run's replay asks at its placed points and ends at x_T:
+    ``deviation`` is ``resist.replay_check``'s; NaN and inf fail."""
     return _at_most("replay_matches", deviation, REPLAY_TOL)
 
 

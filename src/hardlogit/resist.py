@@ -20,24 +20,25 @@ O(jk) after j reflections, and only copies when none was taken.
 The oracle answers with the loss of the rotated dataset A @ U at the query
 point.  Because each update fixes everything the method has seen, the
 adversary could have committed to the final U from the start: re-running
-the method against the fixed final instance reproduces the same iterates
-(``replay_check``), and that replay, folded as ``optimizers.run`` folds a
-run, is the adversarial run's trace.  The last basis direction carries the
-label signal (A'b) and is never touched, so the rotated dataset stays in
-the family.
+the method against the fixed final instance asks the oracle at the very
+points it placed, and ends at the placed x_T (``replay_check``).  The
+placed points are the one record of the adaptive run, and the replay,
+folded as ``optimizers.run`` folds a run, is its trace.  The last basis
+direction carries the label signal (A'b) and is never touched, so the
+rotated dataset stays in the family.
 """
 
 import numpy as np
 
 from .datasets import RotatedInstance, Rotation, WorstCaseInstance, csv_lines
-from .logloss import FirstOrderOracle, OracleResponse, lipschitz, loss
+from .logloss import FirstOrderOracle, OracleResponse, loss
 from .optimizers import Trace, _fold, drive
 
 TIE_BREAK = 1e-12
 ORTHOGONALITY_TOL = 1e-10
 
 
-class ResistingOracle:
+class ResistingOracle(FirstOrderOracle):
     """Adaptive first-order oracle: rotate for each new query, then answer.
 
     ``U`` is the current ``Rotation`` and ``points`` the queries placed so
@@ -53,13 +54,9 @@ class ResistingOracle:
     """
 
     def __init__(self, inst: WorstCaseInstance):
-        self.base = inst
-        self.k = inst.k
-        self.lipschitz = lipschitz(inst)
+        super().__init__(inst)
         self.U = Rotation(inst.k)
-        self.points = []
-        self.skipped = 0
-        self._frozen = False
+        self.points, self.skipped, self._frozen = [], 0, False
 
     def _place(self, x: np.ndarray) -> np.ndarray:
         """Take the step for query ``x`` and return the rotated query U @ x:
@@ -107,15 +104,14 @@ class ResistingOracle:
         return self.U.apply_newest(y)
 
     def __call__(self, x: np.ndarray) -> OracleResponse:
-        y = self._place(x)
         # loss of the rotated dataset: value at U x, gradient pulled back by U.T
-        base_resp = loss(self.base, y)
-        return OracleResponse(value=base_resp.value, gradient=self.U.apply_t(base_resp.gradient))
+        resp = loss(self._inst, self._place(x))
+        return OracleResponse(value=resp.value, gradient=self.U.apply_t(resp.gradient))
 
     def finalize(self, x_final: np.ndarray) -> RotatedInstance:
         self._place(x_final)
         self._frozen = True
-        return RotatedInstance(self.base, self.U)
+        return RotatedInstance(self._inst, self.U)
 
 
 def data_direction_residual(inst: RotatedInstance) -> float:
@@ -123,9 +119,7 @@ def data_direction_residual(inst: RotatedInstance) -> float:
     direction must stay fixed.  A'b = (sum_i s_i l_i) e_k because W 1 = e_k,
     so U'(A'b) is that sum times U' e_k, the last row of U."""
     atb = sum(s * lab for s, lab in zip(inst.block_scales, inst.block_labels))
-    e_k = np.zeros(inst.k)
-    e_k[-1] = 1.0
-    drift = atb * inst.U.apply_t(e_k)
+    drift = atb * inst.U.apply_t(np.eye(1, inst.k, inst.k - 1)[0])  # U' e_k
     drift[-1] -= atb
     return float(np.max(np.abs(drift)))
 
@@ -137,12 +131,8 @@ def containment_residuals(oracle: ResistingOracle) -> np.ndarray:
     point i must lie in the span of the trailing 2i+1 coordinates.
     """
     rotated = oracle.U.apply(np.array(oracle.points))  # row i is U @ point_i
-    out = np.zeros(len(rotated))
-    for i, row in enumerate(rotated):
-        lead = oracle.k - (2 * i + 1)
-        if lead > 0:
-            out[i] = np.linalg.norm(row[:lead])
-    return out
+    return np.array([np.linalg.norm(row[: max(oracle.k - (2 * i + 1), 0)])
+                     for i, row in enumerate(rotated)])
 
 
 def adversarial_run(name: str, inst: WorstCaseInstance, T: int, x_star: np.ndarray
@@ -150,45 +140,51 @@ def adversarial_run(name: str, inst: WorstCaseInstance, T: int, x_star: np.ndarr
     """Race method ``name`` for T iterations against the adversary rotating
     ``inst``, whose optimum is ``x_star``.
 
-    Answers every query through the rotating oracle, places the reported
-    x_T, and keeps the (T+1, k) iterates for one replay on the frozen
-    instance.  Returns its trace (distances to U'x*) and deviation
-    (``replay_check``), the final instance and the frozen oracle.
+    Answers every query through the rotating oracle, keeping only the
+    newest iterate, places the reported x_T, and replays the method once
+    against the placed points.  Returns its trace (distances to U'x*) and
+    deviation (``replay_check``), the final instance and the frozen oracle.
     """
     oracle = ResistingOracle(inst)
-    iterates = np.empty((T + 1, inst.k))
-    for t, (x, _, _) in enumerate(drive(name, oracle, T)):
-        iterates[t] = x
-    final = oracle.finalize(iterates[-1])
-    trace, deviation = replay_check(name, final, iterates, final.U.apply_t(x_star))
+    for x, _, _ in drive(name, oracle, T):
+        pass
+    final = oracle.finalize(x)
+    trace, deviation = replay_check(name, final, T, oracle.points, final.U.apply_t(x_star))
     return trace, deviation, final, oracle
 
 
-def replay_check(name: str, final_inst: RotatedInstance, iterates: np.ndarray,
+class _Comparing(FirstOrderOracle):
+    """An instance's oracle that appends the sup-norm distance of each query
+    from the next of ``placed`` to ``deviations``: inf past the last."""
+
+    def __init__(self, inst: WorstCaseInstance, placed):
+        super().__init__(inst)
+        self.placed, self.deviations = iter(placed), []
+
+    def __call__(self, x: np.ndarray) -> OracleResponse:
+        self.deviations.append(np.max(np.abs(x - next(self.placed, np.inf))))
+        return super().__call__(x)
+
+
+def replay_check(name: str, final_inst: RotatedInstance, T: int, points,
                  z_star: np.ndarray) -> tuple[Trace, float]:
-    """Re-run method ``name`` against the frozen final instance, comparing
-    each replayed iterate with the adaptive run's ``iterates`` as it arrives.
+    """Re-run method ``name`` for T iterations against the frozen final
+    instance, comparing its i-th oracle query with ``points[i]`` and its
+    x_T with the last point, as a ``ResistingOracle`` placed them (the
+    fold's evaluations at iterates never queried are not compared).
 
     Returns the replay's trace, distances to ``z_star``, and the largest
-    sup-norm deviation of a replayed iterate (NaN if any entry is): 0 (or
-    rounding) means the adversary could have committed to its final
-    rotation from the start.
+    sup-norm deviation: 0 (or rounding) means the adversary could have
+    committed to its final rotation from the start; NaN if any entry is,
+    inf if the replay asked more or fewer queries than were placed.
     """
-    if iterates.shape[1] != final_inst.k:
-        raise ValueError(
-            f"length mismatch: iterate dimension {iterates.shape[1]} "
-            f"vs instance dimension {final_inst.k}"
-        )
-    deviations = np.empty(len(iterates))
-
-    def compared(stream):
-        for t, step in enumerate(stream):
-            deviations[t] = np.max(np.abs(step[0] - iterates[t]))
-            yield step
-
-    oracle = FirstOrderOracle(final_inst)
-    trace = _fold(compared(drive(name, oracle, len(iterates) - 1)), oracle, z_star)
-    return trace, float(np.max(deviations))
+    if any(np.shape(p) != (final_inst.k,) for p in points):
+        raise ValueError(f"dimension mismatch: placed points must be ({final_inst.k},)")
+    comparing = _Comparing(final_inst, points[:-1])
+    trace = _fold(drive(name, comparing, T), FirstOrderOracle(final_inst), z_star)
+    if next(comparing.placed, None) is not None:  # a placed query was never asked
+        return trace, np.inf
+    return trace, float(np.max([*comparing.deviations, np.max(np.abs(trace.final - points[-1]))]))
 
 
 def save_matrix_csv(matrix: np.ndarray, path) -> None:

@@ -3,8 +3,10 @@
 Everything here recomputes expected values from first principles (literal
 index rules, naive formulas, finite differences, dense linear algebra) so
 the package code under test never checks itself, plus ``adversarial``,
-the shorthand for an adversarial run that several test modules share, and
-``adaptive_iterates``, the iterates that run's method is answered along.
+the shorthand for an adversarial run that several test modules share,
+``adaptive_iterates``, the iterates that run's method is answered along,
+and ``orthogonality_reference``, the dense U'U that the factor measurement
+of ``invariants.rotation_orthogonal`` is held to.
 
 It also imports hypothesis's patch writer up front, with its import-time
 DeprecationWarning (from ``libcst``'s use of ``mypy_extensions.TypedDict``)
@@ -104,6 +106,47 @@ def reflector_product(U: Rotation) -> np.ndarray:
     for v in U.V:
         out -= np.outer((2.0 / (v @ v)) * v, v @ out)
     return out
+
+
+def _gamma(n: int) -> float:
+    """Higham's gamma_n = n u / (1 - n u), u the unit roundoff."""
+    u = np.finfo(float).eps / 2.0
+    return n * u / (1.0 - n * u)
+
+
+def orthogonality_reference(U: Rotation) -> tuple[float, float]:
+    """||U'U - I||_F on the materialized ``U.dense()``, and how far a
+    measurement of it from the factors may lie from that reference.
+
+    The bound is first order in the unit roundoff (Higham, Accuracy and
+    Stability of Numerical Algorithms, 3.5) and adds up, with j reflectors:
+    ``dense()`` building I - (T V)'V, entrywise within gamma_{2j+1} |V'||T'||V|;
+    the Gram matrix of that U, within gamma_k |U'||U|, whose Frobenius norm is
+    at most ||U||_F^2; and the factor side's M = T G T' - T - T' with
+    G = V V', entrywise within gamma_{k+2j+2} S for S = |T||V||V'||T'| + |T| + |T'|,
+    seen through V'MV.  The QR of V' perturbs each row of V relatively, and
+    M is itself of rounding size, so that term is second order.
+    """
+    k, j = U.k, len(U)
+    dense = U.dense()
+    residual = float(np.linalg.norm(dense.T @ dense - np.eye(k)))
+    aV, aT = np.abs(U.V), np.abs(U.triangular)
+    build = _gamma(2 * j + 1) * np.linalg.norm(aV.T @ aT.T @ aV)
+    gram = _gamma(k) * np.linalg.norm(dense) ** 2
+    S = aT @ (aV @ aV.T) @ aT.T + aT + aT.T
+    factors = _gamma(k + 2 * j + 2) * np.linalg.norm(aV.T @ S @ aV)
+    return residual, float(gram + build * (2.0 * np.linalg.norm(dense) + build) + factors)
+
+
+def scale_first_beta(U: Rotation) -> None:
+    """Plant a fault in ``U``: its first beta off by a relative 1e-9, which
+    puts ||U'U - I||_F near 4e-9 for one reflector."""
+    U.triangular[0, 0] *= 1.0 + 1e-9
+
+
+def nan_in_v(U: Rotation) -> None:
+    """Plant a fault in ``U``: a NaN in its first reflector."""
+    U.V[0, 0] = np.nan
 
 
 def adversarial(name: str, T: int, sigma: float = 1.3, zeta: float = 1.0):

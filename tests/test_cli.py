@@ -15,7 +15,7 @@ from hardlogit import (
     run,
 )
 from hardlogit.cli import main
-from conftest import dense_ab, logistic_form, rotated_ab
+from conftest import dense_ab, logistic_form, nan_in_v, rotated_ab, scale_first_beta
 
 
 def test_generate_csv_k1(tmp_path, monkeypatch):
@@ -141,6 +141,9 @@ def test_race_agd_report(tmp_path, capsys):
 
 
 def test_race_denseprobe_downgrades_to_general_bound(tmp_path):
+    # no bound is a theorem for a method that leaves the span on the unrotated
+    # dimension-2T instance (the general one holds against the adversary in
+    # dimension 4T+2): the cell reports its figures and judges nothing
     rc = main([
         "race", "--method", "denseprobe", "--T", "4", "--out", str(tmp_path),
         "--no-timestamp", "--strict",
@@ -149,8 +152,15 @@ def test_race_denseprobe_downgrades_to_general_bound(tmp_path):
     report = json.loads((tmp_path / "report_denseprobe_T4.json").read_text())
     assert report["measured"]["span_method"] is False
     assert report["measured"]["support_frontier"] == 8 - 1  # x_1 is dense
-    checks = {v["check"] for v in report["verdicts"]}
-    assert "gap_above_general_lower_bound" in checks
+    assert report["verdicts"] == [] and report["theoretical"] == {}
+    inst = build_instance(8, 1.3, 1.0)
+    prof = profile(inst)
+    trace = run("denseprobe", FirstOrderOracle(inst), 4, prof.x_star)
+    assert report["measured"] == {
+        "final_gap": trace.values[-1] - prof.f_star, "final_dist_sq": trace.dist_sq[-1],
+        "a_norm": inst.a_norm(), "oracle_calls": 4, "span_method": False,
+        "support_frontier": 7,
+    }
 
 
 @pytest.mark.parametrize("argv, names", [
@@ -199,15 +209,25 @@ def test_resist_report_and_exports(tmp_path):
 
 
 def test_resist_strict_fails_on_rotation_verdict(tmp_path, monkeypatch):
-    # the verdict measures max |U'U - I| and reports it without raising; it
-    # alone decides, so a tolerance below the measured residual fails --strict
+    # a fault planted in the frozen rotation once the run and its replay are
+    # done, under the unchanged ROTATION_TOL, fails the verdict and --strict
     argv = ["resist", "--method", "denseprobe", "--T", "4", "--no-timestamp", "--strict"]
-    monkeypatch.setattr(invariants, "ROTATION_TOL", 0.0)
-    assert main(argv + ["--out", str(tmp_path)]) == 1
-    report = json.loads((tmp_path / "report_resist_denseprobe_T4.json").read_text())
-    assert report["measured"]["orthogonality_residual"] > 0.0
-    failed = [v["check"] for v in report["verdicts"] if not v["passed"]]
-    assert failed == ["rotation_orthogonal"]
+    run_adversary = resist.adversarial_run
+    for plant, want_failed in ((scale_first_beta, ["rotation_orthogonal"]),
+                               (nan_in_v, ["rotation_orthogonal", "data_direction_fixed"])):
+        def planted(*args, plant=plant):
+            trace, deviation, final, oracle = run_adversary(*args)
+            assert len(final.U) == 1
+            plant(final.U)
+            return trace, deviation, final, oracle
+
+        monkeypatch.setattr(resist, "adversarial_run", planted)
+        out = tmp_path / plant.__name__
+        assert main(argv + ["--out", str(out)]) == 1
+        report = json.loads((out / "report_resist_denseprobe_T4.json").read_text())
+        residual = report["measured"]["orthogonality_residual"]
+        assert residual > invariants.ROTATION_TOL or np.isnan(residual)
+        assert [v["check"] for v in report["verdicts"] if not v["passed"]] == want_failed
 
 
 def test_resist_libsvm_holds_exact_rotated_rows(tmp_path):
@@ -270,8 +290,7 @@ def _count_calls(monkeypatch, owner, name, counts):
 
 @pytest.mark.parametrize("argv, expected", [  # one call per cell: two race cells, one resist
     (["race", "--method", "agd", "--T", "3,6"], {"bound_linear_span": 2, "agd_upper_bound": 2}),
-    (["race", "--method", "denseprobe", "--T", "3,6"],  # bound_general is the span bound at 2T+1
-     {"bound_general": 2, "bound_linear_span": 2}),
+    (["race", "--method", "denseprobe", "--T", "3,6"], {}),  # not a span method: no bound
     (["resist", "--method", "denseprobe", "--T", "4"],
      {"bound_general": 1, "bound_linear_span": 1, "data_direction_residual": 1}),
 ], ids=["race-agd", "race-denseprobe", "resist"])
@@ -298,7 +317,9 @@ BOUND_TARGETS = {"gap_lower_bound", "dist_factor", "dist0_sq"}
     (["resist", "--method", "denseprobe", "--T", "4"], "resist_denseprobe_T4",
      BOUND_FIGURES | {"reflections", "skipped", "max_containment_residual",
                       "orthogonality_residual", "data_direction_residual"}, BOUND_TARGETS),
-], ids=["race-gd", "race-agd", "resist-denseprobe"])
+    (["race", "--method", "denseprobe", "--T", "4"], "denseprobe_T4",
+     BOUND_FIGURES | {"span_method", "support_frontier"}, set()),
+], ids=["race-gd", "race-agd", "resist-denseprobe", "race-denseprobe"])
 def test_report_schema(tmp_path, argv, stem, measured, theoretical):
     assert main(argv + ["--out", str(tmp_path), "--no-timestamp"]) == 0
     report = json.loads((tmp_path / f"report_{stem}.json").read_text())

@@ -1,5 +1,10 @@
+import copy
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hardlogit import (
     FirstOrderOracle,
@@ -20,7 +25,16 @@ from hardlogit import (
     run,
     save_matrix_csv,
 )
-from conftest import adaptive_iterates, adversarial, random_orthogonal, reflector_product
+from hardlogit.cli import main
+from conftest import (
+    adaptive_iterates,
+    adversarial,
+    nan_in_v,
+    orthogonality_reference,
+    random_orthogonal,
+    reflector_product,
+    scale_first_beta,
+)
 
 ADVERSARY_METHODS = ["gd", "agd", "denseprobe"]
 ALL_METHODS = ["gd", "agd", "heavyball", "denseprobe"]
@@ -192,9 +206,23 @@ class TestAdversarialRun:
         # no reflector touches the last coordinate, so A'b stays exactly put
         assert np.array_equal(U.T @ atb, atb)
         assert np.allclose(final.dense().T @ final.labels, U.T @ atb, rtol=0, atol=1e-12)
-        # the verdict measures max |U'U - I| on the materialized U
-        assert invariants.rotation_orthogonal(final).measured == {"orthogonality_residual": ortho}
         assert data_direction_residual(final) == 0.0
+        # the verdict measures ||U'U - I||_F on the factors: 0 for the
+        # identity, else within rounding of the dense reference, which bounds
+        # every entry, and it fails on a beta off by a relative 1e-9 or a NaN
+        found = invariants.rotation_orthogonal(final)
+        residual = found.measured["orthogonality_residual"]
+        assert found.checks[0].passed and residual <= invariants.ROTATION_TOL
+        if len(oracle.U) == 0:
+            assert name != "denseprobe" and residual == 0.0
+            return
+        dense, bound = orthogonality_reference(final.U)
+        assert abs(residual - dense) <= bound and ortho <= dense
+        for plant in (scale_first_beta, nan_in_v):
+            faulty = copy.deepcopy(final.U)
+            plant(faulty)
+            (check,) = invariants.rotation_orthogonal(RotatedInstance(final, faulty)).checks
+            assert not check.passed
 
     def test_rotated_optimum_value_is_invariant(self):
         _, _, final, _ = adversarial("denseprobe", 3)
@@ -323,6 +351,75 @@ class TestReflectorNative:
         with pytest.raises(ValueError, match="step budget exceeded"):
             oracle(rng.standard_normal(k))
 
+    def test_resist_builds_the_dense_rotation_twice(self, tmp_path, monkeypatch):
+        # once for the libsvm export of A U and once for the rotation CSV;
+        # the orthogonality verdict measures the factors (a third build before)
+        calls = []
+        dense = Rotation.dense
+        monkeypatch.setattr(Rotation, "dense", lambda U: calls.append(U.k) or dense(U))
+        argv = ["resist", "--method", "denseprobe", "--T", "20", "--out", str(tmp_path),
+                "--no-timestamp", "--strict"]
+        assert main(argv) == 0
+        assert calls == [82, 82]
+
+    def test_orthogonality_measures_the_factors(self, rng, monkeypatch):
+        # no Rotation.dense call and no k x k array: at k = 1000 with 20
+        # reflectors the measurement peaks far below one 8 MB k x k array
+        k = 1000
+        U = Rotation(k)
+        for j in range(20):
+            U.append(rng.standard_normal(k - 2 * j - 2))
+        inst = RotatedInstance(build_instance(k, 1.3, 1.0), U)
+
+        def no_dense(_):
+            raise AssertionError("rotation_orthogonal built U")
+
+        monkeypatch.setattr(Rotation, "dense", no_dense)
+        tracemalloc.start()
+        try:
+            found = invariants.rotation_orthogonal(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert found.checks[0].passed
+        assert peak < k * k * 8 / 16
+
+
+@st.composite
+def _queries(draw):
+    """k, then up to (k-3)/2 queries in general position, each scaled by
+    10^e for its own e in [lo, hi], -8 <= lo <= hi <= 8."""
+    k = draw(st.integers(7, 400))
+    steps = draw(st.integers(0, (k - 3) // 2))
+    lo = draw(st.floats(-8.0, 8.0))
+    hi = draw(st.floats(lo, 8.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scales = 10.0 ** rng.uniform(lo, hi, size=(steps, 1))
+    return k, rng.standard_normal((steps, k)) * scales
+
+
+class TestReflectionSweep:
+    """The reflection invariants over dimensions, step counts and query
+    scales: orthogonality from the factors against the dense reference,
+    containment and the fixed label direction."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=_queries())
+    def test_invariants_hold(self, case):
+        k, queries = case
+        inst = build_instance(k, 1.3, 1.0)
+        oracle = _oracle_after(inst, *queries)
+        assert len(oracle.U) + oracle.skipped == len(queries)
+        rotated = RotatedInstance(inst, oracle.U)
+        residual = invariants.rotation_orthogonal(rotated).measured["orthogonality_residual"]
+        dense, bound = orthogonality_reference(oracle.U)
+        assert residual <= invariants.ROTATION_TOL
+        assert abs(residual - dense) <= bound
+        # point i lies in its trap subspace to within ROTATION_TOL of its norm
+        norms = np.linalg.norm(oracle.points, axis=1)
+        assert np.all(containment_residuals(oracle) <= invariants.ROTATION_TOL * norms)
+        assert data_direction_residual(rotated) == 0.0
+
 
 class _CountingLoss:
     """``loss`` wrapped to count its calls."""
@@ -338,10 +435,13 @@ class _CountingLoss:
 class TestReplay:
     @pytest.mark.parametrize("name", ADVERSARY_METHODS)
     def test_replay_matches(self, name):
-        _, deviation, final, _ = adversarial(name, 5)
-        assert invariants.replay_matches(deviation).passed
+        # the replay's queries are the placed points, and its x_T the last one
+        _, deviation, final, oracle = adversarial(name, 5)
+        assert deviation == 0.0 and invariants.replay_matches(deviation).passed
+        assert len(oracle.points) == 5 + 1
         z_star = final.U.apply_t(profile(final).x_star)
-        assert replay_check(name, final, adaptive_iterates(name, 5), z_star)[1] == deviation
+        assert replay_check(name, final, 5, oracle.points, z_star)[1] == deviation
+        assert np.array_equal(oracle.points, adaptive_iterates(name, 5)) == (name != "agd")
 
     @pytest.mark.parametrize("name", ALL_METHODS)
     def test_one_pass_replay(self, name, monkeypatch):
@@ -366,27 +466,56 @@ class TestReplay:
         assert trace.oracle_calls == want.oracle_calls == T
 
     def test_length_mismatch(self):
-        iterates = adaptive_iterates("gd", 3)
+        # points of another dimension are not a record of a run on this instance
+        _, _, _, oracle = adversarial("gd", 3)
         _, _, other, _ = adversarial("gd", 4)
-        with pytest.raises(ValueError, match="length mismatch"):
-            replay_check("gd", other, iterates, np.zeros(other.k))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            replay_check("gd", other, 3, oracle.points, np.zeros(other.k))
+
+    @pytest.mark.parametrize("T, extra", [(5, 0), (3, 0), (4, 1)],
+                             ids=["more-queries", "fewer-queries", "extra-placed-point"])
+    def test_query_count_mismatch_fails(self, T, extra):
+        # a replay that asks more or fewer queries than were placed before
+        # x_T reads inf, without an IndexError, and fails its verdict
+        _, _, final, oracle = adversarial("gd", 4)
+        points = oracle.points[:-1] + oracle.points[-2:-1] * extra + oracle.points[-1:]
+        trace, deviation = replay_check("gd", final, T, points, np.zeros(final.k))
+        assert len(trace) == T + 1
+        assert deviation == np.inf
+        assert not invariants.replay_matches(deviation).passed
 
     def test_replay_detects_wrong_rotation(self):
         # against a different rotation the method walks a different path
-        _, _, final, _ = adversarial("denseprobe", 3)
+        _, _, final, oracle = adversarial("denseprobe", 3)
         wrong = RotatedInstance(final, random_orthogonal(final.k, seed=5))
-        iterates = adaptive_iterates("denseprobe", 3)
-        _, deviation = replay_check("denseprobe", wrong, iterates, np.zeros(final.k))
+        _, deviation = replay_check("denseprobe", wrong, 3, oracle.points, np.zeros(final.k))
         assert not invariants.replay_matches(deviation).passed
 
     def test_nan_deviation_fails(self):
-        # a NaN iterate must not read as a zero deviation
-        _, _, final, _ = adversarial("gd", 3)
-        iterates = adaptive_iterates("gd", 3)
-        iterates[2, 0] = np.nan
-        _, deviation = replay_check("gd", final, iterates, np.zeros(final.k))
-        assert np.isnan(deviation)
-        assert not invariants.replay_matches(deviation).passed
+        # a NaN in a placed query or in x_T must not read as a zero deviation
+        _, _, final, oracle = adversarial("gd", 3)
+        for i in (2, -1):
+            points = [p.copy() for p in oracle.points]
+            points[i][0] = np.nan
+            _, deviation = replay_check("gd", final, 3, points, np.zeros(final.k))
+            assert np.isnan(deviation)
+            assert not invariants.replay_matches(deviation).passed
+
+    def test_run_keeps_one_copy_of_its_points(self):
+        # the placed points are the run's one record: no (T+1) x k array of
+        # iterates besides them (the previous design peaked above twice that)
+        T = 150
+        inst = build_instance(4 * T + 2, 1.3, 1.0)
+        x_star = profile(inst).x_star
+        tracemalloc.start()
+        try:
+            _, _, _, oracle = adversarial_run("agd", inst, T, x_star)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        points_bytes = sum(p.nbytes for p in oracle.points)
+        assert points_bytes == (T + 1) * inst.k * 8
+        assert peak < 1.5 * points_bytes
 
 
 def test_save_matrix_csv_roundtrip(tmp_path):
