@@ -11,14 +11,15 @@ tanh odd, so with w = Wx and drift = sum_i s_i*l_i
     value    = sum over distinct |s| of mult * h(|s| w)  -  drift * sum(w)
     gradient = W (sum over distinct |s| of mult*|s|*tanh(|s| w / 2) - drift)
 
-where mult counts the blocks of magnitude |s|.  ``loss`` evaluates this on
-one (distinct |s|) x k array and never forms the N-vector Ax: the
-four-block variant costs 2k transcendentals, not 4k.  It takes a point or
-a stack of m points as an (m, k) array of rows, as ``Rotation.apply``
-does, and evaluates the stack in one pass of the same kernel, so m points
-cost one call's numpy dispatch.  A rotated instance
-has the same blocks and labels with matrix A U, so it runs the same kernel
-at U x and pulls the gradient back by U', both through its ``Rotation`` in
+where mult counts the blocks of magnitude |s| (1 or 2, so the weights
+mult and mult*|s| are exact).  ``loss`` evaluates this on one (distinct
+|s|) x k array z, in place, and never forms the N-vector Ax: the
+four-block variant costs 2k transcendentals, not 4k, plus a fixed count
+of numpy calls.  It takes a point or a stack of m points as an (m, k)
+array of rows, as ``Rotation.apply`` does, and evaluates the stack in one
+pass of the same kernel.  A rotated instance has the same blocks and
+labels with matrix A U, so it runs the same kernel at U x and pulls the
+gradient back by U', both through its ``Rotation`` in
 O(jk) for j reflectors.  ``loss`` is the package's one evaluation of the
 model; ``invariants.optimum`` alone adds the intercept derivative at x*.
 
@@ -26,7 +27,9 @@ Optimizers never see A or b: they receive an opaque oracle handle that
 returns (value, gradient) pairs only.
 """
 
+import collections
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,38 +46,52 @@ class OracleResponse:
 
 
 @functools.lru_cache(maxsize=16)
-def _magnitudes(scales: tuple, labels: tuple) -> tuple[np.ndarray, np.ndarray, float]:
-    """The distinct |s| of the blocks, how many blocks share each (both
-    read-only) and the drift sum_i s_i*l_i; cached, since every loss call
-    of an instance asks for the same."""
-    groups = {}  # |s| -> number of blocks with that magnitude
-    for s in scales:
-        groups[abs(s)] = groups.get(abs(s), 0) + 1
-    mags = np.array(list(groups))
-    mult = np.array(list(groups.values()), dtype=float)
-    mags.flags.writeable = mult.flags.writeable = False
-    return mags, mult, sum(s * lab for s, lab in zip(scales, labels))
+def _magnitudes(scales: tuple, labels: tuple) -> tuple[np.ndarray, list, list, float]:
+    """The distinct |s| of the blocks as a read-only column, the number mult
+    of blocks sharing each, mult*|s| and the drift sum_i s_i*l_i; cached,
+    since every loss call of an instance asks for the same."""
+    groups = collections.Counter(abs(s) for s in scales)  # |s| -> blocks with that |s|
+    mags = np.array(list(groups))[:, None]
+    mags.flags.writeable = False
+    mult = [float(n) for n in groups.values()]
+    drift = sum(s * lab for s, lab in zip(scales, labels))
+    return mags, mult, [n * mag for mag, n in zip(groups, mult)], drift
+
+
+def _weighted(rows, weights):
+    """sum_i weights[i] * rows[i], added in order of i (not a BLAS gemv, which
+    here raised the race benchmark's peak memory by 1.9 MB in six of ten runs)."""
+    total = rows[0] * weights[0]
+    for i in range(1, len(weights)):
+        total += rows[i] * weights[i]
+    return total
 
 
 def _block_loss(inst: WorstCaseInstance, x: np.ndarray):
     """(value, gradient) of the unrotated blocks of ``inst`` at x, a point or
-    a stack of rows, one row of z per distinct |s| and point.  Every sum runs
-    along the contiguous last axis, so a row of a stack gets the bits of the
-    single-point call."""
-    # W is symmetric, so W x for each row x is W applied along the last axis
-    w = np.ascontiguousarray(inst.w.apply(x.T).T)
-    mags, mult, drift = _magnitudes(inst.block_scales, inst.block_labels)
-    z = mags[:, None] * w[..., None, :]  # |s| * Wx, one row per magnitude
+    a stack of rows, from z[i] = |s_i| * Wx.  Every sum over coordinates runs
+    along the contiguous last axis: a stack's row gets the single point's bits."""
+    one = x.ndim == 1
+    mags, mult, weights, drift = _magnitudes(inst.block_scales, inst.block_labels)
+    # W is symmetric, so W x for each row x of a stack is W along the last axis
+    w = inst.w.apply(x) if one else np.ascontiguousarray(inst.w.apply(x.T).T)
+    z = mags * w if one else mags[:, None] * w
     a = np.abs(z)
-    value = np.sum(a + 2.0 * np.log1p(np.exp(-a)), axis=-1) @ mult
-    value = value - drift * np.sum(w, axis=-1)
-    if not np.isfinite(value).all():  # a non-finite |s|*w makes the h sum non-finite
+    h = np.log1p(np.exp(np.negative(a)))
+    h *= 2.0
+    h += a  # h(z) = |z| + 2*log1p(exp(-|z|))
+    sums = np.add.reduce(h, axis=-1)
+    if one:
+        value = _weighted(sums.tolist(), mult) - drift * np.add.reduce(w).item()
+    else:
+        value = _weighted(sums, mult) - drift * np.add.reduce(w, axis=-1)
+    # a non-finite |s|*w makes the h sum, so the value, non-finite
+    if not (math.isfinite(value) if one else np.isfinite(value).all()):
         raise ValueError("block margins |s|*Wx must be finite")
-    # einsum, not a BLAS gemv: a gemv here raised the race benchmark's peak
-    # memory by 1.9 MB in six of ten runs
-    combined = np.einsum("i,...ij->...j", mult * mags, np.tanh(0.5 * z))
-    gradient = inst.w.apply((combined - drift).T).T
-    return value, gradient
+    z *= 0.5
+    combined = _weighted(np.tanh(z, out=z), weights)
+    combined -= drift
+    return value, inst.w.apply(combined) if one else inst.w.apply(combined.T).T
 
 
 def loss(inst: WorstCaseInstance, x: np.ndarray) -> OracleResponse:
@@ -93,12 +110,10 @@ def loss(inst: WorstCaseInstance, x: np.ndarray) -> OracleResponse:
     if x.shape[-1:] != (inst.k,) or x.ndim > 2:
         raise ValueError(
             f"dimension mismatch: expected ({inst.k},) or (m, {inst.k}), got {x.shape}")
-    if isinstance(inst, RotatedInstance):
-        value, gradient = _block_loss(inst, inst.U.apply(x))
-        gradient = inst.U.apply_t(gradient)
-    else:
-        value, gradient = _block_loss(inst, x)
-    return OracleResponse(value=float(value) if x.ndim == 1 else value, gradient=gradient)
+    if not isinstance(inst, RotatedInstance):
+        return OracleResponse(*_block_loss(inst, x))
+    value, gradient = _block_loss(inst, inst.U.apply(x))
+    return OracleResponse(value, inst.U.apply_t(gradient))
 
 
 def lipschitz(inst: WorstCaseInstance) -> float:

@@ -36,6 +36,7 @@ from .optimizers import Trace, _fold, drive
 
 TIE_BREAK = 1e-12
 ORTHOGONALITY_TOL = 1e-10
+CONTAINMENT_ROWS = 64  # placed points rotated at once by containment_residuals
 
 
 class ResistingOracle(FirstOrderOracle):
@@ -128,11 +129,15 @@ def containment_residuals(oracle: ResistingOracle) -> np.ndarray:
     """Leakage of each placed point outside its trap subspace.
 
     Entry i is the norm of the leading k-(2i+1) components of U @ point_i:
-    point i must lie in the span of the trailing 2i+1 coordinates.
+    point i must lie in the span of the trailing 2i+1 coordinates.  The
+    points are rotated ``CONTAINMENT_ROWS`` at a time, never all at once.
     """
-    rotated = oracle.U.apply(np.array(oracle.points))  # row i is U @ point_i
-    return np.array([np.linalg.norm(row[: max(oracle.k - (2 * i + 1), 0)])
-                     for i, row in enumerate(rotated)])
+    k, points, residuals = oracle.k, oracle.points, []
+    for start in range(0, len(points), CONTAINMENT_ROWS):
+        rotated = oracle.U.apply(np.array(points[start : start + CONTAINMENT_ROWS]))
+        residuals += [np.linalg.norm(row[: max(k - (2 * i + 1), 0)])  # row is U @ point_i
+                      for i, row in enumerate(rotated, start)]
+    return np.array(residuals)
 
 
 def adversarial_run(name: str, inst: WorstCaseInstance, T: int, x_star: np.ndarray

@@ -140,7 +140,7 @@ def test_race_agd_report(tmp_path, capsys):
     assert (tmp_path / "trace_agd_T5.csv").exists()
 
 
-def test_race_denseprobe_downgrades_to_general_bound(tmp_path):
+def test_race_denseprobe_reports_figures_without_a_verdict(tmp_path):
     # no bound is a theorem for a method that leaves the span on the unrotated
     # dimension-2T instance (the general one holds against the adversary in
     # dimension 4T+2): the cell reports its figures and judges nothing

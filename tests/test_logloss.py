@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from hardlogit import (
     FirstOrderOracle,
     RotatedInstance,
+    Rotation,
     build_instance,
     invariants,
     lipschitz,
@@ -279,6 +282,133 @@ class TestStackedLoss:
             for target in (inst, rotated):
                 with pytest.raises(ValueError, match="dimension mismatch"):
                     loss(target, X)
+
+
+@functools.lru_cache(maxsize=16)
+def _reference_magnitudes(scales: tuple, labels: tuple) -> tuple[np.ndarray, np.ndarray, float]:
+    """The distinct |s| of the blocks, how many blocks share each (both
+    read-only) and the drift sum_i s_i*l_i; cached, since every loss call
+    of an instance asks for the same."""
+    groups = {}  # |s| -> number of blocks with that magnitude
+    for s in scales:
+        groups[abs(s)] = groups.get(abs(s), 0) + 1
+    mags = np.array(list(groups))
+    mult = np.array(list(groups.values()), dtype=float)
+    mags.flags.writeable = mult.flags.writeable = False
+    return mags, mult, sum(s * lab for s, lab in zip(scales, labels))
+
+
+def _reference_block_loss(inst, x: np.ndarray):
+    """The kernel as first written, with ``@``, ``np.sum`` and ``einsum`` over
+    one (distinct |s|) x k array per point: the bits ``loss`` must keep."""
+    # W is symmetric, so W x for each row x is W applied along the last axis
+    w = np.ascontiguousarray(inst.w.apply(x.T).T)
+    mags, mult, drift = _reference_magnitudes(inst.block_scales, inst.block_labels)
+    z = mags[:, None] * w[..., None, :]  # |s| * Wx, one row per magnitude
+    a = np.abs(z)
+    value = np.sum(a + 2.0 * np.log1p(np.exp(-a)), axis=-1) @ mult
+    value = value - drift * np.sum(w, axis=-1)
+    if not np.isfinite(value).all():  # a non-finite |s|*w makes the h sum non-finite
+        raise ValueError("block margins |s|*Wx must be finite")
+    # einsum, not a BLAS gemv: a gemv here raised the race benchmark's peak
+    # memory by 1.9 MB in six of ten runs
+    combined = np.einsum("i,...ij->...j", mult * mags, np.tanh(0.5 * z))
+    gradient = inst.w.apply((combined - drift).T).T
+    return value, gradient
+
+
+def _reference_loss(inst, x: np.ndarray):
+    if isinstance(inst, RotatedInstance):
+        value, gradient = _reference_block_loss(inst, inst.U.apply(x))
+        return value, inst.U.apply_t(gradient)
+    return _reference_block_loss(inst, x)
+
+
+def _bits(a) -> np.ndarray:
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+def _kernel_case(k, ratio, log_zeta, variant, reflectors, m, seed):
+    """(instance, point or stack): zeta = 10^log_zeta and sigma = ratio*zeta,
+    rotated by ``reflectors`` reflectors on leading blocks of random length,
+    and a point (m = 0) or a stack of m rows, each row scaled by its own
+    10^e for e in [-8, 8]."""
+    zeta = 10.0**log_zeta
+    inst = build_instance(k, ratio * zeta, zeta, variant)
+    rng = np.random.default_rng(seed)
+    if reflectors:
+        U = Rotation(k)
+        for _ in range(reflectors):
+            U.append(rng.standard_normal(int(rng.integers(1, k + 1))))
+        inst = RotatedInstance(inst, U)
+    shape = (k,) if m == 0 else (m, k)
+    return inst, rng.standard_normal(shape) * 10.0 ** rng.uniform(-8, 8, size=shape[:-1] + (1,))
+
+
+def _assert_reference_bits(inst, x):
+    resp = loss(inst, x)
+    value, gradient = _reference_loss(inst, x)
+    if x.ndim == 1:
+        assert type(resp.value) is float
+        assert resp.value.hex() == float(value).hex()
+    else:
+        assert resp.value.shape == (len(x),)
+        assert np.array_equal(_bits(resp.value), _bits(value))
+    assert resp.gradient.shape == gradient.shape == x.shape
+    assert np.array_equal(_bits(resp.gradient), _bits(gradient))
+
+
+class TestKernelBits:
+    """``loss`` keeps the bits of the kernel as first written (kept above as
+    ``_reference_block_loss``): every ufunc sees the same operands in the
+    same order, whatever the numpy calls that carry them.  Cases span k
+    from 1 to 1200, both variants, sigma/zeta in (1, 1e4], base instances
+    and ones rotated by 1 and 3 reflectors, points and stacks of 1 to 20."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        k=st.integers(1, 1200),
+        ratio=st.floats(1.0, 1e4, exclude_min=True),
+        log_zeta=st.floats(-3.0, 3.0),
+        variant=st.sampled_from(VARIANTS),
+        reflectors=st.sampled_from((0, 1, 3)),
+        m=st.one_of(st.just(0), st.integers(1, 20)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_values_and_gradients_bit_for_bit(self, k, ratio, log_zeta, variant, reflectors, m,
+                                              seed):
+        _assert_reference_bits(*_kernel_case(k, ratio, log_zeta, variant, reflectors, m, seed))
+
+    def test_seeded_sweep_bit_for_bit(self):
+        # uniform draws over the same space: a last-bit change in the value
+        # shows on a few percent of points, mostly at large k
+        rng = np.random.default_rng(18)
+        for seed in range(400):
+            m = 0 if seed % 2 else int(rng.integers(1, 21))
+            _assert_reference_bits(*_kernel_case(
+                int(rng.integers(1, 1201)), 10.0 ** rng.uniform(1e-9, 4.0), rng.uniform(-3, 3),
+                VARIANTS[seed % 4 // 2], (0, 1, 3)[seed % 3], m, seed))
+
+    @pytest.mark.parametrize("stacked", [False, True], ids=["point", "stack"])
+    @pytest.mark.parametrize("rotated", [False, True], ids=["base", "rotated"])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "overflow"])
+    def test_non_finite_raises(self, stacked, rotated, bad):
+        k = 9
+        inst = build_instance(k, 1.3, 1.0, "twoblock")
+        if rotated:
+            inst = RotatedInstance(inst, random_orthogonal(k, seed=2))
+        x = np.linspace(-1.0, 1.0, k)
+        # 1e308 in x_0 leaves w = Wx finite (w_{k-1} = x_0), not 2*sigma*w
+        x[0] = {"nan": np.nan, "inf": np.inf, "overflow": 1e308}[bad]
+        with np.errstate(over="ignore", invalid="ignore"):
+            if rotated and bad == "overflow":
+                x = inst.U.apply_t(x)  # U x is the point above, up to rounding
+            if stacked:
+                x = np.vstack([np.ones(k), x, np.zeros(k)])
+            with pytest.raises(ValueError, match="finite"):
+                _reference_loss(inst, x)
+            with pytest.raises(ValueError, match="finite"):
+                loss(inst, x)
 
 
 class TestOptimumIntercept:

@@ -398,3 +398,23 @@ class TestSerialization:
         d = _stacked("gd", FirstOrderOracle(inst), 4)[3] - prof.x_star
         assert float(rows[3]["dist_sq"]) == trace.dist_sq[3] == float(d @ d)
         assert float(rows[4]["grad_norm"]) == trace.grad_norms[4]
+
+    @pytest.mark.parametrize("f_star", [0.0, 1.5, np.float64(-2.25)])
+    def test_csv_bytes_match_the_csv_writer(self, tmp_path, f_star):
+        # every row as csv.writer writes the "%.17g" texts, \r\n line ends
+        # included, on -0.0, the smallest subnormal, 1e308, inf and nan
+        specials = np.array([-0.0, 5e-324, 1e308, np.inf, -np.inf, np.nan, 0.1, -1e-300])
+        trace = optimizers.Trace(values=specials, grad_norms=np.roll(specials, 3),
+                                 dist_sq=specials[::-1].copy(), final=np.zeros(3),
+                                 support_frontier=0, oracle_calls=len(specials))
+        path, reference = tmp_path / "trace.csv", tmp_path / "reference.csv"
+        trace_to_csv(trace, path, f_star)
+        with open(reference, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["t", "value", "gap", "dist_sq", "grad_norm"])
+            for t, (value, dist_sq, grad_norm) in enumerate(
+                    zip(trace.values, trace.dist_sq, trace.grad_norms)):
+                writer.writerow([t, f"{value:.17g}", f"{value - f_star:.17g}",
+                                 f"{dist_sq:.17g}", f"{grad_norm:.17g}"])
+        assert path.read_bytes() == reference.read_bytes()
+        assert path.read_bytes().count(b"\r\n") == len(specials) + 1

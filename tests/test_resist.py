@@ -351,6 +351,38 @@ class TestReflectorNative:
         with pytest.raises(ValueError, match="step budget exceeded"):
             oracle(rng.standard_normal(k))
 
+    def test_containment_across_row_blocks(self, rng):
+        # 151 placed points, each after a reflection, span three blocks of
+        # rows: entry i is point i's own leakage, the row-by-row formula's
+        k = 303
+        inst = build_instance(k, 1.3, 1.0)
+        oracle = _oracle_after(inst, *rng.standard_normal(((k - 3) // 2, k)))
+        assert len(oracle.points) > 2 * resist.CONTAINMENT_ROWS and oracle.skipped == 0
+        residuals = containment_residuals(oracle)
+        for i, p in enumerate(oracle.points):
+            lead = np.linalg.norm(oracle.U.apply(p)[: k - (2 * i + 1)])
+            assert abs(residuals[i] - lead) <= 1e-13 * np.linalg.norm(p)
+            assert residuals[i] <= 1e-13 * np.linalg.norm(p)
+
+    @pytest.mark.parametrize("name", ["denseprobe", "agd"])
+    def test_containment_holds_no_copy_of_the_points(self, name):
+        # the residuals rotate the placed points a block of rows at a time,
+        # so the check peaks below the points' own bytes (a stacked copy and
+        # its rotation peaked at 3.0x and 2.0x them)
+        T = 400
+        inst = build_instance(4 * T + 2, 1.3, 1.0)
+        _, _, _, oracle = adversarial_run(name, inst, T, profile(inst).x_star)
+        tracemalloc.start()
+        try:
+            residuals = containment_residuals(oracle)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        points_bytes = sum(p.nbytes for p in oracle.points)
+        assert points_bytes == (T + 1) * inst.k * 8
+        assert peak < points_bytes
+        assert residuals.shape == (T + 1,) and np.max(residuals) <= 1e-13
+
     def test_resist_builds_the_dense_rotation_twice(self, tmp_path, monkeypatch):
         # once for the libsvm export of A U and once for the rotation CSV;
         # the orthogonality verdict measures the factors (a third build before)
