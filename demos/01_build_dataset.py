@@ -3,7 +3,7 @@
 
 import numpy as np
 
-from hardlogit import Variant, build_instance, build_w, export
+from hardlogit import Variant, build_instance, build_w, export, profile, profile_metadata
 
 np.set_printoptions(precision=3, suppress=True, linewidth=120)
 
@@ -37,7 +37,11 @@ small = build_instance(3, 1.3, 1.0, Variant.TWO_BLOCK)
 print(f"\ntwo-block instance: {small.n_rows} rows x {small.k} features")
 print(small.dense())
 
-export(inst, "csv", "demo_dataset.csv")
-export(inst, "libsvm", "demo_dataset.libsvm")
-export(inst, "json-meta", "demo_dataset.meta.json")
-print("\nwrote demo_dataset.csv / .libsvm / .meta.json")
+# One export call per format writes the data file and, beside it, its
+# .meta.json sidecar; the analytic entries come from the closed-form profile.
+extra = profile_metadata(profile(inst))
+print()
+for fmt in ("csv", "libsvm"):
+    sidecar = export(inst, fmt, f"demo_dataset.{fmt}", extra)
+    print(f"wrote demo_dataset.{fmt} and {sidecar}")
+print(sidecar.read_text().strip())

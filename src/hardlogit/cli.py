@@ -31,12 +31,6 @@ DEFAULT_SIGMA = 1.3
 DEFAULT_ZETA = 1.0
 
 
-def _timestamp(args) -> str | None:
-    if getattr(args, "no_timestamp", False):
-        return None
-    return time.strftime("%Y-%m-%dT%H:%M:%S%z")
-
-
 def _parse_t_list(text: str) -> list[int]:
     try:
         values = [int(part) for part in str(text).split(",") if part.strip()]
@@ -49,14 +43,10 @@ def _parse_t_list(text: str) -> list[int]:
 
 def cmd_generate(args) -> int:
     inst = datasets.build_instance(args.k, args.sigma, args.zeta, args.variant)
-    fmt = args.format.lower()
-    ext = {"csv": "csv", "libsvm": "libsvm"}[fmt]
-    out = Path(args.out) if args.out else Path(f"wc_k{inst.k}_{inst.variant.value}.{ext}")
+    out = Path(args.out or f"wc_k{inst.k}_{inst.variant.value}.{args.format}")
     out.parent.mkdir(parents=True, exist_ok=True)
-    datasets.export(inst, fmt, out)
-    sidecar = out.with_suffix(out.suffix + ".meta.json")
     extra = analytic.profile_metadata(analytic.profile(inst))
-    datasets.export(inst, "json-meta", sidecar, extra_meta=extra)
+    sidecar = datasets.export(inst, args.format, out, extra)
     print(f"wrote {out} ({inst.n_rows} rows x {inst.k} columns) and {sidecar}")
     return 0
 
@@ -130,23 +120,7 @@ def _race_cell(args, T, ts, out_dir) -> bool:
     return _emit(args, inst, T, f"{args.method}_T{T}", trace, prof, findings, ts, out_dir)
 
 
-def cmd_race(args) -> int:
-    ts = _timestamp(args)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    ok = True
-    for T in args.T:
-        ok = _race_cell(args, T, ts, out_dir) and ok
-    if not ok and args.strict:
-        return 1
-    return 0
-
-
-def cmd_resist(args) -> int:
-    ts = _timestamp(args)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    T = args.T
+def _resist_cell(args, T, ts, out_dir) -> bool:
     inst = datasets.build_instance(4 * T + 2, args.sigma, args.zeta)
     prof = analytic.profile(inst)
     trace, deviation, final, oracle = resist.adversarial_run(args.method, inst, T, prof.x_star)
@@ -155,15 +129,29 @@ def cmd_resist(args) -> int:
     del oracle  # T+1 placed k-vectors; the exports below need the memory more
 
     stem = f"resist_{args.method}_T{T}"
-    datasets.export(final, "libsvm", out_dir / f"dataset_{stem}.libsvm")
-    datasets.export(
-        final, "json-meta", out_dir / f"dataset_{stem}.libsvm.meta.json",
-        extra_meta=analytic.profile_metadata(prof),
-    )
+    datasets.export(final, "libsvm", out_dir / f"dataset_{stem}.libsvm",
+                    analytic.profile_metadata(prof))
     resist.save_matrix_csv(final.U.dense(), out_dir / f"rotation_{stem}.csv")
-    if not _emit(args, final, T, stem, trace, prof, findings, ts, out_dir) and args.strict:
-        return 1
-    return 0
+    return _emit(args, final, T, stem, trace, prof, findings, ts, out_dir)
+
+
+def _cells(args, cell, Ts) -> int:
+    """Run ``cell(args, T, ts, out_dir)`` for each T in ``Ts``, all into the
+    one ``--out`` directory under one timestamp; 1 if a cell failed under
+    ``--strict``, else 0."""
+    ts = None if args.no_timestamp else time.strftime("%Y-%m-%dT%H:%M:%S%z")
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    passed = [cell(args, T, ts, out_dir) for T in Ts]
+    return 1 if args.strict and not all(passed) else 0
+
+
+def cmd_race(args) -> int:
+    return _cells(args, _race_cell, args.T)
+
+
+def cmd_resist(args) -> int:
+    return _cells(args, _resist_cell, [args.T])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -186,28 +174,22 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--max-k", type=int, default=20)
     p_ver.set_defaults(func=cmd_verify)
 
-    p_race = sub.add_parser("race", help="race a method against the lower bounds")
-    p_race.add_argument("--method", default="agd",
-                        choices=list(optimizers.METHOD_NAMES))
-    p_race.add_argument("--T", type=_parse_t_list, default=[5, 25, 50],
-                        help="comma-separated iteration counts")
-    p_race.add_argument("--sigma", type=float, default=DEFAULT_SIGMA)
-    p_race.add_argument("--zeta", type=float, default=DEFAULT_ZETA)
-    p_race.add_argument("--out", default="reports")
-    p_race.add_argument("--strict", action="store_true")
-    p_race.add_argument("--no-timestamp", action="store_true")
-    p_race.set_defaults(func=cmd_race)
-
-    p_res = sub.add_parser("resist", help="race a method against the rotation adversary")
-    p_res.add_argument("--method", default="denseprobe",
-                       choices=list(optimizers.METHOD_NAMES))
-    p_res.add_argument("--T", type=int, default=10)
-    p_res.add_argument("--sigma", type=float, default=DEFAULT_SIGMA)
-    p_res.add_argument("--zeta", type=float, default=DEFAULT_ZETA)
-    p_res.add_argument("--out", default="reports")
-    p_res.add_argument("--strict", action="store_true")
-    p_res.add_argument("--no-timestamp", action="store_true")
-    p_res.set_defaults(func=cmd_resist)
+    for name, func, help_text, method, T_arg in (
+        ("race", cmd_race, "race a method against the lower bounds", "agd",
+         {"type": _parse_t_list, "default": [5, 25, 50],
+          "help": "comma-separated iteration counts"}),
+        ("resist", cmd_resist, "race a method against the rotation adversary", "denseprobe",
+         {"type": int, "default": 10}),
+    ):
+        p_cell = sub.add_parser(name, help=help_text)
+        p_cell.add_argument("--method", default=method, choices=list(optimizers.METHOD_NAMES))
+        p_cell.add_argument("--T", **T_arg)
+        p_cell.add_argument("--sigma", type=float, default=DEFAULT_SIGMA)
+        p_cell.add_argument("--zeta", type=float, default=DEFAULT_ZETA)
+        p_cell.add_argument("--out", default="reports")
+        p_cell.add_argument("--strict", action="store_true")
+        p_cell.add_argument("--no-timestamp", action="store_true")
+        p_cell.set_defaults(func=func)
     return parser
 
 

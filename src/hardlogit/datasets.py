@@ -18,8 +18,11 @@ an orthogonal U held as a ``Rotation``, the product of its Householder
 reflectors in compact WY form: the same k, sigma, zeta, blocks, labels and
 ||A||, with block W U in place of W.  ``logloss.loss`` applies W by its
 index structure in O(k) and U in O(jk) for j reflectors; only ``dense()``
-builds the N x k matrix, and only the exports build U (``export`` writes
-rows from the nonzeros of one k x k block, ``w_nonzeros()``).
+builds the N x k matrix, and only the exports build U.
+
+``export`` is the one writer of a dataset: one call writes the csv or
+libsvm file, its rows read by one loop from the nonzeros of the k x k block
+(``w_nonzeros()``), and its ``.meta.json`` sidecar beside it.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass, field, fields
+from pathlib import Path
 
 import numpy as np
 
@@ -286,12 +290,13 @@ def build_instance(
     )
 
 
-def csv_lines(k: int, zero: str, rows):
-    """Comma-joined lines of k cells, one per (cols, vals) of ``rows``, two
-    lists: the row's values in "%.17g" at its columns, which increase, and
-    the text ``zero`` (no '%' in it) in every other cell.  Only the values
-    are formatted, and consecutive rows on the same columns share one
-    template, so a dense row costs what ``np.savetxt`` pays for it."""
+def csv_lines(k: int, zero: str, rows, end: str):
+    """Lines of k comma-joined cells and then ``end``, one per (cols, vals)
+    of ``rows``, two lists: the row's values in "%.17g" at its columns, which
+    increase, and the text ``zero`` in every other cell (no '%' in it, nor in
+    ``end``).  Only the values are formatted, and consecutive rows on the
+    same columns share one template, so a dense row costs what
+    ``np.savetxt`` pays for it."""
     blank = [zero] * k
     prev = template = None
     for cols, vals in rows:
@@ -299,70 +304,59 @@ def csv_lines(k: int, zero: str, rows):
             cells = blank.copy()
             for c in cols:
                 cells[c] = "%.17g"
-            template, prev = ",".join(cells), cols
+            template, prev = ",".join(cells) + end, cols
         yield template % tuple(vals)
 
 
-def export(inst: WorstCaseInstance, format: str, path, extra_meta: dict | None = None) -> None:
-    """Write the dataset to ``path`` in one of three formats.
+def export(inst: WorstCaseInstance, format: str, path, extra_meta: dict | None = None) -> Path:
+    """Write the dataset to ``path`` in ``format`` and its metadata sidecar
+    beside it; return the sidecar's path, ``path`` + ".meta.json".
 
     - ``csv``: header feature_1..feature_k,label; one dense row per datum.
     - ``libsvm``: sparse "label idx:val" lines (1-based indices, nonzeros only).
-    - ``json-meta``: metadata sidecar {k, sigma, zeta, variant, N,
-      spectral_norm_bound} merged with ``extra_meta`` (callers add the
-      analytic entries c, f_star, xstar_norm_sq).
 
-    Rows are s * W, or s * (W U) when rotated.  Both formats read them from
-    ``w_nonzeros()``, so a base instance builds no k x k block: libsvm
-    omits the exact zeros, and csv writes every zero of a block from the
-    one string of s * 0.0 (``csv_lines``).  Labels are the integers 1 / -1;
-    floats carry 17 digits (exact round-trip).
+    Rows are s * W, or s * (W U) when rotated, read for both formats by one
+    loop from ``w_nonzeros()``, so a base instance builds no k x k block:
+    libsvm omits the exact zeros, and csv writes every zero of a block from
+    the one string of s * 0.0.  Labels are the integers 1 / -1; floats
+    carry 17 digits (exact round-trip).  The sidecar holds {k, sigma, zeta,
+    variant, N, spectral_norm_bound} merged with ``extra_meta`` (callers add
+    the analytic entries c, f_star, xstar_norm_sq).
     """
-    fmt = str(format).strip().lower().replace("_", "-")
-    if fmt == "json-meta":
-        meta = {
-            "k": inst.k,
-            "sigma": inst.sigma,
-            "zeta": inst.zeta,
-            "variant": inst.variant.value,
-            "N": inst.n_rows,
-            "spectral_norm_bound": inst.spectral_norm_bound(),
-        }
-        if extra_meta:
-            meta.update(extra_meta)
-        with open(path, "w") as fh:
-            json.dump(meta, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        return
-
+    if format not in ("csv", "libsvm"):
+        raise ValueError(f"unknown format {format!r}; expected csv or libsvm")
+    libsvm = format == "libsvm"
     k = inst.k
-    labels = inst.labels.astype(int).tolist()
-    if fmt == "csv":
-        rows, cols, w_vals = inst.w_nonzeros()
-        starts = np.searchsorted(rows, np.arange(k + 1)).tolist()
-        cols = cols.tolist()
-        with open(path, "w") as fh:
+    rows, cols, w_vals = inst.w_nonzeros()
+    cols = cols + libsvm  # libsvm's indices are 1-based
+    with open(path, "w") as fh:
+        if not libsvm:
             fh.write(",".join(f"feature_{j + 1}" for j in range(k)) + ",label\n")
-            for b, s in enumerate(inst.block_scales):
-                vals = (s * w_vals).tolist()
-                spans = ((cols[lo:hi], vals[lo:hi]) for lo, hi in zip(starts, starts[1:]))
-                # a zero of the block is s * 0.0, so "-0" where s < 0
-                lines = csv_lines(k, "%.17g" % (s * 0.0), spans)
-                for line, lab in zip(lines, labels[b * k : (b + 1) * k]):
-                    fh.write(f"{line},{lab}\n")
-    elif fmt == "libsvm":
-        rows, cols, w_vals = inst.w_nonzeros()
-        with open(path, "w") as fh:
-            for b, s in enumerate(inst.block_scales):
-                vals = s * w_vals
-                keep = vals != 0.0  # s * w may underflow where w does not
-                starts = np.searchsorted(rows[keep], np.arange(k + 1)).tolist()
-                idx = (cols[keep] + 1).tolist()
-                vals = vals[keep].tolist()
-                for i in range(k):
-                    lo, hi = starts[i], starts[i + 1]
-                    pairs = zip(idx[lo:hi], vals[lo:hi])
-                    fh.write(f"{labels[b * k + i]}"
-                             + "".join(" %d:%.17g" % p for p in pairs) + "\n")
-    else:
-        raise ValueError(f"unknown format {format!r}; expected csv, libsvm, or json-meta")
+        for s, label in zip(inst.block_scales, inst.block_labels):
+            vals = s * w_vals
+            keep = vals != 0.0 if libsvm else slice(None)  # s * w may underflow where w does not
+            starts = np.searchsorted(rows[keep], np.arange(k + 1)).tolist()
+            idx = cols[keep].tolist()  # apart, so the last block's idx is freed before vals
+            vals = vals[keep].tolist()
+            spans = ((idx[lo:hi], vals[lo:hi]) for lo, hi in zip(starts, starts[1:]))
+            if libsvm:  # a row's indices go into its template, then its values
+                lines = (("%d" % label + " %d:%%.17g" * len(c) % tuple(c) + "\n") % tuple(v)
+                         for c, v in spans)
+            else:  # a zero of the block is s * 0.0, so "-0" where s < 0
+                lines = csv_lines(k, "%.17g" % (s * 0.0), spans, ",%d\n" % label)
+            fh.writelines(lines)
+
+    meta = {
+        "k": inst.k,
+        "sigma": inst.sigma,
+        "zeta": inst.zeta,
+        "variant": inst.variant.value,
+        "N": inst.n_rows,
+        "spectral_norm_bound": inst.spectral_norm_bound(),
+    }
+    meta.update(extra_meta or {})
+    sidecar = Path(f"{path}.meta.json")
+    with open(sidecar, "w") as fh:
+        json.dump(meta, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return sidecar

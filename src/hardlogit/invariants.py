@@ -5,13 +5,14 @@ A check runs on instances, profiles, points or traces and returns a
 limit (negative on failure), ``detail`` the text ``verify`` prints; one
 whose figures a report prints returns them with it, as ``Findings``.
 ``verify`` and the acceptance suite take their checks from here, and a
-``race`` or ``resist`` report is the list of its ``Findings``: every figure
-it prints is measured, and every verdict judged, in this module (U'U on
-the factors of U).  Calls into the package go through module attributes
-(``logloss.loss``), so a wrapper installed on one sees them.  The sweeps
-over many points of one instance pass them to ``logloss.loss`` as one
-stack: one call per instance in ``gradient_trap`` and per dimension in
-``restricted_optimum_identity``.
+``race`` or ``resist`` report is the list of its ``Findings``: every verdict
+is judged in this module (U'U on the factors of U), and every figure comes
+from it, though ``resist`` measures two, the containment and label-direction
+residuals that ``adversary`` reports.  Calls into the package go through
+module attributes (``logloss.loss``), so a wrapper installed on one sees
+them.  The sweeps over many points of one instance pass them to
+``logloss.loss`` as one stack: one call per instance in ``gradient_trap``
+and per dimension in ``restricted_optimum_identity``.
 """
 
 import itertools
@@ -66,10 +67,11 @@ def ratio_constant(inst) -> Check:
 
 def optimum(pairs) -> tuple[Check, Check, Check]:
     """At the closed-form x* of each (base instance, profile): the gradient
-    vanishes, the loss is f*, and so does the derivative in an intercept y
-    at y = 0, sum tanh(A x*/2) - sum b.  That derivative vanishes only for
-    the four-block variant, whose label blocks are mirror images; any other
-    raises ValueError."""
+    vanishes and the loss is f*.  The third check is the mirror identity of
+    the four-block variant: its blocks pair (s, l) with (-s, -l) and tanh is
+    odd, so the derivative in an intercept y at y = 0, sum tanh(A x/2) -
+    sum b, vanishes at every x, x* included; it fails on a copy whose one
+    block is off its mirror.  Any other variant raises ValueError."""
     grad = value = dy = 0.0
     for inst, prof in pairs:
         if inst.variant is not datasets.Variant.FOUR_BLOCK:

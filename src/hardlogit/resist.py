@@ -34,7 +34,7 @@ from .datasets import RotatedInstance, Rotation, WorstCaseInstance, csv_lines
 from .logloss import FirstOrderOracle, OracleResponse, loss
 from .optimizers import Trace, _fold, drive
 
-TIE_BREAK = 1e-12
+TIE_BREAK = 1e-12  # a leading block below this fraction of ||y|| is taken as zero
 ORTHOGONALITY_TOL = 1e-10
 CONTAINMENT_ROWS = 64  # placed points rotated at once by containment_residuals
 
@@ -92,11 +92,12 @@ class ResistingOracle(FirstOrderOracle):
 
     def _reflect(self, y: np.ndarray, m: int) -> np.ndarray:
         """H y, for the reflector H that sends the leading block z = y[:m] to
-        +||z|| e_m, appended to U; y itself when z is already there."""
+        +||z|| e_m, appended to U; y itself when z is already there, or is
+        negligible next to y (a relative test, so it holds at any scale)."""
         z = y[:m]
         z_norm = np.linalg.norm(z)
         head = float(z[:-1] @ z[:-1])
-        if z_norm <= TIE_BREAK * (1.0 + np.linalg.norm(y)) or (head == 0.0 and z[-1] > 0.0):
+        if z_norm <= TIE_BREAK * np.linalg.norm(y) or (head == 0.0 and z[-1] > 0.0):
             self.skipped += 1
             return y
         v = z.copy()  # z - ||z|| e_m, its last entry without cancellation (Parlett)
@@ -204,5 +205,4 @@ def save_matrix_csv(matrix: np.ndarray, path) -> None:
             yield cols.tolist(), row[cols].tolist()
 
     with open(path, "w") as fh:
-        for line in csv_lines(matrix.shape[1], "0", rows()):
-            fh.write(line + "\n")
+        fh.writelines(csv_lines(matrix.shape[1], "0", rows(), "\n"))

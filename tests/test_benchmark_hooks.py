@@ -44,6 +44,17 @@ def _untraced(tmp_path, argv=RESIST):
     return _outputs(out)
 
 
+def _traced(tracer_mod, argv):
+    """A tracer that has recorded one ``cli.main(argv)``, which must pass."""
+    tracer = tracer_mod.Tracer(hardlogit)
+    tracer.install()
+    try:
+        assert cli.main(argv) == 0
+    finally:
+        tracer.uninstall()
+    return tracer
+
+
 def test_tracer_wraps_every_hook(perfbench, tmp_path):
     tracer_mod, _ = perfbench
     originals = _bound(tracer_mod.METHODS)
@@ -65,13 +76,8 @@ def test_tracer_wraps_every_hook(perfbench, tmp_path):
 
 def test_tracer_times_the_race_layers(perfbench, tmp_path):
     tracer_mod, _ = perfbench
-    tracer = tracer_mod.Tracer(hardlogit)
     out = tmp_path / "traced"
-    tracer.install()
-    try:
-        assert cli.main(RACE + ["--out", str(out)]) == 0
-    finally:
-        tracer.uninstall()
+    tracer = _traced(tracer_mod, RACE + ["--out", str(out)])
     layers = tracer.layer_metrics()
     # one run and one trace CSV per T, each timed under the name the metric reads
     assert tracer.stats["optimizers.run"].calls == 2
@@ -79,6 +85,30 @@ def test_tracer_times_the_race_layers(perfbench, tmp_path):
     assert layers["optimizers.run.s"] > 0.0 and layers["optimizers.trace_to_csv.s"] > 0.0
     assert layers["logloss.loss.calls"] > 0
     assert _outputs(out) == _untraced(tmp_path, RACE)
+
+
+def test_tracer_reads_the_commands_and_exports_by_name(perfbench, tmp_path):
+    # the per-command self times and the export metrics read cli.cmd_race,
+    # cli.cmd_resist and datasets.export by name; one export call writes a
+    # dataset and its sidecar, and its bytes are the data file's size
+    tracer_mod, _ = perfbench
+    tracer = _traced(tracer_mod, RESIST + ["--out", str(tmp_path / "resist")])
+    assert tracer.stats["cli.cmd_resist"].calls == 1
+    assert tracer.stats["datasets.export"].calls == 1
+    libsvm = tmp_path / "resist" / "dataset_resist_denseprobe_T2.libsvm"
+    assert tracer.layer_metrics()["datasets.export.bytes"] == libsvm.stat().st_size
+    assert tracer.layer_metrics()["cli.cmd_resist.self_s"] > 0.0
+
+    tracer = _traced(tracer_mod, RACE + ["--out", str(tmp_path / "race")])
+    assert tracer.stats["cli.cmd_race"].calls == 1
+    assert tracer.layer_metrics()["cli.cmd_race.self_s"] > 0.0
+
+    data = tmp_path / "wc.libsvm"
+    tracer = _traced(tracer_mod, ["generate", "--k", "5", "--format", "libsvm",
+                                  "--out", str(data)])
+    assert tracer.stats["datasets.export"].calls == 1
+    assert tracer.layer_metrics()["datasets.export.bytes"] == data.stat().st_size
+    assert data.with_name("wc.libsvm.meta.json").is_file()
 
 
 def test_speed_probe_runs_under_its_wrappers(perfbench, tmp_path):

@@ -440,14 +440,27 @@ class TestExport:
         assert np.array_equal(labels, b)
 
     def test_json_meta_schema(self, tmp_path):
-        inst = build_instance(4, 1.3, 1.0)
-        path = tmp_path / "meta.json"
-        export(inst, "json-meta", path, extra_meta={"c": 0.1, "f_star": 2.0,
-                                                    "xstar_norm_sq": 3.0})
-        meta = json.loads(path.read_text())
-        assert set(meta) == {"k", "sigma", "zeta", "variant", "N", "c", "f_star",
-                             "xstar_norm_sq", "spectral_norm_bound"}
-        assert meta["N"] == 16 and meta["variant"] == "fourblock"
+        # every export writes its sidecar beside the data file: the family
+        # fields merged with extra_meta, whatever the format or instance
+        extra = {"c": 0.1, "f_star": 2.0, "xstar_norm_sq": 3.0}
+        cases = [(build_instance(4, 1.3, 1.0, variant), variant, 4 * blocks)
+                 for variant, blocks in (("fourblock", 4), ("twoblock", 2))]
+        rot = RotatedInstance(build_instance(5, 1.7, 1.1), random_orthogonal(5, seed=3))
+        cases.append((rot, "fourblock", 20))
+        for n, (inst, variant, rows) in enumerate(cases):
+            for fmt in ("csv", "libsvm"):
+                path = tmp_path / f"data{n}.{fmt}"
+                sidecar = export(inst, fmt, path, extra_meta=extra)
+                assert sidecar == tmp_path / f"data{n}.{fmt}.meta.json"
+                meta = json.loads(sidecar.read_text())
+                assert meta == {"k": inst.k, "sigma": inst.sigma, "zeta": inst.zeta,
+                                "variant": variant, "N": rows,
+                                "spectral_norm_bound": inst.spectral_norm_bound(), **extra}
+                assert sidecar.read_text() == json.dumps(meta, indent=2, sort_keys=True) + "\n"
+        sidecar = export(rot, "csv", str(tmp_path / "plain.csv"))  # a str path, no extra
+        assert sidecar == tmp_path / "plain.csv.meta.json"
+        assert set(json.loads(sidecar.read_text())) == {
+            "k", "sigma", "zeta", "variant", "N", "spectral_norm_bound"}
 
     def test_rotated_export_uses_effective_matrix(self, tmp_path):
         inst = build_instance(5, 1.3, 1.0)
@@ -562,3 +575,12 @@ class TestExport:
         inst = build_instance(2, 1.3, 1.0)
         with pytest.raises(ValueError, match="unknown format"):
             export(inst, "parquet", tmp_path / "x.bin")
+
+    @pytest.mark.parametrize("fmt", ["json-meta", "CSV", "lib_svm"])
+    def test_only_the_cli_formats(self, fmt, tmp_path):
+        # exactly the CLI's two choices: no case folding, no '_' for '-', and
+        # the sidecar is no format of its own; nothing is written
+        inst = build_instance(2, 1.3, 1.0)
+        with pytest.raises(ValueError, match=f"unknown format '{fmt}'"):
+            export(inst, fmt, tmp_path / "x.bin")
+        assert list(tmp_path.iterdir()) == []

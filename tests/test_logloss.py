@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 
 import numpy as np
@@ -423,6 +424,23 @@ class TestOptimumIntercept:
         check = invariants.optimum([(inst, prof)])[2]
         assert check.name == "intercept_derivative_vanishes" and check.passed
         assert abs((invariants.GRADIENT_TOL - check.margin) - dense) <= 1e-12 * inst.n_rows
+
+    @pytest.mark.parametrize("block", range(4))
+    def test_fails_off_the_mirror(self, block):
+        # block (s, l) mirrors (-s, -l), and tanh is odd, so the derivative
+        # vanishes at every x; it reads the mirror, and a copy that breaks
+        # it in one block fails at the same x*: a scale off by 1e-6, or a
+        # flipped label, which moves sum b by 2k
+        inst = build_instance(40, 1.3, 1.0)
+        prof = profile(inst)
+        scales, labels = list(inst.block_scales), list(inst.block_labels)
+        scales[block] *= 1.0 + 1e-6
+        labels[block] = -labels[block]
+        for broken, reading in ((dataclasses.replace(inst, block_scales=tuple(scales)), 4e-6),
+                                (dataclasses.replace(inst, block_labels=tuple(labels)), 80.0)):
+            check = invariants.optimum([(broken, prof)])[2]
+            assert check.name == "intercept_derivative_vanishes" and not check.passed
+            assert invariants.GRADIENT_TOL - check.margin >= reading
 
     def test_two_block_unsupported(self):
         inst = build_instance(3, 1.3, 1.0, "twoblock")

@@ -171,6 +171,21 @@ class TestResistingOracle:
         assert r1.value == base.value
         assert np.array_equal(r1.gradient, oracle.U.apply_t(base.gradient))
 
+    @pytest.mark.parametrize("scale", [1e-20, 1.0, 1e20])
+    def test_skip_test_is_relative_to_the_query(self, scale, rng):
+        # a query in general position takes its reflection at any scale, and
+        # one whose leading 7-block is 1e-13 of its norm is skipped at any scale
+        inst = build_instance(9, 1.3, 1.0)
+        x = scale * rng.standard_normal(9)
+        oracle = _oracle_after(inst, x)
+        assert (len(oracle.U), oracle.skipped) == (1, 0)
+        assert containment_residuals(oracle)[1] <= invariants.ROTATION_TOL * np.linalg.norm(x)
+        tail = np.zeros(9)
+        tail[-2:] = scale
+        tail[0] = 1e-13 * np.linalg.norm(tail)
+        oracle = _oracle_after(inst, tail)
+        assert (len(oracle.U), oracle.skipped) == (0, 1)
+
     def test_frozen_after_finalize(self, rng):
         inst = build_instance(10, 1.3, 1.0)
         oracle = ResistingOracle(inst)
@@ -451,6 +466,26 @@ class TestReflectionSweep:
         norms = np.linalg.norm(oracle.points, axis=1)
         assert np.all(containment_residuals(oracle) <= invariants.ROTATION_TOL * norms)
         assert data_direction_residual(rotated) == 0.0
+
+
+class TestReplaySweep:
+    """Adaptive runs of every method over sigma/zeta in (1, 1e4], zeta from
+    1e-8 to 1e8 and T from 1 to 12: the replay reproduces the run, each step
+    reflects or is skipped, and every placed point stays in its trap
+    subspace within the bound of ``TestReflectionSweep``."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(name=st.sampled_from(ALL_METHODS),
+           ratio=st.floats(1.0, 1e4, exclude_min=True),
+           log_zeta=st.floats(-8.0, 8.0), T=st.integers(1, 12))
+    def test_replay_reproduces_the_run(self, name, ratio, log_zeta, T):
+        zeta = 10.0 ** log_zeta
+        inst = build_instance(4 * T + 2, ratio * zeta, zeta)
+        _, deviation, _, oracle = adversarial_run(name, inst, T, profile(inst).x_star)
+        assert invariants.replay_matches(deviation).passed
+        assert len(oracle.U) + oracle.skipped == T
+        norms = np.linalg.norm(oracle.points, axis=1)
+        assert np.all(containment_residuals(oracle) <= invariants.ROTATION_TOL * norms)
 
 
 class _CountingLoss:
