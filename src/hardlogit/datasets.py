@@ -126,7 +126,9 @@ class Rotation:
     def append(self, v: np.ndarray) -> None:
         """U <- H U for H = I - beta v v' with beta = 2/(v'v), v acting on the
         leading len(v) coordinates: one row of V, amortised O(k) by doubling
-        the capacity, and one column of T, -beta T (V v), in O(jk)."""
+        the capacity, and one column of T, -beta T (V v), in O(jk).  H does
+        not depend on the scale of v, but v'v must not over- or underflow:
+        the adversary passes v with its largest entry near 1."""
         v = np.asarray(v, dtype=float)
         n, m = self._n, v.shape[0]
         if v.ndim != 1 or not 0 < m <= self.k:
@@ -294,8 +296,9 @@ def csv_lines(k: int, zero: str, rows, end: str):
     """Lines of k comma-joined cells and then ``end``, one per (cols, vals)
     of ``rows``, two lists: the row's values in "%.17g" at its columns, which
     increase, and the text ``zero`` in every other cell (no '%' in it, nor in
-    ``end``).  Only the values are formatted, and consecutive rows on the
-    same columns share one template, so a dense row costs what
+    ``end``).  These are ``export``'s csv rows, read from the sparse
+    nonzeros of a block: only the values are formatted, and consecutive
+    rows on the same columns share one template, so a dense row costs what
     ``np.savetxt`` pays for it."""
     blank = [zero] * k
     prev = template = None

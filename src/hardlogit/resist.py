@@ -28,15 +28,31 @@ direction carries the label signal (A'b) and is never touched, so the
 rotated dataset stays in the family.
 """
 
+import math
+
 import numpy as np
 
-from .datasets import RotatedInstance, Rotation, WorstCaseInstance, csv_lines
+from .datasets import RotatedInstance, Rotation, WorstCaseInstance
 from .logloss import FirstOrderOracle, OracleResponse, loss
 from .optimizers import Trace, _fold, drive
 
 TIE_BREAK = 1e-12  # a leading block below this fraction of ||y|| is taken as zero
 ORTHOGONALITY_TOL = 1e-10
 CONTAINMENT_ROWS = 64  # placed points rotated at once by containment_residuals
+
+
+def _exponent(x: np.ndarray) -> int:
+    """The e with max|x| in [2**(e-1), 2**e), 0 for a zero x: x * 2**-e is
+    exact for normal numbers and holds no entry above 1."""
+    return math.frexp(float(np.abs(x).max(initial=0.0)))[1]
+
+
+def _norm(x: np.ndarray) -> float:
+    """||x|| at any scale: the norm of x * 2**-e, scaled back by 2**e, so no
+    square over- or underflows; NaN if x holds a NaN."""
+    e = _exponent(x)
+    scaled = np.ldexp(x, -e)
+    return math.ldexp(math.sqrt(scaled @ scaled), e)
 
 
 class ResistingOracle(FirstOrderOracle):
@@ -64,7 +80,8 @@ class ResistingOracle(FirstOrderOracle):
         the product with the rotation before the step, then its reflection.
 
         U is orthogonal, so ||U x|| = ||x||; a rotation that breaks this
-        raises instead of answering.
+        relative to ||x||, or a NaN in either norm, raises instead of
+        answering.
         """
         if self._frozen:
             raise ValueError("oracle already finalized")
@@ -72,7 +89,7 @@ class ResistingOracle(FirstOrderOracle):
         k, j = self.k, len(self.points)
         if x.shape != (k,):
             raise ValueError(f"dimension mismatch: expected ({k},), got {x.shape}")
-        y = self.U.apply(x)
+        y, x_norm = self.U.apply(x), _norm(x)
         if j == 0:
             if np.any(x != 0.0):
                 raise ValueError("first oracle query must be the zero start")
@@ -81,26 +98,32 @@ class ResistingOracle(FirstOrderOracle):
                 f"step budget exceeded: step {j} needs dimension >= {2 * j + 3}, have {k}"
             )
         else:
-            y = self._reflect(y, k - 2 * j)
-        x_norm, y_norm = np.linalg.norm(x), np.linalg.norm(y)
-        if abs(y_norm - x_norm) > ORTHOGONALITY_TOL * (1.0 + x_norm):
+            y = self._reflect(y, k - 2 * j, x_norm)
+        y_norm = _norm(y)
+        if not abs(y_norm - x_norm) <= ORTHOGONALITY_TOL * x_norm:  # NaN fails
             raise ValueError(
                 f"rotation is not orthogonal: ||U x|| = {y_norm:.17g}, ||x|| = {x_norm:.17g}"
             )
         self.points.append(x.copy())
         return y
 
-    def _reflect(self, y: np.ndarray, m: int) -> np.ndarray:
+    def _reflect(self, y: np.ndarray, m: int, x_norm: float) -> np.ndarray:
         """H y, for the reflector H that sends the leading block z = y[:m] to
         +||z|| e_m, appended to U; y itself when z is already there, or is
-        negligible next to y (a relative test, so it holds at any scale)."""
-        z = y[:m]
+        negligible next to the query x, of norm ``x_norm`` (= ||y||, as U is
+        orthogonal; a relative test, so it holds at any scale).
+
+        z is first scaled by 2**-e, e = ``_exponent(z)``: exact for normal
+        numbers, and H does not depend on the scale of its vector, so no
+        norm, head or v'v over- or underflows at any scale of the query."""
+        e = _exponent(y[:m])
+        z = np.ldexp(y[:m], -e)
         z_norm = np.linalg.norm(z)
         head = float(z[:-1] @ z[:-1])
-        if z_norm <= TIE_BREAK * np.linalg.norm(y) or (head == 0.0 and z[-1] > 0.0):
+        if z_norm <= TIE_BREAK * math.ldexp(x_norm, -e) or (head == 0.0 and z[-1] > 0.0):
             self.skipped += 1
             return y
-        v = z.copy()  # z - ||z|| e_m, its last entry without cancellation (Parlett)
+        v = z  # z - ||z|| e_m, its last entry without cancellation (Parlett)
         v[-1] = -head / (z[-1] + z_norm) if z[-1] > 0.0 else z[-1] - z_norm
         self.U.append(v)
         return self.U.apply_newest(y)
@@ -129,14 +152,15 @@ def data_direction_residual(inst: RotatedInstance) -> float:
 def containment_residuals(oracle: ResistingOracle) -> np.ndarray:
     """Leakage of each placed point outside its trap subspace.
 
-    Entry i is the norm of the leading k-(2i+1) components of U @ point_i:
-    point i must lie in the span of the trailing 2i+1 coordinates.  The
-    points are rotated ``CONTAINMENT_ROWS`` at a time, never all at once.
+    Entry i is the norm of the leading k-(2i+1) components of U @ point_i,
+    at any scale of the point (``_norm``): point i must lie in the span of
+    the trailing 2i+1 coordinates.  The points are rotated
+    ``CONTAINMENT_ROWS`` at a time, never all at once.
     """
     k, points, residuals = oracle.k, oracle.points, []
     for start in range(0, len(points), CONTAINMENT_ROWS):
         rotated = oracle.U.apply(np.array(points[start : start + CONTAINMENT_ROWS]))
-        residuals += [np.linalg.norm(row[: max(k - (2 * i + 1), 0)])  # row is U @ point_i
+        residuals += [_norm(row[: max(k - (2 * i + 1), 0)])  # row is U @ point_i
                       for i, row in enumerate(rotated, start)]
     return np.array(residuals)
 
@@ -195,14 +219,33 @@ def replay_check(name: str, final_inst: RotatedInstance, T: int, points,
 
 def save_matrix_csv(matrix: np.ndarray, path) -> None:
     """Write a 2-D matrix (e.g. the final rotation) as plain CSV, the text
-    ``np.savetxt(path, matrix, delimiter=",", fmt="%.17g")`` writes, with
-    every +0 entry written from one string (``datasets.csv_lines``)."""
-    matrix = np.asarray(matrix, dtype=float)
+    ``np.savetxt(path, matrix, delimiter=",", fmt="%.17g")`` writes.
 
-    def rows():
-        for row in matrix:
-            cols = np.flatnonzero((row != 0.0) | np.signbit(row))  # -0 prints "-0"
-            yield cols.tolist(), row[cols].tolist()
-
+    A row formats only the cells whose bits differ from the row above (-0
+    differs from +0; equal NaN bits do not differ) and joins them with the
+    cells it keeps from that row.  Rows of U = I - V'T'V outside every
+    reflector's support are identity rows, and rows with equal reflector
+    coefficients differ only on the diagonal, so a row of U costs what
+    changes in it plus one join.  A row new in every cell is one template,
+    as in ``np.savetxt``, split into cells only if the next row keeps some.
+    """
+    matrix = np.ascontiguousarray(matrix, dtype=float)
+    bits = matrix.view(np.int64)
+    n, k = matrix.shape
+    whole = ",".join(["%.17g"] * k) + "\n"
+    every = np.arange(k)
+    cells, changed, line = [], every, ""
     with open(path, "w") as fh:
-        fh.writelines(csv_lines(matrix.shape[1], "0", rows(), "\n"))
+        for i, row in enumerate(matrix):
+            after = np.flatnonzero(bits[i + 1] != bits[i]) if i + 1 < n else every
+            if len(changed) == k:
+                line = whole % tuple(row.tolist())
+                if len(after) < k:
+                    cells = line[:-1].split(",")
+            elif len(changed):
+                text = ",".join(["%.17g"] * len(changed)) % tuple(row[changed].tolist())
+                for col, cell in zip(changed.tolist(), text.split(",")):
+                    cells[col] = cell
+                line = ",".join(cells) + "\n"
+            fh.write(line)
+            changed = after

@@ -111,6 +111,19 @@ def test_tracer_reads_the_commands_and_exports_by_name(perfbench, tmp_path):
     assert data.with_name("wc.libsvm.meta.json").is_file()
 
 
+def test_tracer_times_the_rotation_writer(perfbench, tmp_path):
+    # resist.save_matrix_csv.s reads the rotation writer by name: a small
+    # resist calls it once, and it calls no traced function, so its time is
+    # all its own (a public per-row helper of resist would be traced as its
+    # child, once per row)
+    tracer_mod, _ = perfbench
+    tracer = _traced(tracer_mod, RESIST + ["--out", str(tmp_path)])
+    writer = tracer.stats["resist.save_matrix_csv"]
+    assert writer.calls == 1
+    assert tracer.layer_metrics()["resist.save_matrix_csv.s"] > 0.0
+    assert writer.self_s == writer.s
+
+
 def test_speed_probe_runs_under_its_wrappers(perfbench, tmp_path):
     tracer_mod, speed_mod = perfbench
     originals = _bound(tracer_mod.METHODS)

@@ -171,20 +171,37 @@ class TestResistingOracle:
         assert r1.value == base.value
         assert np.array_equal(r1.gradient, oracle.U.apply_t(base.gradient))
 
-    @pytest.mark.parametrize("scale", [1e-20, 1.0, 1e20])
+    @pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e-20, 1.0, 1e20, 1e160, 1e300])
     def test_skip_test_is_relative_to_the_query(self, scale, rng):
         # a query in general position takes its reflection at any scale, and
-        # one whose leading 7-block is 1e-13 of its norm is skipped at any scale
+        # one whose leading 7-block is 1e-13 of its norm is skipped at any
+        # scale; before the block was scaled by a power of two, 1e-200 was
+        # skipped, 1e-160 raised and 1e160 overflowed
         inst = build_instance(9, 1.3, 1.0)
         x = scale * rng.standard_normal(9)
         oracle = _oracle_after(inst, x)
         assert (len(oracle.U), oracle.skipped) == (1, 0)
-        assert containment_residuals(oracle)[1] <= invariants.ROTATION_TOL * np.linalg.norm(x)
+        assert containment_residuals(oracle)[1] <= invariants.ROTATION_TOL * _norms([x])[0]
         tail = np.zeros(9)
         tail[-2:] = scale
-        tail[0] = 1e-13 * np.linalg.norm(tail)
+        tail[0] = 1e-13 * np.sqrt(2.0) * scale
         oracle = _oracle_after(inst, tail)
         assert (len(oracle.U), oracle.skipped) == (0, 1)
+
+    @pytest.mark.parametrize("scale", [1e-300, 1.0, 1e300])
+    def test_norm_probe_is_relative_and_fails_closed(self, scale, rng):
+        # a beta off by 1e-6 breaks ||U x|| = ||x|| by about 1e-6 of ||x||,
+        # which the probe catches at every scale (an absolute floor hid it at
+        # 1e-300), and a NaN in U raises there instead of answering
+        inst = build_instance(10, 1.3, 1.0)
+        oracle = _oracle_after(inst, scale * rng.standard_normal(10))
+        oracle.U.triangular[0, 0] *= 1.0 + 1e-6
+        with pytest.raises(ValueError, match="not orthogonal"):
+            oracle(scale * rng.standard_normal(10))
+        oracle = _oracle_after(inst, scale * rng.standard_normal(10))
+        nan_in_v(oracle.U)
+        with pytest.raises(ValueError, match="not orthogonal"):
+            oracle(scale * rng.standard_normal(10))
 
     def test_frozen_after_finalize(self, rng):
         inst = build_instance(10, 1.3, 1.0)
@@ -432,14 +449,23 @@ class TestReflectorNative:
         assert peak < k * k * 8 / 16
 
 
+def _norms(points):
+    """The norm of each point, each divided by its largest |entry| first, so
+    that no square over- or underflows at scales up to 1e300."""
+    points = np.asarray(points)
+    top = np.max(np.abs(points), axis=1, keepdims=True)
+    top[top == 0.0] = 1.0
+    return top[:, 0] * np.linalg.norm(points / top, axis=1)
+
+
 @st.composite
 def _queries(draw):
     """k, then up to (k-3)/2 queries in general position, each scaled by
-    10^e for its own e in [lo, hi], -8 <= lo <= hi <= 8."""
+    10^e for its own e in [lo, hi], -300 <= lo <= hi <= 300."""
     k = draw(st.integers(7, 400))
     steps = draw(st.integers(0, (k - 3) // 2))
-    lo = draw(st.floats(-8.0, 8.0))
-    hi = draw(st.floats(lo, 8.0))
+    lo = draw(st.floats(-300.0, 300.0))
+    hi = draw(st.floats(lo, 300.0))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     scales = 10.0 ** rng.uniform(lo, hi, size=(steps, 1))
     return k, rng.standard_normal((steps, k)) * scales
@@ -456,15 +482,17 @@ class TestReflectionSweep:
         k, queries = case
         inst = build_instance(k, 1.3, 1.0)
         oracle = _oracle_after(inst, *queries)
-        assert len(oracle.U) + oracle.skipped == len(queries)
+        # a query in general position is never negligible next to itself, so
+        # the relative skip test lets every step reflect, at every scale
+        assert (len(oracle.U), oracle.skipped) == (len(queries), 0)
         rotated = RotatedInstance(inst, oracle.U)
         residual = invariants.rotation_orthogonal(rotated).measured["orthogonality_residual"]
         dense, bound = orthogonality_reference(oracle.U)
         assert residual <= invariants.ROTATION_TOL
         assert abs(residual - dense) <= bound
         # point i lies in its trap subspace to within ROTATION_TOL of its norm
-        norms = np.linalg.norm(oracle.points, axis=1)
-        assert np.all(containment_residuals(oracle) <= invariants.ROTATION_TOL * norms)
+        assert np.all(containment_residuals(oracle)
+                      <= invariants.ROTATION_TOL * _norms(oracle.points))
         assert data_direction_residual(rotated) == 0.0
 
 
@@ -613,3 +641,72 @@ def test_save_matrix_csv_is_savetxt(matrix, tmp_path):
     save_matrix_csv(matrix, ours)
     np.savetxt(reference, matrix, fmt="%.17g", delimiter=",")
     assert ours.read_bytes() == reference.read_bytes()
+
+
+# +-0, two NaN payloads (one negative), +-inf, the smallest subnormal and the
+# largest double: cells whose bits differ although some print alike
+_SPECIAL = np.concatenate((
+    [0.0, -0.0, np.inf, -np.inf, 5e-324, 1.7976931348623157e308],
+    np.array([0x7FF8000000000001, 0xFFF8000000000002], dtype=np.uint64).view(float),
+))
+
+
+@st.composite
+def _csv_matrices(draw):
+    """A 1x1 to 40x40 matrix whose rows repeat cells from a small pool, are
+    random over 10^[-300, 300], equal the row above or change part of it;
+    or the dense U of a ``Rotation`` after 0 to 4 random reflectors."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = draw(st.integers(1, 40))
+    if draw(st.booleans()):
+        U = Rotation(k)
+        for _ in range(draw(st.integers(0, 4))):
+            U.append(rng.standard_normal(draw(st.integers(1, k))))
+        return U.dense()
+    pool = np.concatenate((_SPECIAL, rng.standard_normal(3)))
+    rows = [rng.choice(pool, k)]
+    for kind in draw(st.lists(st.sampled_from(["pool", "random", "same", "part"]),
+                              max_size=39)):
+        row = rows[-1].copy()
+        if kind == "pool":
+            row = rng.choice(pool, k)
+        elif kind == "random":
+            row = rng.standard_normal(k) * 10.0 ** rng.uniform(-300, 300, k)
+        elif kind == "part":
+            cols = rng.random(k) < rng.random()
+            row[cols] = rng.choice(pool, np.count_nonzero(cols))
+        rows.append(row)
+    return np.array(rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrix=_csv_matrices())
+def test_save_matrix_csv_is_savetxt_on_any_rows(matrix, tmp_path_factory):
+    # cells are formatted only where their bits change from the row above
+    # (so -0 after +0 and a new NaN payload are new cells), and every line
+    # is still the one np.savetxt writes
+    out = tmp_path_factory.mktemp("csv")
+    ours, reference = out / "ours.csv", out / "savetxt.csv"
+    save_matrix_csv(matrix, ours)
+    np.savetxt(reference, matrix, fmt="%.17g", delimiter=",")
+    assert ours.read_bytes() == reference.read_bytes()
+
+
+@pytest.mark.parametrize("kind", ["dense", "identity"])
+def test_save_matrix_csv_holds_one_row_at_a_time(kind, tmp_path):
+    # the writer keeps one row's cells and lines, never a mask of all rows
+    # or the list of all lines: at k = 1602 it peaks below k * 256 bytes,
+    # on the identity and on 320 all-distinct rows, whose bool mask alone
+    # would be 1.25 times that (all 1602 rows take 14 s under tracemalloc)
+    k = 1602
+    rng = np.random.default_rng(4)
+    matrix = np.eye(k) if kind == "identity" else rng.standard_normal((320, k))
+    tracemalloc.start()
+    try:
+        save_matrix_csv(matrix, tmp_path / "matrix.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < k * 256
+    with open(tmp_path / "matrix.csv") as fh:
+        assert sum(1 for _ in fh) == len(matrix)
