@@ -51,6 +51,15 @@ def cmd_generate(args) -> int:
     return 0
 
 
+def _trap_stack(k: int, rng) -> np.ndarray:
+    """k-1 points of dimension k, point t-1 normal on the trailing t < k
+    coordinates and zero elsewhere: one draw of k(k-1)/2 numbers, placed
+    row by row, so the same numbers as a draw of t per point in turn."""
+    stack = np.zeros((k - 1, k))
+    stack[np.arange(k) >= np.arange(k - 1, 0, -1)[:, None]] = rng.standard_normal(k * (k - 1) // 2)
+    return stack
+
+
 def cmd_verify(args) -> int:
     if args.max_k < 2:
         print("error: --max-k must be >= 2", file=sys.stderr)
@@ -59,8 +68,7 @@ def cmd_verify(args) -> int:
              for k in range(1, args.max_k + 1)]
     profiles = [analytic.profile(inst) for inst in insts]
     rng = np.random.default_rng(20240601)
-    trap_points = ((inst, np.concatenate([np.zeros(inst.k - t), rng.standard_normal(t)]))
-                   for inst in insts[1:] for t in range(1, inst.k))  # t < k
+    trap_points = ((inst, _trap_stack(inst.k, rng)) for inst in insts[1:])
     checks = [
         invariants.ratio_constant(insts[0]),
         *invariants.optimum(zip(insts, profiles)),
@@ -131,7 +139,7 @@ def _resist_cell(args, T, ts, out_dir) -> bool:
     stem = f"resist_{args.method}_T{T}"
     datasets.export(final, "libsvm", out_dir / f"dataset_{stem}.libsvm",
                     analytic.profile_metadata(prof))
-    resist.save_matrix_csv(final.U.dense(), out_dir / f"rotation_{stem}.csv")
+    resist.save_matrix_csv(final.U, out_dir / f"rotation_{stem}.csv")
     return _emit(args, final, T, stem, trace, prof, findings, ts, out_dir)
 
 

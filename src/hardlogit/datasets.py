@@ -11,18 +11,23 @@ Two stacked-block variants are provided:
   labels (+1; +1; -1; -1), so the optimal intercept is zero (the two
   label classes are mirror images of each other).
 - ``two_block``: A = (2*sigma*W; 2*zeta*W) with labels (+1; -1): half
-  the rows, same W structure, nonzero optimal intercept.
+  the rows, same W structure, and half the four-block loss at every x
+  (h is even and the blocks pair up by |s| and s*l).  Its f* holds for a
+  fit without an intercept: with one the data are separable (at
+  x = c*(1, ..., k), W x = c*1, and any intercept in (-2 sigma c,
+  -2 zeta c) classifies every row), so the loss has no minimizer.
 
 A ``RotatedInstance`` is a ``WorstCaseInstance`` with data matrix A U for
 an orthogonal U held as a ``Rotation``, the product of its Householder
 reflectors in compact WY form: the same k, sigma, zeta, blocks, labels and
 ||A||, with block W U in place of W.  ``logloss.loss`` applies W by its
 index structure in O(k) and U in O(jk) for j reflectors; only ``dense()``
-builds the N x k matrix, and only the exports build U.
+builds U or the N x k matrix.
 
 ``export`` is the one writer of a dataset: one call writes the csv or
-libsvm file, its rows read by one loop from the nonzeros of the k x k block
-(``w_nonzeros()``), and its ``.meta.json`` sidecar beside it.
+libsvm file, its rows read by one loop over chunks of rows of the k x k
+block (``w_nonzeros``; W U from the rows of U that ``Rotation.row_blocks``
+yields), and its ``.meta.json`` sidecar beside it; no k x k array is built.
 """
 
 from __future__ import annotations
@@ -33,6 +38,8 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
+
+CHUNK_CELLS = 1 << 15  # entries of a block, or of U, that a writer holds at once
 
 
 def canonical_name(name: str, choices, what: str) -> str:
@@ -161,6 +168,25 @@ class Rotation:
         n = self._n
         return _wy_update(y, self._V[n - 1 : n], self._T[n - 1 : n, n - 1 : n])
 
+    def row_blocks(self, bounds=None):
+        """U[lo:hi] for each (lo, hi) of ``bounds`` in turn (by default,
+        chunks of ``CHUNK_CELLS`` entries), every row bit for bit the one
+        ``dense()`` builds: (T V)[:, lo:hi]' V by the same GEMM, then 0 minus
+        that and +1 on the diagonal.  T V is formed once.  A one-row block is
+        computed beside a neighbouring row, since numpy takes a one-row
+        product by GEMV, whose sums may round differently."""
+        k, V = self.k, self.V
+        TV = self.triangular @ V
+        for lo, hi in _row_bounds(k, k) if bounds is None else bounds:
+            a, b = lo, hi
+            if b - a == 1 and k > 1:
+                a, b = (a, b + 1) if b < k else (a - 1, b)
+            U = np.matmul(TV[:, a:b].T, V)
+            np.subtract(0.0, U, out=U)
+            r = np.arange(a, b)
+            U[r - a, r] += 1.0
+            yield U[lo - a : hi - a]
+
     def dense(self) -> np.ndarray:
         """U = I - (V' T') V, built in one k x k array."""
         if not self._n:
@@ -200,16 +226,22 @@ class WorstCaseInstance:
     def w_block(self) -> np.ndarray:
         return self.w.dense()
 
-    def w_nonzeros(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(rows, cols, vals) of W's nonzeros in row-major order, as
-        ``np.nonzero`` lists them, from the closed form: row i < k-1 holds
-        -1 at column k-2-i and +1 at k-1-i, row k-1 a +1 at column 0."""
+    def w_row_nonzeros(self) -> int:
+        """The most nonzeros a row of the k x k block holds."""
+        return min(self.k, 2)
+
+    def w_nonzeros(self, bounds):
+        """(rows, cols, vals) of the nonzeros of block rows lo..hi-1, for each
+        (lo, hi) of ``bounds`` in turn, in row-major order as ``np.nonzero``
+        lists them, from W's closed form: row i < k-1 holds -1 at column
+        k-2-i and +1 at k-1-i, row k-1 a +1 at column 0."""
         k = self.k
         i = np.arange(k - 1)
         rows = np.append(np.repeat(i, 2), k - 1)
         cols = np.append(np.column_stack((k - 2 - i, k - 1 - i)).ravel(), 0)
         vals = np.append(np.tile([-1.0, 1.0], k - 1), 1.0)
-        return rows, cols, vals
+        for lo, hi in bounds:  # row i < k-1 is entries 2i and 2i+1, row k-1 entry 2k-2
+            yield rows[2 * lo : 2 * hi], cols[2 * lo : 2 * hi], vals[2 * lo : 2 * hi]
 
     def dense(self) -> np.ndarray:
         wb = self.w_block()
@@ -258,11 +290,28 @@ class RotatedInstance(WorstCaseInstance):
         """W U, by W's two-slice row difference on the materialized U; no GEMM."""
         return self.w.apply(self.U.dense())
 
-    def w_nonzeros(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(rows, cols, vals) of the nonzeros of W U in row-major order."""
-        wb = self.w_block()
-        rows, cols = np.nonzero(wb)
-        return rows, cols, wb[rows, cols]
+    def w_row_nonzeros(self) -> int:
+        return self.k
+
+    def w_nonzeros(self, bounds):
+        """(rows, cols, vals) of the nonzeros of rows lo..hi-1 of W U, for each
+        (lo, hi) of ``bounds`` in turn, in row-major order; each row bit for
+        bit the one ``w_block()`` holds, from the rows of U it needs (row
+        i < k-1 is U[k-1-i] - U[k-2-i], row k-1 is U[0]), so no k x k array
+        is built."""
+        k, bounds = self.k, list(bounds)
+        needed = self.U.row_blocks([(max(k - 1 - hi, 0), k - lo) for lo, hi in bounds])
+        for (lo, hi), u in zip(bounds, needed):
+            u = u[::-1]  # u[n] is U[k-1-lo-n]
+            m = min(hi, k - 1) - lo  # rows that are a difference
+            wu = np.empty((hi - lo, k))
+            np.subtract(u[:m], u[1 : m + 1], out=wu[:m])
+            wu[m:] = u[m : hi - lo]  # row k-1, if in this chunk
+            rows, cols = np.nonzero(wu)
+            vals = wu[rows, cols]
+            rows += lo
+            del u, wu  # not held while the caller writes this chunk
+            yield rows, cols, vals
 
 
 def build_instance(
@@ -292,23 +341,11 @@ def build_instance(
     )
 
 
-def csv_lines(k: int, zero: str, rows, end: str):
-    """Lines of k comma-joined cells and then ``end``, one per (cols, vals)
-    of ``rows``, two lists: the row's values in "%.17g" at its columns, which
-    increase, and the text ``zero`` in every other cell (no '%' in it, nor in
-    ``end``).  These are ``export``'s csv rows, read from the sparse
-    nonzeros of a block: only the values are formatted, and consecutive
-    rows on the same columns share one template, so a dense row costs what
-    ``np.savetxt`` pays for it."""
-    blank = [zero] * k
-    prev = template = None
-    for cols, vals in rows:
-        if cols != prev:
-            cells = blank.copy()
-            for c in cols:
-                cells[c] = "%.17g"
-            template, prev = ",".join(cells) + end, cols
-        yield template % tuple(vals)
+def _row_bounds(k: int, width: int) -> list[tuple[int, int]]:
+    """(lo, hi) of each chunk of a k-row array whose rows hold ``width``
+    entries: as many rows as hold ``CHUNK_CELLS`` entries, and at least one."""
+    step = max(1, CHUNK_CELLS // width)
+    return [(lo, min(lo + step, k)) for lo in range(0, k, step)]
 
 
 def export(inst: WorstCaseInstance, format: str, path, extra_meta: dict | None = None) -> Path:
@@ -319,35 +356,68 @@ def export(inst: WorstCaseInstance, format: str, path, extra_meta: dict | None =
     - ``libsvm``: sparse "label idx:val" lines (1-based indices, nonzeros only).
 
     Rows are s * W, or s * (W U) when rotated, read for both formats by one
-    loop from ``w_nonzeros()``, so a base instance builds no k x k block:
-    libsvm omits the exact zeros, and csv writes every zero of a block from
-    the one string of s * 0.0.  Labels are the integers 1 / -1; floats
-    carry 17 digits (exact round-trip).  The sidecar holds {k, sigma, zeta,
-    variant, N, spectral_norm_bound} merged with ``extra_meta`` (callers add
-    the analytic entries c, f_star, xstar_norm_sq).
+    loop over chunks of rows of the block's nonzeros (``w_nonzeros``), each
+    of at most ``CHUNK_CELLS`` entries or csv cells, so no k x k array is
+    built and a chunk's text is written before the next is read.  libsvm
+    omits the exact zeros; csv writes every zero of a block as a slice of
+    one run of the string of s * 0.0.  A chunk formats each of its distinct
+    values once, told apart by their bits (-0 is not +0, nor one NaN
+    another), or, when most are distinct, all through one template.  A
+    block's nonzeros are read once for all blocks if they fit in a chunk.
+    Labels are the integers 1 / -1; floats carry 17 digits (exact
+    round-trip).  The sidecar holds {k, sigma, zeta, variant, N,
+    spectral_norm_bound} merged with ``extra_meta`` (callers add the
+    analytic entries c, f_star, xstar_norm_sq).
     """
     if format not in ("csv", "libsvm"):
         raise ValueError(f"unknown format {format!r}; expected csv or libsvm")
     libsvm = format == "libsvm"
     k = inst.k
-    rows, cols, w_vals = inst.w_nonzeros()
-    cols = cols + libsvm  # libsvm's indices are 1-based
+    bounds = _row_bounds(k, inst.w_row_nonzeros() if libsvm else k)
+    heads = np.array([" %d:" % (j + 1) for j in range(k * libsvm)], dtype=object)
+    cell = "%.17g" if libsvm else "%.17g,"
+    held = None  # the block's nonzeros, once read, if they fit in a chunk
     with open(path, "w") as fh:
         if not libsvm:
             fh.write(",".join(f"feature_{j + 1}" for j in range(k)) + ",label\n")
         for s, label in zip(inst.block_scales, inst.block_labels):
-            vals = s * w_vals
-            keep = vals != 0.0 if libsvm else slice(None)  # s * w may underflow where w does not
-            starts = np.searchsorted(rows[keep], np.arange(k + 1)).tolist()
-            idx = cols[keep].tolist()  # apart, so the last block's idx is freed before vals
-            vals = vals[keep].tolist()
-            spans = ((idx[lo:hi], vals[lo:hi]) for lo, hi in zip(starts, starts[1:]))
-            if libsvm:  # a row's indices go into its template, then its values
-                lines = (("%d" % label + " %d:%%.17g" * len(c) % tuple(c) + "\n") % tuple(v)
-                         for c, v in spans)
-            else:  # a zero of the block is s * 0.0, so "-0" where s < 0
-                lines = csv_lines(k, "%.17g" % (s * 0.0), spans, ",%d\n" % label)
-            fh.writelines(lines)
+            zero = "%.17g," % (s * 0.0)  # a zero of the block is s * 0.0: "-0" where s < 0
+            zeros = zero * k
+            chunks, held, size = held or inst.w_nonzeros(bounds), [], 0
+            for (lo, hi), (rows, cols, w) in zip(bounds, chunks):
+                size += len(w)
+                held = held + [(rows, cols, w)] if size <= CHUNK_CELLS else None
+                vals = s * w
+                if libsvm and not (keep := vals != 0.0).all():  # s * w may underflow
+                    rows, cols, vals = rows[keep], cols[keep], vals[keep]
+                n, h = len(vals), hi - lo
+                starts = np.searchsorted(rows, np.arange(lo, hi + 1))
+                # row r: a prefix, a (lead, cell) pair per nonzero, then two ends
+                tokens = np.empty(2 * n + 3 * h, dtype=object)
+                at = 2 * np.arange(n) + 3 * (rows - lo) + 1
+                first = 2 * starts[:-1] + 3 * np.arange(h)
+                last = first + 2 * np.diff(starts) + 1
+                if libsvm:
+                    tokens[first], tokens[at], tokens[last], tokens[last + 1] = (
+                        "%d" % label, heads[cols], "", "\n")
+                else:  # a nonzero's lead and a row's first end are runs of zero cells
+                    before = np.append(-1, cols)  # before[t + 1] is nonzero t's column
+                    final = np.where(starts[1:] > starts[:-1], before[starts[1:]], -1)
+                    before = before[:-1]
+                    before[starts[:-1][starts[:-1] < n]] = -1  # a row's first nonzero
+                    gaps, gap = np.unique(np.append(cols - before - 1, k - 1 - final),
+                                          return_inverse=True)
+                    runs = np.array([zeros[: g * len(zero)] for g in gaps.tolist()], dtype=object)
+                    tokens[first], tokens[at], tokens[last], tokens[last + 1] = (
+                        "", runs[gap[:n]], runs[gap[n:]], "%d\n" % label)
+                distinct, which = np.unique(vals.view(np.int64), return_inverse=True)
+                if 2 * len(distinct) > n:  # mostly distinct: one template formats them all
+                    tokens[at + 1] = cell
+                    fh.write("".join(tokens.tolist()) % tuple(vals.tolist()))
+                    continue
+                texts = (cell + "\n") * len(distinct) % tuple(distinct.view(float).tolist())
+                tokens[at + 1] = np.array(texts.splitlines(), dtype=object)[which]
+                fh.write("".join(tokens.tolist()))
 
     meta = {
         "k": inst.k,

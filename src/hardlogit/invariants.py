@@ -90,13 +90,14 @@ def optimum(pairs) -> tuple[Check, Check, Check]:
 
 
 def gradient_trap(cases) -> Check:
-    """For each (instance, x): x supported on its trailing t coordinates
-    gets a gradient supported on the trailing t+1 (the zero chain).  Each
-    run of consecutive cases on one instance is evaluated as one stack."""
+    """For each (instance, x), x a point or a stack of points: a point
+    supported on its trailing t coordinates gets a gradient supported on
+    the trailing t+1 (the zero chain).  Each run of consecutive cases on
+    one instance is evaluated as one stack."""
     leak = [0.0]
     # instances compare by identity (eq=False), so a run is one instance
     for inst, run in itertools.groupby(cases, key=operator.itemgetter(0)):
-        X = np.array([x for _, x in run], dtype=float)
+        X = np.vstack([x for _, x in run]).astype(float, copy=False)
         support = X != 0.0
         first = np.where(support.any(axis=1), support.argmax(axis=1), inst.k)
         outside = np.arange(inst.k) < first[:, None] - 1  # the leading k-(t+1)

@@ -29,6 +29,7 @@ rotated dataset stays in the family.
 """
 
 import math
+import sys
 
 import numpy as np
 
@@ -48,11 +49,23 @@ def _exponent(x: np.ndarray) -> int:
 
 
 def _norm(x: np.ndarray) -> float:
-    """||x|| at any scale: the norm of x * 2**-e, scaled back by 2**e, so no
-    square over- or underflows; NaN if x holds a NaN."""
-    e = _exponent(x)
+    """||x|| at any scale: sqrt(x'x) when that sum is a normal number, else
+    the norm of x * 2**-e, scaled back by 2**e, so no square over- or
+    underflows; NaN if x holds a NaN, inf if an inf or if ||x|| is past the
+    largest double.  The sum is ``np.vdot``'s, the BLAS dot that ``x @ x``
+    takes, which raises no floating-point warning when it overflows."""
+    sq = float(np.vdot(x, x))
+    if sys.float_info.min <= sq < math.inf:
+        return math.sqrt(sq)
+    top = float(np.abs(x).max(initial=0.0))
+    if not top < math.inf:
+        return top
+    e = math.frexp(top)[1]
     scaled = np.ldexp(x, -e)
-    return math.ldexp(math.sqrt(scaled @ scaled), e)
+    try:
+        return math.ldexp(math.sqrt(scaled @ scaled), e)
+    except OverflowError:
+        return math.inf
 
 
 class ResistingOracle(FirstOrderOracle):
@@ -79,9 +92,10 @@ class ResistingOracle(FirstOrderOracle):
         """Take the step for query ``x`` and return the rotated query U @ x:
         the product with the rotation before the step, then its reflection.
 
-        U is orthogonal, so ||U x|| = ||x||; a rotation that breaks this
-        relative to ||x||, or a NaN in either norm, raises instead of
-        answering.
+        A query without a finite norm raises before it is rotated, leaving U
+        and the points as they were.  U is orthogonal, so ||U x|| = ||x||; a
+        rotation that breaks this relative to ||x||, or a NaN in ||U x||,
+        raises instead of answering.
         """
         if self._frozen:
             raise ValueError("oracle already finalized")
@@ -89,7 +103,10 @@ class ResistingOracle(FirstOrderOracle):
         k, j = self.k, len(self.points)
         if x.shape != (k,):
             raise ValueError(f"dimension mismatch: expected ({k},), got {x.shape}")
-        y, x_norm = self.U.apply(x), _norm(x)
+        x_norm = _norm(x)
+        if not x_norm < math.inf:  # a NaN or an inf
+            raise ValueError(f"query {j} has no finite norm: ||x|| = {x_norm}")
+        y = self.U.apply(x)
         if j == 0:
             if np.any(x != 0.0):
                 raise ValueError("first oracle query must be the zero start")
@@ -217,9 +234,11 @@ def replay_check(name: str, final_inst: RotatedInstance, T: int, points,
     return trace, float(np.max([*comparing.deviations, np.max(np.abs(trace.final - points[-1]))]))
 
 
-def save_matrix_csv(matrix: np.ndarray, path) -> None:
-    """Write a 2-D matrix (e.g. the final rotation) as plain CSV, the text
-    ``np.savetxt(path, matrix, delimiter=",", fmt="%.17g")`` writes.
+def save_matrix_csv(matrix, path) -> None:
+    """Write a 2-D matrix, or the U of a ``Rotation`` read a chunk of rows at
+    a time (``Rotation.row_blocks``, so no k x k array is built), as plain
+    CSV: the text ``np.savetxt(path, matrix, delimiter=",", fmt="%.17g")``
+    writes (of ``U.dense()`` for a rotation).
 
     A row formats only the cells whose bits differ from the row above (-0
     differs from +0; equal NaN bits do not differ) and joins them with the
@@ -227,25 +246,28 @@ def save_matrix_csv(matrix: np.ndarray, path) -> None:
     reflector's support are identity rows, and rows with equal reflector
     coefficients differ only on the diagonal, so a row of U costs what
     changes in it plus one join.  A row new in every cell is one template,
-    as in ``np.savetxt``, split into cells only if the next row keeps some.
+    as in ``np.savetxt``, split into cells only when a later row keeps some.
     """
-    matrix = np.ascontiguousarray(matrix, dtype=float)
-    bits = matrix.view(np.int64)
-    n, k = matrix.shape
+    if isinstance(matrix, Rotation):
+        k, chunks = matrix.k, matrix.row_blocks()
+    else:
+        matrix = np.asarray(matrix, dtype=float)
+        k, chunks = matrix.shape[1], [matrix]
     whole = ",".join(["%.17g"] * k) + "\n"
-    every = np.arange(k)
-    cells, changed, line = [], every, ""
+    cells, above, line = None, None, ""
     with open(path, "w") as fh:
-        for i, row in enumerate(matrix):
-            after = np.flatnonzero(bits[i + 1] != bits[i]) if i + 1 < n else every
-            if len(changed) == k:
-                line = whole % tuple(row.tolist())
-                if len(after) < k:
-                    cells = line[:-1].split(",")
-            elif len(changed):
-                text = ",".join(["%.17g"] * len(changed)) % tuple(row[changed].tolist())
-                for col, cell in zip(changed.tolist(), text.split(",")):
-                    cells[col] = cell
-                line = ",".join(cells) + "\n"
-            fh.write(line)
-            changed = after
+        for chunk in chunks:
+            chunk = np.ascontiguousarray(chunk)
+            for row, bits in zip(chunk, chunk.view(np.int64)):
+                changed = None if above is None else np.flatnonzero(bits != above)
+                if changed is None or len(changed) == k:
+                    line, cells = whole % tuple(row.tolist()), None
+                elif len(changed):
+                    if cells is None:
+                        cells = line[:-1].split(",")
+                    text = ",".join(["%.17g"] * len(changed)) % tuple(row[changed].tolist())
+                    for col, cell in zip(changed.tolist(), text.split(",")):
+                        cells[col] = cell
+                    line = ",".join(cells) + "\n"
+                fh.write(line)
+                above = bits

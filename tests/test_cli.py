@@ -14,7 +14,7 @@ from hardlogit import (
     resist,
     run,
 )
-from hardlogit.cli import main
+from hardlogit.cli import _trap_stack, main
 from conftest import dense_ab, logistic_form, nan_in_v, rotated_ab, scale_first_beta
 
 
@@ -356,3 +356,18 @@ def test_usage_error_exit_code():
 def test_resist_rejects_a_nonpositive_T(tmp_path, capsys, T):
     assert main(["resist", "--T", T, "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_verify_draws_each_instances_trap_points_at_once():
+    # one draw of k(k-1)/2 per instance, placed row by row, is the 85,320
+    # numbers of a draw per point, bit for bit, and gradient_trap takes the
+    # stack as it took the points
+    one, each = np.random.default_rng(20240601), np.random.default_rng(20240601)
+    stacks, points = [], []
+    for k in range(2, 81):
+        inst = build_instance(k, 1.3, 1.0)
+        stacks.append((inst, _trap_stack(k, one)))
+        points += [(inst, np.concatenate([np.zeros(k - t), each.standard_normal(t)]))
+                   for t in range(1, k)]
+        assert np.array_equal(stacks[-1][1], np.array([x for _, x in points[-(k - 1):]]))
+    assert invariants.gradient_trap(stacks) == invariants.gradient_trap(points)

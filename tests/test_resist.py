@@ -1,4 +1,5 @@
 import copy
+import math
 import tracemalloc
 
 import numpy as np
@@ -14,6 +15,7 @@ from hardlogit import (
     adversarial_run,
     build_instance,
     containment_residuals,
+    datasets,
     data_direction_residual,
     drive,
     invariants,
@@ -202,6 +204,37 @@ class TestResistingOracle:
         nan_in_v(oracle.U)
         with pytest.raises(ValueError, match="not orthogonal"):
             oracle(scale * rng.standard_normal(10))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e308])
+    def test_a_query_without_a_finite_norm_changes_nothing(self, bad, rng):
+        # a NaN, an inf or a norm past the largest double raises, naming the
+        # query, before the rotation sees it: U and the points stay as they
+        # were, and a clean query is answered after it (a NaN query used to
+        # leave a NaN reflector in U that failed every later query)
+        inst = build_instance(9, 1.3, 1.0)
+        for oracle in (_oracle_after(inst), _oracle_after(inst, rng.standard_normal(9))):
+            reflectors, placed = len(oracle.U), len(oracle.points)
+            query = np.ones(9)
+            query[:1 if bad != 1e308 else 9] = bad
+            with pytest.raises(ValueError, match=f"query {placed} has no finite norm"):
+                oracle(query)
+            assert (len(oracle.U), len(oracle.points)) == (reflectors, placed)
+            resp = oracle(np.ones(9))
+            assert np.isfinite(resp.value) and np.all(np.isfinite(resp.gradient))
+            assert len(oracle.U) + oracle.skipped == len(oracle.points) - 1 == placed
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-160, 1e-20, 1.0, 1e20, 1e160, 1e300])
+    def test_norm_at_any_scale(self, scale, rng):
+        # one unscaled sum where it is a normal number, bit for bit the norm
+        # of x scaled by a power of two; that norm where it is not
+        x = scale * rng.standard_normal(602)
+        e = resist._exponent(x)
+        scaled = np.ldexp(x, -e)
+        ref = math.ldexp(math.sqrt(scaled @ scaled), e)
+        assert abs(resist._norm(x) - ref) <= 1e-15 * ref
+        if 1e-150 <= scale <= 1e150:
+            assert resist._norm(x) == ref
+        assert np.isnan(resist._norm(np.append(x, np.nan)))
 
     def test_frozen_after_finalize(self, rng):
         inst = build_instance(10, 1.3, 1.0)
@@ -415,16 +448,17 @@ class TestReflectorNative:
         assert peak < points_bytes
         assert residuals.shape == (T + 1,) and np.max(residuals) <= 1e-13
 
-    def test_resist_builds_the_dense_rotation_twice(self, tmp_path, monkeypatch):
-        # once for the libsvm export of A U and once for the rotation CSV;
-        # the orthogonality verdict measures the factors (a third build before)
+    def test_resist_builds_no_dense_rotation(self, tmp_path, monkeypatch):
+        # the libsvm export of A U and the rotation CSV read U a chunk of
+        # rows at a time, and the orthogonality verdict measures the factors
+        # (U was built three times, then twice)
         calls = []
         dense = Rotation.dense
         monkeypatch.setattr(Rotation, "dense", lambda U: calls.append(U.k) or dense(U))
         argv = ["resist", "--method", "denseprobe", "--T", "20", "--out", str(tmp_path),
                 "--no-timestamp", "--strict"]
         assert main(argv) == 0
-        assert calls == [82, 82]
+        assert calls == []
 
     def test_orthogonality_measures_the_factors(self, rng, monkeypatch):
         # no Rotation.dense call and no k x k array: at k = 1000 with 20
@@ -690,6 +724,27 @@ def test_save_matrix_csv_is_savetxt_on_any_rows(matrix, tmp_path_factory):
     save_matrix_csv(matrix, ours)
     np.savetxt(reference, matrix, fmt="%.17g", delimiter=",")
     assert ours.read_bytes() == reference.read_bytes()
+
+
+@pytest.mark.parametrize("lengths", [(), (13,), (10, 8, 3), (13, 12, 1)])
+def test_save_matrix_csv_reads_a_rotation_by_row_blocks(lengths, tmp_path, monkeypatch):
+    # a Rotation is written from its row blocks, three rows at a time and a
+    # last block of one row, as np.savetxt writes its U, which is not built
+    k = 13
+    U = Rotation(k)
+    rng = np.random.default_rng(len(lengths))
+    for m in lengths:
+        U.append(rng.standard_normal(m))
+    reference = tmp_path / "savetxt.csv"
+    np.savetxt(reference, U.dense(), fmt="%.17g", delimiter=",")
+
+    def no_dense(_):
+        raise AssertionError("save_matrix_csv built U")
+
+    monkeypatch.setattr(Rotation, "dense", no_dense)
+    monkeypatch.setattr(datasets, "CHUNK_CELLS", 3 * k)
+    save_matrix_csv(U, tmp_path / "ours.csv")
+    assert (tmp_path / "ours.csv").read_bytes() == reference.read_bytes()
 
 
 @pytest.mark.parametrize("kind", ["dense", "identity"])
