@@ -139,7 +139,7 @@ def _resist_cell(args, T, ts, out_dir) -> bool:
     stem = f"resist_{args.method}_T{T}"
     datasets.export(final, "libsvm", out_dir / f"dataset_{stem}.libsvm",
                     analytic.profile_metadata(prof))
-    resist.save_matrix_csv(final.U, out_dir / f"rotation_{stem}.csv")
+    resist.save_matrix_csv(final.U.row_blocks(), out_dir / f"rotation_{stem}.csv")
     return _emit(args, final, T, stem, trace, prof, findings, ts, out_dir)
 
 

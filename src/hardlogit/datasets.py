@@ -362,10 +362,9 @@ def export(inst: WorstCaseInstance, format: str, path, extra_meta: dict | None =
     omits the exact zeros; csv writes every zero of a block as a slice of
     one run of the string of s * 0.0.  A chunk formats each of its distinct
     values once, told apart by their bits (-0 is not +0, nor one NaN
-    another), or, when most are distinct, all through one template.  A
-    block's nonzeros are read once for all blocks if they fit in a chunk.
-    Labels are the integers 1 / -1; floats carry 17 digits (exact
-    round-trip).  The sidecar holds {k, sigma, zeta, variant, N,
+    another).  A block's nonzeros are read once for all blocks if they fit
+    in a chunk.  Labels are the integers 1 / -1; floats carry 17 digits
+    (exact round-trip).  The sidecar holds {k, sigma, zeta, variant, N,
     spectral_norm_bound} merged with ``extra_meta`` (callers add the
     analytic entries c, f_star, xstar_norm_sq).
     """
@@ -411,10 +410,6 @@ def export(inst: WorstCaseInstance, format: str, path, extra_meta: dict | None =
                     tokens[first], tokens[at], tokens[last], tokens[last + 1] = (
                         "", runs[gap[:n]], runs[gap[n:]], "%d\n" % label)
                 distinct, which = np.unique(vals.view(np.int64), return_inverse=True)
-                if 2 * len(distinct) > n:  # mostly distinct: one template formats them all
-                    tokens[at + 1] = cell
-                    fh.write("".join(tokens.tolist()) % tuple(vals.tolist()))
-                    continue
                 texts = (cell + "\n") * len(distinct) % tuple(distinct.view(float).tolist())
                 tokens[at + 1] = np.array(texts.splitlines(), dtype=object)[which]
                 fh.write("".join(tokens.tolist()))

@@ -49,13 +49,14 @@ def _exponent(x: np.ndarray) -> int:
 
 
 def _norm(x: np.ndarray) -> float:
-    """||x|| at any scale: sqrt(x'x) when that sum is a normal number, else
-    the norm of x * 2**-e, scaled back by 2**e, so no square over- or
-    underflows; NaN if x holds a NaN, inf if an inf or if ||x|| is past the
-    largest double.  The sum is ``np.vdot``'s, the BLAS dot that ``x @ x``
+    """||x|| at any scale: sqrt(x'x) when that sum is finite and at least
+    len(x) times the smallest normal number (so the squares lost below it
+    cost at most an ulp of the sum), else the norm of x * 2**-e, scaled
+    back by 2**e, so no square over- or underflows; NaN if x holds a NaN,
+    inf if an inf or if ||x|| is past the largest double.  The sum is ``np.vdot``'s, the BLAS dot that ``x @ x``
     takes, which raises no floating-point warning when it overflows."""
     sq = float(np.vdot(x, x))
-    if sys.float_info.min <= sq < math.inf:
+    if x.size * sys.float_info.min <= sq < math.inf:
         return math.sqrt(sq)
     top = float(np.abs(x).max(initial=0.0))
     if not top < math.inf:
@@ -234,11 +235,11 @@ def replay_check(name: str, final_inst: RotatedInstance, T: int, points,
     return trace, float(np.max([*comparing.deviations, np.max(np.abs(trace.final - points[-1]))]))
 
 
-def save_matrix_csv(matrix, path) -> None:
-    """Write a 2-D matrix, or the U of a ``Rotation`` read a chunk of rows at
-    a time (``Rotation.row_blocks``, so no k x k array is built), as plain
-    CSV: the text ``np.savetxt(path, matrix, delimiter=",", fmt="%.17g")``
-    writes (of ``U.dense()`` for a rotation).
+def save_matrix_csv(blocks, path) -> None:
+    """Write the matrix whose rows ``blocks`` yields, a 2-D block of rows at
+    a time (``[matrix]``, or ``Rotation.row_blocks()`` so that no k x k U is
+    built), as plain CSV: the text ``np.savetxt(path, matrix, delimiter=",",
+    fmt="%.17g")`` writes of the stacked blocks.
 
     A row formats only the cells whose bits differ from the row above (-0
     differs from +0; equal NaN bits do not differ) and joins them with the
@@ -248,16 +249,12 @@ def save_matrix_csv(matrix, path) -> None:
     changes in it plus one join.  A row new in every cell is one template,
     as in ``np.savetxt``, split into cells only when a later row keeps some.
     """
-    if isinstance(matrix, Rotation):
-        k, chunks = matrix.k, matrix.row_blocks()
-    else:
-        matrix = np.asarray(matrix, dtype=float)
-        k, chunks = matrix.shape[1], [matrix]
-    whole = ",".join(["%.17g"] * k) + "\n"
     cells, above, line = None, None, ""
     with open(path, "w") as fh:
-        for chunk in chunks:
-            chunk = np.ascontiguousarray(chunk)
+        for chunk in blocks:
+            chunk = np.ascontiguousarray(chunk, dtype=float)
+            k = chunk.shape[1]
+            whole = ",".join(["%.17g"] * k) + "\n"
             for row, bits in zip(chunk, chunk.view(np.int64)):
                 changed = None if above is None else np.flatnonzero(bits != above)
                 if changed is None or len(changed) == k:

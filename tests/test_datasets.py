@@ -659,31 +659,44 @@ class TestExport:
                 U.append(rng.standard_normal(max(k - 2 * i - 1, 1)))
             check(RotatedInstance(build_instance(k, 1.3, 1.0), U), w_rows_times(U.dense()))
 
-    @pytest.mark.parametrize("reflector", ["two-valued", "leading-100"])
-    def test_rotated_export_holds_one_chunk(self, reflector, tmp_path, monkeypatch):
-        # no k x k array: at k = 1602 either format peaks below 8 chunks of
-        # CHUNK_CELLS floats (4.0 and 4.7 chunks measured), a tenth of one
-        # k x k array, whether U's rows take two values (as the adversary's
-        # one reflection does) or a hundred distinct ones
+    @pytest.mark.parametrize("reflector, formats, bound", [
+        ("two-valued", ("libsvm", "csv"), 8),
+        ("leading-100", ("libsvm", "csv"), 8),
+        ("leading-400", ("libsvm",), 14),
+    ], ids=["two-valued", "leading-100", "leading-400"])
+    def test_rotated_export_holds_one_chunk(self, reflector, formats, bound, tmp_path,
+                                            monkeypatch):
+        # no k x k array: at k = 1602 the export peaks below ``bound`` chunks
+        # of CHUNK_CELLS floats, a fifth of one k x k array or less.  W U's
+        # nonzeros fit in one chunk when U's rows take two values (as the
+        # adversary's one reflection makes them) or after a reflector on the
+        # leading 100 coordinates (13k), so the block is read once and held
+        # for all blocks: 8 chunks (4.0 and 4.7 measured).  After one on the
+        # leading 400 (163k) it is read again for each block, a chunk at a
+        # time: 14 chunks (10.3 measured); holding its nonzeros whole measured
+        # 23, and a dense W U 88.  The re-read takes the chunks of the loop
+        # both formats share, so it is timed in one (8 s under tracemalloc)
         k = 1602
         U = Rotation(k)
         U.append(np.append(np.ones(k - 3), -3.0) if reflector == "two-valued"
-                 else np.random.default_rng(2).standard_normal(100))
-        inst = RotatedInstance(build_instance(k, 1.3, 1.0), U)
+                 else np.random.default_rng(2).standard_normal(int(reflector[8:])))
+        inst = RotatedInstance(build_instance(k, 1.3, 1.0, "twoblock"), U)
+        nonzeros = sum(len(w) for _, _, w in inst.w_nonzeros(datasets._row_bounds(k, k)))
+        assert (nonzeros > datasets.CHUNK_CELLS) == (reflector == "leading-400")
 
         def no_dense(_):
             raise AssertionError("export built U")
 
         monkeypatch.setattr(Rotation, "dense", no_dense)
         chunk = (datasets.CHUNK_CELLS // k) * k * 8
-        for fmt in ("libsvm", "csv"):
+        for fmt in formats:
             tracemalloc.start()
             try:
                 export(inst, fmt, tmp_path / f"data.{fmt}")
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak < 8 * chunk <= k * k * 8 / 10
+            assert peak < bound * chunk <= k * k * 8 / 5
 
     def test_unwritable_path(self, tmp_path):
         inst = build_instance(2, 1.3, 1.0)
