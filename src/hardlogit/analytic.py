@@ -12,11 +12,15 @@ optimal value
 h is even, so the four-block loss is exactly twice the two-block loss: the
 two-block instance has the same x* and half the optimal value.
 
-This module solves for c (bisection on a proven bracket), assembles the
-analytic profile of an instance, and evaluates the iteration-count lower
-bounds that the benchmark races methods against.
+This module solves for c (bisection on a proven bracket in z = zeta*c,
+whose root depends on sigma/zeta alone, so it is solved once per ratio in
+a process and shared by every dimension k), assembles the analytic profile
+of an instance, and evaluates the iteration-count lower bounds that the
+benchmark races methods against.
 """
 
+import functools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -55,15 +59,23 @@ def solve_c(sigma: float, zeta: float) -> float:
     floats (its midpoint equals one of them), and returns the end with the
     smaller residual magnitude, divided by zeta.  The bracket is
     ``c_bracket(r, 1)`` when r < 2, otherwise [0, B] with B doubled until
-    the residual turns positive.
+    the residual turns positive.  The root z depends on r alone, so it is
+    solved once per r in a process and kept; the division by zeta is not.
+    A non-finite sigma, zeta or r raises ValueError.
     """
     sigma = float(sigma)
     zeta = float(zeta)
-    if not (sigma > zeta > 0.0):
+    if not (sigma > zeta > 0.0 and math.isfinite(sigma / zeta)):
         raise ValueError(
-            f"invalid parameters: need sigma > zeta > 0, got sigma={sigma}, zeta={zeta}"
+            "invalid parameters: need sigma > zeta > 0 with sigma/zeta finite, "
+            f"got sigma={sigma}, zeta={zeta}"
         )
-    r = sigma / zeta
+    return _scaled_root(sigma / zeta) / zeta
+
+
+@functools.lru_cache(maxsize=1024)
+def _scaled_root(r: float) -> float:
+    """The root z of r*tanh(r*z) + tanh(z) = r - 1 for a finite r > 1."""
     if 1.0 < r < 2.0:
         lo, hi = c_bracket(r, 1.0)
     else:
@@ -79,8 +91,8 @@ def solve_c(sigma: float, zeta: float) -> float:
             hi = mid
         mid = 0.5 * (lo + hi)
     if abs(_root_residual(lo, r, 1.0)) <= abs(_root_residual(hi, r, 1.0)):
-        return lo / zeta
-    return hi / zeta
+        return lo
+    return hi
 
 
 def _curvature_gap(z: float) -> float:

@@ -18,6 +18,7 @@ canonical JSON (sorted keys); pass --no-timestamp for byte-identical reruns.
 """
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -55,9 +56,7 @@ def _trap_stack(k: int, rng) -> np.ndarray:
     """k-1 points of dimension k, point t-1 normal on the trailing t < k
     coordinates and zero elsewhere: one draw of k(k-1)/2 numbers, placed
     row by row, so the same numbers as a draw of t per point in turn."""
-    stack = np.zeros((k - 1, k))
-    stack[np.arange(k) >= np.arange(k - 1, 0, -1)[:, None]] = rng.standard_normal(k * (k - 1) // 2)
-    return stack
+    return invariants.trailing_stack(k, rng.standard_normal(k * (k - 1) // 2))
 
 
 def cmd_verify(args) -> int:
@@ -176,17 +175,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--variant", default="fourblock", choices=["fourblock", "twoblock"])
     p_gen.add_argument("--format", default="csv", choices=["csv", "libsvm"])
     p_gen.add_argument("--out", default=None)
-    p_gen.set_defaults(func=cmd_generate)
 
     p_ver = sub.add_parser("verify", help="run the analytic invariant suite")
     p_ver.add_argument("--max-k", type=int, default=20)
-    p_ver.set_defaults(func=cmd_verify)
 
-    for name, func, help_text, method, T_arg in (
-        ("race", cmd_race, "race a method against the lower bounds", "agd",
-         {"type": _parse_t_list, "default": [5, 25, 50],
+    for name, help_text, method, T_arg in (
+        ("race", "race a method against the lower bounds", "agd",
+         {"type": _parse_t_list, "default": (5, 25, 50),
           "help": "comma-separated iteration counts"}),
-        ("resist", cmd_resist, "race a method against the rotation adversary", "denseprobe",
+        ("resist", "race a method against the rotation adversary", "denseprobe",
          {"type": int, "default": 10}),
     ):
         p_cell = sub.add_parser(name, help=help_text)
@@ -197,15 +194,21 @@ def build_parser() -> argparse.ArgumentParser:
         p_cell.add_argument("--out", default="reports")
         p_cell.add_argument("--strict", action="store_true")
         p_cell.add_argument("--no-timestamp", action="store_true")
-        p_cell.set_defaults(func=func)
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command: parse ``argv`` with the process's one parser and
+    call ``cmd_<command>`` as this module holds it at the time of the call,
+    so a wrapper installed on it sees the call."""
+    args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

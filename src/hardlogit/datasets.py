@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -197,6 +198,28 @@ class Rotation:
         return U
 
 
+def _root_sum_sq(values, square) -> float:
+    """sqrt(sum of square(v) over ``values``) at any scale, ``square`` the
+    caller's rounding of v^2 (``v * v`` and ``v ** 2`` differ in the last
+    bit).  The plain sum while every square is a normal number and the sum
+    finite; else the sum over v * 2**-e, e the exponent of the largest |v|,
+    so no square over- or underflows, its root scaled back by 2**e (inf
+    past the largest double).  Powers of two scale v * v exactly, so with
+    that rounding the two paths agree bit for bit wherever both apply."""
+    try:
+        sq = sum(map(square, values))
+    except OverflowError:  # v ** 2 past the largest double
+        sq = math.inf
+    if min(map(abs, values)) >= 2.0**-511 and sq < math.inf:
+        return math.sqrt(sq)
+    e = math.frexp(max(map(abs, values)))[1]
+    root = math.sqrt(sum(square(math.ldexp(v, -e)) for v in values))
+    try:
+        return math.ldexp(root, e)
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True, eq=False)
 class WorstCaseInstance:
     """One dataset of the family: N x k data matrix A and labels b in {-1,+1}.
@@ -253,15 +276,15 @@ class WorstCaseInstance:
         A'A = (sum s_i^2) W'W, and W'W is tridiag(-1, [2,...,2,1], -1), whose
         largest eigenvalue is 4*cos(pi/(2k+1))^2.
         """
-        scale_sq = float(sum(s * s for s in self.block_scales))
-        return float(2.0 * np.sqrt(scale_sq) * np.cos(np.pi / (2 * self.k + 1)))
+        root = _root_sum_sq(self.block_scales, lambda s: s * s)
+        return 2.0 * root * float(np.cos(np.pi / (2 * self.k + 1)))
 
     def spectral_norm_bound(self) -> float:
         """Closed-form upper bound on ||A|| from the row structure."""
-        base = 2.0 * np.sqrt(self.sigma**2 + self.zeta**2)
+        base = 2.0 * _root_sum_sq((self.sigma, self.zeta), lambda v: v**2)
         if self.variant is Variant.FOUR_BLOCK:
-            return float(np.sqrt(2.0) * 2.0 * base)  # 4*sqrt(2(sigma^2+zeta^2))
-        return float(2.0 * base)
+            return math.sqrt(2.0) * 2.0 * base  # 4*sqrt(2(sigma^2+zeta^2))
+        return 2.0 * base
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -317,13 +340,15 @@ class RotatedInstance(WorstCaseInstance):
 def build_instance(
     k: int, sigma: float, zeta: float, variant: Variant | str = Variant.FOUR_BLOCK
 ) -> WorstCaseInstance:
-    """Construct an instance of the family; requires sigma > zeta > 0."""
+    """Construct an instance of the family; requires sigma > zeta > 0 with
+    the block scale 2*sigma a finite double."""
     w = build_w(k)
     sigma = float(sigma)
     zeta = float(zeta)
-    if not (zeta > 0.0) or not (sigma > zeta):
+    if not (zeta > 0.0) or not (sigma > zeta) or not math.isfinite(2.0 * sigma):
         raise ValueError(
-            f"invalid parameters: need sigma > zeta > 0, got sigma={sigma}, zeta={zeta}"
+            "invalid parameters: need sigma > zeta > 0 with 2*sigma finite, "
+            f"got sigma={sigma}, zeta={zeta}"
         )
     if isinstance(variant, str):
         variant = Variant.parse(variant)
@@ -366,10 +391,23 @@ def export(inst: WorstCaseInstance, format: str, path, extra_meta: dict | None =
     in a chunk.  Labels are the integers 1 / -1; floats carry 17 digits
     (exact round-trip).  The sidecar holds {k, sigma, zeta, variant, N,
     spectral_norm_bound} merged with ``extra_meta`` (callers add the
-    analytic entries c, f_star, xstar_norm_sq).
+    analytic entries c, f_star, xstar_norm_sq); it must be valid JSON, so a
+    non-finite entry raises ValueError before either file is written.
     """
     if format not in ("csv", "libsvm"):
         raise ValueError(f"unknown format {format!r}; expected csv or libsvm")
+    meta = {
+        "k": inst.k,
+        "sigma": inst.sigma,
+        "zeta": inst.zeta,
+        "variant": inst.variant.value,
+        "N": inst.n_rows,
+        "spectral_norm_bound": inst.spectral_norm_bound(),
+        **(extra_meta or {}),
+    }
+    bad = {key: v for key, v in meta.items() if isinstance(v, float) and not math.isfinite(v)}
+    if bad:
+        raise ValueError(f"metadata not finite, so not valid JSON: {bad}")
     libsvm = format == "libsvm"
     k = inst.k
     bounds = _row_bounds(k, inst.w_row_nonzeros() if libsvm else k)
@@ -414,15 +452,6 @@ def export(inst: WorstCaseInstance, format: str, path, extra_meta: dict | None =
                 tokens[at + 1] = np.array(texts.splitlines(), dtype=object)[which]
                 fh.write("".join(tokens.tolist()))
 
-    meta = {
-        "k": inst.k,
-        "sigma": inst.sigma,
-        "zeta": inst.zeta,
-        "variant": inst.variant.value,
-        "N": inst.n_rows,
-        "spectral_norm_bound": inst.spectral_norm_bound(),
-    }
-    meta.update(extra_meta or {})
     sidecar = Path(f"{path}.meta.json")
     with open(sidecar, "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)

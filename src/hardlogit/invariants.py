@@ -115,22 +115,33 @@ def zero_chain(trace) -> Check:
                  f"support frontier {frontier}")
 
 
+def trailing_stack(k: int, values: np.ndarray) -> np.ndarray:
+    """The k-1 points of dimension k whose point t-1 holds t of ``values``
+    on its trailing t coordinates and zeros elsewhere: ``values``, of
+    length k(k-1)/2, placed row by row in one masked assignment."""
+    stack = np.zeros((k - 1, k))
+    stack[np.arange(k) >= np.arange(k - 1, 0, -1)[:, None]] = values
+    return stack
+
+
 def restricted_optimum_identity(insts, profiles) -> Check:
     """``insts`` and their ``profiles`` in dimensions 1, 2, ..., n, one
     (sigma, zeta): for t < k <= n the k-dimensional loss at (0, x*_t) is
     8(k-t)log 2 + f*_t, and that minus f*_k is ``subspace_gap(k, t)``.
-    The k-1 points of dimension k are evaluated as one stack."""
+    The k-1 points of dimension k are evaluated as one stack, placed from
+    the leading k(k-1)/2 entries of one concatenation of the profiles' own
+    x*_1, x*_2, ...; the f*_t are read from one array."""
     unit_gap = analytic.per_coordinate_gap(insts[0].sigma, insts[0].zeta)
+    x_stars = np.concatenate([p.x_star for p in profiles])
+    f_stars = np.array([p.f_star for p in profiles])
     worst = [0.0]
-    for inst, prof_k in zip(insts[1:], profiles[1:]):
+    for inst in insts[1:]:
         k = inst.k
         t = np.arange(1, k)
-        X = np.zeros((k - 1, k))
-        for i, prof_t in enumerate(profiles[: k - 1]):  # row i is (0, x*_t), t = i+1
-            X[i, k - 1 - i:] = prof_t.x_star
-        rhs = 8.0 * (k - t) * logloss.LOG2 + np.array([p.f_star for p in profiles[: k - 1]])
+        X = trailing_stack(k, x_stars[: k * (k - 1) // 2])  # row t-1 is (0, x*_t)
+        rhs = 8.0 * (k - t) * logloss.LOG2 + f_stars[: k - 1]
         worst += [np.max(np.abs(logloss.loss(inst, X).value - rhs)),
-                  np.max(np.abs((rhs - prof_k.f_star) - 4.0 * (k - t) * unit_gap))]
+                  np.max(np.abs((rhs - f_stars[k - 1]) - 4.0 * (k - t) * unit_gap))]
     return _at_most("restricted_optimum_identity", float(np.max(worst)), IDENTITY_TOL)
 
 

@@ -120,9 +120,13 @@ def lipschitz(inst: WorstCaseInstance) -> float:
     """Smoothness constant L = ||A||^2 / 2 from the exact spectral norm.
 
     Each component of h has second derivative sech^2(u/2)/2 <= 1/2, so the
-    Hessian of the loss is dominated by A'A/2.
+    Hessian of the loss is dominated by A'A/2.  Past the range of a double
+    it is 0 or inf.
     """
-    return 0.5 * inst.a_norm() ** 2
+    try:
+        return 0.5 * inst.a_norm() ** 2
+    except OverflowError:
+        return math.inf
 
 
 class FirstOrderOracle:
@@ -130,13 +134,18 @@ class FirstOrderOracle:
 
     This is the only channel optimizers may use; the wrapped instance is
     deliberately not exposed on the public surface, only its dimension
-    ``k`` and smoothness constant ``lipschitz``.
+    ``k`` and smoothness constant ``lipschitz``, which must be a positive
+    finite double (a method steps by 1/L), else ValueError.
     """
 
     def __init__(self, inst: WorstCaseInstance):
         self._inst = inst
         self.k = inst.k
         self.lipschitz = lipschitz(inst)
+        if not 0.0 < self.lipschitz < math.inf:
+            raise ValueError(
+                f"smoothness constant L = ||A||^2/2 = {self.lipschitz} is not a positive "
+                f"finite double at sigma={inst.sigma}, zeta={inst.zeta}")
 
     def __call__(self, x: np.ndarray) -> OracleResponse:
         return loss(self._inst, x)

@@ -13,12 +13,22 @@ DeprecationWarning (from ``libcst``'s use of ``mypy_extensions.TypedDict``)
 silenced: hypothesis imports it from its report hook when a ``@given`` test
 fails, where ``filterwarnings = ["error"]`` would turn that warning into an
 INTERNALERROR that ends the session.
+
+Before numpy loads it pins one BLAS thread, as ``perfbench/run.py`` does,
+unless the environment sets a count: with every OpenBLAS thread, the dense
+SVDs of the norm checks ran about 5x slower beside one busy core.
 """
 
+import os
+import sys
 import warnings
 
-import numpy as np
-import pytest
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+assert "numpy" not in sys.modules, "numpy loaded before the BLAS thread count was set"
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
 
 with warnings.catch_warnings():
     warnings.simplefilter("ignore", DeprecationWarning)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from hardlogit import (
     FirstOrderOracle,
+    analytic,
     bound_general,
     bound_linear_span,
     build_instance,
@@ -73,6 +74,23 @@ class TestSolveC:
             solve_c(1.0, -0.5)
 
     @pytest.mark.parametrize("sigma, zeta", [
+        (np.inf, 1.0), (np.nan, 1.0), (1.3, np.nan), (np.inf, np.inf),
+        (1e300, 1e-300),  # both finite, sigma/zeta is not
+    ])
+    def test_non_finite_parameters(self, sigma, zeta):
+        # at sigma = inf the bisection ran on NaN residuals and returned 5e-324
+        with pytest.raises(ValueError, match="invalid parameters"):
+            solve_c(sigma, zeta)
+
+    def test_one_bisection_per_ratio(self):
+        # the root in z = zeta*c depends on sigma/zeta alone: every scale of
+        # one ratio shares one bisection, and each scale divides by its zeta
+        analytic._scaled_root.cache_clear()
+        cs = [solve_c(1.3 * 2.0**e, 2.0**e) for e in (0, -30, 30, 0, 7)]
+        assert analytic._scaled_root.cache_info().misses == 1
+        assert cs == [cs[0] * 2.0**-e for e in (0, -30, 30, 0, 7)]
+
+    @pytest.mark.parametrize("sigma, zeta", [
         # the four (sigma, zeta) perfbench/run.py draws with seed 1, and the default
         (2.906755196744478, 1.925695544488903), (2.337043757151506, 1.9229741707058658),
         (1.531629023118017, 1.1349896734588634), (1.9626938364115, 1.1137987045537419),
@@ -98,6 +116,25 @@ class TestSolveC:
         # sigma >= 2*zeta has no closed-form bracket; the root must still solve
         c = solve_c(5.0, 1.0)
         assert abs(_residual(c, 5.0, 1.0)) <= 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    cases=st.lists(st.tuples(st.floats(1.0, 1e4, exclude_min=True), st.floats(-8.0, 8.0)),
+                   min_size=1, max_size=4),
+    repeats=st.integers(2, 3),
+)
+def test_solve_c_matches_the_uncached_bisection(cases, repeats):
+    """The kept root, divided by each call's own zeta, is the bisection's
+    result bit for bit, for calls that revisit ratios in alternating order."""
+    for _ in range(repeats):
+        for ratio, log_scale in cases:
+            zeta = 10.0**log_scale
+            sigma = ratio * zeta
+            if not sigma > zeta:  # the product rounded down onto zeta
+                continue
+            uncached = analytic._scaled_root.__wrapped__(sigma / zeta) / zeta
+            assert solve_c(sigma, zeta) == uncached
 
 
 @settings(max_examples=60, deadline=None)
@@ -234,6 +271,25 @@ def _restricted_agd_min(inst, t, iterations):
     return loss(inst, np.concatenate([pad, u])).value
 
 
+def _loop_restricted_identity(insts, profiles):
+    """``invariants.restricted_optimum_identity`` placing its stacks one
+    row at a time, the reference for the masked placement."""
+    unit_gap = per_coordinate_gap(insts[0].sigma, insts[0].zeta)
+    worst = [0.0]
+    for inst, prof_k in zip(insts[1:], profiles[1:]):
+        k = inst.k
+        t = np.arange(1, k)
+        X = np.zeros((k - 1, k))
+        for i, prof_t in enumerate(profiles[: k - 1]):
+            X[i, k - 1 - i:] = prof_t.x_star
+        rhs = 8.0 * (k - t) * LOG2 + np.array([p.f_star for p in profiles[: k - 1]])
+        worst += [np.max(np.abs(loss(inst, X).value - rhs)),
+                  np.max(np.abs((rhs - prof_k.f_star) - 4.0 * (k - t) * unit_gap))]
+    worst = float(np.max(worst))
+    return invariants.Check("restricted_optimum_identity", worst <= invariants.IDENTITY_TOL,
+                            invariants.IDENTITY_TOL - worst, f"max={worst:.2e}")
+
+
 class TestSubspaceGap:
     def test_full_dimension_is_zero(self):
         assert subspace_gap(6, 6, 1.3, 1.0) == 0.0
@@ -261,6 +317,38 @@ class TestSubspaceGap:
             for t, prof in enumerate(profs[: inst.k - 1], start=1):
                 x = np.concatenate([np.zeros(inst.k - t), prof.x_star])
                 assert np.max(np.abs(loss(inst, x).gradient[-t:])) <= 1e-9
+
+    @pytest.mark.parametrize("t, entry", [(1, 0), (6, 0), (6, -1), (11, 3), (11, -1)])
+    @pytest.mark.parametrize("ulps", [1, 2**40])
+    def test_restricted_identity_reads_each_profiles_own_x_star(self, monkeypatch, t, entry,
+                                                               ulps):
+        # one entry of one x*_t moved: every stack holding (0, x*_t) carries the
+        # moved entry, and the check matches the row-by-row loop bit for bit.
+        # One ulp moves the loss by ~1e-15, inside IDENTITY_TOL, so it passes
+        # both; 2**40 ulps (~2e-4 relative) fails both.
+        insts = [build_instance(n, 1.3, 1.0) for n in range(1, 13)]
+        profs = [profile(inst) for inst in insts]
+        x = profs[t - 1].x_star.copy()
+        x[entry] += ulps * np.spacing(x[entry])
+        profs[t - 1] = dataclasses.replace(profs[t - 1], x_star=x)
+        stacks = []
+        original = invariants.logloss.loss
+
+        def recorded(inst, X):
+            stacks.append(np.array(X))
+            return original(inst, X)
+
+        monkeypatch.setattr(invariants.logloss, "loss", recorded)
+        check = invariants.restricted_optimum_identity(insts, profs)
+        monkeypatch.undo()
+        assert check == _loop_restricted_identity(insts, profs)
+        assert check.passed == (ulps == 1)
+        for inst, X in zip(insts[1:], stacks):
+            k = inst.k
+            rows = np.zeros((k - 1, k))
+            for i, prof in enumerate(profs[: k - 1]):
+                rows[i, k - 1 - i:] = prof.x_star
+            assert np.array_equal(X, rows)  # row t-1 of each k > t holds the moved x
 
     @pytest.mark.parametrize("k", [2, 6, 12])  # an f*_k only, both roles, an f*_t only
     def test_restricted_identity_fails_on_a_perturbed_f_star(self, k):

@@ -14,6 +14,7 @@ from hardlogit import (
     resist,
     run,
 )
+from hardlogit import cli
 from hardlogit.cli import _trap_stack, main
 from conftest import dense_ab, logistic_form, nan_in_v, rotated_ab, scale_first_beta
 
@@ -113,6 +114,86 @@ def test_verify_evaluates_one_stack_per_dimension(capsys, monkeypatch):
     assert main(["verify", "--max-k", "80"]) == 0
     assert capsys.readouterr().out.endswith("0 failure(s)\n")
     assert counts["loss"] <= 250
+
+
+def test_verify_bisects_once(capsys, monkeypatch):
+    # 80 profiles, ratio_constant and per_coordinate_gap share one sigma/zeta,
+    # so a fresh root cache bisects once for the 82 solve_c calls
+    counts = {}
+    _count_calls(monkeypatch, analytic, "solve_c", counts)
+    analytic._scaled_root.cache_clear()
+    assert main(["verify", "--max-k", "80"]) == 0
+    assert capsys.readouterr().out.endswith("0 failure(s)\n")
+    assert counts["solve_c"] == 82
+    assert analytic._scaled_root.cache_info().misses == 1
+
+
+def test_one_parser_dispatched_at_call_time(tmp_path, monkeypatch):
+    # a `race --T 3,5` then a default-T race on the process's one parser write
+    # what a fresh parser's would, and a wrapper installed on cli.cmd_race
+    # after the first call sees the second
+    assert cli._parser() is cli._parser()
+    runs = (["race", "--method", "gd", "--T", "3,5"], ["race", "--method", "gd"])
+    for i, argv in enumerate(runs):
+        fresh = cli.build_parser().parse_args(argv + ["--out", str(tmp_path / f"fresh{i}"),
+                                                      "--no-timestamp"])
+        assert cli.cmd_race(fresh) == 0
+    seen = []
+    for i, argv in enumerate(runs):
+        assert main(argv + ["--out", str(tmp_path / f"main{i}"), "--no-timestamp"]) == 0
+        if i == 0:
+            original = cli.cmd_race
+            monkeypatch.setattr(cli, "cmd_race", lambda args: seen.append(args.T) or original(args))
+    assert seen == [(5, 25, 50)]
+    for i, names in enumerate((["T3", "T5"], ["T5", "T25", "T50"])):
+        files = sorted(p.name for p in (tmp_path / f"fresh{i}").iterdir())
+        assert files == sorted(f"{kind}_gd_{T}.{ext}" for T in names
+                               for kind, ext in (("report", "json"), ("trace", "csv")))
+        assert sorted(p.name for p in (tmp_path / f"main{i}").iterdir()) == files
+        for name in files:
+            assert ((tmp_path / f"main{i}" / name).read_bytes()
+                    == (tmp_path / f"fresh{i}" / name).read_bytes())
+
+
+@pytest.mark.parametrize("sigma, zeta", [("inf", "1"), ("nan", "1"), ("1.3", "nan"),
+                                         ("inf", "inf"), ("1e308", "1")])
+@pytest.mark.parametrize("command", ["generate", "race", "resist"])
+def test_non_finite_parameters_are_usage_errors(tmp_path, capsys, command, sigma, zeta):
+    # at --sigma inf generate wrote a sidecar with f_star NaN, not valid JSON;
+    # at 1e308 the block scale 2*sigma overflows
+    argv = [command, "--sigma", sigma, "--zeta", zeta, "--out", str(tmp_path / "out")]
+    assert main(argv + (["--k", "4"] if command == "generate" else ["--T", "2"])) == 2
+    assert "invalid parameters" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e200])
+@pytest.mark.parametrize("command", ["race", "resist"])
+def test_lipschitz_out_of_range_is_a_usage_error(tmp_path, capsys, command, scale):
+    # ||A||^2/2 underflows to 0 (a ZeroDivisionError) or overflows (NaN margins)
+    argv = [command, "--sigma", repr(1.3 * scale), "--zeta", repr(scale), "--T", "2",
+            "--out", str(tmp_path)]
+    assert main(argv) == 2
+    assert "smoothness constant" in capsys.readouterr().err
+
+
+def test_generate_at_extreme_scales(tmp_path, capsys):
+    # at 1.3e200 sigma**2 overflowed (an OverflowError traceback); the sidecar
+    # now holds the bound, and ||A|| below it, as at sigma = 1.3 scaled by 1e200
+    out = tmp_path / "big.csv"
+    assert main(["generate", "--k", "4", "--sigma", "1.3e200", "--zeta", "1e200",
+                 "--out", str(out)]) == 0
+    meta = json.loads(out.with_suffix(".csv.meta.json").read_text())
+    inst = build_instance(4, 1.3e200, 1e200)
+    assert meta["spectral_norm_bound"] == inst.spectral_norm_bound() > inst.a_norm()
+    unit = build_instance(4, 1.3, 1.0).spectral_norm_bound()
+    assert abs(meta["spectral_norm_bound"] - 1e200 * unit) <= 1e-15 * 1e200 * unit
+    # at 1.3e-200 ||x*||^2 is past the largest double: no file, an error line
+    out = tmp_path / "small.csv"
+    assert main(["generate", "--k", "4", "--sigma", "1.3e-200", "--zeta", "1e-200",
+                 "--out", str(out)]) == 2
+    assert "xstar_norm_sq" in capsys.readouterr().err
+    assert not out.exists() and not out.with_suffix(".csv.meta.json").exists()
 
 
 def test_verify_max_k_too_small(capsys):

@@ -397,6 +397,40 @@ class TestSpectralNorm:
             scaled = build_instance(9, 1.3 * alpha, 1.0 * alpha).a_norm()
             assert abs(scaled - alpha * base) <= 1e-15 * alpha * base
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        ratio=st.floats(1.0, 1e4, exclude_min=True),
+        mantissa=st.floats(1.0, 2.0),
+        exps=st.tuples(st.integers(-997, 996), st.integers(-997, 996)),
+        k=st.integers(1, 500),
+        variant=st.sampled_from(("fourblock", "twoblock")),
+    )
+    def test_norm_at_any_scale(self, ratio, mantissa, exps, k, variant):
+        # zeta and 2**e * zeta anywhere in about [1e-300, 1e300]: ||A|| scales
+        # by exactly 2**e and stays below the bound; at 1.3e-200 it read 0,
+        # at 1.3e200 inf
+        (a, b), zeta = exps, mantissa
+        sigma = ratio * zeta
+        if not sigma > zeta:  # the product rounded down onto zeta
+            return
+        insts = [build_instance(k, np.ldexp(sigma, e), np.ldexp(zeta, e), variant)
+                 for e in (a, b)]
+        norms = [inst.a_norm() for inst in insts]
+        assert norms[1] == np.ldexp(norms[0], b - a)
+        for inst, norm in zip(insts, norms):
+            assert 0.0 < norm < inst.spectral_norm_bound() < np.inf
+
+    @pytest.mark.parametrize("variant", ["fourblock", "twoblock"])
+    def test_norm_and_bound_past_the_plain_squares(self, variant):
+        # a block scale below 2**-511 has a subnormal square, one past 2**511
+        # overflows it: both norms are the closed form's at 1.3 and 1.0, scaled
+        for scale in (2.0**-700, 2.0**-512, 2.0**512, 2.0**900):
+            inst = build_instance(7, 1.3 * scale, scale, variant)
+            unit = build_instance(7, 1.3, 1.0, variant)
+            assert inst.a_norm() == unit.a_norm() * scale
+            bound = inst.spectral_norm_bound()
+            assert abs(bound - unit.spectral_norm_bound() * scale) <= 1e-15 * bound
+
     def test_rotated_norm_matches_base(self):
         inst = build_instance(8, 1.3, 1.0)
         rot = RotatedInstance(inst, random_orthogonal(8, seed=3))
@@ -546,6 +580,17 @@ class TestExport:
         assert sidecar == tmp_path / "plain.csv.meta.json"
         assert set(json.loads(sidecar.read_text())) == {
             "k", "sigma", "zeta", "variant", "N", "spectral_norm_bound"}
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_meta_writes_nothing(self, tmp_path, bad):
+        # a sidecar must be valid JSON: no Infinity or NaN, and no data file
+        # written before the sidecar is refused
+        inst = build_instance(4, 1.3, 1.0)
+        for fmt in ("csv", "libsvm"):
+            path = tmp_path / f"data.{fmt}"
+            with pytest.raises(ValueError, match="xstar_norm_sq"):
+                export(inst, fmt, path, extra_meta={"c": 0.1, "xstar_norm_sq": bad})
+        assert list(tmp_path.iterdir()) == []
 
     def test_rotated_export_uses_effective_matrix(self, tmp_path):
         inst = build_instance(5, 1.3, 1.0)

@@ -460,6 +460,15 @@ class TestLipschitz:
             inst = build_instance(k, sigma, zeta)
             assert lipschitz(inst) <= 16 * (sigma**2 + zeta**2) + 1e-8
 
+    @pytest.mark.parametrize("scale, bad", [(1e-200, 0.0), (1e200, np.inf)])
+    def test_oracle_refuses_an_out_of_range_constant(self, scale, bad):
+        # L = ||A||^2/2 under- or overflows although ||A|| is finite and positive
+        inst = build_instance(6, 1.3 * scale, scale)
+        assert 0.0 < inst.a_norm() < np.inf
+        assert lipschitz(inst) == bad
+        with pytest.raises(ValueError, match="smoothness constant"):
+            FirstOrderOracle(inst)
+
     def test_gd_step_descends(self):
         inst = build_instance(10, 1.3, 1.0)
         trace = run("gd", FirstOrderOracle(inst), 200, profile(inst).x_star)
