@@ -20,6 +20,7 @@ canonical JSON (sorted keys); pass --no-timestamp for byte-identical reruns.
 import argparse
 import functools
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -110,10 +111,23 @@ def _emit(args, inst, T, stem, trace, prof, findings, ts, out_dir) -> bool:
     return all(c.passed for c in checks)
 
 
+def _oracle_and_profile(inst):
+    """The first-order oracle of ``inst`` and the profile its cell is judged
+    against, or a ValueError before the run: the oracle's own one unless L
+    is a positive finite double, then one unless ||x*||^2 is finite, since
+    every bound and floor of the report scales with it."""
+    oracle = logloss.FirstOrderOracle(inst)
+    prof = analytic.profile(inst)
+    if not math.isfinite(prof.xstar_norm_sq):
+        raise ValueError(f"||x*||^2 is not finite at sigma={inst.sigma}, zeta={inst.zeta}, "
+                         f"k={inst.k}: xstar_norm_sq = {prof.xstar_norm_sq}")
+    return oracle, prof
+
+
 def _race_cell(args, T, ts, out_dir) -> bool:
     inst = datasets.build_instance(2 * T, args.sigma, args.zeta)
-    prof = analytic.profile(inst)
-    trace = optimizers.run(args.method, logloss.FirstOrderOracle(inst), T, prof.x_star)
+    oracle, prof = _oracle_and_profile(inst)
+    trace = optimizers.run(args.method, oracle, T, prof.x_star)
     # no bound is a theorem for a non-span method here (the general one needs the adversary)
     span = invariants.zero_chain(trace).passed
     findings = [
@@ -129,7 +143,7 @@ def _race_cell(args, T, ts, out_dir) -> bool:
 
 def _resist_cell(args, T, ts, out_dir) -> bool:
     inst = datasets.build_instance(4 * T + 2, args.sigma, args.zeta)
-    prof = analytic.profile(inst)
+    _, prof = _oracle_and_profile(inst)  # the adversary answers through its own oracle
     trace, deviation, final, oracle = resist.adversarial_run(args.method, inst, T, prof.x_star)
     findings = [invariants.lower_bound(final, trace, prof, False),
                 invariants.adversary(oracle, final, deviation)]

@@ -27,7 +27,8 @@ builds U or the N x k matrix.
 ``export`` is the one writer of a dataset: one call writes the csv or
 libsvm file, its rows read by one loop over chunks of rows of the k x k
 block (``w_nonzeros``; W U from the rows of U that ``Rotation.row_blocks``
-yields), and its ``.meta.json`` sidecar beside it; no k x k array is built.
+yields, or from W's closed form when U holds no reflector), and its
+``.meta.json`` sidecar beside it; no k x k array is built.
 """
 
 from __future__ import annotations
@@ -314,14 +315,19 @@ class RotatedInstance(WorstCaseInstance):
         return self.w.apply(self.U.dense())
 
     def w_row_nonzeros(self) -> int:
-        return self.k
+        return self.k if len(self.U) else super().w_row_nonzeros()
 
     def w_nonzeros(self, bounds):
         """(rows, cols, vals) of the nonzeros of rows lo..hi-1 of W U, for each
         (lo, hi) of ``bounds`` in turn, in row-major order; each row bit for
         bit the one ``w_block()`` holds, from the rows of U it needs (row
         i < k-1 is U[k-1-i] - U[k-2-i], row k-1 is U[0]), so no k x k array
-        is built."""
+        is built.  With no reflector they are W's, from its closed form and
+        no GEMM: U's rows are then exactly e_r (0 - (+-0) is +0, the
+        diagonal 1.0), so row i of W U is row i of W."""
+        if not len(self.U):
+            yield from super().w_nonzeros(bounds)
+            return
         k, bounds = self.k, list(bounds)
         needed = self.U.row_blocks([(max(k - 1 - hi, 0), k - lo) for lo, hi in bounds])
         for (lo, hi), u in zip(bounds, needed):
@@ -373,6 +379,32 @@ def _row_bounds(k: int, width: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + step, k)) for lo in range(0, k, step)]
 
 
+def _chunks(bounds, nonzeros, budget: int):
+    """(lo, hi, rows, cols, vals) for each (lo, hi) of ``bounds`` and its
+    ``w_nonzeros`` chunk, each run of consecutive chunks whose nonzeros
+    total at most ``budget`` joined into one (a negative budget joins
+    none).  A chunk is never split, and one that reaches the budget goes
+    out at once, so at most ``budget`` nonzeros wait for the next read."""
+    run, count = [], 0
+    for (lo, hi), (rows, cols, vals) in zip(bounds, nonzeros):
+        if run and count + len(vals) > budget:
+            yield _join(run)
+            run, count = [], 0
+        run.append((lo, hi, rows, cols, vals))
+        count += len(vals)
+        if count >= budget:
+            yield _join(run)
+            run, count = [], 0
+    if run:
+        yield _join(run)
+
+
+def _join(run):
+    if len(run) == 1:
+        return run[0]
+    return (run[0][0], run[-1][1], *(np.concatenate(part) for part in list(zip(*run))[2:]))
+
+
 def export(inst: WorstCaseInstance, format: str, path, extra_meta: dict | None = None) -> Path:
     """Write the dataset to ``path`` in ``format`` and its metadata sidecar
     beside it; return the sidecar's path, ``path`` + ".meta.json".
@@ -384,15 +416,18 @@ def export(inst: WorstCaseInstance, format: str, path, extra_meta: dict | None =
     loop over chunks of rows of the block's nonzeros (``w_nonzeros``), each
     of at most ``CHUNK_CELLS`` entries or csv cells, so no k x k array is
     built and a chunk's text is written before the next is read.  libsvm
-    omits the exact zeros; csv writes every zero of a block as a slice of
-    one run of the string of s * 0.0.  A chunk formats each of its distinct
-    values once, told apart by their bits (-0 is not +0, nor one NaN
-    another).  A block's nonzeros are read once for all blocks if they fit
-    in a chunk.  Labels are the integers 1 / -1; floats carry 17 digits
-    (exact round-trip).  The sidecar holds {k, sigma, zeta, variant, N,
-    spectral_norm_bound} merged with ``extra_meta`` (callers add the
-    analytic entries c, f_star, xstar_norm_sq); it must be valid JSON, so a
-    non-finite entry raises ValueError before either file is written.
+    omits the exact zeros, and writes consecutive chunks as one while their
+    nonzeros total at most ``CHUNK_CELLS // 8``, so a sparse block read in
+    dense rows costs a few writes, not one per read; csv writes every zero
+    of a block as a slice of one run of the string of s * 0.0.  A chunk
+    formats each of its distinct values once, told apart by their bits (-0
+    is not +0, nor one NaN another).  A block's nonzeros are read once for
+    all blocks if they fit in a chunk.  Labels are the integers 1 / -1;
+    floats carry 17 digits (exact round-trip).  The sidecar holds {k, sigma,
+    zeta, variant, N, spectral_norm_bound} merged with ``extra_meta``
+    (callers add the analytic entries c, f_star, xstar_norm_sq); it must be
+    valid JSON, so a non-finite entry raises ValueError before either file
+    is written.
     """
     if format not in ("csv", "libsvm"):
         raise ValueError(f"unknown format {format!r}; expected csv or libsvm")
@@ -420,10 +455,13 @@ def export(inst: WorstCaseInstance, format: str, path, extra_meta: dict | None =
         for s, label in zip(inst.block_scales, inst.block_labels):
             zero = "%.17g," % (s * 0.0)  # a zero of the block is s * 0.0: "-0" where s < 0
             zeros = zero * k
-            chunks, held, size = held or inst.w_nonzeros(bounds), [], 0
-            for (lo, hi), (rows, cols, w) in zip(bounds, chunks):
+            chunks = held or _chunks(bounds, inst.w_nonzeros(bounds),
+                                     CHUNK_CELLS // 8 if libsvm else -1)
+            held, size = [], 0
+            for chunk in chunks:
+                lo, hi, rows, cols, w = chunk
                 size += len(w)
-                held = held + [(rows, cols, w)] if size <= CHUNK_CELLS else None
+                held = held + [chunk] if size <= CHUNK_CELLS else None
                 vals = s * w
                 if libsvm and not (keep := vals != 0.0).all():  # s * w may underflow
                     rows, cols, vals = rows[keep], cols[keep], vals[keep]

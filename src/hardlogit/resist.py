@@ -28,6 +28,7 @@ direction carries the label signal (A'b) and is never touched, so the
 rotated dataset stays in the family.
 """
 
+import itertools
 import math
 import sys
 
@@ -131,14 +132,24 @@ class ResistingOracle(FirstOrderOracle):
         negligible next to the query x, of norm ``x_norm`` (= ||y||, as U is
         orthogonal; a relative test, so it holds at any scale).
 
-        z is first scaled by 2**-e, e = ``_exponent(z)``: exact for normal
-        numbers, and H does not depend on the scale of its vector, so no
-        norm, head or v'v over- or underflows at any scale of the query."""
+        A z with no nonzero, as a span method's queries give, is skipped
+        first.  Otherwise z is scaled by 2**-e, e = ``_exponent(z)``:
+        exact for normal numbers, and H does not depend on the scale of its
+        vector, so no norm, head or v'v over- or underflows at any scale of
+        the query.  A threshold ||x|| 2**-e past the largest double means z
+        is far below TIE_BREAK ||x||, so that step is skipped too."""
+        if not y[:m].any():
+            self.skipped += 1
+            return y
         e = _exponent(y[:m])
         z = np.ldexp(y[:m], -e)
         z_norm = np.linalg.norm(z)
         head = float(z[:-1] @ z[:-1])
-        if z_norm <= TIE_BREAK * math.ldexp(x_norm, -e) or (head == 0.0 and z[-1] > 0.0):
+        try:
+            negligible = z_norm <= TIE_BREAK * math.ldexp(x_norm, -e)
+        except OverflowError:
+            negligible = True
+        if negligible or (head == 0.0 and z[-1] > 0.0):
             self.skipped += 1
             return y
         v = z  # z - ||z|| e_m, its last entry without cancellation (Parlett)
@@ -242,14 +253,17 @@ def save_matrix_csv(blocks, path) -> None:
     fmt="%.17g")`` writes of the stacked blocks.
 
     A row formats only the cells whose bits differ from the row above (-0
-    differs from +0; equal NaN bits do not differ) and joins them with the
-    cells it keeps from that row.  Rows of U = I - V'T'V outside every
-    reflector's support are identity rows, and rows with equal reflector
-    coefficients differ only on the diagonal, so a row of U costs what
-    changes in it plus one join.  A row new in every cell is one template,
-    as in ``np.savetxt``, split into cells only when a later row keeps some.
+    differs from +0; equal NaN bits do not differ).  If every changed cell
+    keeps its text's length, they are spliced into the line above at their
+    character offsets, which are taken once per line template; otherwise
+    the row joins them with the cells it keeps from that row.  Rows of
+    U = I - V'T'V outside every reflector's support are identity rows,
+    where a "0" and a "1" swap, and rows with equal reflector coefficients
+    differ only on the diagonal, so a row of U costs what changes in it.  A
+    row new in every cell is one template, as in ``np.savetxt``, split into
+    cells only when a later row keeps some.
     """
-    cells, above, line = None, None, ""
+    cells, above, line, offsets = None, None, "", None
     with open(path, "w") as fh:
         for chunk in blocks:
             chunk = np.ascontiguousarray(chunk, dtype=float)
@@ -258,13 +272,28 @@ def save_matrix_csv(blocks, path) -> None:
             for row, bits in zip(chunk, chunk.view(np.int64)):
                 changed = None if above is None else np.flatnonzero(bits != above)
                 if changed is None or len(changed) == k:
-                    line, cells = whole % tuple(row.tolist()), None
+                    line, cells, offsets = whole % tuple(row.tolist()), None, None
                 elif len(changed):
                     if cells is None:
                         cells = line[:-1].split(",")
-                    text = ",".join(["%.17g"] * len(changed)) % tuple(row[changed].tolist())
-                    for col, cell in zip(changed.tolist(), text.split(",")):
-                        cells[col] = cell
-                    line = ",".join(cells) + "\n"
+                    cols = changed.tolist()
+                    texts = (",".join(["%.17g"] * len(cols)) % tuple(row[changed].tolist())
+                             ).split(",")
+                    same = True  # every changed cell keeps its text's length
+                    for col, text in zip(cols, texts):
+                        same = same and len(text) == len(cells[col])
+                        cells[col] = text
+                    if not same:
+                        line, offsets = ",".join(cells) + "\n", None
+                    else:
+                        if offsets is None:  # offsets[col]: where cell col starts
+                            offsets = list(itertools.accumulate(
+                                (len(cell) + 1 for cell in cells), initial=0))
+                        pieces, at = [], 0
+                        for col, text in zip(cols, texts):
+                            pieces += (line[at : offsets[col]], text)
+                            at = offsets[col] + len(text)
+                        pieces.append(line[at:])
+                        line = "".join(pieces)
                 fh.write(line)
                 above = bits

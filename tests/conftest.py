@@ -62,6 +62,16 @@ def dense_ab(k: int, sigma: float, zeta: float, variant: str = "fourblock"):
     return A, b
 
 
+def libsvm_text(inst) -> str:
+    """The libsvm text of ``inst.dense()``: per row its label, then each
+    nonzero as " j:v", j 1-based and v in "%.17g"."""
+    lines = []
+    for row, label in zip(inst.dense(), inst.labels):
+        cols = np.flatnonzero(row).tolist()
+        lines.append("%d" % label + "".join(" %d:%.17g" % (j + 1, row[j]) for j in cols))
+    return "\n".join(lines) + "\n"
+
+
 def w_rows_times(M: np.ndarray) -> np.ndarray:
     """W @ M from the literal row rule, one subtraction per entry: row i
     (1-based, i<k) is M[k-i+1] - M[k-i], row k is M[1].  A dense W @ M

@@ -158,6 +158,56 @@ def test_root_property_sweep(ratio, log_scale, k, variant):
     assert np.max(np.abs(gradient)) <= 1e-12 * inst.a_norm()
 
 
+TANH_ULPS = 4  # numpy's float64 tanh is taken to be within 4 ulp
+
+
+def optimum_gradient_bound(inst, prof) -> float:
+    """A bound on the loss kernel's ||grad f(x*)|| from its rounding alone,
+    for the four-block instance at the computed x* = fl(c j), u = 2**-53,
+    S = sigma^2 + zeta^2 and tanh within tau = 2 * TANH_ULPS units u:
+
+    - W x* = c 1, and fl(c j) and the differences of W put fl(W x*) within
+      2u||x*|| + u c sqrt(k) of it; the products |s| w add u c per entry;
+    - phi(w) = sum over blocks of |s| tanh(|s| w/2) has |phi'| <= 4S, so
+      those move the kernel's vector phi - drift by 16 u S ||x*|| at most;
+    - at the computed root |phi(c) - drift| = 4|res(c)| <= 8 u S c +
+      16 u (tau + 4) sigma (half a bisection step, the residual's own
+      rounding twice, the division by zeta), and the kernel's products, sum
+      and drift round by u sigma (8 tau + 26) per entry;
+    - the gradient is W times that vector, ||W|| <= 2, and with ||A|| =
+      2 cos(pi/(2k+1)) sqrt(8S), cos >= 1/2, S <= ||A||^2/8 and sigma <=
+      ||A||/sqrt(8).
+
+    So ||grad f(x*)|| <= u ||A|| (6 ||A|| ||x*|| + (24 tau + 90) sqrt(k/8)):
+    the margins' rounding against ||A|| ||x*||, the size of A x*, and the
+    kernel's own against sqrt(k)."""
+    u, tau = 2.0**-53, 2 * TANH_ULPS
+    a_norm = inst.a_norm()
+    return u * a_norm * (6.0 * a_norm * np.sqrt(prof.xstar_norm_sq)
+                         + (24 * tau + 90) * np.sqrt(inst.k / 8.0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    ratio=st.floats(1.0, 1e4, exclude_min=True),
+    log_scale=st.floats(-8.0, 8.0),
+    k=st.integers(1, 10_000),
+)
+def test_optimum_gradient_within_its_rounding(ratio, log_scale, k):
+    """||grad f(x*)|| against ||A|| ||x*||, within the rounding bound of
+    ``optimum_gradient_bound``, over sigma/zeta in (1, 1e4], zeta from 1e-8
+    to 1e8 and k up to 1e4: x* is the optimum at any scale, not only where
+    a fixed absolute tolerance happens to fit."""
+    zeta = 10.0**log_scale
+    sigma = ratio * zeta
+    if not sigma > zeta:  # the product rounded down onto zeta
+        return
+    inst = build_instance(k, sigma, zeta)
+    prof = profile(inst)
+    gradient = loss(inst, prof.x_star).gradient
+    assert np.linalg.norm(gradient) <= optimum_gradient_bound(inst, prof)
+
+
 class TestProfile:
     def test_value_matches_direct_loss(self):
         inst = build_instance(5, 1.3, 1.0)

@@ -177,6 +177,29 @@ def test_lipschitz_out_of_range_is_a_usage_error(tmp_path, capsys, command, scal
     assert "smoothness constant" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["race", "resist"])
+def test_non_finite_optimum_norm_is_a_usage_error(tmp_path, capsys, command, monkeypatch):
+    # at sigma = 1e-154, zeta = 7.7e-155, L is finite but ||x*||^2 is not:
+    # race passed gap_below_agd_upper_bound at margin inf (and warned of an
+    # overflow in the fold), resist died with a traceback; both now refuse
+    # the cell before the run, and write nothing
+    inst = build_instance(6, 1e-154, 7.7e-155)
+    assert 0.0 < logloss.lipschitz(inst) < np.inf
+    assert profile(inst).xstar_norm_sq == np.inf
+
+    def no_run(*_):
+        raise AssertionError("ran the method")
+
+    monkeypatch.setattr(cli.optimizers, "run", no_run)
+    monkeypatch.setattr(cli.resist, "adversarial_run", no_run)
+    argv = [command, "--method", "agd", "--T", "3", "--sigma", "1e-154",
+            "--zeta", "7.7e-155", "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "xstar_norm_sq = inf" in err
+    assert not any((tmp_path / "out").iterdir())
+
+
 def test_generate_at_extreme_scales(tmp_path, capsys):
     # at 1.3e200 sigma**2 overflowed (an OverflowError traceback); the sidecar
     # now holds the bound, and ||A|| below it, as at sigma = 1.3 scaled by 1e200

@@ -23,6 +23,7 @@ from hardlogit import (
 from conftest import (
     dense_ab,
     dense_w,
+    libsvm_text,
     orthogonality_reference,
     random_orthogonal,
     reflector_product,
@@ -479,6 +480,23 @@ def _dense_text(inst, fmt):
     return "\n".join(lines) + "\n"
 
 
+def _gemm_nonzeros(inst, bounds):
+    """The nonzeros of W U, chunk by chunk, from the rows of U that
+    ``Rotation.row_blocks`` builds by GEMM (row i < k-1 is U[k-1-i] -
+    U[k-2-i], row k-1 is U[0]): the path a rotated instance takes when it
+    holds a reflector, kept here as the reference for one that holds none."""
+    k = inst.k
+    needed = inst.U.row_blocks([(max(k - 1 - hi, 0), k - lo) for lo, hi in bounds])
+    for (lo, hi), u in zip(bounds, needed):
+        u = u[::-1]
+        m = min(hi, k - 1) - lo
+        wu = np.empty((hi - lo, k))
+        np.subtract(u[:m], u[1 : m + 1], out=wu[:m])
+        wu[m:] = u[m : hi - lo]
+        rows, cols = np.nonzero(wu)
+        yield rows + lo, cols, wu[rows, cols]
+
+
 @st.composite
 def _export_cases(draw):
     """An instance of either variant, k from 1 to 64, at a normal or a
@@ -703,6 +721,102 @@ class TestExport:
             for i in range(j):
                 U.append(rng.standard_normal(max(k - 2 * i - 1, 1)))
             check(RotatedInstance(build_instance(k, 1.3, 1.0), U), w_rows_times(U.dense()))
+
+    def test_no_reflector_nonzeros_are_the_gemm_path(self, rng, monkeypatch):
+        # U = I: W U's nonzeros come from W's closed form, with no GEMM, bit
+        # for bit those of the GEMM path over U's rows (0 - (+-0) is +0, the
+        # diagonal 1.0), and a row holds W's two at most, so the export of
+        # the agd cell (k = 602) reads each block in one chunk
+        def no_gemm(*_):
+            raise AssertionError("read the rows of U")
+
+        for k in list(range(1, 20)) + [131, 602]:
+            rot = RotatedInstance(build_instance(k, 1.3, 1.0), Rotation(k))
+            assert rot.w_row_nonzeros() == min(k, 2)
+            for bounds in _partitions(k, rng):
+                reference = list(_gemm_nonzeros(rot, bounds))
+                with monkeypatch.context() as patch:
+                    patch.setattr(Rotation, "row_blocks", no_gemm)
+                    chunks = list(rot.w_nonzeros(bounds))
+                assert len(chunks) == len(reference) == len(bounds)
+                for got, ref in zip(chunks, reference):
+                    for a, b in zip(got, ref):
+                        assert a.dtype == b.dtype and np.array_equal(
+                            a.view(np.int64), b.view(np.int64))
+        assert datasets._row_bounds(602, rot.w_row_nonzeros()) == [(0, 602)]
+        # with a reflector the rows of U are read, and a row may be dense
+        U = Rotation(602)
+        U.append(rng.standard_normal(600))
+        assert RotatedInstance(build_instance(602, 1.3, 1.0), U).w_row_nonzeros() == 602
+
+    @pytest.mark.parametrize("k, rotation, cells, reads_and_writes", [
+        (602, "identity", None, (1, 1)),  # the agd cell: W's closed form
+        (522, "two-valued", None, (9, 1)),  # the denseprobe cell: 9 dense reads
+        (2000, None, None, (1, 1)),  # the analytic sweep's base libsvm
+        # runs of at most 65 nonzeros over 3-row reads of 6 outside the
+        # reflector's support, so a run of 60 closes where 66 would pass it
+        (131, "leading-20", 8 * 65, None),
+        (131, "leading-60", 8 * 64, None),  # reads over the budget go out alone
+    ], ids=["identity-602", "two-valued-522", "base-2000", "leading-20", "leading-60"])
+    def test_libsvm_writes_runs_of_nonzeros(self, k, rotation, cells, reads_and_writes,
+                                            tmp_path, monkeypatch):
+        # consecutive chunks of a block's nonzeros go out as one write while
+        # they total at most CHUNK_CELLS // 8, greedily and never split, and
+        # the bytes are those of the dense rows
+        if cells:
+            monkeypatch.setattr(datasets, "CHUNK_CELLS", cells)
+        budget = datasets.CHUNK_CELLS // 8
+        inst = build_instance(k, 1.7, 1.1)
+        if rotation:
+            U = Rotation(k)
+            if rotation == "two-valued":  # equal coefficients, as denseprobe's one reflection
+                U.append(np.append(np.ones(k - 3), -3.0))
+            elif rotation != "identity":
+                U.append(np.random.default_rng(k).standard_normal(int(rotation[8:])))
+            inst = RotatedInstance(inst, U)
+        bounds = datasets._row_bounds(k, inst.w_row_nonzeros())
+        reads = [len(vals) for _, _, vals in inst.w_nonzeros(bounds)]
+        path = tmp_path / "data.libsvm"
+        writes = []
+
+        class Recording:
+            def __init__(self, name, *args):
+                self.name, self.fh = name, open(name, *args)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, text):
+                if self.name == path:
+                    writes.append(text)
+                return self.fh.write(text)
+
+        monkeypatch.setattr(datasets, "open", Recording, raising=False)
+        export(inst, "libsvm", path)
+        monkeypatch.undo()
+        text = path.read_text()
+        assert text == libsvm_text(inst)
+        assert "".join(writes) == text and all(w.endswith("\n") for w in writes)
+        per_block = len(writes) // len(inst.block_scales)
+        assert len(writes) == per_block * len(inst.block_scales)
+        # the greedy runs of the reads: a run goes out when the next read
+        # would take it past the budget, or once it reaches the budget
+        runs, count = [], 0
+        for n in reads:
+            if count and count + n > budget:
+                runs, count = runs + [count], 0
+            count += n
+            if count >= budget:
+                runs, count = runs + [count], 0
+        runs += [count] if count else []
+        assert [w.count(":") for w in writes[:per_block]] == runs
+        if reads_and_writes:
+            assert (len(reads), per_block) == reads_and_writes
+        else:
+            assert len(reads) > per_block > 1
 
     @pytest.mark.parametrize("reflector, formats, bound", [
         ("two-valued", ("libsvm", "csv"), 8),

@@ -21,6 +21,7 @@ from hardlogit import (
     invariants,
     logloss,
     loss,
+    optimizers,
     profile,
     replay_check,
     resist,
@@ -31,6 +32,7 @@ from hardlogit.cli import main
 from conftest import (
     adaptive_iterates,
     adversarial,
+    libsvm_text,
     nan_in_v,
     orthogonality_reference,
     random_orthogonal,
@@ -42,13 +44,33 @@ ADVERSARY_METHODS = ["gd", "agd", "denseprobe"]
 ALL_METHODS = ["gd", "agd", "heavyball", "denseprobe"]
 
 
-def _oracle_after(inst, *queries):
-    """A resisting oracle that has answered the zero start and then ``queries``."""
-    oracle = ResistingOracle(inst)
+def _oracle_after(inst, *queries, oracle=ResistingOracle):
+    """A resisting oracle (of class ``oracle``) that has answered the zero
+    start and then ``queries``."""
+    oracle = oracle(inst)
     oracle(np.zeros(inst.k))
     for x in queries:
         oracle(x)
     return oracle
+
+
+class _ScaledTest(ResistingOracle):
+    """The adversary with the reflection it took before a leading block with
+    no nonzero was skipped first: the scaled test decides every step, and an
+    overflowing threshold raises.  The reference for that shortcut."""
+
+    def _reflect(self, y, m, x_norm):
+        e = resist._exponent(y[:m])
+        z = np.ldexp(y[:m], -e)
+        z_norm = np.linalg.norm(z)
+        head = float(z[:-1] @ z[:-1])
+        if z_norm <= resist.TIE_BREAK * math.ldexp(x_norm, -e) or (head == 0.0 and z[-1] > 0.0):
+            self.skipped += 1
+            return y
+        v = z
+        v[-1] = -head / (z[-1] + z_norm) if z[-1] > 0.0 else z[-1] - z_norm
+        self.U.append(v)
+        return self.U.apply_newest(y)
 
 
 class TestFixAndMap:
@@ -189,6 +211,56 @@ class TestResistingOracle:
         tail[0] = 1e-13 * np.sqrt(2.0) * scale
         oracle = _oracle_after(inst, tail)
         assert (len(oracle.U), oracle.skipped) == (0, 1)
+
+    def test_a_threshold_past_the_largest_double_skips(self):
+        # a leading block of 1e-10 beside 1e300: ||x|| 2**-e is past the
+        # largest double (an OverflowError that the CLI did not catch), so the
+        # block is negligible and the step skipped, answering the base loss
+        inst = build_instance(12, 1.3, 1.0)
+        x = np.zeros(12)
+        x[0], x[-1] = 1e-10, 1e300
+        oracle = ResistingOracle(inst)
+        oracle(np.zeros(12))
+        resp = oracle(x)
+        assert (len(oracle.U), oracle.skipped) == (0, 1)
+        assert resp.value == loss(inst, x).value
+        assert np.array_equal(resp.gradient, loss(inst, x).gradient)
+
+    @pytest.mark.parametrize("name", ALL_METHODS)
+    def test_a_zero_leading_block_skips_before_scaling(self, name, monkeypatch):
+        # a leading block with no nonzero is skipped before it is scaled, as
+        # the scaled test decided (e = 0, ||z|| = 0): U, the skips, the
+        # points and every answer keep their bits, and the span methods never
+        # scale a block
+        T = 20
+        inst = build_instance(4 * T + 2, 1.3, 1.0)
+        runs = []
+        for oracle in (ResistingOracle(inst), _ScaledTest(inst)):
+            recording = _Recording(oracle)
+            for _ in drive(name, recording, T):
+                pass
+            runs.append(recording)
+        ours, ref = (r.oracle for r in runs)
+        assert ours.skipped == ref.skipped and len(ours.U) == len(ref.U)
+        assert np.array_equal(ours.U.V.view(np.int64), ref.U.V.view(np.int64))
+        assert np.array_equal(ours.U.triangular.view(np.int64),
+                              ref.U.triangular.view(np.int64))
+        for (x, a), (y, b) in zip(*(r.log for r in runs)):
+            assert np.array_equal(x, y) and a.value == b.value
+            assert np.array_equal(a.gradient.view(np.int64), b.gradient.view(np.int64))
+        scaled = []
+        monkeypatch.setattr(resist, "_exponent", lambda z: scaled.append(z) or 0)
+        _oracle_after(inst, *(x for x, _ in runs[0].log[1:]))
+        assert (len(scaled) == 0) == (name != "denseprobe")
+
+    def test_signed_zero_blocks_skip_as_the_scaled_test(self, rng):
+        # a block of -0 and +0 entries has no nonzero: skipped by both tests
+        inst = build_instance(11, 1.3, 1.0)
+        x = np.zeros(11)
+        x[:9:2] = -0.0
+        x[-2:] = rng.standard_normal(2)
+        for oracle in (_oracle_after(inst, x, x), _oracle_after(inst, x, x, oracle=_ScaledTest)):
+            assert (len(oracle.U), oracle.skipped) == (0, 2)
 
     @pytest.mark.parametrize("scale", [1e-300, 1.0, 1e300])
     def test_norm_probe_is_relative_and_fails_closed(self, scale, rng):
@@ -506,6 +578,24 @@ def _queries(draw):
     return k, rng.standard_normal((steps, k)) * scales
 
 
+@st.composite
+def _tiny_lead_queries(draw):
+    """k, up to (k-3)/2 queries and which of them are tiny-led: a leading
+    k-2 block of normal entries times 2^-p, p in [40, 700], beside a
+    trailing pair of normal entries times 10^e, e in [-300, 300], the rest
+    in general position as in ``_queries``."""
+    k = draw(st.integers(7, 200))
+    steps = draw(st.integers(0, (k - 3) // 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    tiny = draw(st.lists(st.booleans(), min_size=steps, max_size=steps))
+    queries = rng.standard_normal((steps, k)) * 10.0 ** rng.uniform(-300, 300, (steps, 1))
+    for x, small in zip(queries, tiny):
+        if small:
+            x[: k - 2] = np.ldexp(rng.standard_normal(k - 2), -int(rng.integers(40, 701)))
+            x[k - 2 :] = rng.standard_normal(2) * 10.0 ** rng.uniform(-300, 300)
+    return k, queries, tiny
+
+
 class TestReflectionSweep:
     """The reflection invariants over dimensions, step counts and query
     scales: orthogonality from the factors against the dense reference,
@@ -531,6 +621,36 @@ class TestReflectionSweep:
         assert data_direction_residual(rotated) == 0.0
 
 
+    @settings(max_examples=40, deadline=None)
+    @given(case=_tiny_lead_queries())
+    def test_tiny_leading_blocks(self, case):
+        # a query whose leading k-2 coordinates are 2^-700 to 2^-40 beside a
+        # trailing pair of norm 1e-300 to 1e300, amid queries in general
+        # position: each step reflects or is skipped, without overflow (the
+        # threshold ||x|| 2**-e passes the largest double below about
+        # 2^-1024 of ||x||), a block under half of TIE_BREAK of ||x|| is
+        # always skipped, a query in general position always reflects, and
+        # the invariants hold as in test_invariants_hold
+        k, queries, tiny = case
+        inst = build_instance(k, 1.3, 1.0)
+        oracle = _oracle_after(inst)
+        lead = _norms([np.append(x[: k - 2], 0.0) for x in queries]) if len(queries) else []
+        for x, small, block, norm in zip(queries, tiny, lead, _norms(queries)):
+            reflections = len(oracle.U)
+            oracle(x)
+            if not small:
+                assert len(oracle.U) == reflections + 1
+            elif block <= 0.5 * resist.TIE_BREAK * norm:
+                assert len(oracle.U) == reflections
+        assert len(oracle.U) + oracle.skipped == len(queries)
+        rotated = RotatedInstance(inst, oracle.U)
+        residual = invariants.rotation_orthogonal(rotated).measured["orthogonality_residual"]
+        assert residual <= invariants.ROTATION_TOL
+        assert np.all(containment_residuals(oracle)
+                      <= invariants.ROTATION_TOL * _norms(oracle.points))
+        assert data_direction_residual(rotated) == 0.0
+
+
 class TestReplaySweep:
     """Adaptive runs of every method over sigma/zeta in (1, 1e4], zeta from
     1e-8 to 1e8 and T from 1 to 12: the replay reproduces the run, each step
@@ -547,6 +667,37 @@ class TestReplaySweep:
         _, deviation, _, oracle = adversarial_run(name, inst, T, profile(inst).x_star)
         assert invariants.replay_matches(deviation).passed
         assert len(oracle.U) + oracle.skipped == T
+        norms = np.linalg.norm(oracle.points, axis=1)
+        assert np.all(containment_residuals(oracle) <= invariants.ROTATION_TOL * norms)
+
+
+    @settings(max_examples=30, deadline=None)
+    @given(name=st.sampled_from(ALL_METHODS),
+           ratio=st.floats(1.0, 1e4, exclude_min=True),
+           log_zeta=st.floats(-8.0, 8.0), T=st.integers(1, 12), p=st.integers(40, 700))
+    def test_replay_with_tiny_leading_blocks(self, name, ratio, log_zeta, T, p):
+        # each method queries x + 2^-p max|x| e_1: a leading block below
+        # TIE_BREAK of ||x||, the only leading entry of a span method's
+        # query, so those skip every step; the replay still reproduces the run
+        zeta = 10.0 ** log_zeta
+        inst = build_instance(4 * T + 2, ratio * zeta, zeta)
+        steps = optimizers.iterate_steps
+
+        def tiny_led(method, ask, k, step):
+            def led(x):
+                y = np.array(x, dtype=float)
+                y[0] += math.ldexp(float(np.max(np.abs(y), initial=0.0)), -p)
+                return ask(y)
+            return steps(method, led, k, step)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(optimizers, "iterate_steps", tiny_led)
+            _, deviation, _, oracle = adversarial_run(name, inst, T, profile(inst).x_star)
+        assert invariants.replay_matches(deviation).passed
+        assert len(oracle.U) + oracle.skipped == T
+        if name != "denseprobe":
+            assert len(oracle.U) == 0
+        assert all(x[0] != 0.0 for x in oracle.points[1:-1])
         norms = np.linalg.norm(oracle.points, axis=1)
         assert np.all(containment_residuals(oracle) <= invariants.ROTATION_TOL * norms)
 
@@ -676,6 +827,53 @@ def test_save_matrix_csv_is_savetxt(matrix, tmp_path):
     save_matrix_csv([matrix], ours)
     np.savetxt(reference, matrix, fmt="%.17g", delimiter=",")
     assert ours.read_bytes() == reference.read_bytes()
+
+
+_NAN_A, _NAN_B = np.array([0x7FF8000000000001, 0x7FF8000000000002], dtype=np.uint64).view(float)
+
+
+@pytest.mark.parametrize("rows", [
+    # identity rows, a "0" and a "1" swapping at the first and last cells
+    [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0], [1.0, 0.0, 0.0, 0.0]],
+    # same-length changes: digits, NaN payloads, inf to nan, -0 to -1
+    [[1.0, _NAN_A, -0.0, np.inf], [2.0, _NAN_B, -1.0, np.nan], [3.0, _NAN_A, -2.0, -np.inf]],
+    # a splice, a join whose cells change length (-0 after +0, 0.5 after 1),
+    # then a splice on the joined line, whose offsets are taken again
+    [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [-0.0, 0.5, 0.0], [-1.0, 0.5, 2.0], [-1.0, 0.25, 3.0]],
+    # one changed cell keeps its length and one does not: a join
+    [[1.0, 2.0, 3.0], [4.0, 2.0, 3.5], [4.0, 7.0, 3.25]],
+    # rows new in every cell between spliced ones, and repeated rows
+    [[0.0, 0.0], [0.0, 0.0], [1.0, 2.0], [1.0, 3.0], [5e-324, 1.7976931348623157e308],
+     [1.7976931348623157e308, 5e-324]],
+], ids=["identity", "same-length", "splice-join-splice", "mixed-lengths", "templates"])
+def test_save_matrix_csv_splices_same_length_cells(rows, tmp_path):
+    # a row whose changed cells keep their text lengths is spliced into the
+    # line above, any other joined: every line is the one np.savetxt writes,
+    # written from one block or from one-row blocks
+    matrix = np.array(rows)
+    reference = tmp_path / "savetxt.csv"
+    np.savetxt(reference, matrix, fmt="%.17g", delimiter=",")
+    for blocks in ([matrix], [row[None] for row in matrix]):
+        save_matrix_csv(blocks, tmp_path / "ours.csv")
+        assert (tmp_path / "ours.csv").read_bytes() == reference.read_bytes()
+
+
+@pytest.mark.parametrize("name", ALL_METHODS)
+@pytest.mark.parametrize("T", [10, 130, 150])
+def test_resist_writes_the_dense_rotation_and_dataset(name, T, tmp_path):
+    # resist's two artifacts, byte for byte: the libsvm text of the dense
+    # rows of A U and np.savetxt's text of the dense U, whether the run
+    # reflected (denseprobe) or not (U = I for the span methods)
+    assert main(["resist", "--method", name, "--T", str(T), "--out", str(tmp_path),
+                 "--no-timestamp"]) == 0
+    _, _, final, oracle = adversarial(name, T)
+    assert (len(oracle.U) > 0) == (name == "denseprobe")
+    stem = f"resist_{name}_T{T}"
+    U = final.U.dense()
+    reference = tmp_path / "savetxt.csv"
+    np.savetxt(reference, U, fmt="%.17g", delimiter=",")
+    assert (tmp_path / f"rotation_{stem}.csv").read_bytes() == reference.read_bytes()
+    assert (tmp_path / f"dataset_{stem}.libsvm").read_text() == libsvm_text(final)
 
 
 # +-0, two NaN payloads (one negative), +-inf, the smallest subnormal and the
