@@ -3,7 +3,7 @@
 
 import numpy as np
 
-from hardlogit import Variant, build_instance, build_w, export, profile, profile_metadata
+from hardlogit import build_instance, build_w, export, profile, profile_metadata
 
 np.set_printoptions(precision=3, suppress=True, linewidth=120)
 
@@ -18,7 +18,7 @@ print("W @ (1..5)/10 =", w.apply(np.arange(1.0, 6.0) / 10), " (a scaled ramp bec
 # Stacking scaled copies of W with mirrored labels gives the dataset.  The
 # four-block form is symmetric under negating the features, which pins the
 # optimal intercept of the fitted classifier at zero.
-inst = build_instance(6, sigma=1.3, zeta=1.0, variant=Variant.FOUR_BLOCK)
+inst = build_instance(6, sigma=1.3, zeta=1.0, variant="fourblock")
 print(f"\nfour-block instance: {inst.n_rows} rows x {inst.k} features")
 print("labels:", inst.labels.astype(int))
 A = inst.dense()
@@ -33,7 +33,7 @@ print(f"row-structure bound 4*sqrt(2(sigma^2+zeta^2)) = {inst.spectral_norm_boun
 print("\nA @ (1..6) head:", (A @ np.arange(1.0, 7.0))[:8])
 
 # The half-size variant drops the mirrored blocks.
-small = build_instance(3, 1.3, 1.0, Variant.TWO_BLOCK)
+small = build_instance(3, 1.3, 1.0, "twoblock")
 print(f"\ntwo-block instance: {small.n_rows} rows x {small.k} features")
 print(small.dense())
 

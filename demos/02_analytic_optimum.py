@@ -38,9 +38,7 @@ print(f"{intercept.name} at (x*, 0): {intercept.detail}")
 
 # Freezing the leading coordinates at zero costs a fixed amount per frozen
 # coordinate; that amount, relative to c^2 sigma^2, is the ratio constant.
-print(f"\nper-coordinate gap floor, sharp:        {constant_c_ratio(sigma, zeta):.6f}")
-print(f"per-coordinate gap floor, conservative: "
-      f"{constant_c_ratio(sigma, zeta, conservative=True):.6f}")
+print(f"\nper-coordinate gap floor: {constant_c_ratio(sigma, zeta):.6f}")
 for t in (2, 4, 6, 8):
     print(f"  min over last-{t}-coordinate subspace minus f*: "
           f"{subspace_gap(inst.k, t, sigma, zeta):.6f}")

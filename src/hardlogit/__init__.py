@@ -21,7 +21,6 @@ from .analytic import (
 from .datasets import (
     RotatedInstance,
     Rotation,
-    Variant,
     WOperator,
     WorstCaseInstance,
     build_instance,

@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .datasets import Variant, WorstCaseInstance
+from .datasets import WorstCaseInstance
 from .logloss import LOG2
 
 
@@ -100,17 +100,13 @@ def _curvature_gap(z: float) -> float:
     return z * np.tanh(z) - logcosh(z)
 
 
-def constant_c_ratio(sigma: float, zeta: float, conservative: bool = False) -> float:
+def constant_c_ratio(sigma: float, zeta: float) -> float:
     """The ratio constant C(sigma/zeta) in the per-coordinate gap bound
 
         (sigma-zeta)*c - logcosh(sigma*c) - logcosh(zeta*c) >= C * c^2 * sigma^2.
 
     Defined for 2*zeta > sigma > zeta > 0; scale-invariant (depends only on
-    sigma/zeta).  The default is the sharp constant, evaluated at the solved
-    root c.  ``conservative=True`` instead evaluates the bracket-endpoint
-    certificate [g(sigma*c_lb)+g(zeta*c_lb)]/(c_ub^2*sigma^2), which is a
-    valid but much looser lower bound (about 0.28 at ratio 1.3, versus the
-    sharp 0.79).
+    sigma/zeta).  It is the sharp constant, evaluated at the solved root c.
     """
     sigma = float(sigma)
     zeta = float(zeta)
@@ -122,12 +118,9 @@ def constant_c_ratio(sigma: float, zeta: float, conservative: bool = False) -> f
         raise ValueError(
             f"undefined constant: needs sigma < 2*zeta, got sigma={sigma}, zeta={zeta}"
         )
-    if conservative:
-        c_lb, c_ub = c_bracket(sigma, zeta)
-    else:
-        c_lb = c_ub = solve_c(sigma, zeta)
-    num = _curvature_gap(sigma * c_lb) + _curvature_gap(zeta * c_lb)
-    return float(num / (c_ub**2 * sigma**2))
+    c = solve_c(sigma, zeta)
+    num = _curvature_gap(sigma * c) + _curvature_gap(zeta * c)
+    return float(num / (c**2 * sigma**2))
 
 
 @dataclass(frozen=True)
@@ -157,7 +150,7 @@ def profile(inst: WorstCaseInstance) -> AnalyticProfile:
     f_star = 8.0 * k * LOG2 + 4.0 * k * (
         logcosh(sigma * c) + logcosh(zeta * c) - (sigma - zeta) * c
     )
-    if inst.variant is Variant.TWO_BLOCK:
+    if inst.variant == "twoblock":
         f_star /= 2.0
     norm_sq = c * c * k * (k + 1) * (2 * k + 1) / 6.0
     return AnalyticProfile(c=c, x_star=x_star, f_star=float(f_star),

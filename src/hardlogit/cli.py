@@ -45,7 +45,7 @@ def _parse_t_list(text: str) -> list[int]:
 
 def cmd_generate(args) -> int:
     inst = datasets.build_instance(args.k, args.sigma, args.zeta, args.variant)
-    out = Path(args.out or f"wc_k{inst.k}_{inst.variant.value}.{args.format}")
+    out = Path(args.out or f"wc_k{inst.k}_{inst.variant}.{args.format}")
     out.parent.mkdir(parents=True, exist_ok=True)
     extra = analytic.profile_metadata(analytic.profile(inst))
     sidecar = datasets.export(inst, args.format, out, extra)
@@ -90,7 +90,7 @@ def _emit(args, inst, T, stem, trace, prof, findings, ts, out_dir) -> bool:
     their checks as the verdicts, in order), and the trace CSV; print the
     verdicts and return whether all passed."""
     report = {"config": {"method": args.method, "k": inst.k, "sigma": args.sigma,
-                         "zeta": args.zeta, "T": T, "variant": inst.variant.value},
+                         "zeta": args.zeta, "T": T, "variant": inst.variant},
               "measured": {}, "theoretical": {}}
     checks = []
     for found in findings:
@@ -186,8 +186,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--k", type=int, required=True)
     p_gen.add_argument("--sigma", type=float, default=DEFAULT_SIGMA)
     p_gen.add_argument("--zeta", type=float, default=DEFAULT_ZETA)
-    p_gen.add_argument("--variant", default="fourblock", choices=["fourblock", "twoblock"])
-    p_gen.add_argument("--format", default="csv", choices=["csv", "libsvm"])
+    p_gen.add_argument("--variant", default="fourblock", choices=datasets.VARIANTS)
+    p_gen.add_argument("--format", default="csv", choices=datasets.FORMATS)
     p_gen.add_argument("--out", default=None)
 
     p_ver = sub.add_parser("verify", help="run the analytic invariant suite")
@@ -201,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
          {"type": int, "default": 10}),
     ):
         p_cell = sub.add_parser(name, help=help_text)
-        p_cell.add_argument("--method", default=method, choices=list(optimizers.METHOD_NAMES))
+        p_cell.add_argument("--method", default=method, choices=optimizers.METHOD_NAMES)
         p_cell.add_argument("--T", **T_arg)
         p_cell.add_argument("--sigma", type=float, default=DEFAULT_SIGMA)
         p_cell.add_argument("--zeta", type=float, default=DEFAULT_ZETA)

@@ -5,12 +5,13 @@ k x k: row i (1-based, i < k) holds -1 at column k-i and +1 at column
 k-i+1, and row k holds a single +1 at column 1.  W is symmetric, maps the
 all-ones vector to the last basis vector, and maps c*(1,2,...,k) to c*1.
 
-Two stacked-block variants are provided:
+Two stacked-block variants are provided, named by the exact strings of
+``VARIANTS``:
 
-- ``four_block``: A = (2*sigma*W; -2*zeta*W; -2*sigma*W; 2*zeta*W) with
+- ``fourblock``: A = (2*sigma*W; -2*zeta*W; -2*sigma*W; 2*zeta*W) with
   labels (+1; +1; -1; -1), so the optimal intercept is zero (the two
   label classes are mirror images of each other).
-- ``two_block``: A = (2*sigma*W; 2*zeta*W) with labels (+1; -1): half
+- ``twoblock``: A = (2*sigma*W; 2*zeta*W) with labels (+1; -1): half
   the rows, same W structure, and half the four-block loss at every x
   (h is even and the blocks pair up by |s| and s*l).  Its f* holds for a
   fit without an intercept: with one the data are separable (at
@@ -33,7 +34,6 @@ yields, or from W's closed form when U holds no reflector), and its
 
 from __future__ import annotations
 
-import enum
 import json
 import math
 from dataclasses import dataclass, field, fields
@@ -42,24 +42,8 @@ from pathlib import Path
 import numpy as np
 
 CHUNK_CELLS = 1 << 15  # entries of a block, or of U, that a writer holds at once
-
-
-def canonical_name(name: str, choices, what: str) -> str:
-    """``name`` lower-cased, stripped, without '_' or '-'; a ValueError
-    naming ``what`` unless the result is one of ``choices``."""
-    key = str(name).strip().lower().replace("_", "").replace("-", "")
-    if key not in choices:
-        raise ValueError(f"unknown {what} {name!r}; expected one of {tuple(choices)}")
-    return key
-
-
-class Variant(enum.Enum):
-    FOUR_BLOCK = "fourblock"
-    TWO_BLOCK = "twoblock"
-
-    @classmethod
-    def parse(cls, name: str) -> "Variant":
-        return cls(canonical_name(name, [v.value for v in cls], "variant"))
+VARIANTS = ("fourblock", "twoblock")
+FORMATS = ("csv", "libsvm")
 
 
 @dataclass(frozen=True)
@@ -137,19 +121,23 @@ class Rotation:
         leading len(v) coordinates: one row of V, amortised O(k) by doubling
         the capacity, and one column of T, -beta T (V v), in O(jk).  H does
         not depend on the scale of v, but v'v must not over- or underflow:
-        the adversary passes v with its largest entry near 1."""
+        the adversary passes v with its largest entry near 1.  Unless v'v and
+        beta are positive finite doubles, raises ValueError and leaves U."""
         v = np.asarray(v, dtype=float)
         n, m = self._n, v.shape[0]
         if v.ndim != 1 or not 0 < m <= self.k:
             raise ValueError(
                 f"dimension mismatch: reflector of shape {v.shape} in dimension {self.k}"
             )
+        vv = float(np.vdot(v, v))  # v @ v's BLAS dot, with no overflow warning
+        if not (0.0 < vv < math.inf and 2.0 / vv < math.inf):
+            raise ValueError(f"invalid reflector: v'v = {vv!r}; v'v and 2/(v'v) must be finite > 0")
         if n == len(self._V):
             cap = max(1, 2 * n)
             V, T = np.zeros((cap, self.k)), np.zeros((cap, cap))
             V[:n], T[:n, :n] = self.V, self.triangular
             self._V, self._T = V, T
-        beta = 2.0 / float(v @ v)
+        beta = 2.0 / vv
         self._V[n, :m] = v
         self._T[:n, n] = -beta * (self.triangular @ (self.V @ self._V[n]))
         self._T[n, n] = beta
@@ -233,7 +221,7 @@ class WorstCaseInstance:
     k: int
     sigma: float
     zeta: float
-    variant: Variant
+    variant: str  # one of VARIANTS
     w: WOperator = field(repr=False)
     block_scales: tuple = field(repr=False)
     block_labels: tuple = field(repr=False)
@@ -283,7 +271,7 @@ class WorstCaseInstance:
     def spectral_norm_bound(self) -> float:
         """Closed-form upper bound on ||A|| from the row structure."""
         base = 2.0 * _root_sum_sq((self.sigma, self.zeta), lambda v: v**2)
-        if self.variant is Variant.FOUR_BLOCK:
+        if self.variant == "fourblock":
             return math.sqrt(2.0) * 2.0 * base  # 4*sqrt(2(sigma^2+zeta^2))
         return 2.0 * base
 
@@ -344,10 +332,11 @@ class RotatedInstance(WorstCaseInstance):
 
 
 def build_instance(
-    k: int, sigma: float, zeta: float, variant: Variant | str = Variant.FOUR_BLOCK
+    k: int, sigma: float, zeta: float, variant: str = "fourblock"
 ) -> WorstCaseInstance:
     """Construct an instance of the family; requires sigma > zeta > 0 with
-    the block scale 2*sigma a finite double."""
+    the block scale 2*sigma a finite double, and ``variant`` one of
+    ``VARIANTS`` exactly."""
     w = build_w(k)
     sigma = float(sigma)
     zeta = float(zeta)
@@ -356,16 +345,14 @@ def build_instance(
             "invalid parameters: need sigma > zeta > 0 with 2*sigma finite, "
             f"got sigma={sigma}, zeta={zeta}"
         )
-    if isinstance(variant, str):
-        variant = Variant.parse(variant)
-    if variant is Variant.FOUR_BLOCK:
+    if variant == "fourblock":
         scales = (2.0 * sigma, -2.0 * zeta, -2.0 * sigma, 2.0 * zeta)
         labels = (1.0, 1.0, -1.0, -1.0)
-    elif variant is Variant.TWO_BLOCK:
+    elif variant == "twoblock":
         scales = (2.0 * sigma, 2.0 * zeta)
         labels = (1.0, -1.0)
     else:
-        raise ValueError(f"unknown variant {variant!r}")
+        raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
     return WorstCaseInstance(
         k=int(k), sigma=sigma, zeta=zeta, variant=variant,
         w=w, block_scales=scales, block_labels=labels,
@@ -429,13 +416,13 @@ def export(inst: WorstCaseInstance, format: str, path, extra_meta: dict | None =
     valid JSON, so a non-finite entry raises ValueError before either file
     is written.
     """
-    if format not in ("csv", "libsvm"):
-        raise ValueError(f"unknown format {format!r}; expected csv or libsvm")
+    if format not in FORMATS:
+        raise ValueError(f"unknown format {format!r}; expected one of {FORMATS}")
     meta = {
         "k": inst.k,
         "sigma": inst.sigma,
         "zeta": inst.zeta,
-        "variant": inst.variant.value,
+        "variant": inst.variant,
         "N": inst.n_rows,
         "spectral_norm_bound": inst.spectral_norm_bound(),
         **(extra_meta or {}),

@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import analytic, datasets, logloss, optimizers, resist
+from . import analytic, logloss, optimizers, resist
 
 RATIO_FLOOR = 0.5  # C(sigma/zeta) must exceed it for the per-coordinate gap bound
 GRADIENT_TOL = 1e-9  # sup-norm of the gradient and the intercept derivative at x*
@@ -74,8 +74,8 @@ def optimum(pairs) -> tuple[Check, Check, Check]:
     block is off its mirror.  Any other variant raises ValueError."""
     grad = value = dy = 0.0
     for inst, prof in pairs:
-        if inst.variant is not datasets.Variant.FOUR_BLOCK:
-            raise ValueError("unsupported variant: the intercept derivative needs four_block")
+        if inst.variant != "fourblock":
+            raise ValueError("unsupported variant: the intercept derivative needs fourblock")
         resp = logloss.loss(inst, prof.x_star)
         grad = max(grad, float(np.max(np.abs(resp.gradient))))
         value = max(value, abs(resp.value - prof.f_star) / (1.0 + abs(prof.f_star)))

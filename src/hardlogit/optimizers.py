@@ -1,7 +1,8 @@
 """Deterministic first-order methods driven purely by the oracle.
 
-A method is its name.  Every method starts at x_0 = 0, takes the step 1/L
-for the smoothness constant L the oracle exposes, and is fully
+A method is its name, one of ``METHOD_NAMES`` as an exact string (any
+other name raises ValueError).  Every method starts at x_0 = 0, takes the
+step 1/L for the smoothness constant L the oracle exposes, and is fully
 deterministic; the methods here make one oracle call per iteration, and
 ``drive`` counts every call whatever their number as it streams the
 iterates, which ``run`` folds into scalars in O(k) memory, its count the
@@ -15,8 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .datasets import canonical_name
 
 METHOD_NAMES = ("gd", "agd", "heavyball", "denseprobe")
 MOMENTUM = 0.9  # heavyball
@@ -55,7 +54,8 @@ def iterate_steps(name: str, ask, k: int, step: float):
     For gd / heavyball / denseprobe the oracle is queried at each iterate;
     agd queries at its extrapolated points.
     """
-    name = canonical_name(name, METHOD_NAMES, "method")
+    if name not in METHOD_NAMES:
+        raise ValueError(f"unknown method {name!r}; expected one of {METHOD_NAMES}")
     x = np.zeros(k)
     if name == "gd":
         while True:

@@ -235,14 +235,15 @@ def replay_check(name: str, final_inst: RotatedInstance, T: int, points,
     Returns the replay's trace, distances to ``z_star``, and the largest
     sup-norm deviation: 0 (or rounding) means the adversary could have
     committed to its final rotation from the start; NaN if any entry is,
-    inf if the replay asked more or fewer queries than were placed.
+    inf if the replay asked more or fewer queries than were placed, or
+    no point was placed.
     """
     if any(np.shape(p) != (final_inst.k,) for p in points):
         raise ValueError(f"dimension mismatch: placed points must be ({final_inst.k},)")
     comparing = _Comparing(final_inst, points[:-1])
     trace = _fold(drive(name, comparing, T), FirstOrderOracle(final_inst), z_star)
-    if next(comparing.placed, None) is not None:  # a placed query was never asked
-        return trace, np.inf
+    if not len(points) or next(comparing.placed, None) is not None:
+        return trace, np.inf  # no point placed, or a placed query never asked
     return trace, float(np.max([*comparing.deviations, np.max(np.abs(trace.final - points[-1]))]))
 
 

@@ -33,7 +33,6 @@ LOG2 = np.log(2.0)
 # independent high-precision root solve of the scaling equation.
 C_GOLDEN = 0.11219388144148564
 RATIO_SHARP_GOLDEN = 0.7887379245167843
-RATIO_BRACKET_GOLDEN = 0.2753546293096151
 
 
 def _residual(c, sigma, zeta):
@@ -273,11 +272,6 @@ class TestRatioConstant:
         assert ratio > 0.5
         assert ratio == pytest.approx(RATIO_SHARP_GOLDEN, abs=1e-10)
 
-    def test_conservative_bracket_value(self):
-        ratio = constant_c_ratio(1.3, 1.0, conservative=True)
-        assert ratio == pytest.approx(RATIO_BRACKET_GOLDEN, abs=1e-10)
-        assert ratio < constant_c_ratio(1.3, 1.0)
-
     @pytest.mark.parametrize("alpha", [0.1, 7.0])
     def test_scale_invariance(self, alpha):
         base = constant_c_ratio(1.3, 1.0)
@@ -296,9 +290,7 @@ class TestRatioConstant:
             c = solve_c(sigma, zeta)
             lhs = (sigma - zeta) * c - logcosh(sigma * c) - logcosh(zeta * c)
             sharp = constant_c_ratio(sigma, zeta)
-            cons = constant_c_ratio(sigma, zeta, conservative=True)
             assert lhs >= sharp * c**2 * sigma**2 - 1e-12
-            assert lhs >= cons * c**2 * sigma**2
 
 
 def _restricted_agd_min(inst, t, iterations):

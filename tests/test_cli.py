@@ -8,8 +8,10 @@ from hardlogit import (
     FirstOrderOracle,
     analytic,
     build_instance,
+    datasets,
     invariants,
     logloss,
+    optimizers,
     profile,
     resist,
     run,
@@ -126,6 +128,17 @@ def test_verify_bisects_once(capsys, monkeypatch):
     assert capsys.readouterr().out.endswith("0 failure(s)\n")
     assert counts["solve_c"] == 82
     assert analytic._scaled_root.cache_info().misses == 1
+
+
+def test_parser_choices_are_the_package_tuples():
+    # each named choice of the CLI is the one tuple its module checks against
+    subparsers = next(a for a in cli.build_parser()._actions if a.dest == "command").choices
+    choices = {(command, action.dest): action.choices for command, parser in subparsers.items()
+               for action in parser._actions if action.choices is not None}
+    assert choices == {("generate", "variant"): datasets.VARIANTS,
+                       ("generate", "format"): datasets.FORMATS,
+                       ("race", "method"): optimizers.METHOD_NAMES,
+                       ("resist", "method"): optimizers.METHOD_NAMES}
 
 
 def test_one_parser_dispatched_at_call_time(tmp_path, monkeypatch):

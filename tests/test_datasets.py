@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from hardlogit import (
     RotatedInstance,
     Rotation,
-    Variant,
     WorstCaseInstance,
     build_instance,
     build_w,
@@ -143,11 +142,13 @@ class TestBuildInstance:
                 invariants.ratio_constant(inst)
 
     def test_variant_parsing(self):
-        assert build_instance(2, 1.3, 1.0, "four_block").variant is Variant.FOUR_BLOCK
-        assert build_instance(2, 1.3, 1.0, "Four-Block").variant is Variant.FOUR_BLOCK
-        assert build_instance(2, 1.3, 1.0, " TWO_block ").variant is Variant.TWO_BLOCK
-        with pytest.raises(ValueError, match="variant"):
-            build_instance(2, 1.3, 1.0, "sixblock")
+        # a variant is one of VARIANTS as an exact string, kept as that string
+        assert datasets.VARIANTS == ("fourblock", "twoblock")
+        for name in datasets.VARIANTS:
+            assert build_instance(2, 1.3, 1.0, name).variant == name
+        for alias in ("sixblock", "four_block", "Four-Block", " TWO_block ", "FOURBLOCK"):
+            with pytest.raises(ValueError, match=f"unknown variant '{alias}'; expected one of"):
+                build_instance(2, 1.3, 1.0, alias)
 
 
 class TestRotation:
@@ -218,6 +219,16 @@ class TestRotation:
             with pytest.raises(ValueError, match="dimension mismatch"):
                 U.append(bad)
         assert len(U) == 0
+        # v'v of 0, underflowing to 0, NaN, overflowing, or so small that
+        # 2/(v'v) overflows: each raises, with no warning, and U keeps its factors
+        U.append(np.array([1.0, 2.0]))
+        V, T = U.V.copy(), U.triangular.copy()
+        for bad in (np.zeros(3), [1e-200, 0.0], [np.nan, 1.0], [1e200, 1.0], [1e-155, 0.0],
+                    [np.inf, 0.0]):
+            with pytest.raises(ValueError, match="invalid reflector"):
+                U.append(bad)
+            assert len(U) == 1
+            assert np.array_equal(U.V, V) and np.array_equal(U.triangular, T)
 
 
 def _partitions(k, rng):
@@ -340,12 +351,12 @@ class TestRotatedInstance:
 
     def test_nan_in_the_rotation_fails_the_orthogonality_check(self, rng):
         # a NaN in one reflector makes U all NaN; the measurement on the
-        # factors must not drop it
+        # factors must not drop it.  ``append`` refuses such a reflector, so
+        # the NaN is planted in V afterwards, as a fault would leave it
         k = 300
         U = Rotation(k)
-        v = rng.standard_normal(k)
-        v[7] = np.nan
-        U.append(v)
+        U.append(rng.standard_normal(k))
+        U.V[0, 7] = np.nan
         inst = RotatedInstance(build_instance(k, 1.3, 1.0), U)
         found = invariants.rotation_orthogonal(inst)
         assert np.isnan(found.measured["orthogonality_residual"])

@@ -253,7 +253,7 @@ class TestStackedLoss:
         inst = RotatedInstance(base, U)
         wy = np.abs(U.V.T) @ np.abs(U.triangular) @ np.abs(U.V)
         tol = (k + 2 * len(U)) * np.finfo(float).eps / 2 * (1.0 + np.max(wy.sum(axis=1)))
-        A, b = dense_ab(k, base.sigma, base.zeta, base.variant.value)
+        A, b = dense_ab(k, base.sigma, base.zeta, base.variant)
         A = A @ U.dense()
         resp = loss(inst, X)
         for row, value, gradient in zip(X, resp.value, resp.gradient):

@@ -142,15 +142,16 @@ class TestRun:
         inst = build_instance(3, 1.3, 1.0)
         with pytest.raises(ValueError, match="unknown method"):
             _exact_run("newton", inst, 3)
-        with pytest.raises(ValueError, match="unknown method"):
-            _exact_run("heavy ball", inst, 3)
-        # case, '_' and '-' do not matter in a method name
-        for alias, name in (("AGD", "agd"), ("heavy_ball", "heavyball"),
-                            (" Dense-Probe ", "denseprobe")):
-            got = _stacked(alias, FirstOrderOracle(inst), 3)
-            want = _stacked(name, FirstOrderOracle(inst), 3)
-            assert np.array_equal(got, want)
-            _assert_same_trace(_exact_run(alias, inst, 3), _exact_run(name, inst, 3))
+        # a method is one of METHOD_NAMES as an exact string: no case
+        # folding, no stripping, no '_' or '-' dropped
+        assert optimizers.METHOD_NAMES == tuple(ALL_METHODS)
+        for name in ALL_METHODS:
+            assert len(_exact_run(name, inst, 3)) == 4
+        for alias in ("heavy ball", "AGD", "heavy_ball", " Dense-Probe ", "gd "):
+            with pytest.raises(ValueError, match=f"unknown method '{alias}'; expected one of"):
+                _exact_run(alias, inst, 3)
+            with pytest.raises(ValueError, match="unknown method"):
+                _stacked(alias, FirstOrderOracle(inst), 3)
         with pytest.raises(ValueError, match="T must be"):
             _exact_run("gd", inst, 0)
 

@@ -274,8 +274,18 @@ class TestResistingOracle:
             oracle(scale * rng.standard_normal(10))
         oracle = _oracle_after(inst, scale * rng.standard_normal(10))
         nan_in_v(oracle.U)
-        with pytest.raises(ValueError, match="not orthogonal"):
+        # a reflecting step takes its vector from the NaN in U: ``append``
+        # refuses it before U or the points change
+        reflectors, placed = len(oracle.U), len(oracle.points)
+        with pytest.raises(ValueError, match="invalid reflector"):
             oracle(scale * rng.standard_normal(10))
+        assert (len(oracle.U), len(oracle.points)) == (reflectors, placed)
+        # at the zero start no step reflects, and the probe raises
+        oracle = ResistingOracle(inst)
+        oracle.U.append(np.ones(10))
+        nan_in_v(oracle.U)
+        with pytest.raises(ValueError, match="not orthogonal"):
+            oracle(np.zeros(10))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e308])
     def test_a_query_without_a_finite_norm_changes_nothing(self, bad, rng):
@@ -762,6 +772,14 @@ class TestReplay:
         points = oracle.points[:-1] + oracle.points[-2:-1] * extra + oracle.points[-1:]
         trace, deviation = replay_check("gd", final, T, points, np.zeros(final.k))
         assert len(trace) == T + 1
+        assert deviation == np.inf
+        assert not invariants.replay_matches(deviation).passed
+
+    def test_no_placed_points_reads_inf(self):
+        # with no point placed there is no x_T to compare: inf, not an IndexError
+        _, _, final, _ = adversarial("gd", 3)
+        trace, deviation = replay_check("gd", final, 3, [], np.zeros(final.k))
+        assert len(trace) == 3 + 1
         assert deviation == np.inf
         assert not invariants.replay_matches(deviation).passed
 
