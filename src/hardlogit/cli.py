@@ -53,13 +53,6 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _trap_stack(k: int, rng) -> np.ndarray:
-    """k-1 points of dimension k, point t-1 normal on the trailing t < k
-    coordinates and zero elsewhere: one draw of k(k-1)/2 numbers, placed
-    row by row, so the same numbers as a draw of t per point in turn."""
-    return invariants.trailing_stack(k, rng.standard_normal(k * (k - 1) // 2))
-
-
 def cmd_verify(args) -> int:
     if args.max_k < 2:
         print("error: --max-k must be >= 2", file=sys.stderr)
@@ -67,8 +60,11 @@ def cmd_verify(args) -> int:
     insts = [datasets.build_instance(k, DEFAULT_SIGMA, DEFAULT_ZETA)
              for k in range(1, args.max_k + 1)]
     profiles = [analytic.profile(inst) for inst in insts]
-    rng = np.random.default_rng(20240601)
-    trap_points = ((inst, _trap_stack(inst.k, rng)) for inst in insts[1:])
+    rng = np.random.default_rng(20240601)  # one draw of k(k-1)/2 per dimension k
+    trap_points = (
+        (insts[k - 1], invariants.trailing_stack(k, rng.standard_normal(k * (k - 1) // 2)))
+        for k in range(2, args.max_k + 1)
+    )
     checks = [
         invariants.ratio_constant(insts[0]),
         *invariants.optimum(zip(insts, profiles)),
@@ -152,7 +148,7 @@ def _resist_cell(args, T, ts, out_dir) -> bool:
     stem = f"resist_{args.method}_T{T}"
     datasets.export(final, "libsvm", out_dir / f"dataset_{stem}.libsvm",
                     analytic.profile_metadata(prof))
-    resist.save_matrix_csv(final.U.row_blocks(), out_dir / f"rotation_{stem}.csv")
+    resist.save_matrix_csv(final.U, out_dir / f"rotation_{stem}.csv")
     return _emit(args, final, T, stem, trace, prof, findings, ts, out_dir)
 
 

@@ -122,7 +122,8 @@ class Rotation:
         the capacity, and one column of T, -beta T (V v), in O(jk).  H does
         not depend on the scale of v, but v'v must not over- or underflow:
         the adversary passes v with its largest entry near 1.  Unless v'v and
-        beta are positive finite doubles, raises ValueError and leaves U."""
+        beta are positive finite doubles and T's new column is finite (two
+        tiny reflectors can overflow it), raises ValueError and leaves U."""
         v = np.asarray(v, dtype=float)
         n, m = self._n, v.shape[0]
         if v.ndim != 1 or not 0 < m <= self.k:
@@ -139,7 +140,12 @@ class Rotation:
             self._V, self._T = V, T
         beta = 2.0 / vv
         self._V[n, :m] = v
-        self._T[:n, n] = -beta * (self.triangular @ (self.V @ self._V[n]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            column = -beta * (self.triangular @ (self.V @ self._V[n]))
+        if not np.isfinite(column).all():
+            self._V[n] = 0.0
+            raise ValueError("invalid reflector: its column of T is not finite")
+        self._T[:n, n] = column
         self._T[n, n] = beta
         self._n = n + 1
 
@@ -158,16 +164,15 @@ class Rotation:
         n = self._n
         return _wy_update(y, self._V[n - 1 : n], self._T[n - 1 : n, n - 1 : n])
 
-    def row_blocks(self, bounds=None):
-        """U[lo:hi] for each (lo, hi) of ``bounds`` in turn (by default,
-        chunks of ``CHUNK_CELLS`` entries), every row bit for bit the one
-        ``dense()`` builds: (T V)[:, lo:hi]' V by the same GEMM, then 0 minus
-        that and +1 on the diagonal.  T V is formed once.  A one-row block is
-        computed beside a neighbouring row, since numpy takes a one-row
-        product by GEMV, whose sums may round differently."""
+    def row_blocks(self, bounds):
+        """U[lo:hi] for each (lo, hi) of ``bounds`` in turn, every row bit for
+        bit the one ``dense()`` builds: (T V)[:, lo:hi]' V by the same GEMM,
+        then 0 minus that and +1 on the diagonal.  T V is formed once.  A
+        one-row block is computed beside a neighbouring row, since numpy
+        takes a one-row product by GEMV, whose sums may round differently."""
         k, V = self.k, self.V
         TV = self.triangular @ V
-        for lo, hi in _row_bounds(k, k) if bounds is None else bounds:
+        for lo, hi in bounds:
             a, b = lo, hi
             if b - a == 1 and k > 1:
                 a, b = (a, b + 1) if b < k else (a - 1, b)

@@ -28,13 +28,12 @@ direction carries the label signal (A'b) and is never touched, so the
 rotated dataset stays in the family.
 """
 
-import itertools
 import math
 import sys
 
 import numpy as np
 
-from .datasets import RotatedInstance, Rotation, WorstCaseInstance
+from .datasets import RotatedInstance, Rotation, WorstCaseInstance, _row_bounds
 from .logloss import FirstOrderOracle, OracleResponse, loss
 from .optimizers import Trace, _fold, drive
 
@@ -247,54 +246,48 @@ def replay_check(name: str, final_inst: RotatedInstance, T: int, points,
     return trace, float(np.max([*comparing.deviations, np.max(np.abs(trace.final - points[-1]))]))
 
 
-def save_matrix_csv(blocks, path) -> None:
-    """Write the matrix whose rows ``blocks`` yields, a 2-D block of rows at
-    a time (``[matrix]``, or ``Rotation.row_blocks()`` so that no k x k U is
-    built), as plain CSV: the text ``np.savetxt(path, matrix, delimiter=",",
-    fmt="%.17g")`` writes of the stacked blocks.
+def save_matrix_csv(U: Rotation, path) -> None:
+    """Write the rotation U as the CSV text ``np.savetxt(path, U.dense(),
+    delimiter=",", fmt="%.17g")`` writes, building no k x k U.
 
-    A row formats only the cells whose bits differ from the row above (-0
-    differs from +0; equal NaN bits do not differ).  If every changed cell
-    keeps its text's length, they are spliced into the line above at their
-    character offsets, which are taken once per line template; otherwise
-    the row joins them with the cells it keeps from that row.  Rows of
-    U = I - V'T'V outside every reflector's support are identity rows,
-    where a "0" and a "1" swap, and rows with equal reflector coefficients
-    differ only on the diagonal, so a row of U costs what changes in it.  A
-    row new in every cell is one template, as in ``np.savetxt``, split into
-    cells only when a later row keeps some.
-    """
-    cells, above, line, offsets = None, None, "", None
+    U is the identity outside its leading m x m block, m one past the last
+    column where V has a nonzero: rows m.. are identity rows, one template
+    each with no GEMM, and rows ..m-1 their leading m cells from
+    ``row_blocks``, each followed by one tail of k-m zeros.  ``dense()``
+    computes the same bytes: 0 - (+-0) = +0 outside the block and 1.0 on
+    its diagonal, as ``Rotation.append`` keeps every factor finite."""
+    k, support = U.k, np.flatnonzero(U.V.any(axis=0))
+    m = int(support[-1]) + 1 if len(support) else 0
     with open(path, "w") as fh:
-        for chunk in blocks:
-            chunk = np.ascontiguousarray(chunk, dtype=float)
-            k = chunk.shape[1]
-            whole = ",".join(["%.17g"] * k) + "\n"
-            for row, bits in zip(chunk, chunk.view(np.int64)):
-                changed = None if above is None else np.flatnonzero(bits != above)
-                if changed is None or len(changed) == k:
-                    line, cells, offsets = whole % tuple(row.tolist()), None, None
-                elif len(changed):
-                    if cells is None:
-                        cells = line[:-1].split(",")
-                    cols = changed.tolist()
-                    texts = (",".join(["%.17g"] * len(cols)) % tuple(row[changed].tolist())
-                             ).split(",")
-                    same = True  # every changed cell keeps its text's length
-                    for col, text in zip(cols, texts):
-                        same = same and len(text) == len(cells[col])
-                        cells[col] = text
-                    if not same:
-                        line, offsets = ",".join(cells) + "\n", None
-                    else:
-                        if offsets is None:  # offsets[col]: where cell col starts
-                            offsets = list(itertools.accumulate(
-                                (len(cell) + 1 for cell in cells), initial=0))
-                        pieces, at = [], 0
-                        for col, text in zip(cols, texts):
-                            pieces += (line[at : offsets[col]], text)
-                            at = offsets[col] + len(text)
-                        pieces.append(line[at:])
-                        line = "".join(pieces)
-                fh.write(line)
-                above = bits
+        if m:
+            blocks = (block[:, :m] for block in U.row_blocks(_row_bounds(m, k)))
+            _write_rows(fh, blocks, ",0" * (k - m) + "\n")
+        fh.writelines("0," * i + "1" + ",0" * (k - 1 - i) + "\n" for i in range(m, k))
+
+
+def _write_rows(fh, blocks, end: str) -> None:
+    """Write the rows of the 2-D ``blocks`` to ``fh`` as ``np.savetxt(fmt=
+    "%.17g", delimiter=",")`` writes them, but ends each with ``end``.  A row
+    formats only the cells whose bits differ from the row above (-0 differs
+    from +0, equal NaN bits do not) and joins them with the cells it keeps,
+    so it costs what changes in it; a row new in every cell is one
+    template, split into cells only when a later row keeps some."""
+    cells, above, line = None, None, ""
+    for chunk in blocks:
+        chunk = np.ascontiguousarray(chunk, dtype=float)
+        k = chunk.shape[1]
+        whole = ",".join(["%.17g"] * k) + end
+        for row, bits in zip(chunk, chunk.view(np.int64)):
+            changed = None if above is None else np.flatnonzero(bits != above)
+            if changed is None or len(changed) == k:
+                line, cells = whole % tuple(row.tolist()), None
+            elif len(changed):
+                if cells is None:
+                    cells = line[: len(line) - len(end)].split(",")
+                texts = (",".join(["%.17g"] * len(changed)) % tuple(row[changed].tolist())
+                         ).split(",")
+                for col, text in zip(changed.tolist(), texts):
+                    cells[col] = text
+                line = ",".join(cells) + end
+            fh.write(line)
+            above = bits

@@ -17,7 +17,7 @@ from hardlogit import (
     run,
 )
 from hardlogit import cli
-from hardlogit.cli import _trap_stack, main
+from hardlogit.cli import main
 from conftest import dense_ab, logistic_form, nan_in_v, rotated_ab, scale_first_beta
 
 
@@ -483,7 +483,7 @@ def test_verify_draws_each_instances_trap_points_at_once():
     stacks, points = [], []
     for k in range(2, 81):
         inst = build_instance(k, 1.3, 1.0)
-        stacks.append((inst, _trap_stack(k, one)))
+        stacks.append((inst, invariants.trailing_stack(k, one.standard_normal(k * (k - 1) // 2))))
         points += [(inst, np.concatenate([np.zeros(k - t), each.standard_normal(t)]))
                    for t in range(1, k)]
         assert np.array_equal(stacks[-1][1], np.array([x for _, x in points[-(k - 1):]]))

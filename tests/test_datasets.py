@@ -211,7 +211,8 @@ class TestRotation:
             blocks = list(U.row_blocks(bounds))
             assert [len(b) for b in blocks] == [hi - lo for lo, hi in bounds]
             assert np.array_equal(np.vstack(blocks).view(np.int64), dense)
-        assert np.array_equal(np.vstack(list(U.row_blocks())).view(np.int64), dense)
+        chunks = datasets._row_bounds(k, k)  # CHUNK_CELLS entries a block
+        assert np.array_equal(np.vstack(list(U.row_blocks(chunks))).view(np.int64), dense)
 
     def test_append_checks_the_reflector(self):
         U = Rotation(4)
@@ -229,6 +230,21 @@ class TestRotation:
                 U.append(bad)
             assert len(U) == 1
             assert np.array_equal(U.V, V) and np.array_equal(U.triangular, T)
+        # beside a tiny first reflector, a tiny second one overflows T's new
+        # column, -beta T (V v): it raises with no warning and leaves U, and
+        # the next reflector appends as if it had never been offered
+        U, fresh = Rotation(3), Rotation(3)
+        U.append([1.1e-154])
+        fresh.append([1.1e-154])
+        V, T = U.V.copy(), U.triangular.copy()
+        with pytest.raises(ValueError, match="invalid reflector"):
+            U.append([1.1e-154, 1e-160])
+        assert len(U) == 1
+        assert np.array_equal(U.V, V) and np.array_equal(U.triangular, T)
+        U.append([1.0])
+        fresh.append([1.0])
+        assert np.array_equal(U.V, fresh.V) and np.array_equal(U.triangular, fresh.triangular)
+        assert np.isfinite(U.dense()).all()
 
 
 def _partitions(k, rng):

@@ -820,10 +820,16 @@ class TestReplay:
 def test_save_matrix_csv_roundtrip(tmp_path):
     _, _, final, _ = adversarial("denseprobe", 2)
     path = tmp_path / "rotation.csv"
-    U = final.U.dense()
-    save_matrix_csv([U], path)
+    save_matrix_csv(final.U, path)
     loaded = np.loadtxt(path, delimiter=",")
-    assert np.array_equal(loaded, U)
+    assert np.array_equal(loaded, final.U.dense())
+
+
+def _write_rows(blocks, path):
+    """``resist._write_rows`` of the 2-D row ``blocks`` into the file at
+    ``path``, each row ended by a newline, as ``np.savetxt`` ends it."""
+    with open(path, "w") as fh:
+        resist._write_rows(fh, blocks, "\n")
 
 
 def _reflected(k, lengths, seed):
@@ -841,8 +847,9 @@ def _reflected(k, lengths, seed):
     np.array([[0.0, -0.0, 1.5], [np.nan, 0.0, -np.inf]]),
 ], ids=["0-reflectors", "1-reflector", "3-reflectors", "signed-zero-nan-inf"])
 def test_save_matrix_csv_is_savetxt(matrix, tmp_path):
+    # the row writer takes any rows, a dense U's among them
     ours, reference = tmp_path / "ours.csv", tmp_path / "savetxt.csv"
-    save_matrix_csv([matrix], ours)
+    _write_rows([matrix], ours)
     np.savetxt(reference, matrix, fmt="%.17g", delimiter=",")
     assert ours.read_bytes() == reference.read_bytes()
 
@@ -855,29 +862,29 @@ _NAN_A, _NAN_B = np.array([0x7FF8000000000001, 0x7FF8000000000002], dtype=np.uin
     [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0], [1.0, 0.0, 0.0, 0.0]],
     # same-length changes: digits, NaN payloads, inf to nan, -0 to -1
     [[1.0, _NAN_A, -0.0, np.inf], [2.0, _NAN_B, -1.0, np.nan], [3.0, _NAN_A, -2.0, -np.inf]],
-    # a splice, a join whose cells change length (-0 after +0, 0.5 after 1),
-    # then a splice on the joined line, whose offsets are taken again
+    # cells that keep their lengths, cells that change them (-0 after +0,
+    # 0.5 after 1), then cells that keep them on the line that changed
     [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [-0.0, 0.5, 0.0], [-1.0, 0.5, 2.0], [-1.0, 0.25, 3.0]],
-    # one changed cell keeps its length and one does not: a join
+    # one changed cell keeps its length and one does not
     [[1.0, 2.0, 3.0], [4.0, 2.0, 3.5], [4.0, 7.0, 3.25]],
-    # rows new in every cell between spliced ones, and repeated rows
+    # rows new in every cell between partly changed ones, and repeated rows
     [[0.0, 0.0], [0.0, 0.0], [1.0, 2.0], [1.0, 3.0], [5e-324, 1.7976931348623157e308],
      [1.7976931348623157e308, 5e-324]],
 ], ids=["identity", "same-length", "splice-join-splice", "mixed-lengths", "templates"])
 def test_save_matrix_csv_splices_same_length_cells(rows, tmp_path):
-    # a row whose changed cells keep their text lengths is spliced into the
-    # line above, any other joined: every line is the one np.savetxt writes,
-    # written from one block or from one-row blocks
+    # rows whose changed cells keep their text lengths, rows whose cells
+    # change length, and mixes: each line is the one np.savetxt writes,
+    # from one block or from one-row blocks
     matrix = np.array(rows)
     reference = tmp_path / "savetxt.csv"
     np.savetxt(reference, matrix, fmt="%.17g", delimiter=",")
     for blocks in ([matrix], [row[None] for row in matrix]):
-        save_matrix_csv(blocks, tmp_path / "ours.csv")
+        _write_rows(blocks, tmp_path / "ours.csv")
         assert (tmp_path / "ours.csv").read_bytes() == reference.read_bytes()
 
 
 @pytest.mark.parametrize("name", ALL_METHODS)
-@pytest.mark.parametrize("T", [10, 130, 150])
+@pytest.mark.parametrize("T", [1, 2, 10, 130, 150])
 def test_resist_writes_the_dense_rotation_and_dataset(name, T, tmp_path):
     # resist's two artifacts, byte for byte: the libsvm text of the dense
     # rows of A U and np.savetxt's text of the dense U, whether the run
@@ -938,7 +945,7 @@ def test_save_matrix_csv_is_savetxt_on_any_rows(matrix, tmp_path_factory):
     # is still the one np.savetxt writes
     out = tmp_path_factory.mktemp("csv")
     ours, reference = out / "ours.csv", out / "savetxt.csv"
-    save_matrix_csv([matrix], ours)
+    _write_rows([matrix], ours)
     np.savetxt(reference, matrix, fmt="%.17g", delimiter=",")
     assert ours.read_bytes() == reference.read_bytes()
 
@@ -960,25 +967,77 @@ def test_save_matrix_csv_reads_a_rotation_by_row_blocks(lengths, tmp_path, monke
 
     monkeypatch.setattr(Rotation, "dense", no_dense)
     monkeypatch.setattr(datasets, "CHUNK_CELLS", 3 * k)
-    save_matrix_csv(U.row_blocks(), tmp_path / "ours.csv")
+    save_matrix_csv(U, tmp_path / "ours.csv")
+    assert (tmp_path / "ours.csv").read_bytes() == reference.read_bytes()
+
+
+@st.composite
+def _rotations(draw):
+    """A ``Rotation`` of dimension 1 to 40 after 0 to 4 reflectors of any
+    length 1 to k (k leaves no zero tail): random, random with trailing
+    zeros (U's support ends before the reflector does), or equal in every
+    coefficient but the last, as denseprobe's are."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = draw(st.integers(1, 40))
+    U = Rotation(k)
+    for _ in range(draw(st.integers(0, 4))):
+        m = draw(st.integers(1, k))
+        v = rng.standard_normal(m)
+        kind = draw(st.sampled_from(["random", "zero-tail", "equal"]))
+        if kind == "zero-tail":
+            v[draw(st.integers(1, m)):] = 0.0
+        elif kind == "equal":
+            v[:-1] = v[0]
+        U.append(v)
+    return U
+
+
+@settings(max_examples=150, deadline=None)
+@given(U=_rotations())
+def test_save_matrix_csv_is_savetxt_on_any_rotation(U, tmp_path_factory):
+    # the leading block from row_blocks, its zero tail and the identity rows
+    # past U's support are the bytes np.savetxt writes of the dense U
+    out = tmp_path_factory.mktemp("rotation")
+    ours, reference = out / "ours.csv", out / "savetxt.csv"
+    save_matrix_csv(U, ours)
+    np.savetxt(reference, U.dense(), fmt="%.17g", delimiter=",")
+    assert ours.read_bytes() == reference.read_bytes()
+
+
+@pytest.mark.parametrize("k", [1, 2, 602])
+def test_save_matrix_csv_writes_the_identity_without_row_blocks(k, tmp_path, monkeypatch):
+    # a U with no reflector is the identity, every row one template: no
+    # row of U is computed
+    reference = tmp_path / "savetxt.csv"
+    np.savetxt(reference, np.eye(k), fmt="%.17g", delimiter=",")
+
+    def no_rows(*_):
+        raise AssertionError("save_matrix_csv computed rows of U")
+
+    monkeypatch.setattr(Rotation, "row_blocks", no_rows)
+    save_matrix_csv(Rotation(k), tmp_path / "ours.csv")
     assert (tmp_path / "ours.csv").read_bytes() == reference.read_bytes()
 
 
 @pytest.mark.parametrize("kind", ["dense", "identity"])
 def test_save_matrix_csv_holds_one_row_at_a_time(kind, tmp_path):
-    # the writer keeps one row's cells and lines, never a mask of all rows
-    # or the list of all lines: at k = 1602 it peaks below k * 256 bytes,
-    # on the identity and on 320 all-distinct rows, whose bool mask alone
-    # would be 1.25 times that (all 1602 rows take 14 s under tracemalloc)
+    # the writers keep one row's cells and lines, never a mask of all rows
+    # or the list of all lines: at k = 1602 each peaks below k * 256 bytes,
+    # save_matrix_csv on the identity and the row writer on 320 all-distinct
+    # rows, whose bool mask alone would be 1.25 times that (all 1602 rows
+    # take 14 s under tracemalloc)
     k = 1602
     rng = np.random.default_rng(4)
-    matrix = np.eye(k) if kind == "identity" else rng.standard_normal((320, k))
+    matrix = None if kind == "identity" else rng.standard_normal((320, k))
     tracemalloc.start()
     try:
-        save_matrix_csv([matrix], tmp_path / "matrix.csv")
+        if matrix is None:
+            save_matrix_csv(Rotation(k), tmp_path / "matrix.csv")
+        else:
+            _write_rows([matrix], tmp_path / "matrix.csv")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < k * 256
     with open(tmp_path / "matrix.csv") as fh:
-        assert sum(1 for _ in fh) == len(matrix)
+        assert sum(1 for _ in fh) == (k if matrix is None else len(matrix))
