@@ -25,11 +25,10 @@ reflectors in compact WY form: the same k, sigma, zeta, blocks, labels and
 index structure in O(k) and U in O(jk) for j reflectors; only ``dense()``
 builds U or the N x k matrix.
 
-``export`` is the one writer of a dataset: one call writes the csv or
-libsvm file, its rows read by one loop over chunks of rows of the k x k
-block (``w_nonzeros``; W U from the rows of U that ``Rotation.row_blocks``
-yields, or from W's closed form when U holds no reflector), and its
-``.meta.json`` sidecar beside it; no k x k array is built.
+``export`` is the one writer of a dataset and its ``.meta.json`` sidecar, a
+chunk of rows at a time with no k x k array: a block whose U holds no
+reflector (every base instance) is s * W, written from W's closed form; the
+token writer serves only blocks whose U holds one, read by ``w_nonzeros``.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ from pathlib import Path
 
 import numpy as np
 
-CHUNK_CELLS = 1 << 15  # entries of a block, or of U, that a writer holds at once
+CHUNK_CELLS = 1 << 15  # entries of a block, or of U, a writer holds; a libsvm row of W holds 2
 VARIANTS = ("fourblock", "twoblock")
 FORMATS = ("csv", "libsvm")
 
@@ -243,23 +242,6 @@ class WorstCaseInstance:
     def w_block(self) -> np.ndarray:
         return self.w.dense()
 
-    def w_row_nonzeros(self) -> int:
-        """The most nonzeros a row of the k x k block holds."""
-        return min(self.k, 2)
-
-    def w_nonzeros(self, bounds):
-        """(rows, cols, vals) of the nonzeros of block rows lo..hi-1, for each
-        (lo, hi) of ``bounds`` in turn, in row-major order as ``np.nonzero``
-        lists them, from W's closed form: row i < k-1 holds -1 at column
-        k-2-i and +1 at k-1-i, row k-1 a +1 at column 0."""
-        k = self.k
-        i = np.arange(k - 1)
-        rows = np.append(np.repeat(i, 2), k - 1)
-        cols = np.append(np.column_stack((k - 2 - i, k - 1 - i)).ravel(), 0)
-        vals = np.append(np.tile([-1.0, 1.0], k - 1), 1.0)
-        for lo, hi in bounds:  # row i < k-1 is entries 2i and 2i+1, row k-1 entry 2k-2
-            yield rows[2 * lo : 2 * hi], cols[2 * lo : 2 * hi], vals[2 * lo : 2 * hi]
-
     def dense(self) -> np.ndarray:
         wb = self.w_block()
         return np.vstack([s * wb for s in self.block_scales])
@@ -307,20 +289,12 @@ class RotatedInstance(WorstCaseInstance):
         """W U, by W's two-slice row difference on the materialized U; no GEMM."""
         return self.w.apply(self.U.dense())
 
-    def w_row_nonzeros(self) -> int:
-        return self.k if len(self.U) else super().w_row_nonzeros()
-
     def w_nonzeros(self, bounds):
         """(rows, cols, vals) of the nonzeros of rows lo..hi-1 of W U, for each
         (lo, hi) of ``bounds`` in turn, in row-major order; each row bit for
         bit the one ``w_block()`` holds, from the rows of U it needs (row
         i < k-1 is U[k-1-i] - U[k-2-i], row k-1 is U[0]), so no k x k array
-        is built.  With no reflector they are W's, from its closed form and
-        no GEMM: U's rows are then exactly e_r (0 - (+-0) is +0, the
-        diagonal 1.0), so row i of W U is row i of W."""
-        if not len(self.U):
-            yield from super().w_nonzeros(bounds)
-            return
+        is built."""
         k, bounds = self.k, list(bounds)
         needed = self.U.row_blocks([(max(k - 1 - hi, 0), k - lo) for lo, hi in bounds])
         for (lo, hi), u in zip(bounds, needed):
@@ -397,6 +371,80 @@ def _join(run):
     return (run[0][0], run[-1][1], *(np.concatenate(part) for part in list(zip(*run))[2:]))
 
 
+def _w_texts(inst: WorstCaseInstance, libsvm: bool):
+    """The text of each block's rows s * W from W's closed form, a chunk at
+    a time.  libsvm fills one index skeleton a chunk with the block's label
+    L, -s and s: row i < k-1 reads "L (k-1-i):-s (k-i):s", row k-1 "L 1:s".
+    A csv row i < k-1 is k-2-i zero cells, "-s,s," and i zero cells: a
+    slice of one run of them, whose tail, "s," and k-1 zeros, is row k-1."""
+    k, bounds = inst.k, _row_bounds(inst.k, 2 if libsvm else inst.k)
+    skeletons = []  # "\0", "\1" and "\2" stand for L, -s and s
+    for lo, hi in bounds if libsvm else ():  # row i < k-1 holds columns k-1-i and k-i
+        pairs = np.arange(k - 1 - lo, max(k - 1 - hi, 0), -1)[:, None] + (0, 1)
+        skeletons.append(("\0 %d:\1 %d:\2\n" * len(pairs)) % tuple(pairs.ravel().tolist())
+                         + "\0 1:\2\n" * (hi == k))
+    for s, label in zip(inst.block_scales, inst.block_labels):
+        neg, pos = "%.17g" % -s, "%.17g" % s  # -s is s * -1.0, bit for bit
+        if libsvm:
+            yield from (sk.replace("\0", "%d" % label).replace("\1", neg).replace("\2", pos)
+                        for sk in skeletons)
+            continue
+        zero, end = "%.17g," % (s * 0.0), "%d\n" % label  # s * 0.0 is "-0" where s < 0
+        run = f"{zero * (k - 1)}{neg},{pos},{zero * (k - 1)}"
+        z, width = len(zero), (k - 2) * len(zero) + len(neg) + len(pos) + 2
+        for lo, hi in bounds:
+            rows = [run[(i + 1) * z : (i + 1) * z + width] for i in range(lo, min(hi, k - 1))]
+            yield end.join(rows + [run[(k - 1) * z + len(neg) + 1 :]] * (hi == k)) + end
+
+
+def _token_texts(inst: RotatedInstance, libsvm: bool):
+    """The text of each block's rows s * (W U), a ``w_nonzeros`` chunk at a
+    time (read once for all blocks if they fit in one): its distinct values,
+    told apart by their bits, formatted once and joined with its tokens.
+    libsvm drops values that underflow to zero and joins chunks while their
+    nonzeros total at most ``CHUNK_CELLS // 8``."""
+    k, bounds = inst.k, _row_bounds(inst.k, inst.k)
+    heads = np.array([" %d:" % (j + 1) for j in range(k * libsvm)], dtype=object)
+    cell = "%.17g" if libsvm else "%.17g,"
+    held = None  # the block's nonzeros, once read, if they fit in a chunk
+    for s, label in zip(inst.block_scales, inst.block_labels):
+        zero = "%.17g," % (s * 0.0)  # a zero of the block is s * 0.0: "-0" where s < 0
+        chunks = held or _chunks(bounds, inst.w_nonzeros(bounds),
+                                 CHUNK_CELLS // 8 if libsvm else -1)
+        held, size = [], 0
+        for chunk in chunks:
+            lo, hi, rows, cols, w = chunk
+            size += len(w)
+            held = held + [chunk] if size <= CHUNK_CELLS else None
+            vals = s * w
+            if libsvm and not (keep := vals != 0.0).all():  # s * w may underflow
+                rows, cols, vals = rows[keep], cols[keep], vals[keep]
+            n, h = len(vals), hi - lo
+            starts = np.searchsorted(rows, np.arange(lo, hi + 1))
+            # row r: a prefix, a (lead, cell) pair per nonzero, then two ends
+            tokens = np.empty(2 * n + 3 * h, dtype=object)
+            at = 2 * np.arange(n) + 3 * (rows - lo) + 1
+            first = 2 * starts[:-1] + 3 * np.arange(h)
+            last = first + 2 * np.diff(starts) + 1
+            if libsvm:
+                tokens[first], tokens[at], tokens[last], tokens[last + 1] = (
+                    "%d" % label, heads[cols], "", "\n")
+            else:  # a nonzero's lead and a row's first end are runs of zero cells
+                before = np.append(-1, cols)  # before[t + 1] is nonzero t's column
+                final = np.where(starts[1:] > starts[:-1], before[starts[1:]], -1)
+                before = before[:-1]
+                before[starts[:-1][starts[:-1] < n]] = -1  # a row's first nonzero
+                gaps, gap = np.unique(np.append(cols - before - 1, k - 1 - final),
+                                      return_inverse=True)
+                runs = np.array([zero * g for g in gaps.tolist()], dtype=object)
+                tokens[first], tokens[at], tokens[last], tokens[last + 1] = (
+                    "", runs[gap[:n]], runs[gap[n:]], "%d\n" % label)
+            distinct, which = np.unique(vals.view(np.int64), return_inverse=True)
+            texts = (cell + "\n") * len(distinct) % tuple(distinct.view(float).tolist())
+            tokens[at + 1] = np.array(texts.splitlines(), dtype=object)[which]
+            yield "".join(tokens.tolist())
+
+
 def export(inst: WorstCaseInstance, format: str, path, extra_meta: dict | None = None) -> Path:
     """Write the dataset to ``path`` in ``format`` and its metadata sidecar
     beside it; return the sidecar's path, ``path`` + ".meta.json".
@@ -404,22 +452,14 @@ def export(inst: WorstCaseInstance, format: str, path, extra_meta: dict | None =
     - ``csv``: header feature_1..feature_k,label; one dense row per datum.
     - ``libsvm``: sparse "label idx:val" lines (1-based indices, nonzeros only).
 
-    Rows are s * W, or s * (W U) when rotated, read for both formats by one
-    loop over chunks of rows of the block's nonzeros (``w_nonzeros``), each
-    of at most ``CHUNK_CELLS`` entries or csv cells, so no k x k array is
-    built and a chunk's text is written before the next is read.  libsvm
-    omits the exact zeros, and writes consecutive chunks as one while their
-    nonzeros total at most ``CHUNK_CELLS // 8``, so a sparse block read in
-    dense rows costs a few writes, not one per read; csv writes every zero
-    of a block as a slice of one run of the string of s * 0.0.  A chunk
-    formats each of its distinct values once, told apart by their bits (-0
-    is not +0, nor one NaN another).  A block's nonzeros are read once for
-    all blocks if they fit in a chunk.  Labels are the integers 1 / -1;
+    Rows are written a chunk at a time, with no k x k array.  A block whose
+    U holds no reflector (every base instance, and a span method's resist
+    run) is s * W, written from W's closed form; only one whose U holds a
+    reflector takes the token writer.  Labels are the integers 1 / -1;
     floats carry 17 digits (exact round-trip).  The sidecar holds {k, sigma,
     zeta, variant, N, spectral_norm_bound} merged with ``extra_meta``
-    (callers add the analytic entries c, f_star, xstar_norm_sq); it must be
-    valid JSON, so a non-finite entry raises ValueError before either file
-    is written.
+    (callers add c, f_star and xstar_norm_sq); it must be valid JSON, so a
+    non-finite entry raises ValueError before either file is written.
     """
     if format not in FORMATS:
         raise ValueError(f"unknown format {format!r}; expected one of {FORMATS}")
@@ -436,51 +476,11 @@ def export(inst: WorstCaseInstance, format: str, path, extra_meta: dict | None =
     if bad:
         raise ValueError(f"metadata not finite, so not valid JSON: {bad}")
     libsvm = format == "libsvm"
-    k = inst.k
-    bounds = _row_bounds(k, inst.w_row_nonzeros() if libsvm else k)
-    heads = np.array([" %d:" % (j + 1) for j in range(k * libsvm)], dtype=object)
-    cell = "%.17g" if libsvm else "%.17g,"
-    held = None  # the block's nonzeros, once read, if they fit in a chunk
+    texts = _token_texts if isinstance(inst, RotatedInstance) and len(inst.U) else _w_texts
     with open(path, "w") as fh:
         if not libsvm:
-            fh.write(",".join(f"feature_{j + 1}" for j in range(k)) + ",label\n")
-        for s, label in zip(inst.block_scales, inst.block_labels):
-            zero = "%.17g," % (s * 0.0)  # a zero of the block is s * 0.0: "-0" where s < 0
-            zeros = zero * k
-            chunks = held or _chunks(bounds, inst.w_nonzeros(bounds),
-                                     CHUNK_CELLS // 8 if libsvm else -1)
-            held, size = [], 0
-            for chunk in chunks:
-                lo, hi, rows, cols, w = chunk
-                size += len(w)
-                held = held + [chunk] if size <= CHUNK_CELLS else None
-                vals = s * w
-                if libsvm and not (keep := vals != 0.0).all():  # s * w may underflow
-                    rows, cols, vals = rows[keep], cols[keep], vals[keep]
-                n, h = len(vals), hi - lo
-                starts = np.searchsorted(rows, np.arange(lo, hi + 1))
-                # row r: a prefix, a (lead, cell) pair per nonzero, then two ends
-                tokens = np.empty(2 * n + 3 * h, dtype=object)
-                at = 2 * np.arange(n) + 3 * (rows - lo) + 1
-                first = 2 * starts[:-1] + 3 * np.arange(h)
-                last = first + 2 * np.diff(starts) + 1
-                if libsvm:
-                    tokens[first], tokens[at], tokens[last], tokens[last + 1] = (
-                        "%d" % label, heads[cols], "", "\n")
-                else:  # a nonzero's lead and a row's first end are runs of zero cells
-                    before = np.append(-1, cols)  # before[t + 1] is nonzero t's column
-                    final = np.where(starts[1:] > starts[:-1], before[starts[1:]], -1)
-                    before = before[:-1]
-                    before[starts[:-1][starts[:-1] < n]] = -1  # a row's first nonzero
-                    gaps, gap = np.unique(np.append(cols - before - 1, k - 1 - final),
-                                          return_inverse=True)
-                    runs = np.array([zeros[: g * len(zero)] for g in gaps.tolist()], dtype=object)
-                    tokens[first], tokens[at], tokens[last], tokens[last + 1] = (
-                        "", runs[gap[:n]], runs[gap[n:]], "%d\n" % label)
-                distinct, which = np.unique(vals.view(np.int64), return_inverse=True)
-                texts = (cell + "\n") * len(distinct) % tuple(distinct.view(float).tolist())
-                tokens[at + 1] = np.array(texts.splitlines(), dtype=object)[which]
-                fh.write("".join(tokens.tolist()))
+            fh.write(",".join(f"feature_{j + 1}" for j in range(inst.k)) + ",label\n")
+        fh.writelines(texts(inst, libsvm))
 
     sidecar = Path(f"{path}.meta.json")
     with open(sidecar, "w") as fh:

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hardlogit import (
@@ -493,45 +493,53 @@ def _parse_libsvm(path, k):
 
 
 def _dense_text(inst, fmt):
-    """The file ``export`` must write, from every cell of ``inst.dense()``:
-    csv writes each in "%.17g" ("-0" where a negative scale meets a zero),
-    libsvm the nonzeros with their 1-based columns."""
-    rows = inst.dense()
-    if fmt == "csv":
-        lines = [",".join(f"feature_{j}" for j in range(1, inst.k + 1)) + ",label"]
-        lines += [",".join("%.17g" % v for v in row) + ",%d" % lab
-                  for row, lab in zip(rows, inst.labels)]
-    else:
-        lines = ["%d" % lab + "".join(" %d:%.17g" % (j + 1, v) for j, v in enumerate(row) if v)
-                 for row, lab in zip(rows, inst.labels)]
+    """The file ``export`` must write, from every cell of the dense rows of
+    ``inst``, those of ``inst.dense()``, 256 rows of a block s * ``w_block()``
+    at a time: csv writes each in "%.17g" ("-0" where a negative scale meets
+    a zero), libsvm the nonzeros with their 1-based columns.  A csv row is
+    cut where a cell's bits differ from the cell before, and each run of
+    equal cells is one text repeated, so a four-block csv at k = 2100 (17.6M
+    cells) takes under half a second."""
+    block, k = inst.w_block(), inst.k
+    lines = [",".join(f"feature_{j}" for j in range(1, k + 1)) + ",label"] * (fmt == "csv")
+    for s, lab in zip(inst.block_scales, inst.block_labels):
+        for lo in range(0, k, 256):
+            rows = s * block[lo : lo + 256]
+            if fmt == "csv":
+                bits = rows.view(np.int64)
+                r, c = np.nonzero(bits[:, 1:] != bits[:, :-1])
+                c += 1  # the first cell of a run
+            else:
+                r, c = np.nonzero(rows)
+            at, c = np.searchsorted(r, np.arange(len(rows) + 1)).tolist(), c.tolist()
+            for i, row in enumerate(rows):
+                cols = c[at[i] : at[i + 1]]
+                if fmt == "csv":
+                    cuts = [0, *cols, k]
+                    lines.append("".join(("%.17g," % row[a]) * (b - a)
+                                         for a, b in zip(cuts, cuts[1:])) + "%d" % lab)
+                else:
+                    lines.append("%d" % lab + "".join(" %d:%.17g" % (j + 1, row[j]) for j in cols))
     return "\n".join(lines) + "\n"
-
-
-def _gemm_nonzeros(inst, bounds):
-    """The nonzeros of W U, chunk by chunk, from the rows of U that
-    ``Rotation.row_blocks`` builds by GEMM (row i < k-1 is U[k-1-i] -
-    U[k-2-i], row k-1 is U[0]): the path a rotated instance takes when it
-    holds a reflector, kept here as the reference for one that holds none."""
-    k = inst.k
-    needed = inst.U.row_blocks([(max(k - 1 - hi, 0), k - lo) for lo, hi in bounds])
-    for (lo, hi), u in zip(bounds, needed):
-        u = u[::-1]
-        m = min(hi, k - 1) - lo
-        wu = np.empty((hi - lo, k))
-        np.subtract(u[:m], u[1 : m + 1], out=wu[:m])
-        wu[m:] = u[m : hi - lo]
-        rows, cols = np.nonzero(wu)
-        yield rows + lo, cols, wu[rows, cols]
 
 
 @st.composite
 def _export_cases(draw):
-    """An instance of either variant, k from 1 to 64, at a normal or a
-    subnormal scale, left alone or rotated by 0 to 8 reflectors (each on a
-    leading block of random length, with random entries or two values),
-    and a chunk size ``CHUNK_CELLS`` from 1 to 4k entries."""
-    k = draw(st.integers(1, 64))
+    """An instance of either variant, a chunk size ``CHUNK_CELLS`` from 1 to
+    4k entries and the formats to write.  A third of the draws are a base
+    instance, written from W's closed form, in one format: k from 1 to
+    2100, sigma/zeta in (1, 1e4] and zeta in 10^[-8, 8].  The rest, in
+    both formats, have k from 1 to 64, at a normal or a subnormal scale,
+    left alone or rotated by 0 to 8 reflectors (each on a leading block of
+    random length, with random entries or two values)."""
     variant = draw(st.sampled_from(["fourblock", "twoblock"]))
+    if draw(st.integers(0, 2)) == 0:
+        k = draw(st.integers(1, 2100))
+        zeta = 10.0 ** draw(st.floats(-8.0, 8.0))
+        sigma = zeta * draw(st.floats(1.0, 1e4, exclude_min=True))  # ratio > 1: sigma > zeta
+        return (build_instance(k, sigma, zeta, variant), draw(st.integers(1, 4 * k)),
+                (draw(st.sampled_from(datasets.FORMATS)),))
+    k = draw(st.integers(1, 64))
     if draw(st.booleans()):  # many s * (W U) entries underflow to +-0
         sigma, zeta = 1.3e-322, 1e-322
     else:
@@ -547,24 +555,30 @@ def _export_cases(draw):
             U.append(rng.standard_normal(m) if draw(st.booleans())
                      else np.append(np.ones(m - 1), -3.0))
         inst = RotatedInstance(inst, U)
-    return inst, draw(st.integers(1, 4 * k))
+    return inst, draw(st.integers(1, 4 * k)), datasets.FORMATS
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(case=_export_cases())
+@example(case=(build_instance(1, 1.3, 1.0), 1, datasets.FORMATS))
+@example(case=(build_instance(1, 1.3, 1.0, "twoblock"), 4, datasets.FORMATS))
+@example(case=(build_instance(2, 1.7, 1.1, "twoblock"), 3, datasets.FORMATS))
+@example(case=(build_instance(3, 3.9e6, 1e3), 6, datasets.FORMATS))
+@example(case=(build_instance(3, 1.3e-322, 1e-322), 1, datasets.FORMATS))
+@example(case=(build_instance(2100, 1e-4, 1e-8), 4 * 2100, ("libsvm",)))
 def test_export_is_the_dense_text(case, tmp_path_factory):
-    # both formats, byte for byte, over chunks of any size: one-row chunks,
-    # chunks that split a block's nonzeros, and the whole block in one
-    inst, cells = case
+    # the formats drawn, byte for byte, over chunks of any size: one-row
+    # chunks, chunks that split a block's nonzeros, and the whole block in one
+    inst, cells, formats = case
     out = tmp_path_factory.mktemp("export")
     default = datasets.CHUNK_CELLS
     datasets.CHUNK_CELLS = cells
     try:
-        for fmt in ("csv", "libsvm"):
+        for fmt in formats:
             export(inst, fmt, out / f"data.{fmt}")
     finally:
         datasets.CHUNK_CELLS = default
-    for fmt in ("csv", "libsvm"):
+    for fmt in formats:
         assert (out / f"data.{fmt}").read_bytes() == _dense_text(inst, fmt).encode()
 
 
@@ -725,14 +739,33 @@ class TestExport:
         assert text.endswith("\n")
         assert text[:-1].split("\n") == lines  # a list: a failure names its first line
 
-    def test_w_nonzeros_closed_form(self, rng):
-        # the writer's (rows, cols, vals), chunk by chunk over any partition
-        # of the rows: each chunk holds its own rows, and together they are
-        # the block's nonzeros in row-major order, as np.nonzero lists them,
-        # bit for bit; W from the closed form, W U from the rows of U it needs
-        def check(inst, block):
+    def test_chunks_hold_their_rows(self, rng, monkeypatch):
+        # chunk by chunk, each chunk holds its own rows, bit for bit.  A base
+        # block's text from W's closed form, in both formats and at row
+        # steps of one row, two, a random few and the whole block, is the
+        # dense text of those rows; W U's (rows, cols, vals) over any
+        # partition of the rows are, together, the block's nonzeros in
+        # row-major order, as np.nonzero lists them
+        for k in list(range(1, 25)) + [100, 401]:
+            inst = build_instance(k, 1.3, 1.0)
+            assert np.array_equal(inst.w_block(), dense_w(k))
+            for fmt, width in (("csv", k), ("libsvm", 2)):
+                lines = _dense_text(inst, fmt).splitlines(keepends=True)[fmt == "csv":]
+                for step in {1, 2, max(k - 1, 1), k, *rng.integers(1, k + 1, 3).tolist()}:
+                    monkeypatch.setattr(datasets, "CHUNK_CELLS", step * width)
+                    bounds = datasets._row_bounds(k, width)
+                    assert [hi - lo for lo, hi in bounds] == [min(step, k - lo) for lo, _ in bounds]
+                    texts = list(datasets._w_texts(inst, fmt == "libsvm"))
+                    assert texts == ["".join(lines[b * k + lo : b * k + hi])
+                                     for b in range(4) for lo, hi in bounds]
+        for k, j in ((1, 1), (9, 9), (40, 3), (131, 1)):
+            U = Rotation(k)
+            for i in range(j):
+                U.append(rng.standard_normal(max(k - 2 * i - 1, 1)))
+            inst = RotatedInstance(build_instance(k, 1.3, 1.0), U)
+            block = w_rows_times(U.dense())
             rows, cols = np.nonzero(block)
-            for bounds in _partitions(inst.k, rng):
+            for bounds in _partitions(k, rng):
                 chunks = list(inst.w_nonzeros(bounds))
                 assert len(chunks) == len(bounds)
                 for (lo, hi), (r, _, _) in zip(bounds, chunks):
@@ -741,40 +774,36 @@ class TestExport:
                 assert np.array_equal(got_rows, rows) and np.array_equal(got_cols, cols)
                 assert np.array_equal(got_vals.view(np.int64), block[rows, cols].view(np.int64))
 
-        for k in list(range(1, 25)) + [100, 401]:
-            check(build_instance(k, 1.3, 1.0), dense_w(k))
-        for k, j in ((1, 1), (9, 9), (40, 3), (131, 1)):
-            U = Rotation(k)
-            for i in range(j):
-                U.append(rng.standard_normal(max(k - 2 * i - 1, 1)))
-            check(RotatedInstance(build_instance(k, 1.3, 1.0), U), w_rows_times(U.dense()))
-
-    def test_no_reflector_nonzeros_are_the_gemm_path(self, rng, monkeypatch):
-        # U = I: W U's nonzeros come from W's closed form, with no GEMM, bit
-        # for bit those of the GEMM path over U's rows (0 - (+-0) is +0, the
-        # diagonal 1.0), and a row holds W's two at most, so the export of
-        # the agd cell (k = 602) reads each block in one chunk
+    def test_no_reflector_text_is_the_gemm_path(self, rng, tmp_path, monkeypatch):
+        # U = I: the export is chosen from the instance and takes W's closed
+        # form, reading no row of U, and writes byte for byte what the token
+        # writer writes from W U's nonzeros read by GEMM over U's rows (0 -
+        # (+-0) is +0, the diagonal 1.0), in both formats and over chunks of
+        # one row to the whole block; a libsvm row holds W's two nonzeros at
+        # most, so the export of the agd cell (k = 602) writes each block at once
         def no_gemm(*_):
             raise AssertionError("read the rows of U")
 
         for k in list(range(1, 20)) + [131, 602]:
             rot = RotatedInstance(build_instance(k, 1.3, 1.0), Rotation(k))
-            assert rot.w_row_nonzeros() == min(k, 2)
-            for bounds in _partitions(k, rng):
-                reference = list(_gemm_nonzeros(rot, bounds))
-                with monkeypatch.context() as patch:
-                    patch.setattr(Rotation, "row_blocks", no_gemm)
-                    chunks = list(rot.w_nonzeros(bounds))
-                assert len(chunks) == len(reference) == len(bounds)
-                for got, ref in zip(chunks, reference):
-                    for a, b in zip(got, ref):
-                        assert a.dtype == b.dtype and np.array_equal(
-                            a.view(np.int64), b.view(np.int64))
-        assert datasets._row_bounds(602, rot.w_row_nonzeros()) == [(0, 602)]
-        # with a reflector the rows of U are read, and a row may be dense
+            for fmt in datasets.FORMATS:
+                reference = "".join(datasets._token_texts(rot, fmt == "libsvm"))
+                for cells in {1, 2, 3, k, 4 * k, datasets.CHUNK_CELLS} if k < 20 else {None}:
+                    with monkeypatch.context() as patch:
+                        patch.setattr(Rotation, "row_blocks", no_gemm)
+                        if cells:
+                            patch.setattr(datasets, "CHUNK_CELLS", cells)
+                        export(rot, fmt, tmp_path / f"data.{fmt}")
+                    text = (tmp_path / f"data.{fmt}").read_text()
+                    assert text.split("\n", fmt == "csv")[-1] == reference  # past csv's header
+        assert datasets._row_bounds(602, 2) == [(0, 602)]
+        # with a reflector the export reads the rows of U
         U = Rotation(602)
         U.append(rng.standard_normal(600))
-        assert RotatedInstance(build_instance(602, 1.3, 1.0), U).w_row_nonzeros() == 602
+        monkeypatch.setattr(Rotation, "row_blocks", no_gemm)
+        with pytest.raises(AssertionError, match="read the rows of U"):
+            export(RotatedInstance(build_instance(602, 1.3, 1.0), U), "libsvm",
+                   tmp_path / "rot.libsvm")
 
     @pytest.mark.parametrize("k, rotation, cells, reads_and_writes", [
         (602, "identity", None, (1, 1)),  # the agd cell: W's closed form
@@ -789,7 +818,9 @@ class TestExport:
                                             tmp_path, monkeypatch):
         # consecutive chunks of a block's nonzeros go out as one write while
         # they total at most CHUNK_CELLS // 8, greedily and never split, and
-        # the bytes are those of the dense rows
+        # the bytes are those of the dense rows.  W's closed form reads no
+        # nonzeros; its chunks hold CHUNK_CELLS, past the budget but at a
+        # block's end, so the same rule makes each chunk one write
         if cells:
             monkeypatch.setattr(datasets, "CHUNK_CELLS", cells)
         budget = datasets.CHUNK_CELLS // 8
@@ -801,8 +832,11 @@ class TestExport:
             elif rotation != "identity":
                 U.append(np.random.default_rng(k).standard_normal(int(rotation[8:])))
             inst = RotatedInstance(inst, U)
-        bounds = datasets._row_bounds(k, inst.w_row_nonzeros())
-        reads = [len(vals) for _, _, vals in inst.w_nonzeros(bounds)]
+        if rotation in (None, "identity"):  # W's closed form: two nonzeros a row, one the last
+            reads = [2 * (hi - lo) - (hi == k) for lo, hi in datasets._row_bounds(k, 2)]
+            monkeypatch.setattr(RotatedInstance, "w_nonzeros", None)
+        else:
+            reads = [len(vals) for _, _, vals in inst.w_nonzeros(datasets._row_bounds(k, k))]
         path = tmp_path / "data.libsvm"
         writes = []
 
@@ -820,6 +854,10 @@ class TestExport:
                 if self.name == path:
                     writes.append(text)
                 return self.fh.write(text)
+
+            def writelines(self, texts):
+                for text in texts:
+                    self.write(text)
 
         monkeypatch.setattr(datasets, "open", Recording, raising=False)
         export(inst, "libsvm", path)
@@ -883,6 +921,29 @@ class TestExport:
             finally:
                 tracemalloc.stop()
             assert peak < bound * chunk <= k * k * 8 / 5
+
+    @pytest.mark.parametrize("fmt, k", [("libsvm", 2000), ("csv", 400)])
+    def test_base_export_holds_one_chunk(self, fmt, k, tmp_path):
+        # W's closed form writes a chunk of rows at a time (every row of a
+        # block at k = 2000 in libsvm, 81 rows of 400 in csv), so the export
+        # peaks below 3.5 chunks of text: the chunk's rows, their join and
+        # the bytes the file encodes (2.7 and 3.1 measured).  That is less
+        # than a block's text in csv, and than the file's in libsvm
+        inst = build_instance(k, 1.7, 1.1)
+        path = tmp_path / f"data.{fmt}"
+        export(inst, fmt, path)  # the first call's one-off allocations are not the writer's
+        tracemalloc.start()
+        try:
+            export(inst, fmt, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        lines = path.read_text().splitlines(keepends=True)[fmt == "csv":]
+        bounds = datasets._row_bounds(k, 2 if fmt == "libsvm" else k)
+        chunk = max(sum(map(len, lines[b * k + lo : b * k + hi]))
+                    for b in range(4) for lo, hi in bounds)
+        blocks = [sum(map(len, lines[b * k : (b + 1) * k])) for b in range(4)]
+        assert peak < 3.5 * chunk < (max(blocks) if fmt == "csv" else sum(blocks))
 
     def test_unwritable_path(self, tmp_path):
         inst = build_instance(2, 1.3, 1.0)

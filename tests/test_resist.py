@@ -734,6 +734,16 @@ class TestReplay:
         assert replay_check(name, final, 5, oracle.points, z_star)[1] == deviation
         assert np.array_equal(oracle.points, adaptive_iterates(name, 5)) == (name != "agd")
 
+    @pytest.mark.parametrize("T", [2, 5, 130])
+    def test_replay_is_exact_at_the_extreme_corner(self, T):
+        # sigma/zeta = 3901, zeta = 1e3: the replay asks each placed point
+        # bit for bit.  A replay that answered the placed points by stacked
+        # GEMMs read 1.2e-8, 9.7e-8 and 1.7e-2 here, past REPLAY_TOL
+        inst = build_instance(4 * T + 2, 3.901e6, 1e3)
+        _, deviation, _, oracle = adversarial_run("denseprobe", inst, T, profile(inst).x_star)
+        assert deviation == 0.0
+        assert len(oracle.U) + oracle.skipped == T
+
     @pytest.mark.parametrize("name", ALL_METHODS)
     def test_one_pass_replay(self, name, monkeypatch):
         # the adaptive run answers its T inquiries; the replay answers T more
