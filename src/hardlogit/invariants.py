@@ -10,9 +10,9 @@ is judged in this module (U'U on the factors of U), and every figure comes
 from it, though ``resist`` measures two, the containment and label-direction
 residuals that ``adversary`` reports.  Calls into the package go through
 module attributes (``logloss.loss``), so a wrapper installed on one sees
-them.  The sweeps over many points of one instance pass them to
-``logloss.loss`` as one stack: one call per instance in ``gradient_trap``
-and per dimension in ``restricted_optimum_identity``.
+them.  Each sweep calls the loss half it reads, one stack per instance:
+``logloss.loss_gradient`` in ``gradient_trap`` (``restricted_run`` steps
+on it too), ``logloss.loss_value`` in ``restricted_optimum_identity``.
 """
 
 import itertools
@@ -101,7 +101,7 @@ def gradient_trap(cases) -> Check:
         support = X != 0.0
         first = np.where(support.any(axis=1), support.argmax(axis=1), inst.k)
         outside = np.arange(inst.k) < first[:, None] - 1  # the leading k-(t+1)
-        g = logloss.loss(inst, X).gradient
+        g = logloss.loss_gradient(inst, X)
         leak.append(np.max(np.abs(g), where=outside, initial=0.0))
     return _at_most("gradients_stay_in_next_subspace", float(np.max(leak)), LEAK_TOL)
 
@@ -140,28 +140,28 @@ def restricted_optimum_identity(insts, profiles) -> Check:
         t = np.arange(1, k)
         X = trailing_stack(k, x_stars[: k * (k - 1) // 2])  # row t-1 is (0, x*_t)
         rhs = 8.0 * (k - t) * logloss.LOG2 + f_stars[: k - 1]
-        worst += [np.max(np.abs(logloss.loss(inst, X).value - rhs)),
+        worst += [np.max(np.abs(logloss.loss_value(inst, X) - rhs)),
                   np.max(np.abs((rhs - f_stars[k - 1]) - 4.0 * (k - t) * unit_gap))]
     return _at_most("restricted_optimum_identity", float(np.max(worst)), IDENTITY_TOL)
 
 
 def restricted_run(cases) -> Check:
     """For each (k-dimensional instance, t-dimensional profile), RUN_STEPS
-    accelerated steps on the trailing t coordinates reach 8(k-t)log 2 + f*_t."""
+    accelerated steps on the trailing t coordinates reach 8(k-t)log 2 + f*_t.
+    agd reads only gradients: each answer's value is NaN, never evaluated."""
     worst = 0.0
     for inst, prof in cases:
         k, t = inst.k, len(prof.x_star)
         x = np.zeros(k)
 
-        def ask(y):  # the loss at (0, y), its gradient on the trailing t
+        def ask(y):  # the gradient at (0, y) on the trailing t
             x[k - t:] = y
-            resp = logloss.loss(inst, x)
-            return logloss.OracleResponse(resp.value, resp.gradient[k - t:])
+            return logloss.OracleResponse(np.nan, logloss.loss_gradient(inst, x)[k - t:])
 
         steps = optimizers.iterate_steps("agd", ask, t, 1.0 / logloss.lipschitz(inst))
         x[k - t:] = next(itertools.islice(steps, RUN_STEPS - 1, None))
         expected = 8.0 * (k - t) * logloss.LOG2 + prof.f_star
-        worst = max(worst, abs(logloss.loss(inst, x).value - expected))
+        worst = max(worst, abs(logloss.loss_value(inst, x) - expected))
     return _at_most("restricted_run_reaches_identity", worst, RUN_TOL)
 
 

@@ -12,16 +12,16 @@ tanh odd, so with w = Wx and drift = sum_i s_i*l_i
     gradient = W (sum over distinct |s| of mult*|s|*tanh(|s| w / 2) - drift)
 
 where mult counts the blocks of magnitude |s| (1 or 2, so the weights
-mult and mult*|s| are exact).  ``loss`` evaluates this on one (distinct
-|s|) x k array z, in place, and never forms the N-vector Ax: the
-four-block variant costs 2k transcendentals, not 4k, plus a fixed count
-of numpy calls.  It takes a point or a stack of m points as an (m, k)
-array of rows, as ``Rotation.apply`` does, and evaluates the stack in one
-pass of the same kernel.  A rotated instance has the same blocks and
-labels with matrix A U, so it runs the same kernel at U x and pulls the
-gradient back by U', both through its ``Rotation`` in
-O(jk) for j reflectors.  ``loss`` is the package's one evaluation of the
-model; ``invariants.optimum`` alone adds the intercept derivative at x*.
+mult and mult*|s| are exact).  The one kernel takes the margins w and
+z = |s| w, a (distinct |s|) x k array, in place, and never forms the
+N-vector Ax: the four-block variant costs 2k transcendentals, not 4k,
+plus a fixed count of numpy calls.  ``loss`` runs its value half (the h
+sums) and its gradient half (tanh, then W); ``loss_value`` and
+``loss_gradient`` run one half alone, with ``loss``'s bits.  Each takes a
+point or an (m, k) stack of rows, as ``Rotation.apply`` does, in one pass.
+A rotated instance has matrix A U, so the kernel runs at U x and pulls
+the gradient back by U', through its ``Rotation`` in O(jk) for j
+reflectors.  ``invariants.optimum`` alone adds the intercept derivative.
 
 Optimizers never see A or b: they receive an opaque oracle handle that
 returns (value, gradient) pairs only.
@@ -67,31 +67,43 @@ def _weighted(rows, weights):
     return total
 
 
-def _block_loss(inst: WorstCaseInstance, x: np.ndarray):
-    """(value, gradient) of the unrotated blocks of ``inst`` at x, a point or
-    a stack of rows, from z[i] = |s_i| * Wx.  Every sum over coordinates runs
-    along the contiguous last axis: a stack's row gets the single point's bits."""
-    one = x.ndim == 1
+def _margins(inst: WorstCaseInstance, x):
+    """w = Wx and z = |s| w at x, or at U x if rotated; then mult, mult*|s|, drift."""
+    x = np.asarray(x, dtype=float)
+    if x.shape[-1:] != (inst.k,) or x.ndim > 2:
+        raise ValueError(
+            f"dimension mismatch: expected ({inst.k},) or (m, {inst.k}), got {x.shape}")
+    if isinstance(inst, RotatedInstance):
+        x = inst.U.apply(x)
     mags, mult, weights, drift = _magnitudes(inst.block_scales, inst.block_labels)
     # W is symmetric, so W x for each row x of a stack is W along the last axis
-    w = inst.w.apply(x) if one else np.ascontiguousarray(inst.w.apply(x.T).T)
-    z = mags * w if one else mags[:, None] * w
+    w = inst.w.apply(x) if x.ndim == 1 else np.ascontiguousarray(inst.w.apply(x.T).T)
+    return w, (mags if x.ndim == 1 else mags[:, None]) * w, mult, weights, drift
+
+
+def _value(w, z, mult, drift):
+    """The value half; each sum runs along the last axis, as for one point."""
     a = np.abs(z)
     h = np.log1p(np.exp(np.negative(a)))
     h *= 2.0
     h += a  # h(z) = |z| + 2*log1p(exp(-|z|))
-    sums = np.add.reduce(h, axis=-1)
-    if one:
-        value = _weighted(sums.tolist(), mult) - drift * np.add.reduce(w).item()
-    else:
-        value = _weighted(sums, mult) - drift * np.add.reduce(w, axis=-1)
+    sums, total = np.add.reduce(h, axis=-1), np.add.reduce(w, axis=-1)
+    if w.ndim == 1:  # Python floats, and a float value
+        sums, total = sums.tolist(), total.item()
+    value = _weighted(sums, mult) - drift * total
     # a non-finite |s|*w makes the h sum, so the value, non-finite
-    if not (math.isfinite(value) if one else np.isfinite(value).all()):
+    if not (math.isfinite(value) if w.ndim == 1 else np.isfinite(value).all()):
         raise ValueError("block margins |s|*Wx must be finite")
+    return value
+
+
+def _gradient(inst: WorstCaseInstance, z, weights, drift):
+    """The gradient half, in place on z (so after any value half); U' pulls it back if rotated."""
     z *= 0.5
     combined = _weighted(np.tanh(z, out=z), weights)
     combined -= drift
-    return value, inst.w.apply(combined) if one else inst.w.apply(combined.T).T
+    g = inst.w.apply(combined) if z.ndim == 2 else inst.w.apply(combined.T).T
+    return inst.U.apply_t(g) if isinstance(inst, RotatedInstance) else g
 
 
 def loss(inst: WorstCaseInstance, x: np.ndarray) -> OracleResponse:
@@ -106,14 +118,22 @@ def loss(inst: WorstCaseInstance, x: np.ndarray) -> OracleResponse:
     stack by GEMMs, so its rows match single calls to the rounding of the
     WY update).  A non-finite |s|*w raises ValueError.
     """
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1:] != (inst.k,) or x.ndim > 2:
-        raise ValueError(
-            f"dimension mismatch: expected ({inst.k},) or (m, {inst.k}), got {x.shape}")
-    if not isinstance(inst, RotatedInstance):
-        return OracleResponse(*_block_loss(inst, x))
-    value, gradient = _block_loss(inst, inst.U.apply(x))
-    return OracleResponse(value, inst.U.apply_t(gradient))
+    w, z, mult, weights, drift = _margins(inst, x)
+    return OracleResponse(_value(w, z, mult, drift), _gradient(inst, z, weights, drift))
+
+
+def loss_value(inst: WorstCaseInstance, x: np.ndarray) -> float | np.ndarray:
+    """``loss(inst, x).value`` bit for bit, from the value half alone."""
+    w, z, mult, _, drift = _margins(inst, x)
+    return _value(w, z, mult, drift)
+
+
+def loss_gradient(inst: WorstCaseInstance, x: np.ndarray) -> np.ndarray:
+    """``loss(inst, x).gradient`` bit for bit, from the gradient half alone."""
+    _, z, _, weights, drift = _margins(inst, x)
+    if not np.isfinite(z).all():
+        raise ValueError("block margins |s|*Wx must be finite")
+    return _gradient(inst, z, weights, drift)
 
 
 def lipschitz(inst: WorstCaseInstance) -> float:

@@ -25,6 +25,7 @@ from hardlogit import (
     solve_c,
     subspace_gap,
 )
+from hardlogit.logloss import loss_gradient, loss_value
 from conftest import dense_ab, logistic_form
 
 LOG2 = np.log(2.0)
@@ -301,7 +302,7 @@ def _restricted_agd_min(inst, t, iterations):
     pad = np.zeros(k - t)
 
     def slice_grad(u):
-        return loss(inst, np.concatenate([pad, u])).gradient[k - t:]
+        return loss_gradient(inst, np.concatenate([pad, u]))[k - t:]
 
     u_prev = np.zeros(t)
     y = np.zeros(t)
@@ -310,7 +311,7 @@ def _restricted_agd_min(inst, t, iterations):
         u = y - step * slice_grad(y)
         y = u + ((s - 1) / (s + 2)) * (u - u_prev)
         u_prev = u
-    return loss(inst, np.concatenate([pad, u])).value
+    return loss_value(inst, np.concatenate([pad, u]))
 
 
 def _loop_restricted_identity(insts, profiles):
@@ -374,17 +375,18 @@ class TestSubspaceGap:
         x[entry] += ulps * np.spacing(x[entry])
         profs[t - 1] = dataclasses.replace(profs[t - 1], x_star=x)
         stacks = []
-        original = invariants.logloss.loss
+        original = invariants.logloss.loss_value
 
         def recorded(inst, X):
             stacks.append(np.array(X))
             return original(inst, X)
 
-        monkeypatch.setattr(invariants.logloss, "loss", recorded)
+        monkeypatch.setattr(invariants.logloss, "loss_value", recorded)
         check = invariants.restricted_optimum_identity(insts, profs)
         monkeypatch.undo()
         assert check == _loop_restricted_identity(insts, profs)
         assert check.passed == (ulps == 1)
+        assert len(stacks) == len(insts) - 1  # one stack per k > 1
         for inst, X in zip(insts[1:], stacks):
             k = inst.k
             rows = np.zeros((k - 1, k))

@@ -87,6 +87,20 @@ def test_tracer_times_the_race_layers(perfbench, tmp_path):
     assert _outputs(out) == _untraced(tmp_path, RACE)
 
 
+def test_tracer_times_the_loss_halves_by_name(perfbench, capsys):
+    # verify's sweeps call the half of the loss kernel they read, one stack
+    # per k > 1: loss_gradient in the leak sweep, loss_value in the
+    # restricted identity; only the optimum check, once per k, calls loss
+    tracer_mod, _ = perfbench
+    tracer = _traced(tracer_mod, ["verify", "--max-k", "6"])
+    assert capsys.readouterr().out.endswith("0 failure(s)\n")
+    for name, calls in (("loss_value", 5), ("loss_gradient", 5), ("loss", 6)):
+        stat = tracer.stats[f"logloss.{name}"]
+        assert stat.calls == calls, name
+        assert stat.s > 0.0, name
+    assert tracer.layer_metrics()["logloss.loss.calls"] == 6
+
+
 def test_tracer_reads_the_commands_and_exports_by_name(perfbench, tmp_path):
     # the per-command self times and the export metrics read cli.cmd_race,
     # cli.cmd_resist and datasets.export by name; one export call writes a

@@ -109,13 +109,15 @@ def test_verify_passes(capsys, monkeypatch):
 
 
 def test_verify_evaluates_one_stack_per_dimension(capsys, monkeypatch):
-    # per k: one loss call at x*, one stack of trap points and one stack of
-    # restricted optima, 238 calls at --max-k 80 where one per point was 6,400
+    # per k: one loss call at x*, and for k > 1 one loss_gradient stack of
+    # trap points and one loss_value stack of restricted optima, 238 calls at
+    # --max-k 80 where one per point was 6,400
     counts = {}
-    _count_calls(monkeypatch, logloss, "loss", counts)
+    for name in ("loss", "loss_value", "loss_gradient"):
+        _count_calls(monkeypatch, logloss, name, counts)
     assert main(["verify", "--max-k", "80"]) == 0
     assert capsys.readouterr().out.endswith("0 failure(s)\n")
-    assert counts["loss"] <= 250
+    assert counts == {"loss": 80, "loss_value": 79, "loss_gradient": 79}
 
 
 def test_verify_bisects_once(capsys, monkeypatch):

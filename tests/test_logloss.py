@@ -17,6 +17,7 @@ from hardlogit import (
     profile,
     run,
 )
+from hardlogit.logloss import loss_gradient, loss_value
 from conftest import (
     central_diff_grad,
     dense_ab,
@@ -347,24 +348,28 @@ def _kernel_case(k, ratio, log_zeta, variant, reflectors, m, seed):
 
 
 def _assert_reference_bits(inst, x):
+    # loss, and each of loss_value and loss_gradient alone, keep the bits
     resp = loss(inst, x)
     value, gradient = _reference_loss(inst, x)
-    if x.ndim == 1:
-        assert type(resp.value) is float
-        assert resp.value.hex() == float(value).hex()
-    else:
-        assert resp.value.shape == (len(x),)
-        assert np.array_equal(_bits(resp.value), _bits(value))
-    assert resp.gradient.shape == gradient.shape == x.shape
-    assert np.array_equal(_bits(resp.gradient), _bits(gradient))
+    for got in (resp.value, loss_value(inst, x)):
+        if x.ndim == 1:
+            assert type(got) is float
+            assert got.hex() == float(value).hex()
+        else:
+            assert got.shape == (len(x),)
+            assert np.array_equal(_bits(got), _bits(value))
+    for got in (resp.gradient, loss_gradient(inst, x)):
+        assert got.shape == gradient.shape == x.shape
+        assert np.array_equal(_bits(got), _bits(gradient))
 
 
 class TestKernelBits:
-    """``loss`` keeps the bits of the kernel as first written (kept above as
-    ``_reference_block_loss``): every ufunc sees the same operands in the
-    same order, whatever the numpy calls that carry them.  Cases span k
-    from 1 to 1200, both variants, sigma/zeta in (1, 1e4], base instances
-    and ones rotated by 1 and 3 reflectors, points and stacks of 1 to 20."""
+    """``loss``, ``loss_value`` and ``loss_gradient`` keep the bits of the
+    kernel as first written (kept above as ``_reference_block_loss``): every
+    ufunc sees the same operands in the same order, whatever the numpy calls
+    that carry them.  Cases span k from 1 to 1200, both variants, sigma/zeta
+    in (1, 1e4], base instances and ones rotated by 1 and 3 reflectors,
+    points and stacks of 1 to 20."""
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -394,6 +399,8 @@ class TestKernelBits:
     @pytest.mark.parametrize("rotated", [False, True], ids=["base", "rotated"])
     @pytest.mark.parametrize("bad", ["nan", "inf", "overflow"])
     def test_non_finite_raises(self, stacked, rotated, bad):
+        # each entry point raises, the gradient half alone included: tanh of
+        # an infinite margin is finite, so it checks the margins themselves
         k = 9
         inst = build_instance(k, 1.3, 1.0, "twoblock")
         if rotated:
@@ -408,8 +415,9 @@ class TestKernelBits:
                 x = np.vstack([np.ones(k), x, np.zeros(k)])
             with pytest.raises(ValueError, match="finite"):
                 _reference_loss(inst, x)
-            with pytest.raises(ValueError, match="finite"):
-                loss(inst, x)
+            for entry in (loss, loss_value, loss_gradient):
+                with pytest.raises(ValueError, match="finite"):
+                    entry(inst, x)
 
 
 class TestOptimumIntercept:

@@ -297,17 +297,17 @@ class TestSubspaceTrapping:
         # k-t-2, is the maximum the check reports, and a value on the next
         # one, k-t-1, is no leak
         leak = 3e-9
-        original = logloss.loss
+        original = logloss.loss_gradient
 
         def leaky(inst, x):
-            resp = original(inst, x)
+            gradient = original(inst, x)
             if inst.k == 17:
                 assert x.shape == (16, 17)  # one call per instance
-                resp.gradient[4, 17 - 5 - 2] += leak
-                resp.gradient[4, 17 - 5 - 1] += 1.0
-            return resp
+                gradient[4, 17 - 5 - 2] += leak
+                gradient[4, 17 - 5 - 1] += 1.0
+            return gradient
 
-        monkeypatch.setattr(logloss, "loss", leaky)
+        monkeypatch.setattr(logloss, "loss_gradient", leaky)
         points = ((inst, np.concatenate([np.zeros(inst.k - t), rng.standard_normal(t)]))
                   for inst in (build_instance(k, 1.3, 1.0) for k in (5, 17, 30))
                   for t in range(1, inst.k))
