@@ -10,8 +10,6 @@ The accelerated method also carries its textbook upper bound, so the floor
 and ceiling squeeze it from both sides.
 """
 
-import numpy as np
-
 from hardlogit import (
     FirstOrderOracle,
     agd_upper_bound,

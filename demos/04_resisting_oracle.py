@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """The rotation adversary: trapping methods that leave the gradient span.
 
-A method may probe outside the span of returned gradients (our dense_probe
+A method may probe outside the span of returned gradients (our denseprobe
 does exactly that).  The adversary answers each query with a freshly
 rotated dataset that (a) leaves every past answer untouched and (b) folds
 the new query into a low-dimensional trap.  The rotation is kept as the

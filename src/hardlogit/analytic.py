@@ -110,15 +110,11 @@ def constant_c_ratio(sigma: float, zeta: float) -> float:
     """
     sigma = float(sigma)
     zeta = float(zeta)
-    if not (sigma > zeta > 0.0):
-        raise ValueError(
-            f"invalid parameters: need sigma > zeta > 0, got sigma={sigma}, zeta={zeta}"
-        )
+    c = solve_c(sigma, zeta)
     if sigma >= 2.0 * zeta:
         raise ValueError(
             f"undefined constant: needs sigma < 2*zeta, got sigma={sigma}, zeta={zeta}"
         )
-    c = solve_c(sigma, zeta)
     num = _curvature_gap(sigma * c) + _curvature_gap(zeta * c)
     return float(num / (c**2 * sigma**2))
 

@@ -63,11 +63,7 @@ class WOperator:
         return out
 
     def dense(self) -> np.ndarray:
-        w = np.zeros((self.k, self.k))  # sparse writes leave most pages untouched
-        r = np.arange(self.k)
-        w[r, r[::-1]] = 1.0  # +1 at (i, k-1-i); the last row's is its only entry
-        w[r[:-1], r[-2::-1]] = -1.0  # -1 at (i, k-2-i) for i < k-1
-        return w
+        return self.apply(np.eye(self.k))
 
 
 def build_w(k: int) -> WOperator:
@@ -95,7 +91,8 @@ class Rotation:
     the beta_i.
     ``apply`` and ``apply_t`` take a vector or a stack of rows (a row x
     becomes U x, so a stack X becomes X U') in O(jk) per row, and with no
-    reflector return a copy.  ``dense()`` builds U.
+    reflector return a copy.  ``row_blocks`` gives rows of U, with the same
+    bits under any partition; ``dense()`` is the one block of all k rows.
     """
 
     def __init__(self, k: int):
@@ -164,11 +161,12 @@ class Rotation:
         return _wy_update(y, self._V[n - 1 : n], self._T[n - 1 : n, n - 1 : n])
 
     def row_blocks(self, bounds):
-        """U[lo:hi] for each (lo, hi) of ``bounds`` in turn, every row bit for
-        bit the one ``dense()`` builds: (T V)[:, lo:hi]' V by the same GEMM,
-        then 0 minus that and +1 on the diagonal.  T V is formed once.  A
-        one-row block is computed beside a neighbouring row, since numpy
-        takes a one-row product by GEMV, whose sums may round differently."""
+        """U[lo:hi] for each (lo, hi) of ``bounds`` in turn: (T V)[:, lo:hi]' V
+        by one GEMM, T V formed once, then 0 minus that and +1 on the
+        diagonal.  A row has the same bits under any partition of the rows;
+        ``dense()`` is the one block.  A one-row block is computed beside a
+        neighbouring row, since numpy takes a one-row product by GEMV, whose
+        sums may round differently."""
         k, V = self.k, self.V
         TV = self.triangular @ V
         for lo, hi in bounds:
@@ -176,19 +174,14 @@ class Rotation:
             if b - a == 1 and k > 1:
                 a, b = (a, b + 1) if b < k else (a - 1, b)
             U = np.matmul(TV[:, a:b].T, V)
-            np.subtract(0.0, U, out=U)
+            np.subtract(0.0, U, out=U)  # 0 - (+-0) is +0, so exact zeros stay +0
             r = np.arange(a, b)
             U[r - a, r] += 1.0
             yield U[lo - a : hi - a]
 
     def dense(self) -> np.ndarray:
-        """U = I - (V' T') V, built in one k x k array."""
-        if not self._n:
-            return np.eye(self.k)
-        U = np.matmul((self.triangular @ self.V).T, self.V, out=np.empty((self.k, self.k)))
-        np.subtract(0.0, U, out=U)  # -(V'T'V); 0 - (+-0) is +0, so exact zeros stay +0
-        U[np.diag_indices(self.k)] += 1.0
-        return U
+        """U = I - (V' T') V, the one block of ``row_blocks`` with every row."""
+        return next(self.row_blocks([(0, self.k)]))
 
 
 def _root_sum_sq(values, square) -> float:
@@ -267,8 +260,8 @@ class WorstCaseInstance:
 class RotatedInstance(WorstCaseInstance):
     """The same member of the family with its feature space rotated by an
     orthogonal U: data matrix A U, labels b.  U fixes nothing the family is
-    defined by, so k, sigma, zeta, the blocks, ||A|| and ``dense()`` are
-    the base instance's; only the k x k block is W U instead of W.
+    defined by, so k, sigma, zeta, the blocks and ||A|| are the base
+    instance's; the k x k block is W U instead of W, so ``dense()`` is A U.
 
     ``RotatedInstance(inst, U)`` copies the family fields of ``inst`` and
     takes the ``Rotation`` U, so rotating a rotated instance replaces its U;

@@ -6,7 +6,7 @@ step 1/L for the smoothness constant L the oracle exposes, and is fully
 deterministic; the methods here make one oracle call per iteration, and
 ``drive`` counts every call whatever their number as it streams the
 iterates, which ``run`` folds into scalars in O(k) memory, its count the
-trace's ``oracle_calls``.  ``dense_probe`` deliberately leaves the span of
+trace's ``oracle_calls``.  ``denseprobe`` deliberately leaves the span of
 past gradients (it adds a scaled all-ones direction) while still
 converging, so the support test and the adaptive adversary have a method
 to catch.

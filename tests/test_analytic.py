@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hardlogit import (
-    FirstOrderOracle,
     analytic,
     bound_general,
     bound_linear_span,
@@ -284,6 +283,10 @@ class TestRatioConstant:
             constant_c_ratio(2.0, 1.0)
         with pytest.raises(ValueError, match="undefined constant"):
             constant_c_ratio(2.7, 1.0)
+        # sigma >= 2*zeta holds here too, but solve_c's check comes first
+        for sigma, zeta in ((1.0, -1.0), (1e300, 1e-300)):
+            with pytest.raises(ValueError, match="invalid parameters"):
+                constant_c_ratio(sigma, zeta)
 
     def test_per_instance_inequality_fifty_ratios(self):
         for ratio in np.linspace(1.02, 1.98, 50):

@@ -60,10 +60,10 @@ class TestWOperator:
                 assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
     def test_apply_matches_dense_rule(self, rng):
-        for k in range(1, 65):
+        for k in [*range(1, 65), 401]:
             w = build_w(k)
             W = dense_w(k)
-            assert np.array_equal(w.dense(), W)
+            assert np.array_equal(w.dense().view(np.int64), W.view(np.int64))  # -0 is not +0
             x = rng.standard_normal(k)
             ref = W @ x
             got = w.apply(x)
@@ -184,7 +184,8 @@ class TestRotation:
         for out, src in ((U.apply(x), x), (U.apply_t(x), x), (U.apply(X), X),
                          (U.apply_t(X), X)):
             assert out is not src and np.array_equal(out, src)
-        assert np.array_equal(U.dense(), np.eye(6))
+        for k in (1, 2, 6, 602):  # -0 is not +0
+            assert np.array_equal(Rotation(k).dense().view(np.int64), np.eye(k).view(np.int64))
 
     def test_newest_reflector_alone(self, rng):
         # after one reflector, H x by ``apply_newest`` is ``apply`` bit for bit

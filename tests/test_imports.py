@@ -1,4 +1,4 @@
-"""Every module-level import of the package's modules is used."""
+"""Every module-level import of the package's modules, demos and tests is used."""
 
 import ast
 from pathlib import Path
@@ -8,6 +8,8 @@ import pytest
 import hardlogit
 
 MODULES = sorted(p for p in Path(hardlogit.__file__).parent.glob("*.py") if p.name != "__init__.py")
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = sorted([*ROOT.glob("demos/*.py"), *ROOT.glob("tests/*.py")])
 
 
 def unused_imports(source: str) -> list[str]:
@@ -30,6 +32,7 @@ def test_unused_imports_are_found():
     assert unused_imports(source) == ["datasets", "os"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+@pytest.mark.parametrize("path", MODULES + SCRIPTS,
+                         ids=[p.name for p in MODULES] + [f"{p.parent.name}/{p.name}" for p in SCRIPTS])
 def test_every_module_level_import_is_used(path):
     assert unused_imports(path.read_text()) == []
