@@ -22,13 +22,16 @@ A ``RotatedInstance`` is a ``WorstCaseInstance`` with data matrix A U for
 an orthogonal U held as a ``Rotation``, the product of its Householder
 reflectors in compact WY form: the same k, sigma, zeta, blocks, labels and
 ||A||, with block W U in place of W.  ``logloss.loss`` applies W by its
-index structure in O(k) and U in O(jk) for j reflectors; only ``dense()``
-builds U or the N x k matrix.
+index structure in O(k) and U in O(jk) for j reflectors; W U's rows are
+built one way, a chunk at a time by ``w_rows``, and only ``dense()`` builds
+U or the N x k matrix.
 
 ``export`` is the one writer of a dataset and its ``.meta.json`` sidecar, a
 chunk of rows at a time with no k x k array: a block whose U holds no
-reflector (every base instance) is s * W, written from W's closed form; the
-token writer serves only blocks whose U holds one, read by ``w_nonzeros``.
+reflector (every base instance) is s * W, written from W's closed form; one
+whose U holds one is read by ``w_rows``, its libsvm written by the token
+writer and its csv by the one row-delta writer of every rotated CSV, U's
+(``resist.save_matrix_csv``) included.
 """
 
 from __future__ import annotations
@@ -265,7 +268,8 @@ class RotatedInstance(WorstCaseInstance):
 
     ``RotatedInstance(inst, U)`` copies the family fields of ``inst`` and
     takes the ``Rotation`` U, so rotating a rotated instance replaces its U;
-    it builds nothing.
+    it builds nothing.  ``w_rows`` builds W U a chunk of rows at a time, and
+    ``w_block()`` is its one block.
     """
 
     U: Rotation = field(repr=False)
@@ -279,28 +283,23 @@ class RotatedInstance(WorstCaseInstance):
         object.__setattr__(self, "U", U)
 
     def w_block(self) -> np.ndarray:
-        """W U, by W's two-slice row difference on the materialized U; no GEMM."""
-        return self.w.apply(self.U.dense())
+        """W U, the one block of ``w_rows`` with every row."""
+        return next(self.w_rows([(0, self.k)]))
 
-    def w_nonzeros(self, bounds):
-        """(rows, cols, vals) of the nonzeros of rows lo..hi-1 of W U, for each
-        (lo, hi) of ``bounds`` in turn, in row-major order; each row bit for
-        bit the one ``w_block()`` holds, from the rows of U it needs (row
-        i < k-1 is U[k-1-i] - U[k-2-i], row k-1 is U[0]), so no k x k array
-        is built."""
+    def w_rows(self, bounds):
+        """Rows lo..hi-1 of W U for each (lo, hi) of ``bounds`` in turn, from
+        the rows of U they need (row i < k-1 is U[k-1-i] - U[k-2-i], row k-1
+        is U[0]): a row has the same bits under any partition, and no k x k
+        array is built for fewer rows."""
         k, bounds = self.k, list(bounds)
         needed = self.U.row_blocks([(max(k - 1 - hi, 0), k - lo) for lo, hi in bounds])
         for (lo, hi), u in zip(bounds, needed):
             u = u[::-1]  # u[n] is U[k-1-lo-n]
             m = min(hi, k - 1) - lo  # rows that are a difference
-            wu = np.empty((hi - lo, k))
-            np.subtract(u[:m], u[1 : m + 1], out=wu[:m])
-            wu[m:] = u[m : hi - lo]  # row k-1, if in this chunk
-            rows, cols = np.nonzero(wu)
-            vals = wu[rows, cols]
-            rows += lo
-            del u, wu  # not held while the caller writes this chunk
-            yield rows, cols, vals
+            wu = [np.empty((hi - lo, k))]
+            np.subtract(u[:m], u[1 : m + 1], out=wu[0][:m])
+            wu[0][m:] = u[m : hi - lo]  # row k-1, if in this chunk
+            yield wu.pop()  # not held here while the caller formats it
 
 
 def build_instance(
@@ -338,14 +337,20 @@ def _row_bounds(k: int, width: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + step, k)) for lo in range(0, k, step)]
 
 
-def _chunks(bounds, nonzeros, budget: int):
-    """(lo, hi, rows, cols, vals) for each (lo, hi) of ``bounds`` and its
-    ``w_nonzeros`` chunk, each run of consecutive chunks whose nonzeros
-    total at most ``budget`` joined into one (a negative budget joins
-    none).  A chunk is never split, and one that reaches the budget goes
-    out at once, so at most ``budget`` nonzeros wait for the next read."""
-    run, count = [], 0
-    for (lo, hi), (rows, cols, vals) in zip(bounds, nonzeros):
+def _chunks(inst: RotatedInstance, bounds):
+    """(lo, hi, rows, cols, vals) of the nonzeros of W U's rows lo..hi-1,
+    in row-major order, for each (lo, hi) of ``bounds`` read by ``w_rows``,
+    each run of consecutive chunks whose nonzeros total at most
+    ``CHUNK_CELLS // 8`` joined into one.  A chunk is never split, and one
+    that reaches the budget goes out at once, so at most the budget of
+    nonzeros waits for the next read."""
+    run, count, budget, hi = [], 0, CHUNK_CELLS // 8, 0
+    for wu in inst.w_rows(bounds):
+        lo, hi = hi, hi + len(wu)
+        rows, cols = np.nonzero(wu)
+        vals = wu[rows, cols]
+        rows += lo
+        del wu  # not held while the caller formats the run
         if run and count + len(vals) > budget:
             yield _join(run)
             run, count = [], 0
@@ -390,52 +395,65 @@ def _w_texts(inst: WorstCaseInstance, libsvm: bool):
             yield end.join(rows + [run[(k - 1) * z + len(neg) + 1 :]] * (hi == k)) + end
 
 
-def _token_texts(inst: RotatedInstance, libsvm: bool):
-    """The text of each block's rows s * (W U), a ``w_nonzeros`` chunk at a
-    time (read once for all blocks if they fit in one): its distinct values,
-    told apart by their bits, formatted once and joined with its tokens.
-    libsvm drops values that underflow to zero and joins chunks while their
-    nonzeros total at most ``CHUNK_CELLS // 8``."""
+def _libsvm_texts(inst: RotatedInstance):
+    """The libsvm text of each block's rows s * (W U), a ``_chunks`` run at a
+    time (read once for all blocks if the nonzeros fit in one chunk): its
+    distinct values, told apart by their bits, formatted once and joined
+    with the label, the column heads and the newlines; values s * w that
+    underflow to zero are dropped."""
     k, bounds = inst.k, _row_bounds(inst.k, inst.k)
-    heads = np.array([" %d:" % (j + 1) for j in range(k * libsvm)], dtype=object)
-    cell = "%.17g" if libsvm else "%.17g,"
+    heads = np.array([" %d:" % (j + 1) for j in range(k)], dtype=object)
     held = None  # the block's nonzeros, once read, if they fit in a chunk
     for s, label in zip(inst.block_scales, inst.block_labels):
-        zero = "%.17g," % (s * 0.0)  # a zero of the block is s * 0.0: "-0" where s < 0
-        chunks = held or _chunks(bounds, inst.w_nonzeros(bounds),
-                                 CHUNK_CELLS // 8 if libsvm else -1)
+        chunks = held or _chunks(inst, bounds)
         held, size = [], 0
         for chunk in chunks:
             lo, hi, rows, cols, w = chunk
             size += len(w)
             held = held + [chunk] if size <= CHUNK_CELLS else None
             vals = s * w
-            if libsvm and not (keep := vals != 0.0).all():  # s * w may underflow
+            if not (keep := vals != 0.0).all():  # s * w may underflow
                 rows, cols, vals = rows[keep], cols[keep], vals[keep]
             n, h = len(vals), hi - lo
             starts = np.searchsorted(rows, np.arange(lo, hi + 1))
-            # row r: a prefix, a (lead, cell) pair per nonzero, then two ends
-            tokens = np.empty(2 * n + 3 * h, dtype=object)
-            at = 2 * np.arange(n) + 3 * (rows - lo) + 1
-            first = 2 * starts[:-1] + 3 * np.arange(h)
-            last = first + 2 * np.diff(starts) + 1
-            if libsvm:
-                tokens[first], tokens[at], tokens[last], tokens[last + 1] = (
-                    "%d" % label, heads[cols], "", "\n")
-            else:  # a nonzero's lead and a row's first end are runs of zero cells
-                before = np.append(-1, cols)  # before[t + 1] is nonzero t's column
-                final = np.where(starts[1:] > starts[:-1], before[starts[1:]], -1)
-                before = before[:-1]
-                before[starts[:-1][starts[:-1] < n]] = -1  # a row's first nonzero
-                gaps, gap = np.unique(np.append(cols - before - 1, k - 1 - final),
-                                      return_inverse=True)
-                runs = np.array([zero * g for g in gaps.tolist()], dtype=object)
-                tokens[first], tokens[at], tokens[last], tokens[last + 1] = (
-                    "", runs[gap[:n]], runs[gap[n:]], "%d\n" % label)
+            # row r: its label, a (head, value) pair per nonzero, then "\n"
+            tokens = np.empty(2 * n + 2 * h, dtype=object)
+            first = 2 * starts[:-1] + 2 * np.arange(h)
+            at = 2 * np.arange(n) + 2 * (rows - lo) + 1
+            tokens[first], tokens[at], tokens[first + 2 * np.diff(starts) + 1] = (
+                "%d" % label, heads[cols], "\n")
             distinct, which = np.unique(vals.view(np.int64), return_inverse=True)
-            texts = (cell + "\n") * len(distinct) % tuple(distinct.view(float).tolist())
+            texts = "%.17g\n" * len(distinct) % tuple(distinct.view(float).tolist())
             tokens[at + 1] = np.array(texts.splitlines(), dtype=object)[which]
             yield "".join(tokens.tolist())
+
+
+def _write_rows(fh, blocks, end: str) -> None:
+    """Write the rows of the 2-D ``blocks`` to ``fh`` as ``np.savetxt(fmt=
+    "%.17g", delimiter=",")`` writes them, but ends each with ``end``.  A row
+    formats only the cells whose bits differ from the row above (-0 differs
+    from +0, equal NaN bits do not) and joins them with the cells it keeps,
+    so it costs what changes in it; a row new in every cell is one
+    template, split into cells only when a later row keeps some."""
+    cells, above, line = None, None, ""
+    for chunk in blocks:
+        chunk = np.ascontiguousarray(chunk, dtype=float)
+        k = chunk.shape[1]
+        whole = ",".join(["%.17g"] * k) + end
+        for row, bits in zip(chunk, chunk.view(np.int64)):
+            changed = None if above is None else np.flatnonzero(bits != above)
+            if changed is None or len(changed) == k:
+                line, cells = whole % tuple(row.tolist()), None
+            elif len(changed):
+                if cells is None:
+                    cells = line[: len(line) - len(end)].split(",")
+                texts = (",".join(["%.17g"] * len(changed)) % tuple(row[changed].tolist())
+                         ).split(",")
+                for col, text in zip(changed.tolist(), texts):
+                    cells[col] = text
+                line = ",".join(cells) + end
+            fh.write(line)
+            above = bits
 
 
 def export(inst: WorstCaseInstance, format: str, path, extra_meta: dict | None = None) -> Path:
@@ -447,12 +465,14 @@ def export(inst: WorstCaseInstance, format: str, path, extra_meta: dict | None =
 
     Rows are written a chunk at a time, with no k x k array.  A block whose
     U holds no reflector (every base instance, and a span method's resist
-    run) is s * W, written from W's closed form; only one whose U holds a
-    reflector takes the token writer.  Labels are the integers 1 / -1;
-    floats carry 17 digits (exact round-trip).  The sidecar holds {k, sigma,
-    zeta, variant, N, spectral_norm_bound} merged with ``extra_meta``
-    (callers add c, f_star and xstar_norm_sq); it must be valid JSON, so a
-    non-finite entry raises ValueError before either file is written.
+    run) is s * W, written from W's closed form; one whose U holds a
+    reflector is read by ``w_rows``, its libsvm written by the token writer
+    and its csv by the row-delta writer of the rotation CSV.  Labels are the
+    integers 1 / -1; floats carry 17 digits (exact round-trip).  The sidecar
+    holds {k, sigma, zeta, variant, N, spectral_norm_bound} merged with
+    ``extra_meta`` (callers add c, f_star and xstar_norm_sq); it must be
+    valid JSON, so a non-finite entry raises ValueError before either file
+    is written.
     """
     if format not in FORMATS:
         raise ValueError(f"unknown format {format!r}; expected one of {FORMATS}")
@@ -469,11 +489,17 @@ def export(inst: WorstCaseInstance, format: str, path, extra_meta: dict | None =
     if bad:
         raise ValueError(f"metadata not finite, so not valid JSON: {bad}")
     libsvm = format == "libsvm"
-    texts = _token_texts if isinstance(inst, RotatedInstance) and len(inst.U) else _w_texts
     with open(path, "w") as fh:
         if not libsvm:
             fh.write(",".join(f"feature_{j + 1}" for j in range(inst.k)) + ",label\n")
-        fh.writelines(texts(inst, libsvm))
+        if not (isinstance(inst, RotatedInstance) and len(inst.U)):
+            fh.writelines(_w_texts(inst, libsvm))
+        elif libsvm:
+            fh.writelines(_libsvm_texts(inst))
+        else:
+            bounds = _row_bounds(inst.k, inst.k)
+            for s, label in zip(inst.block_scales, inst.block_labels):
+                _write_rows(fh, (s * wu for wu in inst.w_rows(bounds)), ",%d\n" % label)
 
     sidecar = Path(f"{path}.meta.json")
     with open(sidecar, "w") as fh:

@@ -33,7 +33,7 @@ import sys
 
 import numpy as np
 
-from .datasets import RotatedInstance, Rotation, WorstCaseInstance, _row_bounds
+from .datasets import RotatedInstance, Rotation, WorstCaseInstance, _row_bounds, _write_rows
 from .logloss import FirstOrderOracle, OracleResponse, loss
 from .optimizers import Trace, _fold, drive
 
@@ -263,31 +263,3 @@ def save_matrix_csv(U: Rotation, path) -> None:
             blocks = (block[:, :m] for block in U.row_blocks(_row_bounds(m, k)))
             _write_rows(fh, blocks, ",0" * (k - m) + "\n")
         fh.writelines("0," * i + "1" + ",0" * (k - 1 - i) + "\n" for i in range(m, k))
-
-
-def _write_rows(fh, blocks, end: str) -> None:
-    """Write the rows of the 2-D ``blocks`` to ``fh`` as ``np.savetxt(fmt=
-    "%.17g", delimiter=",")`` writes them, but ends each with ``end``.  A row
-    formats only the cells whose bits differ from the row above (-0 differs
-    from +0, equal NaN bits do not) and joins them with the cells it keeps,
-    so it costs what changes in it; a row new in every cell is one
-    template, split into cells only when a later row keeps some."""
-    cells, above, line = None, None, ""
-    for chunk in blocks:
-        chunk = np.ascontiguousarray(chunk, dtype=float)
-        k = chunk.shape[1]
-        whole = ",".join(["%.17g"] * k) + end
-        for row, bits in zip(chunk, chunk.view(np.int64)):
-            changed = None if above is None else np.flatnonzero(bits != above)
-            if changed is None or len(changed) == k:
-                line, cells = whole % tuple(row.tolist()), None
-            elif len(changed):
-                if cells is None:
-                    cells = line[: len(line) - len(end)].split(",")
-                texts = (",".join(["%.17g"] * len(changed)) % tuple(row[changed].tolist())
-                         ).split(",")
-                for col, text in zip(changed.tolist(), texts):
-                    cells[col] = text
-                line = ",".join(cells) + end
-            fh.write(line)
-            above = bits

@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import json
 import tracemalloc
 
@@ -744,9 +745,9 @@ class TestExport:
         # chunk by chunk, each chunk holds its own rows, bit for bit.  A base
         # block's text from W's closed form, in both formats and at row
         # steps of one row, two, a random few and the whole block, is the
-        # dense text of those rows; W U's (rows, cols, vals) over any
-        # partition of the rows are, together, the block's nonzeros in
-        # row-major order, as np.nonzero lists them
+        # dense text of those rows; W U's ``w_rows`` chunks over any
+        # partition of the rows are its rows, every cell bit for bit, zeros
+        # included
         for k in list(range(1, 25)) + [100, 401]:
             inst = build_instance(k, 1.3, 1.0)
             assert np.array_equal(inst.w_block(), dense_w(k))
@@ -764,22 +765,19 @@ class TestExport:
             for i in range(j):
                 U.append(rng.standard_normal(max(k - 2 * i - 1, 1)))
             inst = RotatedInstance(build_instance(k, 1.3, 1.0), U)
-            block = w_rows_times(U.dense())
-            rows, cols = np.nonzero(block)
+            block = w_rows_times(U.dense()).view(np.int64)
+            assert np.array_equal(inst.w_block().view(np.int64), block)
             for bounds in _partitions(k, rng):
-                chunks = list(inst.w_nonzeros(bounds))
-                assert len(chunks) == len(bounds)
-                for (lo, hi), (r, _, _) in zip(bounds, chunks):
-                    assert np.all((lo <= r) & (r < hi))
-                got_rows, got_cols, got_vals = (np.concatenate(x) for x in zip(*chunks))
-                assert np.array_equal(got_rows, rows) and np.array_equal(got_cols, cols)
-                assert np.array_equal(got_vals.view(np.int64), block[rows, cols].view(np.int64))
+                chunks = list(inst.w_rows(bounds))
+                assert [chunk.shape for chunk in chunks] == [(hi - lo, k) for lo, hi in bounds]
+                assert np.array_equal(np.vstack(chunks).view(np.int64), block)
 
     def test_no_reflector_text_is_the_gemm_path(self, rng, tmp_path, monkeypatch):
         # U = I: the export is chosen from the instance and takes W's closed
-        # form, reading no row of U, and writes byte for byte what the token
-        # writer writes from W U's nonzeros read by GEMM over U's rows (0 -
-        # (+-0) is +0, the diagonal 1.0), in both formats and over chunks of
+        # form, reading no row of U, and writes byte for byte what the
+        # rotated writers write from W U's rows read by GEMM over U's rows
+        # (0 - (+-0) is +0, the diagonal 1.0): the libsvm token writer, and
+        # the row-delta writer for csv, in both formats and over chunks of
         # one row to the whole block; a libsvm row holds W's two nonzeros at
         # most, so the export of the agd cell (k = 602) writes each block at once
         def no_gemm(*_):
@@ -787,8 +785,12 @@ class TestExport:
 
         for k in list(range(1, 20)) + [131, 602]:
             rot = RotatedInstance(build_instance(k, 1.3, 1.0), Rotation(k))
-            for fmt in datasets.FORMATS:
-                reference = "".join(datasets._token_texts(rot, fmt == "libsvm"))
+            bounds = datasets._row_bounds(k, k)
+            csv = io.StringIO()
+            for s, label in zip(rot.block_scales, rot.block_labels):
+                datasets._write_rows(csv, (s * wu for wu in rot.w_rows(bounds)), ",%d\n" % label)
+            references = {"csv": csv.getvalue(), "libsvm": "".join(datasets._libsvm_texts(rot))}
+            for fmt, reference in references.items():
                 for cells in {1, 2, 3, k, 4 * k, datasets.CHUNK_CELLS} if k < 20 else {None}:
                     with monkeypatch.context() as patch:
                         patch.setattr(Rotation, "row_blocks", no_gemm)
@@ -798,13 +800,14 @@ class TestExport:
                     text = (tmp_path / f"data.{fmt}").read_text()
                     assert text.split("\n", fmt == "csv")[-1] == reference  # past csv's header
         assert datasets._row_bounds(602, 2) == [(0, 602)]
-        # with a reflector the export reads the rows of U
+        # with a reflector the export reads the rows of U, in either format
         U = Rotation(602)
         U.append(rng.standard_normal(600))
         monkeypatch.setattr(Rotation, "row_blocks", no_gemm)
-        with pytest.raises(AssertionError, match="read the rows of U"):
-            export(RotatedInstance(build_instance(602, 1.3, 1.0), U), "libsvm",
-                   tmp_path / "rot.libsvm")
+        for fmt in datasets.FORMATS:
+            with pytest.raises(AssertionError, match="read the rows of U"):
+                export(RotatedInstance(build_instance(602, 1.3, 1.0), U), fmt,
+                       tmp_path / f"rot.{fmt}")
 
     @pytest.mark.parametrize("k, rotation, cells, reads_and_writes", [
         (602, "identity", None, (1, 1)),  # the agd cell: W's closed form
@@ -824,7 +827,8 @@ class TestExport:
         # block's end, so the same rule makes each chunk one write
         if cells:
             monkeypatch.setattr(datasets, "CHUNK_CELLS", cells)
-        budget = datasets.CHUNK_CELLS // 8
+        cells = datasets.CHUNK_CELLS
+        budget, n = cells // 8, len(datasets._row_bounds(k, k))
         inst = build_instance(k, 1.7, 1.1)
         if rotation:
             U = Rotation(k)
@@ -835,9 +839,16 @@ class TestExport:
             inst = RotatedInstance(inst, U)
         if rotation in (None, "identity"):  # W's closed form: two nonzeros a row, one the last
             reads = [2 * (hi - lo) - (hi == k) for lo, hi in datasets._row_bounds(k, 2)]
-            monkeypatch.setattr(RotatedInstance, "w_nonzeros", None)
-        else:
-            reads = [len(vals) for _, _, vals in inst.w_nonzeros(datasets._row_bounds(k, k))]
+            monkeypatch.setattr(RotatedInstance, "w_rows", None)
+        else:  # the nonzeros of each chunk the export reads from w_rows
+            reads, w_rows = [], RotatedInstance.w_rows
+
+            def counted(self, bounds):
+                for wu in w_rows(self, bounds):
+                    reads.append(np.count_nonzero(wu))
+                    yield wu
+
+            monkeypatch.setattr(RotatedInstance, "w_rows", counted)
         path = tmp_path / "data.libsvm"
         writes = []
 
@@ -863,6 +874,10 @@ class TestExport:
         monkeypatch.setattr(datasets, "open", Recording, raising=False)
         export(inst, "libsvm", path)
         monkeypatch.undo()
+        if rotation not in (None, "identity"):  # W U is read once if its nonzeros fit a chunk
+            held = sum(reads[:n]) <= cells
+            assert reads == reads[:n] * (1 if held else len(inst.block_scales))
+            reads = reads[:n]
         text = path.read_text()
         assert text == libsvm_text(inst)
         assert "".join(writes) == text and all(w.endswith("\n") for w in writes)
@@ -884,29 +899,27 @@ class TestExport:
         else:
             assert len(reads) > per_block > 1
 
-    @pytest.mark.parametrize("reflector, formats, bound", [
-        ("two-valued", ("libsvm", "csv"), 8),
-        ("leading-100", ("libsvm", "csv"), 8),
-        ("leading-400", ("libsvm",), 14),
+    @pytest.mark.parametrize("reflector, bound", [
+        ("two-valued", 8), ("leading-100", 8), ("leading-400", 14),
     ], ids=["two-valued", "leading-100", "leading-400"])
-    def test_rotated_export_holds_one_chunk(self, reflector, formats, bound, tmp_path,
-                                            monkeypatch):
+    def test_rotated_export_holds_one_chunk(self, reflector, bound, tmp_path, monkeypatch):
         # no k x k array: at k = 1602 the export peaks below ``bound`` chunks
-        # of CHUNK_CELLS floats, a fifth of one k x k array or less.  W U's
-        # nonzeros fit in one chunk when U's rows take two values (as the
-        # adversary's one reflection makes them) or after a reflector on the
-        # leading 100 coordinates (13k), so the block is read once and held
-        # for all blocks: 8 chunks (4.0 and 4.7 measured).  After one on the
-        # leading 400 (163k) it is read again for each block, a chunk at a
-        # time: 14 chunks (10.3 measured); holding its nonzeros whole measured
-        # 23, and a dense W U 88.  The re-read takes the chunks of the loop
-        # both formats share, so it is timed in one (8 s under tracemalloc)
+        # of CHUNK_CELLS floats, a fifth of one k x k array or less.  For
+        # libsvm, W U's nonzeros fit in one chunk when U's rows take two
+        # values (as the adversary's one reflection makes them) or after a
+        # reflector on the leading 100 coordinates (13k), so the block is
+        # read once and held for all blocks: 8 chunks (4.5 and 6.3
+        # measured).  After one on the leading 400 (163k) it is read again
+        # for each block, a chunk at a time: 14 chunks (10.2 measured);
+        # holding its nonzeros whole measured 23, and a dense W U 88.  csv
+        # reads W U's rows again for each block and writes them by row
+        # deltas: 4.8 to 5.0 chunks measured in all three
         k = 1602
         U = Rotation(k)
         U.append(np.append(np.ones(k - 3), -3.0) if reflector == "two-valued"
                  else np.random.default_rng(2).standard_normal(int(reflector[8:])))
         inst = RotatedInstance(build_instance(k, 1.3, 1.0, "twoblock"), U)
-        nonzeros = sum(len(w) for _, _, w in inst.w_nonzeros(datasets._row_bounds(k, k)))
+        nonzeros = sum(np.count_nonzero(wu) for wu in inst.w_rows(datasets._row_bounds(k, k)))
         assert (nonzeros > datasets.CHUNK_CELLS) == (reflector == "leading-400")
 
         def no_dense(_):
@@ -914,7 +927,7 @@ class TestExport:
 
         monkeypatch.setattr(Rotation, "dense", no_dense)
         chunk = (datasets.CHUNK_CELLS // k) * k * 8
-        for fmt in formats:
+        for fmt in datasets.FORMATS:
             tracemalloc.start()
             try:
                 export(inst, fmt, tmp_path / f"data.{fmt}")

@@ -836,10 +836,10 @@ def test_save_matrix_csv_roundtrip(tmp_path):
 
 
 def _write_rows(blocks, path):
-    """``resist._write_rows`` of the 2-D row ``blocks`` into the file at
+    """``datasets._write_rows`` of the 2-D row ``blocks`` into the file at
     ``path``, each row ended by a newline, as ``np.savetxt`` ends it."""
     with open(path, "w") as fh:
-        resist._write_rows(fh, blocks, "\n")
+        datasets._write_rows(fh, blocks, "\n")
 
 
 def _reflected(k, lengths, seed):
