@@ -59,14 +59,21 @@ class WOperator:
         x = np.asarray(x, dtype=float)
         if x.shape[:1] != (self.k,) or x.ndim > 2:
             raise ValueError(f"dimension mismatch: expected ({self.k},), got {x.shape}")
-        out = np.empty(x.shape)
-        # row i (0-based, i < k-1): x[k-1-i] - x[k-2-i]; row k-1: x[0]
-        np.subtract(x[:0:-1], x[-2::-1], out=out[:-1])
-        out[-1] = x[0]
-        return out
+        return _w_into(x, np.empty(x.shape))
 
     def dense(self) -> np.ndarray:
         return self.apply(np.eye(self.k))
+
+
+def _w_into(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """W @ x for x of shape (k,) or (k, m), written into ``out`` of x's
+    shape and returned: the one copy of W's arithmetic, for
+    ``WOperator.apply`` and for the loss kernel's margins, which it writes
+    into an oracle's kept temporaries."""
+    # row i (0-based, i < k-1): x[k-1-i] - x[k-2-i]; row k-1: x[0]
+    np.subtract(x[:0:-1], x[-2::-1], out[:-1])
+    out[-1] = x[0]
+    return out
 
 
 def build_w(k: int) -> WOperator:
@@ -169,7 +176,8 @@ class Rotation:
         diagonal.  A row has the same bits under any partition of the rows;
         ``dense()`` is the one block.  A one-row block is computed beside a
         neighbouring row, since numpy takes a one-row product by GEMV, whose
-        sums may round differently."""
+        sums may round differently.  A block is released before the next
+        one's GEMM, so a caller that drops it holds one block at a time."""
         k, V = self.k, self.V
         TV = self.triangular @ V
         for lo, hi in bounds:
@@ -181,6 +189,7 @@ class Rotation:
             r = np.arange(a, b)
             U[r - a, r] += 1.0
             yield U[lo - a : hi - a]
+            del U
 
     def dense(self) -> np.ndarray:
         """U = I - (V' T') V, the one block of ``row_blocks`` with every row."""
@@ -290,16 +299,18 @@ class RotatedInstance(WorstCaseInstance):
         """Rows lo..hi-1 of W U for each (lo, hi) of ``bounds`` in turn, from
         the rows of U they need (row i < k-1 is U[k-1-i] - U[k-2-i], row k-1
         is U[0]): a row has the same bits under any partition, and no k x k
-        array is built for fewer rows."""
+        array is built for fewer rows.  Neither those rows nor the chunk are
+        held here once it is yielded."""
         k, bounds = self.k, list(bounds)
         needed = self.U.row_blocks([(max(k - 1 - hi, 0), k - lo) for lo, hi in bounds])
-        for (lo, hi), u in zip(bounds, needed):
-            u = u[::-1]  # u[n] is U[k-1-lo-n]
+        for lo, hi in bounds:
+            u = next(needed)[::-1]  # u[n] is U[k-1-lo-n]
             m = min(hi, k - 1) - lo  # rows that are a difference
             wu = [np.empty((hi - lo, k))]
             np.subtract(u[:m], u[1 : m + 1], out=wu[0][:m])
             wu[0][m:] = u[m : hi - lo]  # row k-1, if in this chunk
-            yield wu.pop()  # not held here while the caller formats it
+            del u
+            yield wu.pop()
 
 
 def build_instance(

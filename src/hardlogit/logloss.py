@@ -23,6 +23,16 @@ A rotated instance has matrix A U, so the kernel runs at U x and pulls
 the gradient back by U', through its ``Rotation`` in O(jk) for j
 reflectors.  ``invariants.optimum`` alone adds the intercept derivative.
 
+An instance is resolved for the kernel once, on its first loss call (W,
+U, the distinct |s|, their weights and the drift, held in its
+``__dict__``).  A ``FirstOrderOracle`` adds temporaries for one point,
+shared by the instance's oracles: a one-point answer writes w, z, |z| and
+h(z) into them and allocates only the gradient it returns (and, if
+rotated, U's products), so above k ~ 10,000 a call no longer faults fresh
+pages in; two threads must not then make one-point calls on that instance
+at once.  A bare call on an instance with no oracle, and every stack,
+runs the same arithmetic on fresh arrays.
+
 Optimizers never see A or b: they receive an opaque oracle handle that
 returns (value, gradient) pairs only.
 """
@@ -34,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datasets import RotatedInstance, WorstCaseInstance
+from .datasets import RotatedInstance, WorstCaseInstance, _w_into
 
 LOG2 = float(np.log(2.0))
 
@@ -49,7 +59,7 @@ class OracleResponse:
 def _magnitudes(scales: tuple, labels: tuple) -> tuple[np.ndarray, list, list, float]:
     """The distinct |s| of the blocks as a read-only column, the number mult
     of blocks sharing each, mult*|s| and the drift sum_i s_i*l_i; cached,
-    since every loss call of an instance asks for the same."""
+    since instances of one (sigma, zeta) and variant share them."""
     groups = collections.Counter(abs(s) for s in scales)  # |s| -> blocks with that |s|
     mags = np.array(list(groups))[:, None]
     mags.flags.writeable = False
@@ -60,50 +70,97 @@ def _magnitudes(scales: tuple, labels: tuple) -> tuple[np.ndarray, list, list, f
 
 def _weighted(rows, weights):
     """sum_i weights[i] * rows[i], added in order of i (not a BLAS gemv, which
-    here raised the race benchmark's peak memory by 1.9 MB in six of ten runs)."""
-    total = rows[0] * weights[0]
+    here raised the race benchmark's peak memory by 1.9 MB in six of ten
+    runs), in place on the rows if they are arrays."""
+    total = rows[0]
+    total *= weights[0]
     for i in range(1, len(weights)):
-        total += rows[i] * weights[i]
+        row = rows[i]
+        row *= weights[i]
+        total += row
     return total
 
 
+class _Kernel:
+    """An instance resolved for the kernel: k, W, U (None unless rotated),
+    the distinct |s| as a column, mult, mult*|s| and the drift.  ``keep``
+    adds the temporaries a one-point answer writes into, ``kept``: hw,
+    whose rows are h(z) and then w, so that one reduction sums them all,
+    z = |s| w and |z|."""
+
+    __slots__ = ("k", "W", "U", "mags", "mult", "weights", "drift", "kept")
+
+    def __init__(self, inst: WorstCaseInstance):
+        self.k, self.W = inst.k, inst.w
+        self.U = inst.U if isinstance(inst, RotatedInstance) else None
+        self.mags, self.mult, self.weights, self.drift = _magnitudes(
+            inst.block_scales, inst.block_labels)
+        self.kept = None
+
+    def keep(self) -> None:
+        if self.kept is None:
+            d = len(self.mult)
+            self.kept = (np.empty((d + 1, self.k)), *np.empty((2, d, self.k)))
+
+
+def _kernel(inst: WorstCaseInstance) -> _Kernel:
+    """The instance's kernel, made on its first loss call and held in its
+    ``__dict__`` beside the (frozen) fields, which it does not change."""
+    kern = vars(inst).get("_kernel")
+    if kern is None:
+        kern = vars(inst)["_kernel"] = _Kernel(inst)
+    return kern
+
+
 def _margins(inst: WorstCaseInstance, x):
-    """w = Wx and z = |s| w at x, or at U x if rotated; then mult, mult*|s|, drift."""
+    """(kernel, hw, z, a): w = Wx in hw's last row and z = |s| w, at x or,
+    if rotated, at U x; a is where |z| goes.  A point uses the kept
+    temporaries if the instance has them; else hw is fresh and z and a are
+    None, so their ufuncs allocate."""
     x = np.asarray(x, dtype=float)
-    if x.shape[-1:] != (inst.k,) or x.ndim > 2:
+    kern = _kernel(inst)
+    if kern.kept is not None and x.shape == (kern.k,):
+        hw, z, a = kern.kept
+    elif x.shape[-1:] != (kern.k,) or x.ndim > 2:
         raise ValueError(
-            f"dimension mismatch: expected ({inst.k},) or (m, {inst.k}), got {x.shape}")
-    if isinstance(inst, RotatedInstance):
-        x = inst.U.apply(x)
-    mags, mult, weights, drift = _magnitudes(inst.block_scales, inst.block_labels)
-    # W is symmetric, so W x for each row x of a stack is W along the last axis
-    w = inst.w.apply(x) if x.ndim == 1 else np.ascontiguousarray(inst.w.apply(x.T).T)
-    return w, (mags if x.ndim == 1 else mags[:, None]) * w, mult, weights, drift
+            f"dimension mismatch: expected ({kern.k},) or (m, {kern.k}), got {x.shape}")
+    else:
+        hw, z, a = np.empty((len(kern.mult) + 1, *x.shape)), None, None
+    if kern.U is not None:
+        x = kern.U.apply(x)
+    w = hw[-1]
+    _w_into(x.T, w.T)  # W is symmetric, so W x for each row x of a stack is W along x.T
+    return kern, hw, np.multiply(kern.mags if x.ndim == 1 else kern.mags[:, None], w, z), a
 
 
-def _value(w, z, mult, drift):
-    """The value half; each sum runs along the last axis, as for one point."""
-    a = np.abs(z)
-    h = np.log1p(np.exp(np.negative(a)))
-    h *= 2.0
-    h += a  # h(z) = |z| + 2*log1p(exp(-|z|))
-    sums, total = np.add.reduce(h, axis=-1), np.add.reduce(w, axis=-1)
-    if w.ndim == 1:  # Python floats, and a float value
-        sums, total = sums.tolist(), total.item()
-    value = _weighted(sums, mult) - drift * total
+def _value(kern: _Kernel, hw, z, a):
+    """The value half, on ``_margins``' temporaries; each sum runs along
+    the last axis, as for one point."""
+    a = np.abs(z, a)
+    h = hw[:-1]
+    np.negative(a, h)
+    np.exp(h, h)
+    np.log1p(h, h)
+    np.multiply(h, 2.0, h)
+    np.add(h, a, h)  # h(z) = |z| + 2*log1p(exp(-|z|))
+    sums = np.add.reduce(hw, -1)  # the h sums, then sum(w)
+    if z.ndim == 2:  # Python floats, and a float value
+        sums = sums.tolist()
+    value = _weighted(sums, kern.mult) - kern.drift * sums[-1]
     # a non-finite |s|*w makes the h sum, so the value, non-finite
-    if not (math.isfinite(value) if w.ndim == 1 else np.isfinite(value).all()):
+    if not (math.isfinite(value) if z.ndim == 2 else np.isfinite(value).all()):
         raise ValueError("block margins |s|*Wx must be finite")
     return value
 
 
-def _gradient(inst: WorstCaseInstance, z, weights, drift):
-    """The gradient half, in place on z (so after any value half); U' pulls it back if rotated."""
+def _gradient(kern: _Kernel, z):
+    """The gradient half, in place on z (so after any value half), then W
+    into a fresh array; U' pulls it back if rotated."""
     z *= 0.5
-    combined = _weighted(np.tanh(z, out=z), weights)
-    combined -= drift
-    g = inst.w.apply(combined) if z.ndim == 2 else inst.w.apply(combined.T).T
-    return inst.U.apply_t(g) if isinstance(inst, RotatedInstance) else g
+    combined = _weighted(np.tanh(z, out=z), kern.weights)
+    combined -= kern.drift
+    g = kern.W.apply(combined) if z.ndim == 2 else kern.W.apply(combined.T).T
+    return g if kern.U is None else kern.U.apply_t(g)
 
 
 def loss(inst: WorstCaseInstance, x: np.ndarray) -> OracleResponse:
@@ -118,22 +175,21 @@ def loss(inst: WorstCaseInstance, x: np.ndarray) -> OracleResponse:
     stack by GEMMs, so its rows match single calls to the rounding of the
     WY update).  A non-finite |s|*w raises ValueError.
     """
-    w, z, mult, weights, drift = _margins(inst, x)
-    return OracleResponse(_value(w, z, mult, drift), _gradient(inst, z, weights, drift))
+    kern, hw, z, a = _margins(inst, x)
+    return OracleResponse(_value(kern, hw, z, a), _gradient(kern, z))
 
 
 def loss_value(inst: WorstCaseInstance, x: np.ndarray) -> float | np.ndarray:
     """``loss(inst, x).value`` bit for bit, from the value half alone."""
-    w, z, mult, _, drift = _margins(inst, x)
-    return _value(w, z, mult, drift)
+    return _value(*_margins(inst, x))
 
 
 def loss_gradient(inst: WorstCaseInstance, x: np.ndarray) -> np.ndarray:
     """``loss(inst, x).gradient`` bit for bit, from the gradient half alone."""
-    _, z, _, weights, drift = _margins(inst, x)
+    kern, _, z, _ = _margins(inst, x)
     if not np.isfinite(z).all():
         raise ValueError("block margins |s|*Wx must be finite")
-    return _gradient(inst, z, weights, drift)
+    return _gradient(kern, z)
 
 
 def lipschitz(inst: WorstCaseInstance) -> float:
@@ -155,7 +211,10 @@ class FirstOrderOracle:
     This is the only channel optimizers may use; the wrapped instance is
     deliberately not exposed on the public surface, only its dimension
     ``k`` and smoothness constant ``lipschitz``, which must be a positive
-    finite double (a method steps by 1/L), else ValueError.
+    finite double (a method steps by 1/L), else ValueError.  Each answer
+    is ``loss(inst, x)``; the constructor gives the instance its one-point
+    temporaries (see the module notes), so an answer at a point allocates
+    only its gradient, a fresh array no later answer writes into.
     """
 
     def __init__(self, inst: WorstCaseInstance):
@@ -166,6 +225,7 @@ class FirstOrderOracle:
             raise ValueError(
                 f"smoothness constant L = ||A||^2/2 = {self.lipschitz} is not a positive "
                 f"finite double at sigma={inst.sigma}, zeta={inst.zeta}")
+        _kernel(inst).keep()  # one set per instance, shared by its oracles
 
     def __call__(self, x: np.ndarray) -> OracleResponse:
         return loss(self._inst, x)

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import hardlogit
-from hardlogit import cli
+from hardlogit import cli, optimizers
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -83,7 +83,17 @@ def test_tracer_times_the_race_layers(perfbench, tmp_path):
     assert tracer.stats["optimizers.run"].calls == 2
     assert tracer.stats["optimizers.trace_to_csv"].calls == 2
     assert layers["optimizers.run.s"] > 0.0 and layers["optimizers.trace_to_csv.s"] > 0.0
-    assert layers["logloss.loss.calls"] > 0
+    # every answer of the race goes through logloss.loss: each call the
+    # method made, as its report counts them, and each fold evaluation of
+    # an iterate it never queried
+    answers = 0
+    for T in (3, 5):
+        report = json.loads((out / f"report_agd_T{T}.json").read_text())
+        config = report["config"]
+        inst = hardlogit.build_instance(2 * T, config["sigma"], config["zeta"])
+        stream = optimizers.drive("agd", hardlogit.FirstOrderOracle(inst), T)
+        answers += report["measured"]["oracle_calls"] + sum(a is None for _, a, _ in stream)
+    assert layers["logloss.loss.calls"] == tracer.stats["logloss.loss"].calls == answers
     assert _outputs(out) == _untraced(tmp_path, RACE)
 
 

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import io
 import json
@@ -215,6 +216,27 @@ class TestRotation:
             assert np.array_equal(np.vstack(blocks).view(np.int64), dense)
         chunks = datasets._row_bounds(k, k)  # CHUNK_CELLS entries a block
         assert np.array_equal(np.vstack(list(U.row_blocks(chunks))).view(np.int64), dense)
+
+    def test_row_blocks_holds_one_block(self):
+        # a reader that drops each block holds one: the generator releases
+        # its block before the next one's GEMM (holding it peaked at 2.17
+        # blocks here).  U is the denseprobe adversary's: one reflector
+        # whose coefficients are equal but for its last
+        k = 1602
+        U = Rotation(k)
+        v = np.ones(k - 2)
+        v[-1] = -2.0
+        U.append(v)
+        bounds = datasets._row_bounds(k, k)
+        block = 8 * k * (bounds[0][1] - bounds[0][0])
+        tracemalloc.start()
+        try:
+            collections.deque(U.row_blocks(bounds), maxlen=0)  # keeps no block
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(bounds) > 2
+        assert peak <= 1.5 * block
 
     def test_append_checks_the_reflector(self):
         U = Rotation(4)

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -418,6 +419,94 @@ class TestKernelBits:
             for entry in (loss, loss_value, loss_gradient):
                 with pytest.raises(ValueError, match="finite"):
                     entry(inst, x)
+
+
+@st.composite
+def _one_point_cases(draw):
+    """(base instance, a rotation of it, m = 4 points): k from 1 to 2,100,
+    both variants, sigma/zeta in (1, 1e4], zeta from 1e-8 to 1e8, 1 to 3
+    reflectors on leading blocks of random length.  Each point has its own
+    scale, one of them subnormal, and a leading block of +0.0 or -0.0."""
+    k = draw(st.integers(1, 2100))
+    ratio = draw(st.floats(1.0, 1e4, exclude_min=True))
+    zeta = 10.0 ** draw(st.floats(-8.0, 8.0))
+    variant = draw(st.sampled_from(VARIANTS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    base = build_instance(k, ratio * zeta, zeta, variant)
+    U = Rotation(k)
+    for _ in range(int(rng.integers(1, 4))):
+        U.append(rng.standard_normal(int(rng.integers(1, k + 1))))
+    X = rng.standard_normal((4, k)) * 10.0 ** rng.uniform(-8, 8, size=(4, 1))
+    X[-1] = rng.standard_normal(k) * 2.0**-1060  # subnormal entries
+    for x, sign in zip(X, (1.0, -1.0, 1.0, -1.0)):
+        x[: int(rng.integers(0, k + 1))] = sign * 0.0
+    return base, RotatedInstance(base, U), X
+
+
+class TestKeptTemporaries:
+    """A one-point answer on an instance with an oracle runs the kernel on
+    temporaries the oracle keeps; its answers keep the bits of the stacked
+    rows, which run on fresh ones, and none of them aliases those
+    temporaries."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=_one_point_cases())
+    def test_one_point_answers_are_the_stacked_rows(self, case):
+        base, rotated, X = case
+        U = rotated.U
+        # the base kernel's stacked rows; the rotated answer is the base one
+        # at U x, pulled back by U'
+        Y = np.array([U.apply(x) for x in X])
+        stacked = loss(base, X), loss(base, Y)
+        for inst, ref in zip((base, rotated), stacked):
+            expected = [(value.hex(), _bits(g if inst is base else U.apply_t(g)))
+                        for value, g in zip(ref.value.tolist(), ref.gradient)]
+            for kept in (False, True):
+                if kept:
+                    FirstOrderOracle(inst)
+                for x, (value, gradient) in zip(X, expected):
+                    resp = loss(inst, x)
+                    assert resp.value.hex() == loss_value(inst, x).hex() == value
+                    assert np.array_equal(_bits(resp.gradient), gradient)
+                    assert np.array_equal(_bits(loss_gradient(inst, x)), gradient)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=_one_point_cases())
+    def test_no_answer_aliases_the_kept_temporaries(self, case):
+        # oracles of two instances of one k and of a rotated one, answering
+        # in turn: every gradient is its own fresh array and no later call
+        # writes over it
+        base, rotated, X = case
+        twin = build_instance(base.k, base.sigma, base.zeta, base.variant)
+        oracles = [FirstOrderOracle(inst) for inst in (base, twin, rotated)]
+        answers = []
+        for x in X:
+            for oracle in oracles:
+                answers.append(oracle(x).gradient)
+            answers.append(loss_gradient(base, x))
+        copies = [g.copy() for g in answers]
+        for oracle in oracles:
+            oracle(X[0])
+        for i, g in enumerate(answers):
+            assert np.array_equal(_bits(g), _bits(copies[i]))
+            assert not np.shares_memory(g, X)
+            assert not any(np.shares_memory(g, h) for h in answers[:i])
+
+    def test_one_point_answer_allocates_only_its_gradient(self, rng):
+        # the kernel's temporaries are the oracle's, made with it; a call
+        # allocates the gradient it returns (the kernel on fresh arrays
+        # peaked at 9 k-vectors)
+        k = 20_000
+        oracle = FirstOrderOracle(build_instance(k, 1.3, 1.0))
+        x = rng.standard_normal(k)
+        oracle(x)
+        tracemalloc.start()
+        try:
+            oracle(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 8 * k
 
 
 class TestOptimumIntercept:
