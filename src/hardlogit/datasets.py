@@ -59,7 +59,7 @@ class WOperator:
         x = np.asarray(x, dtype=float)
         if x.shape[:1] != (self.k,) or x.ndim > 2:
             raise ValueError(f"dimension mismatch: expected ({self.k},), got {x.shape}")
-        return _w_into(x, np.empty(x.shape))
+        return _w_into(x, np.empty_like(x))  # in x's layout, so each row of a stack is contiguous
 
     def dense(self) -> np.ndarray:
         return self.apply(np.eye(self.k))

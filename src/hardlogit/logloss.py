@@ -33,6 +33,15 @@ pages in; two threads must not then make one-point calls on that instance
 at once.  A bare call on an instance with no oracle, and every stack,
 runs the same arithmetic on fresh arrays.
 
+On a base instance of k >= WINDOW_FROM those one-point answers are
+windowed: a span method's iterate lies on the trailing coordinates, so
+w = Wx is zero past a leading window, and exp, log1p and tanh run only on
+the window, read from w as one past its last nonzero.  Past it z is +-0,
+which tanh(z/2) keeps, and h(z) is h(0), which the kept h rows already
+hold: their tail is state shared by the instance's oracles, tracked as
+the column from which it holds h(0) and written by the same h when a
+window shrinks.  Every answer keeps the bits of the full pass.
+
 Optimizers never see A or b: they receive an opaque oracle handle that
 returns (value, gradient) pairs only.
 """
@@ -47,6 +56,11 @@ import numpy as np
 from .datasets import RotatedInstance, WorstCaseInstance, _w_into
 
 LOG2 = float(np.log(2.0))
+# k from which one-point answers on a base instance are windowed: in two
+# sets of 15 alternated runs of agd's race, windows changed its median time
+# by +12 % at k = 500, +2.5 % at 1,000, +2.7 and +3.3 % at 1,200, -3.8 and
+# -4.1 % at 1,500, and -10 and -19 % at 1,800
+WINDOW_FROM = 1536
 
 
 @dataclass(frozen=True)
@@ -86,21 +100,25 @@ class _Kernel:
     the distinct |s| as a column, mult, mult*|s| and the drift.  ``keep``
     adds the temporaries a one-point answer writes into, ``kept``: hw,
     whose rows are h(z) and then w, so that one reduction sums them all,
-    z = |s| w and |z|."""
+    z = |s| w and |z|; and ``h_from``, None unless the answers are windowed
+    (a base instance of k >= WINDOW_FROM), else the column from which the
+    h(z) rows hold h(0): k until an answer writes them."""
 
-    __slots__ = ("k", "W", "U", "mags", "mult", "weights", "drift", "kept")
+    __slots__ = ("k", "W", "U", "mags", "mult", "weights", "drift", "kept", "h_from")
 
     def __init__(self, inst: WorstCaseInstance):
         self.k, self.W = inst.k, inst.w
         self.U = inst.U if isinstance(inst, RotatedInstance) else None
         self.mags, self.mult, self.weights, self.drift = _magnitudes(
             inst.block_scales, inst.block_labels)
-        self.kept = None
+        self.kept = self.h_from = None
 
     def keep(self) -> None:
         if self.kept is None:
             d = len(self.mult)
             self.kept = (np.empty((d + 1, self.k)), *np.empty((2, d, self.k)))
+            if self.U is None and self.k >= WINDOW_FROM:  # U x is dense: no window
+                self.h_from = self.k
 
 
 def _kernel(inst: WorstCaseInstance) -> _Kernel:
@@ -113,10 +131,12 @@ def _kernel(inst: WorstCaseInstance) -> _Kernel:
 
 
 def _margins(inst: WorstCaseInstance, x):
-    """(kernel, hw, z, a): w = Wx in hw's last row and z = |s| w, at x or,
-    if rotated, at U x; a is where |z| goes.  A point uses the kept
+    """(kernel, hw, z, a, m): w = Wx in hw's last row and z = |s| w, at x
+    or, if rotated, at U x; a is where |z| goes.  A point uses the kept
     temporaries if the instance has them; else hw is fresh and z and a are
-    None, so their ufuncs allocate."""
+    None, so their ufuncs allocate.  m is None, or on a windowed answer
+    one past w's last nonzero (0 if none), read from w itself: a subnormal
+    w may underflow to 0 in one row of z and not in another."""
     x = np.asarray(x, dtype=float)
     kern = _kernel(inst)
     if kern.kept is not None and x.shape == (kern.k,):
@@ -130,19 +150,39 @@ def _margins(inst: WorstCaseInstance, x):
         x = kern.U.apply(x)
     w = hw[-1]
     _w_into(x.T, w.T)  # W is symmetric, so W x for each row x of a stack is W along x.T
-    return kern, hw, np.multiply(kern.mags if x.ndim == 1 else kern.mags[:, None], w, z), a
+    z = np.multiply(kern.mags if x.ndim == 1 else kern.mags[:, None], w, z)
+    m = None
+    if a is not None and kern.h_from is not None:
+        nonzero = w != 0.0
+        last = int(nonzero[::-1].argmax())
+        m = kern.k - last if nonzero[kern.k - 1 - last] else 0
+    return kern, hw, z, a, m
 
 
-def _value(kern: _Kernel, hw, z, a):
-    """The value half, on ``_margins``' temporaries; each sum runs along
-    the last axis, as for one point."""
+def _h(z, a, h):
+    """h(z) = |z| + 2*log1p(exp(-|z|)) into h, |z| into a (fresh if None)."""
     a = np.abs(z, a)
-    h = hw[:-1]
     np.negative(a, h)
     np.exp(h, h)
     np.log1p(h, h)
     np.multiply(h, 2.0, h)
-    np.add(h, a, h)  # h(z) = |z| + 2*log1p(exp(-|z|))
+    np.add(h, a, h)
+
+
+def _value(kern: _Kernel, hw, z, a, m):
+    """The value half, on ``_margins``' temporaries; each sum runs along
+    the last axis, as for one point.  A windowed answer runs h only on the
+    columns before m, and before ``h_from`` where a wider window wrote:
+    past them z is +-0, whose h(0) the rows already hold.  It takes each
+    row's leading columns alone, 1-d and contiguous, since numpy 2.4.6's
+    np.negative misreads some (d, m) column views."""
+    if m is None:
+        _h(z, a, hw[:-1])
+    else:
+        end = max(m, kern.h_from)
+        for i in range(len(z)):
+            _h(z[i, :end], a[i, :end], hw[i, :end])
+        kern.h_from = m
     sums = np.add.reduce(hw, -1)  # the h sums, then sum(w)
     if z.ndim == 2:  # Python floats, and a float value
         sums = sums.tolist()
@@ -153,11 +193,15 @@ def _value(kern: _Kernel, hw, z, a):
     return value
 
 
-def _gradient(kern: _Kernel, z):
+def _gradient(kern: _Kernel, z, m):
     """The gradient half, in place on z (so after any value half), then W
-    into a fresh array; U' pulls it back if rotated."""
-    z *= 0.5
-    combined = _weighted(np.tanh(z, out=z), kern.weights)
+    into a fresh array; U' pulls it back if rotated.  A windowed answer
+    runs tanh(z/2) only before column m: past it z is +-0, which both
+    keep."""
+    for piece in (z,) if m is None else [row[:m] for row in z]:
+        piece *= 0.5
+        np.tanh(piece, out=piece)
+    combined = _weighted(z, kern.weights)
     combined -= kern.drift
     g = kern.W.apply(combined) if z.ndim == 2 else kern.W.apply(combined.T).T
     return g if kern.U is None else kern.U.apply_t(g)
@@ -175,8 +219,8 @@ def loss(inst: WorstCaseInstance, x: np.ndarray) -> OracleResponse:
     stack by GEMMs, so its rows match single calls to the rounding of the
     WY update).  A non-finite |s|*w raises ValueError.
     """
-    kern, hw, z, a = _margins(inst, x)
-    return OracleResponse(_value(kern, hw, z, a), _gradient(kern, z))
+    kern, hw, z, a, m = _margins(inst, x)
+    return OracleResponse(_value(kern, hw, z, a, m), _gradient(kern, z, m))
 
 
 def loss_value(inst: WorstCaseInstance, x: np.ndarray) -> float | np.ndarray:
@@ -186,10 +230,10 @@ def loss_value(inst: WorstCaseInstance, x: np.ndarray) -> float | np.ndarray:
 
 def loss_gradient(inst: WorstCaseInstance, x: np.ndarray) -> np.ndarray:
     """``loss(inst, x).gradient`` bit for bit, from the gradient half alone."""
-    kern, _, z, _ = _margins(inst, x)
+    kern, _, z, _, m = _margins(inst, x)
     if not np.isfinite(z).all():
         raise ValueError("block margins |s|*Wx must be finite")
-    return _gradient(kern, z)
+    return _gradient(kern, z, m)
 
 
 def lipschitz(inst: WorstCaseInstance) -> float:
@@ -229,3 +273,8 @@ class FirstOrderOracle:
 
     def __call__(self, x: np.ndarray) -> OracleResponse:
         return loss(self._inst, x)
+
+    def _stacks_exactly(self) -> bool:
+        """Whether this oracle answers each row of an (m, k) stack with the
+        bits of a one-point answer: on a base instance (see ``loss``)."""
+        return _kernel(self._inst).U is None

@@ -5,13 +5,16 @@ other name raises ValueError).  Every method starts at x_0 = 0, takes the
 step 1/L for the smoothness constant L the oracle exposes, and is fully
 deterministic; the methods here make one oracle call per iteration, and
 ``drive`` counts every call whatever their number as it streams the
-iterates, which ``run`` folds into scalars in O(k) memory, its count the
-trace's ``oracle_calls``.  ``denseprobe`` deliberately leaves the span of
-past gradients (it adds a scaled all-ones direction) while still
+iterates, which ``run`` folds into scalars, its count the trace's
+``oracle_calls``.  Besides the newest iterates the fold holds only those
+it answers in one stack, at most STACK_CELLS cells, so a run's memory is
+O(k + STACK_CELLS) whatever T.  ``denseprobe`` deliberately leaves the
+span of past gradients (it adds a scaled all-ones direction) while still
 converging, so the support test and the adaptive adversary have a method
 to catch.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -20,6 +23,14 @@ import numpy as np
 METHOD_NAMES = ("gd", "agd", "heavyball", "denseprobe")
 MOMENTUM = 0.9  # heavyball
 PROBE_SCALE = 1e-3  # denseprobe: the weight of its all-ones direction
+# cells of a stack of iterates the fold answers in one call: agd's race at
+# T = 100, 250, 500 took 42.9 ms answering them one at a time, and 40.4 /
+# 38.5 / 38.0 ms at 2,048 / 3,072 / 4,096 cells (medians of 24 alternated
+# rounds); race-ladder's peak RSS rose 0.08 / 0.23-0.27 / 0.25 MB
+STACK_CELLS = 3072
+# trace rows formatted at once: the whole 5,001-row trace of agd's race at
+# T = 5,000 at once raised its peak RSS by 1.1 MB
+CSV_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -111,7 +122,7 @@ def drive(name: str, oracle, T: int):
         nonlocal answer, calls
         resp = oracle(query)
         calls += 1
-        if answer is None and (query is x or np.array_equal(query, x)):
+        if answer is None and (query is x or query[-1] == x[-1] and np.array_equal(query, x)):
             answer = resp
         return resp
 
@@ -126,24 +137,50 @@ def drive(name: str, oracle, T: int):
 def _fold(stream, oracle, x_star: np.ndarray) -> Trace:
     """Fold ``drive``'s ``(x, answer, calls)`` stream into a trace as each
     iterate arrives (distances to ``x_star``, the optimum in the oracle's
-    coordinates); no iterate is kept.
+    coordinates).
 
     Values and gradient norms come from the answer the method received at
     the iterate; an iterate it never queried (x_T, and agd's x_2 .. x_T) is
-    evaluated by ``oracle`` on arrival, a call ``oracle_calls`` leaves out.
+    evaluated by ``oracle``, a call ``oracle_calls`` leaves out.  Where the
+    oracle answers a stack's rows with one-point bits (its
+    ``_stacks_exactly``), those iterates are held and answered in stacks
+    of at most STACK_CELLS cells, one point at a time where a stack would
+    hold one row; so the fold holds at most STACK_CELLS cells of iterates.
     """
     values, grad_norms, dist_sq = [], [], []
     frontier = 0
+    exact = getattr(oracle, "_stacks_exactly", None)
+    rows = STACK_CELLS // oracle.k if exact is not None and exact() else 1
+    held = {}  # t -> x_t, each awaiting its answer
+
+    def answer_held():
+        if len(held) > 1:
+            ts, stack = list(held), np.array(list(held.values()))
+            held.clear()  # the stack is the one copy the call sees
+            resp = oracle(stack)
+            for t, value, norm in zip(ts, resp.value, np.abs(resp.gradient).max(axis=1)):
+                values[t], grad_norms[t] = value, norm
+        elif held:
+            t, x = held.popitem()
+            resp = oracle(x)
+            values[t], grad_norms[t] = resp.value, np.abs(resp.gradient).max()
+
     for t, (x, answer, calls) in enumerate(stream):
         if answer is None:
-            answer = oracle(x)
-        values.append(answer.value)
-        grad_norms.append(np.abs(answer.gradient).max())
+            values.append(None)
+            grad_norms.append(None)
+            held[t] = x
+            if len(held) >= rows:
+                answer_held()
+        else:
+            values.append(answer.value)
+            grad_norms.append(np.abs(answer.gradient).max())
         d = x - x_star
         dist_sq.append(d @ d)
         lead = x[: max(len(x) - t - frontier, 0)]  # where a nonzero raises the frontier
         if np.count_nonzero(lead):
             frontier = len(x) - int(np.argmax(lead != 0.0)) - t
+    answer_held()
     return Trace(np.array(values), np.array(grad_norms), np.array(dist_sq), x, frontier, calls)
 
 
@@ -153,10 +190,13 @@ def run(name: str, oracle, T: int, x_star: np.ndarray) -> Trace:
 
 
 def trace_to_csv(trace: Trace, path, f_star: float) -> None:
-    """Per-iteration metrics: t, value, gap, dist_sq, grad_norm."""
-    rows = zip(trace.values.tolist(), trace.dist_sq.tolist(), trace.grad_norms.tolist())
+    """Per-iteration metrics: t, value, gap, dist_sq, grad_norm, formatted
+    CSV_ROWS rows at a time by one template."""
+    values = trace.values.tolist()
+    rows = zip(range(len(values)), values, (value - f_star for value in values),
+               trace.dist_sq.tolist(), trace.grad_norms.tolist())
     with open(path, "w", newline="") as fh:  # "\r\n" ends lines, as csv.writer does
         fh.write("t,value,gap,dist_sq,grad_norm\r\n")
-        for t, (value, dist_sq, grad_norm) in enumerate(rows):
-            fh.write("%d,%.17g,%.17g,%.17g,%.17g\r\n"
-                     % (t, value, value - f_star, dist_sq, grad_norm))
+        while block := list(itertools.islice(rows, CSV_ROWS)):
+            fh.write("%d,%.17g,%.17g,%.17g,%.17g\r\n" * len(block)
+                     % tuple(itertools.chain.from_iterable(block)))

@@ -156,6 +156,9 @@ class ResistingOracle(FirstOrderOracle):
         self.U.append(v)
         return self.U.apply_newest(y)
 
+    def _stacks_exactly(self) -> bool:
+        return False  # every query it answers is a step that places the point
+
     def __call__(self, x: np.ndarray) -> OracleResponse:
         # loss of the rotated dataset: value at U x, gradient pulled back by U.T
         resp = loss(self._inst, self._place(x))

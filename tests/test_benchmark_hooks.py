@@ -6,13 +6,15 @@ Running one small ``resist`` and one small ``race`` under the tracer and
 under the speed probe makes a refactor that drops or renames one of those
 names fail here, instead of silently reading 0 in every benchmark run."""
 
+import functools
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import hardlogit
-from hardlogit import cli, optimizers
+from hardlogit import cli, logloss, optimizers
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -74,18 +76,30 @@ def test_tracer_wraps_every_hook(perfbench, tmp_path):
     assert _outputs(out) == _untraced(tmp_path)
 
 
-def test_tracer_times_the_race_layers(perfbench, tmp_path):
+def test_tracer_times_the_race_layers(perfbench, tmp_path, monkeypatch):
     tracer_mod, _ = perfbench
     out = tmp_path / "traced"
+    seen = {"calls": 0, "rows": 0}
+    loss = logloss.loss
+
+    @functools.wraps(loss)  # still logloss.loss to the tracer, which wraps it
+    def counting(inst, x):
+        seen["calls"] += 1
+        seen["rows"] += 1 if np.ndim(x) == 1 else len(x)
+        return loss(inst, x)
+
+    monkeypatch.setattr(logloss, "loss", counting)
     tracer = _traced(tracer_mod, RACE + ["--out", str(out)])
+    monkeypatch.undo()
     layers = tracer.layer_metrics()
     # one run and one trace CSV per T, each timed under the name the metric reads
     assert tracer.stats["optimizers.run"].calls == 2
     assert tracer.stats["optimizers.trace_to_csv"].calls == 2
     assert layers["optimizers.run.s"] > 0.0 and layers["optimizers.trace_to_csv.s"] > 0.0
-    # every answer of the race goes through logloss.loss: each call the
-    # method made, as its report counts them, and each fold evaluation of
-    # an iterate it never queried
+    # every answer of the race goes through logloss.loss, and the tracer
+    # counts each call: a row for each call the method made, as its report
+    # counts them, and for each fold evaluation of an iterate it never
+    # queried, which on these base instances come in one stack per run
     answers = 0
     for T in (3, 5):
         report = json.loads((out / f"report_agd_T{T}.json").read_text())
@@ -93,7 +107,9 @@ def test_tracer_times_the_race_layers(perfbench, tmp_path):
         inst = hardlogit.build_instance(2 * T, config["sigma"], config["zeta"])
         stream = optimizers.drive("agd", hardlogit.FirstOrderOracle(inst), T)
         answers += report["measured"]["oracle_calls"] + sum(a is None for _, a, _ in stream)
-    assert layers["logloss.loss.calls"] == tracer.stats["logloss.loss"].calls == answers
+    assert seen["rows"] == answers
+    assert layers["logloss.loss.calls"] == tracer.stats["logloss.loss"].calls == seen["calls"]
+    assert seen["calls"] == 3 + 5 + 2
     assert _outputs(out) == _untraced(tmp_path, RACE)
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from hardlogit import (
     build_instance,
     invariants,
     lipschitz,
+    logloss,
     loss,
     profile,
     run,
@@ -491,6 +493,82 @@ class TestKeptTemporaries:
             assert np.array_equal(_bits(g), _bits(copies[i]))
             assert not np.shares_memory(g, X)
             assert not any(np.shares_memory(g, h) for h in answers[:i])
+
+    @staticmethod
+    def _assert_answers_are_rows(inst, x, value, gradient):
+        # loss, loss_value and loss_gradient at x against a stacked row
+        resp = loss(inst, x)
+        assert resp.value.hex() == loss_value(inst, x).hex() == value.hex()
+        assert np.array_equal(_bits(resp.gradient), _bits(gradient))
+        assert np.array_equal(_bits(loss_gradient(inst, x)), _bits(gradient))
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-320])
+    @pytest.mark.parametrize("sigma, zeta", [(1.3, 1.0), (1.0, 1e-8)])
+    def test_windowed_answers_at_every_offset(self, monkeypatch, sigma, zeta, scale):
+        # with the crossover down at k = 1, every one-point answer on a base
+        # instance is windowed; at k = 8 a point whose nonzeros start at
+        # coordinate 8 - m has w's nonzeros end at offset m, for each window
+        # m = 0 .. 8, over a leading block of +0.0 or -0.0 (-0.0 in w's last
+        # row); at 1e-320, w is subnormal and, at zeta = 1e-8, z's smaller
+        # row underflows to zero where the other does not.  Each answer has
+        # the bits of the bare call, on fresh arrays, and of the stacked row
+        monkeypatch.setattr(logloss, "WINDOW_FROM", 1)
+        k = 8
+        rng = np.random.default_rng(8)
+        X = np.array([np.concatenate([np.full(k - m, sign * 0.0), rng.standard_normal(m) * scale])
+                      for m in range(k + 1) for sign in (1.0, -1.0)])
+        inst = build_instance(k, sigma, zeta)
+        stacked = loss(inst, X)
+        bare = [loss(inst, x) for x in X]
+        for x, want in zip(X, bare):
+            self._assert_answers_are_rows(inst, x, want.value, want.gradient)
+        FirstOrderOracle(inst)
+        kern = logloss._kernel(inst)
+        for i, (x, value, gradient) in enumerate(zip(X, stacked.value, stacked.gradient)):
+            self._assert_answers_are_rows(inst, x, value, gradient)
+            assert kern.h_from == i // 2  # the window read from w
+            assert bare[i].value.hex() == value.hex()
+            assert np.array_equal(_bits(bare[i].gradient), _bits(gradient))
+        if scale < 1.0 and zeta < 1.0:
+            assert (np.abs(X[-1] * 2e-8) == 0.0).all() and (X[-1] != 0.0).all()
+
+    def test_windows_shrink_and_grow_across_oracles(self, monkeypatch):
+        # two oracles of one instance share its kept temporaries, and so the
+        # tail of h(0) the windows leave: answers whose windows shrink (to
+        # 0) and grow (to k) in turn keep the stacked rows' bits
+        monkeypatch.setattr(logloss, "WINDOW_FROM", 1)
+        k = 8
+        windows = [8, 1, 5, 0, 3, 8, 2, 2, 6, 1, 7, 0, 8]
+        rng = np.random.default_rng(13)
+        X = np.zeros((len(windows), k))
+        for x, m in zip(X, windows):
+            x[k - m :] = rng.standard_normal(m)
+        inst = build_instance(k, 1.3, 1.0)
+        stacked = loss(inst, X)
+        oracles = FirstOrderOracle(inst), FirstOrderOracle(inst)
+        kern = logloss._kernel(inst)
+        for i, (x, m) in enumerate(zip(X, windows)):
+            resp = oracles[i % 2](x)
+            assert kern.h_from == m
+            assert resp.value.hex() == stacked.value[i].hex()
+            assert np.array_equal(_bits(resp.gradient), _bits(stacked.gradient[i]))
+            self._assert_answers_are_rows(inst, x, stacked.value[i], stacked.gradient[i])
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=_one_point_cases())
+    def test_windowed_answers_are_the_stacked_rows(self, case):
+        # the cases above at any k, scale and (sigma, zeta), with the
+        # crossover down at k = 1: a base instance's answers are windowed, a
+        # rotated one's, whose U x is dense, are not
+        base, rotated, X = case
+        stacked = loss(base, X)
+        with mock.patch.object(logloss, "WINDOW_FROM", 1):
+            FirstOrderOracle(base)
+            FirstOrderOracle(rotated)
+        assert logloss._kernel(base).h_from == base.k
+        assert logloss._kernel(rotated).h_from is None
+        for x, value, gradient in zip(X, stacked.value, stacked.gradient):
+            self._assert_answers_are_rows(base, x, value, gradient)
 
     def test_one_point_answer_allocates_only_its_gradient(self, rng):
         # the kernel's temporaries are the oracle's, made with it; a call

@@ -11,6 +11,8 @@ from hardlogit import (
     FirstOrderOracle,
     OracleResponse,
     ResistingOracle,
+    RotatedInstance,
+    Rotation,
     build_instance,
     drive,
     invariants,
@@ -79,8 +81,14 @@ def _install_fixed_iterates(monkeypatch, iterates):
     monkeypatch.setattr(optimizers, "iterate_steps", steps)
 
 
+def _rows(queries):
+    """The points answered at ``queries``: one per point, m per (m, k) stack."""
+    return sum(1 if q.ndim == 1 else len(q) for q in queries)
+
+
 class _RecordingOracle(FirstOrderOracle):
-    """The exact oracle, keeping every query point and received gradient."""
+    """The exact oracle, keeping every query point (or stack) and received
+    gradient."""
 
     def __init__(self, inst):
         super().__init__(inst)
@@ -92,6 +100,18 @@ class _RecordingOracle(FirstOrderOracle):
         self.queries.append(np.array(x))
         self.gradients.append(resp.gradient)
         return resp
+
+
+class _PointOracle:
+    """The exact oracle of an instance behind a plain object, which declares
+    no stacks, so the fold answers it one point at a time."""
+
+    def __init__(self, inst):
+        self._oracle = FirstOrderOracle(inst)
+        self.k, self.lipschitz = inst.k, self._oracle.lipschitz
+
+    def __call__(self, x):
+        return self._oracle(x)
 
 
 class TestRun:
@@ -188,11 +208,37 @@ class TestRun:
             assert np.array_equal(x, iterates[t])
             _assert_same_response(answer, loss(inst, x))
         assert stream[T][1] is None
-        # agd makes T inquiries too, at y_0 .. y_{T-1}; the fold's calls at
-        # x_2 .. x_T, which it never queried, are not the method's
+        # agd makes T inquiries too, at y_0 .. y_{T-1}; the fold's answers at
+        # x_2 .. x_T, which it never queried, are not the method's: on a
+        # base instance they come from one stack of those T - 1 rows
         oracle = _RecordingOracle(inst)
         assert run("agd", oracle, T, profile(inst).x_star).oracle_calls == T
-        assert len(oracle.queries) == 2 * T - 1
+        assert _rows(oracle.queries) == 2 * T - 1
+        assert len(oracle.queries) == T + 1
+        assert np.array_equal(oracle.queries[-1], _stacked("agd", FirstOrderOracle(inst), T)[2:])
+
+    def test_drive_takes_the_answer_at_an_equal_query(self, monkeypatch):
+        # a method that asks at x_t with its last entry moved, then at a copy
+        # of x_t whose zeros are -0.0 (the last entry too, at t = 0): the
+        # copy is equal to x_t, so its answer is x_t's, and the moved
+        # point's is not
+        def probes(name, ask, k, step):
+            x = np.zeros(k)
+            while True:
+                moved, same = x.copy(), x.copy()
+                moved[-1] += 1.0
+                same[same == 0.0] = -0.0
+                ask(moved)
+                x = x - step * ask(same).gradient
+                yield x
+
+        monkeypatch.setattr(optimizers, "iterate_steps", probes)
+        inst = build_instance(5, 1.3, 1.0)
+        stream = list(drive("gd", FirstOrderOracle(inst), 3))
+        assert stream[0][0][-1] == 0.0 and not np.signbit(stream[0][0][-1])
+        for x, answer, _ in stream[:3]:
+            _assert_same_response(answer, loss(inst, x))
+        assert stream[3][1] is None
 
     def test_drive_records_every_call_of_a_two_call_method(self, monkeypatch):
         # a method that probes a side point before querying its iterate
@@ -249,11 +295,70 @@ class TestFold:
             d = x - x_star
             assert trace.dist_sq[t] == d @ d
         assert trace.support_frontier == _frontier_of(iterates)
-        # the trace counts the method's calls; the oracle also saw one per
-        # unanswered iterate, from the fold
+        # the trace counts the method's calls; the oracle also answered one
+        # row per unanswered iterate, from the fold, each stack of them of at
+        # least two rows and at most STACK_CELLS cells
         unanswered = sum(answer is None for _, answer, _ in stream)
         assert trace.oracle_calls == stream[-1][2]
-        assert len(oracle.queries) == stream[-1][2] + unanswered
+        assert _rows(oracle.queries) == stream[-1][2] + unanswered
+        for q in oracle.queries:
+            assert q.ndim == 1 or 2 <= len(q) and q.size <= optimizers.STACK_CELLS
+
+    @pytest.mark.parametrize("budget_rows", [0, 1, 2, 3, 5])
+    @pytest.mark.parametrize("name", ALL_METHODS)
+    def test_fold_keeps_the_one_point_bits_at_any_budget(self, monkeypatch, name, budget_rows):
+        # a budget of r rows answers agd's x_2 .. x_T in stacks of r, the
+        # last one shorter, and one point at a time where a stack would hold
+        # one row; every trace keeps the bits of the one-point fold
+        k, T = 12, 11
+        inst = build_instance(k, 1.3, 1.0)
+        x_star = profile(inst).x_star
+        want = run(name, _PointOracle(inst), T, x_star)
+        monkeypatch.setattr(optimizers, "STACK_CELLS", budget_rows * k + k - 1)
+        oracle = _RecordingOracle(inst)
+        _assert_same_trace(run(name, oracle, T, x_star), want)
+        stacks = [len(q) for q in oracle.queries if q.ndim == 2]
+        held = T - 1 if name == "agd" else 1  # x_2 .. x_T, or x_T alone
+        full, rest = divmod(held, budget_rows) if budget_rows > 1 else (0, 0)
+        assert stacks == [budget_rows] * full + [rest] * (rest > 1)
+        assert _rows(oracle.queries) == T + held
+
+    @pytest.mark.parametrize("reflectors", [0, 3])
+    def test_fold_answers_a_rotated_instance_one_point_at_a_time(self, reflectors):
+        # a stack on a rotated instance goes through the GEMMs of the WY
+        # update, whose rows need not be one-point bits, so the fold answers
+        # its iterates one at a time, each with a one-point call's bits
+        k, T = 30, 12
+        rng = np.random.default_rng(5)
+        U = Rotation(k)
+        for _ in range(reflectors):
+            U.append(rng.standard_normal(int(rng.integers(1, k + 1))))
+        inst = RotatedInstance(build_instance(k, 1.3, 1.0), U)
+        oracle = _RecordingOracle(inst)
+        trace = run("agd", oracle, T, U.apply_t(profile(inst).x_star))
+        assert [q.shape for q in oracle.queries] == [(k,)] * (2 * T - 1)
+        for t, x in enumerate(_stacked("agd", FirstOrderOracle(inst), T)):
+            resp = loss(inst, x)
+            assert trace.values[t].hex() == resp.value.hex()
+            assert trace.grad_norms[t] == np.max(np.abs(resp.gradient))
+
+    def test_run_never_hands_a_resisting_oracle_a_stack(self):
+        # each call of a resisting oracle places its point, so the fold's
+        # answers at agd's unqueried x_2 .. x_T are steps of the adversary,
+        # one point each, after the method's T
+        T = 5
+        inst = build_instance(4 * T, 1.3, 1.0)
+
+        class Recording(ResistingOracle):
+            def __call__(self, x):
+                self.shapes.append(np.shape(x))
+                return super().__call__(x)
+
+        oracle = Recording(inst)
+        oracle.shapes = []
+        assert run("agd", oracle, T, profile(inst).x_star).oracle_calls == T
+        assert oracle.shapes == [(inst.k,)] * (2 * T - 1)
+        assert len(oracle.points) == 2 * T - 1
 
     def test_run_holds_o_of_k_memory(self):
         k, T = 4000, 2000
