@@ -1,9 +1,12 @@
 #!/usr/bin/env python3
 """Build the hard logistic-regression datasets and look inside them."""
 
+from pathlib import Path
+
 import numpy as np
 
 from hardlogit import build_instance, build_w, export, profile, profile_metadata
+from hardlogit.cli import main
 
 np.set_printoptions(precision=3, suppress=True, linewidth=120)
 
@@ -18,7 +21,7 @@ print("W @ (1..5)/10 =", w.apply(np.arange(1.0, 6.0) / 10), " (a scaled ramp bec
 # Stacking scaled copies of W with mirrored labels gives the dataset.  The
 # four-block form is symmetric under negating the features, which pins the
 # optimal intercept of the fitted classifier at zero.
-inst = build_instance(6, sigma=1.3, zeta=1.0, variant="fourblock")
+inst = build_instance(6, sigma=1.3, zeta=1.0)
 print(f"\nfour-block instance: {inst.n_rows} rows x {inst.k} features")
 print("labels:", inst.labels.astype(int))
 A = inst.dense()
@@ -32,10 +35,12 @@ print(f"row-structure bound 4*sqrt(2(sigma^2+zeta^2)) = {inst.spectral_norm_boun
 # A ramp maps to constant blocks: W (1..6) = 1.
 print("\nA @ (1..6) head:", (A @ np.arange(1.0, 7.0))[:8])
 
-# The half-size variant drops the mirrored blocks.
-small = build_instance(3, 1.3, 1.0, "twoblock")
-print(f"\ntwo-block instance: {small.n_rows} rows x {small.k} features")
-print(small.dense())
+# The CLI's two-block file keeps blocks (2*sigma*W, +1) and (2*zeta*W, -1)
+# alone: half the loss at every x, and its f* holds for a fit without an
+# intercept.
+print()
+main(["generate", "--k", "3", "--variant", "twoblock", "--out", "demo_twoblock.csv"])
+print(Path("demo_twoblock.csv").read_text(), end="")
 
 # One export call per format writes the data file and, beside it, its
 # .meta.json sidecar; the analytic entries come from the closed-form profile.

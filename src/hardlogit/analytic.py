@@ -4,13 +4,10 @@ For sigma > zeta > 0 there is a unique c > 0 with
 
     sigma*tanh(sigma*c) + zeta*tanh(zeta*c) = sigma - zeta,
 
-and the four-block instance is minimized at x* = c*(1, 2, ..., k) with
-optimal value
+and the instance of the one family is minimized at x* = c*(1, 2, ..., k)
+with optimal value
 
     f* = 8k*log2 + 4k*[logcosh(sigma*c) + logcosh(zeta*c) - (sigma-zeta)*c].
-
-h is even, so the four-block loss is exactly twice the two-block loss: the
-two-block instance has the same x* and half the optimal value.
 
 This module solves for c (bisection on a proven bracket in z = zeta*c,
 whose root depends on sigma/zeta alone, so it is solved once per ratio in
@@ -136,18 +133,13 @@ def per_coordinate_gap(sigma: float, zeta: float) -> float:
 
 
 def profile(inst: WorstCaseInstance) -> AnalyticProfile:
-    """Assemble c, x*, f* and ||x*||^2 for an instance.
-
-    Both variants share x* and c; the two-block f* is half the four-block one.
-    """
+    """Assemble c, x*, f* and ||x*||^2 for an instance."""
     sigma, zeta, k = inst.sigma, inst.zeta, inst.k
     c = solve_c(sigma, zeta)
     x_star = c * np.arange(1, k + 1, dtype=float)
     f_star = 8.0 * k * LOG2 + 4.0 * k * (
         logcosh(sigma * c) + logcosh(zeta * c) - (sigma - zeta) * c
     )
-    if inst.variant == "twoblock":
-        f_star /= 2.0
     norm_sq = c * c * k * (k + 1) * (2 * k + 1) / 6.0
     return AnalyticProfile(c=c, x_star=x_star, f_star=float(f_star),
                            xstar_norm_sq=float(norm_sq))

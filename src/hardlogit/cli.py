@@ -2,7 +2,9 @@
 
 Subcommands:
 
-- ``generate``: write one dataset (csv or libsvm) plus its metadata sidecar.
+- ``generate``: write one dataset (csv or libsvm) plus its metadata sidecar:
+  the family's four-block instance, or with ``--variant twoblock`` its
+  blocks (2*sigma*W, +1) and (2*zeta*W, -1) alone (``_twoblock``).
 - ``verify``: run the analytic invariant suite up to a given dimension.
 - ``race``: run a method on the hard instance (dimension 2T) for each
   requested T and compare the final gap/distance against the span-method
@@ -18,6 +20,7 @@ canonical JSON (sorted keys); pass --no-timestamp for byte-identical reruns.
 """
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -43,11 +46,26 @@ def _parse_t_list(text: str) -> list[int]:
     return values
 
 
+def _twoblock(inst):
+    """Blocks 0 and 3 of the four-block ``inst``, (2*sigma*W, +1) and
+    (2*zeta*W, -1), with their bits: the two-block file's instance.  h is
+    even, so its loss is half the four-block loss at every x, with the same
+    x* and half the f*.  That f* holds for a fit without an intercept: with
+    one the rows are separable (at x = c*(1, ..., k), W x = c*1, and any
+    intercept in (-2*sigma*c, -2*zeta*c) classifies every row), so the loss
+    has no minimizer."""
+    return dataclasses.replace(inst, block_scales=inst.block_scales[::3],
+                               block_labels=inst.block_labels[::3])
+
+
 def cmd_generate(args) -> int:
-    inst = datasets.build_instance(args.k, args.sigma, args.zeta, args.variant)
-    out = Path(args.out or f"wc_k{inst.k}_{inst.variant}.{args.format}")
+    inst = datasets.build_instance(args.k, args.sigma, args.zeta)
+    extra = {"variant": args.variant, **analytic.profile_metadata(analytic.profile(inst))}
+    if args.variant == "twoblock":
+        inst = _twoblock(inst)
+        extra["f_star"] /= 2.0  # exact
+    out = Path(args.out or f"wc_k{inst.k}_{args.variant}.{args.format}")
     out.parent.mkdir(parents=True, exist_ok=True)
-    extra = analytic.profile_metadata(analytic.profile(inst))
     sidecar = datasets.export(inst, args.format, out, extra)
     print(f"wrote {out} ({inst.n_rows} rows x {inst.k} columns) and {sidecar}")
     return 0
@@ -86,7 +104,7 @@ def _emit(args, inst, T, stem, trace, prof, findings, ts, out_dir) -> bool:
     their checks as the verdicts, in order), and the trace CSV; print the
     verdicts and return whether all passed."""
     report = {"config": {"method": args.method, "k": inst.k, "sigma": args.sigma,
-                         "zeta": args.zeta, "T": T, "variant": inst.variant},
+                         "zeta": args.zeta, "T": T, "variant": "fourblock"},
               "measured": {}, "theoretical": {}}
     checks = []
     for found in findings:
@@ -147,7 +165,7 @@ def _resist_cell(args, T, ts, out_dir) -> bool:
 
     stem = f"resist_{args.method}_T{T}"
     datasets.export(final, "libsvm", out_dir / f"dataset_{stem}.libsvm",
-                    analytic.profile_metadata(prof))
+                    {"variant": "fourblock", **analytic.profile_metadata(prof)})
     resist.save_matrix_csv(final.U, out_dir / f"rotation_{stem}.csv")
     return _emit(args, final, T, stem, trace, prof, findings, ts, out_dir)
 
@@ -182,7 +200,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--k", type=int, required=True)
     p_gen.add_argument("--sigma", type=float, default=DEFAULT_SIGMA)
     p_gen.add_argument("--zeta", type=float, default=DEFAULT_ZETA)
-    p_gen.add_argument("--variant", default="fourblock", choices=datasets.VARIANTS)
+    p_gen.add_argument("--variant", default="fourblock", choices=("fourblock", "twoblock"),
+                       help="twoblock writes blocks (2*sigma*W, +1) and (2*zeta*W, -1) of "
+                            "the four-block instance, with f* for a fit without an intercept")
     p_gen.add_argument("--format", default="csv", choices=datasets.FORMATS)
     p_gen.add_argument("--out", default=None)
 

@@ -5,18 +5,10 @@ k x k: row i (1-based, i < k) holds -1 at column k-i and +1 at column
 k-i+1, and row k holds a single +1 at column 1.  W is symmetric, maps the
 all-ones vector to the last basis vector, and maps c*(1,2,...,k) to c*1.
 
-Two stacked-block variants are provided, named by the exact strings of
-``VARIANTS``:
-
-- ``fourblock``: A = (2*sigma*W; -2*zeta*W; -2*sigma*W; 2*zeta*W) with
-  labels (+1; +1; -1; -1), so the optimal intercept is zero (the two
-  label classes are mirror images of each other).
-- ``twoblock``: A = (2*sigma*W; 2*zeta*W) with labels (+1; -1): half
-  the rows, same W structure, and half the four-block loss at every x
-  (h is even and the blocks pair up by |s| and s*l).  Its f* holds for a
-  fit without an intercept: with one the data are separable (at
-  x = c*(1, ..., k), W x = c*1, and any intercept in (-2 sigma c,
-  -2 zeta c) classifies every row), so the loss has no minimizer.
+One family is built: A = (2*sigma*W; -2*zeta*W; -2*sigma*W; 2*zeta*W)
+with labels (+1; +1; -1; -1).  Its blocks pair (s, l) with (-s, -l), so
+the label classes are mirror images of each other and the optimal
+intercept is zero.
 
 A ``RotatedInstance`` is a ``WorstCaseInstance`` with data matrix A U for
 an orthogonal U held as a ``Rotation``, the product of its Householder
@@ -44,7 +36,6 @@ from pathlib import Path
 import numpy as np
 
 CHUNK_CELLS = 1 << 15  # entries of a block, or of U, a writer holds; a libsvm row of W holds 2
-VARIANTS = ("fourblock", "twoblock")
 FORMATS = ("csv", "libsvm")
 
 
@@ -230,7 +221,6 @@ class WorstCaseInstance:
     k: int
     sigma: float
     zeta: float
-    variant: str  # one of VARIANTS
     w: WOperator = field(repr=False)
     block_scales: tuple = field(repr=False)
     block_labels: tuple = field(repr=False)
@@ -261,11 +251,11 @@ class WorstCaseInstance:
         return 2.0 * root * float(np.cos(np.pi / (2 * self.k + 1)))
 
     def spectral_norm_bound(self) -> float:
-        """Closed-form upper bound on ||A|| from the row structure."""
+        """Closed-form upper bound on ||A|| from the row structure: ||W|| <= 2,
+        and n blocks that pair 2*sigma with 2*zeta give sqrt(n/2) *
+        4*sqrt(sigma^2+zeta^2), 4*sqrt(2(sigma^2+zeta^2)) for the four."""
         base = 2.0 * _root_sum_sq((self.sigma, self.zeta), lambda v: v**2)
-        if self.variant == "fourblock":
-            return math.sqrt(2.0) * 2.0 * base  # 4*sqrt(2(sigma^2+zeta^2))
-        return 2.0 * base
+        return math.sqrt(len(self.block_scales) / 2) * 2.0 * base
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -313,12 +303,9 @@ class RotatedInstance(WorstCaseInstance):
             yield wu.pop()
 
 
-def build_instance(
-    k: int, sigma: float, zeta: float, variant: str = "fourblock"
-) -> WorstCaseInstance:
-    """Construct an instance of the family; requires sigma > zeta > 0 with
-    the block scale 2*sigma a finite double, and ``variant`` one of
-    ``VARIANTS`` exactly."""
+def build_instance(k: int, sigma: float, zeta: float) -> WorstCaseInstance:
+    """Construct the instance of the family; requires sigma > zeta > 0 with
+    the block scale 2*sigma a finite double."""
     w = build_w(k)
     sigma = float(sigma)
     zeta = float(zeta)
@@ -327,17 +314,10 @@ def build_instance(
             "invalid parameters: need sigma > zeta > 0 with 2*sigma finite, "
             f"got sigma={sigma}, zeta={zeta}"
         )
-    if variant == "fourblock":
-        scales = (2.0 * sigma, -2.0 * zeta, -2.0 * sigma, 2.0 * zeta)
-        labels = (1.0, 1.0, -1.0, -1.0)
-    elif variant == "twoblock":
-        scales = (2.0 * sigma, 2.0 * zeta)
-        labels = (1.0, -1.0)
-    else:
-        raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
     return WorstCaseInstance(
-        k=int(k), sigma=sigma, zeta=zeta, variant=variant,
-        w=w, block_scales=scales, block_labels=labels,
+        k=int(k), sigma=sigma, zeta=zeta, w=w,
+        block_scales=(2.0 * sigma, -2.0 * zeta, -2.0 * sigma, 2.0 * zeta),
+        block_labels=(1.0, 1.0, -1.0, -1.0),
     )
 
 
@@ -480,10 +460,10 @@ def export(inst: WorstCaseInstance, format: str, path, extra_meta: dict | None =
     reflector is read by ``w_rows``, its libsvm written by the token writer
     and its csv by the row-delta writer of the rotation CSV.  Labels are the
     integers 1 / -1; floats carry 17 digits (exact round-trip).  The sidecar
-    holds {k, sigma, zeta, variant, N, spectral_norm_bound} merged with
-    ``extra_meta`` (callers add c, f_star and xstar_norm_sq); it must be
-    valid JSON, so a non-finite entry raises ValueError before either file
-    is written.
+    holds {k, sigma, zeta, N, spectral_norm_bound} merged with
+    ``extra_meta`` (the CLI adds c, f_star, xstar_norm_sq and variant); it
+    must be valid JSON, so a non-finite entry raises ValueError before
+    either file is written.
     """
     if format not in FORMATS:
         raise ValueError(f"unknown format {format!r}; expected one of {FORMATS}")
@@ -491,7 +471,6 @@ def export(inst: WorstCaseInstance, format: str, path, extra_meta: dict | None =
         "k": inst.k,
         "sigma": inst.sigma,
         "zeta": inst.zeta,
-        "variant": inst.variant,
         "N": inst.n_rows,
         "spectral_norm_bound": inst.spectral_norm_bound(),
         **(extra_meta or {}),

@@ -1,4 +1,4 @@
-"""Every invariant the harness checks, each with its tolerance.
+"""Every invariant the harness checks on the one family, with its tolerance.
 
 A check runs on instances, profiles, points or traces and returns a
 ``Check``: ``margin`` is how far the measured quantity lies inside its
@@ -68,14 +68,12 @@ def ratio_constant(inst) -> Check:
 def optimum(pairs) -> tuple[Check, Check, Check]:
     """At the closed-form x* of each (base instance, profile): the gradient
     vanishes and the loss is f*.  The third check is the mirror identity of
-    the four-block variant: its blocks pair (s, l) with (-s, -l) and tanh is
-    odd, so the derivative in an intercept y at y = 0, sum tanh(A x/2) -
-    sum b, vanishes at every x, x* included; it fails on a copy whose one
-    block is off its mirror.  Any other variant raises ValueError."""
+    the one family: its blocks pair (s, l) with (-s, -l) and tanh is odd,
+    so the derivative in an intercept y at y = 0, sum tanh(A x/2) - sum b,
+    vanishes at every x, x* included; it fails on a copy whose one block is
+    off its mirror."""
     grad = value = dy = 0.0
     for inst, prof in pairs:
-        if inst.variant != "fourblock":
-            raise ValueError("unsupported variant: the intercept derivative needs fourblock")
         resp = logloss.loss(inst, prof.x_star)
         grad = max(grad, float(np.max(np.abs(resp.gradient))))
         value = max(value, abs(resp.value - prof.f_star) / (1.0 + abs(prof.f_star)))

@@ -5,8 +5,9 @@ h(u) = sum_i 2*log(2*cosh(u_i/2)), evaluated through the overflow-safe
 rewrite |u| + 2*log1p(exp(-|u|)) (the naive cosh form overflows near
 |u| ~ 1420 in 64-bit).  The gradient is A'(tanh(Ax/2) - b).
 
-Every instance stacks blocks s_i * W with labels l_i, and h is even and
-tanh odd, so with w = Wx and drift = sum_i s_i*l_i
+An instance of the one family stacks four blocks s_i * W with labels
+l_i, and a copy may keep fewer of them; h is even and tanh odd, so with
+w = Wx and drift = sum_i s_i*l_i
 
     value    = sum over distinct |s| of mult * h(|s| w)  -  drift * sum(w)
     gradient = W (sum over distinct |s| of mult*|s|*tanh(|s| w / 2) - drift)
@@ -14,23 +15,24 @@ tanh odd, so with w = Wx and drift = sum_i s_i*l_i
 where mult counts the blocks of magnitude |s| (1 or 2, so the weights
 mult and mult*|s| are exact).  The one kernel takes the margins w and
 z = |s| w, a (distinct |s|) x k array, in place, and never forms the
-N-vector Ax: the four-block variant costs 2k transcendentals, not 4k,
+N-vector Ax: the family's four blocks cost 2k transcendentals, not 4k,
 plus a fixed count of numpy calls.  ``loss`` runs its value half (the h
 sums) and its gradient half (tanh, then W); ``loss_value`` and
 ``loss_gradient`` run one half alone, with ``loss``'s bits.  Each takes a
 point or an (m, k) stack of rows, as ``Rotation.apply`` does, in one pass.
 A rotated instance has matrix A U, so the kernel runs at U x and pulls
 the gradient back by U', through its ``Rotation`` in O(jk) for j
-reflectors.  ``invariants.optimum`` alone adds the intercept derivative.
+reflectors, and skips both products while U holds none.
+``invariants.optimum`` alone adds the intercept derivative.
 
 An instance is resolved for the kernel once, on its first loss call (W,
 U, the distinct |s|, their weights and the drift, held in its
 ``__dict__``).  A ``FirstOrderOracle`` adds temporaries for one point,
 shared by the instance's oracles: a one-point answer writes w, z, |z| and
-h(z) into them and allocates only the gradient it returns (and, if
-rotated, U's products), so above k ~ 10,000 a call no longer faults fresh
-pages in; two threads must not then make one-point calls on that instance
-at once.  A bare call on an instance with no oracle, and every stack,
+h(z) into them and allocates only the gradient it returns (and, if U
+holds a reflector, U's products), so above k ~ 10,000 a call no longer
+faults fresh pages in; two threads must not then make one-point calls on
+that instance at once.  A bare call on an instance with no oracle, and every stack,
 runs the same arithmetic on fresh arrays.
 
 On a base instance of k >= WINDOW_FROM those one-point answers are
@@ -73,7 +75,7 @@ class OracleResponse:
 def _magnitudes(scales: tuple, labels: tuple) -> tuple[np.ndarray, list, list, float]:
     """The distinct |s| of the blocks as a read-only column, the number mult
     of blocks sharing each, mult*|s| and the drift sum_i s_i*l_i; cached,
-    since instances of one (sigma, zeta) and variant share them."""
+    since instances of one (sigma, zeta) share them."""
     groups = collections.Counter(abs(s) for s in scales)  # |s| -> blocks with that |s|
     mags = np.array(list(groups))[:, None]
     mags.flags.writeable = False
@@ -132,9 +134,9 @@ def _kernel(inst: WorstCaseInstance) -> _Kernel:
 
 def _margins(inst: WorstCaseInstance, x):
     """(kernel, hw, z, a, m): w = Wx in hw's last row and z = |s| w, at x
-    or, if rotated, at U x; a is where |z| goes.  A point uses the kept
-    temporaries if the instance has them; else hw is fresh and z and a are
-    None, so their ufuncs allocate.  m is None, or on a windowed answer
+    or, if U holds a reflector, at U x; a is where |z| goes.  A point uses
+    the kept temporaries if the instance has them; else hw is fresh and z
+    and a are None, so their ufuncs allocate.  m is None, or on a windowed answer
     one past w's last nonzero (0 if none), read from w itself: a subnormal
     w may underflow to 0 in one row of z and not in another."""
     x = np.asarray(x, dtype=float)
@@ -146,7 +148,7 @@ def _margins(inst: WorstCaseInstance, x):
             f"dimension mismatch: expected ({kern.k},) or (m, {kern.k}), got {x.shape}")
     else:
         hw, z, a = np.empty((len(kern.mult) + 1, *x.shape)), None, None
-    if kern.U is not None:
+    if kern.U is not None and len(kern.U):  # read per call: a Rotation can grow
         x = kern.U.apply(x)
     w = hw[-1]
     _w_into(x.T, w.T)  # W is symmetric, so W x for each row x of a stack is W along x.T
@@ -195,16 +197,16 @@ def _value(kern: _Kernel, hw, z, a, m):
 
 def _gradient(kern: _Kernel, z, m):
     """The gradient half, in place on z (so after any value half), then W
-    into a fresh array; U' pulls it back if rotated.  A windowed answer
-    runs tanh(z/2) only before column m: past it z is +-0, which both
-    keep."""
+    into a fresh array; U' pulls it back if U holds a reflector.  A
+    windowed answer runs tanh(z/2) only before column m: past it z is +-0,
+    which both keep."""
     for piece in (z,) if m is None else [row[:m] for row in z]:
         piece *= 0.5
         np.tanh(piece, out=piece)
     combined = _weighted(z, kern.weights)
     combined -= kern.drift
     g = kern.W.apply(combined) if z.ndim == 2 else kern.W.apply(combined.T).T
-    return g if kern.U is None else kern.U.apply_t(g)
+    return g if kern.U is None or not len(kern.U) else kern.U.apply_t(g)
 
 
 def loss(inst: WorstCaseInstance, x: np.ndarray) -> OracleResponse:

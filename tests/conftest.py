@@ -4,6 +4,7 @@ Everything here recomputes expected values from first principles (literal
 index rules, naive formulas, finite differences, dense linear algebra) so
 the package code under test never checks itself, plus ``adversarial``,
 the shorthand for an adversarial run that several test modules share,
+``instance``, the four-block instance or the CLI's two-block half of it,
 ``adaptive_iterates``, the iterates that run's method is answered along,
 and ``orthogonality_reference``, the dense U'U that the factor measurement
 of ``invariants.rotation_orthogonal`` is held to.
@@ -35,6 +36,7 @@ with warnings.catch_warnings():
     import hypothesis.extra._patching  # noqa: F401
 
 from hardlogit import ResistingOracle, Rotation, adversarial_run, build_instance, drive, profile
+from hardlogit.cli import _twoblock
 
 
 def dense_w(k: int) -> np.ndarray:
@@ -60,6 +62,13 @@ def dense_ab(k: int, sigma: float, zeta: float, variant: str = "fourblock"):
     else:
         raise ValueError(variant)
     return A, b
+
+
+def instance(k: int, sigma: float, zeta: float, variant: str = "fourblock"):
+    """``build_instance(k, sigma, zeta)``, or for "twoblock" the half of it
+    that ``generate --variant twoblock`` writes."""
+    inst = build_instance(k, sigma, zeta)
+    return _twoblock(inst) if variant == "twoblock" else inst
 
 
 def libsvm_text(inst) -> str:

@@ -1,4 +1,6 @@
 import dataclasses
+import json
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -12,6 +14,7 @@ from hardlogit import (
     bound_linear_span,
     build_instance,
     c_bracket,
+    cli,
     constant_c_ratio,
     invariants,
     lipschitz,
@@ -25,7 +28,7 @@ from hardlogit import (
     subspace_gap,
 )
 from hardlogit.logloss import loss_gradient, loss_value
-from conftest import dense_ab, logistic_form
+from conftest import dense_ab, instance, logistic_form
 
 LOG2 = np.log(2.0)
 
@@ -150,7 +153,7 @@ def test_root_property_sweep(ratio, log_scale, k, variant):
     sigma = ratio * zeta
     c = solve_c(sigma, zeta)
     assert abs(_residual(c, sigma, zeta)) <= 1e-13 * sigma
-    inst = build_instance(k, sigma, zeta, variant)
+    inst = instance(k, sigma, zeta, variant)
     prof = profile(inst)
     assert prof.c == c
     gradient = loss(inst, prof.x_star).gradient
@@ -226,25 +229,18 @@ class TestProfile:
         assert np.allclose(prof.x_star, prof.c * np.arange(1, 4), rtol=0, atol=0)
 
     def test_two_block_closed_form(self):
-        # h is even, so the two-block loss is half the four-block loss:
-        # same x*, half the optimal value
+        # h is even, so the CLI's two-block half has half the four-block
+        # loss: the same x*, half the optimal value, which the N-row
+        # logistic form of the dense two-block data reads too
         for ratio in (1.3, 1.79, 3.0):
             for k in (1, 3, 10, 50, 137, 400):
-                inst2 = build_instance(k, ratio, 1.0, "twoblock")
-                prof2 = profile(inst2)
-                prof4 = profile(build_instance(k, ratio, 1.0))
-                assert prof2.c == prof4.c
-                assert np.array_equal(prof2.x_star, prof4.x_star)
-                assert prof2.f_star == prof4.f_star / 2.0
-                resp = loss(inst2, prof2.x_star)
-                assert abs(resp.value - prof2.f_star) <= 1e-14 * abs(prof2.f_star)
+                prof = profile(build_instance(k, ratio, 1.0))
+                f_star = prof.f_star / 2.0
+                resp = loss(instance(k, ratio, 1.0, "twoblock"), prof.x_star)
+                assert abs(resp.value - f_star) <= 1e-14 * abs(f_star)
                 assert np.max(np.abs(resp.gradient)) <= 1e-12
-
-    def test_two_block_value_against_dense_form(self):
-        A, b = dense_ab(10, 1.3, 1.0, "twoblock")
-        prof = profile(build_instance(10, 1.3, 1.0, "twoblock"))
-        direct = logistic_form(A, b, prof.x_star)
-        assert abs(direct - prof.f_star) <= 1e-13 * abs(prof.f_star)
+                direct = logistic_form(*dense_ab(k, ratio, 1.0, "twoblock"), prof.x_star)
+                assert abs(direct - f_star) <= 1e-13 * abs(f_star)
 
     def test_bracket_fields(self):
         c_lb, c_ub = c_bracket(1.3, 1.0)
@@ -256,14 +252,16 @@ class TestProfile:
 
 
 class TestTwoBlockNumeric:
-    def test_long_run_agrees_with_mirrored_half(self):
-        # an unrestricted long accelerated run reaches the closed-form value,
-        # which is half the four-block formula
-        inst2 = build_instance(6, 1.3, 1.0, "twoblock")
-        f_opt = _restricted_agd_min(inst2, 6, 60_000)
+    def test_long_run_agrees_with_mirrored_half(self, tmp_path):
+        # an unrestricted long accelerated run on the CLI's two-block half
+        # reaches half the four-block formula, the f* of its sidecar
+        f_opt = _restricted_agd_min(instance(6, 1.3, 1.0, "twoblock"), 6, 60_000)
         prof4 = profile(build_instance(6, 1.3, 1.0))
         assert abs(f_opt - prof4.f_star / 2.0) <= 1e-9
-        assert abs(f_opt - profile(inst2).f_star) <= 1e-9
+        path = tmp_path / "half.csv"
+        assert cli.main(["generate", "--k", "6", "--variant", "twoblock", "--out", str(path)]) == 0
+        meta = json.loads(Path(f"{path}.meta.json").read_text())
+        assert abs(f_opt - meta["f_star"]) <= 1e-9
 
 
 class TestRatioConstant:

@@ -31,7 +31,7 @@ def test_generate_csv_k1(tmp_path, monkeypatch):
     assert [float(r[0]) for r in rows] == [2.6, -2.0, -2.6, 2.0]
     assert [r[1] for r in rows] == ["1", "1", "-1", "-1"]
     meta = json.loads((tmp_path / "wc_k1_fourblock.csv.meta.json").read_text())
-    assert meta["k"] == 1 and meta["N"] == 4
+    assert meta["k"] == 1 and meta["N"] == 4 and meta["variant"] == "fourblock"
     assert {"c", "f_star", "xstar_norm_sq", "spectral_norm_bound"} <= set(meta)
 
 
@@ -46,6 +46,10 @@ def test_generate_twoblock_row_count(tmp_path, monkeypatch):
     assert len(lines) == 6
     # the sidecar carries the exact two-block optimum
     meta = json.loads((tmp_path / "wc_k3_twoblock.libsvm.meta.json").read_text())
+    assert meta["variant"] == "twoblock" and meta["N"] == 6
+    # the four-block x*, and half its f*, exactly
+    four = analytic.profile_metadata(profile(build_instance(3, 1.3, 1.0)))
+    assert (meta["c"], meta["f_star"]) == (four["c"], four["f_star"] / 2.0)
     A, b = dense_ab(3, 1.3, 1.0, "twoblock")
     f_at_ramp = logistic_form(A, b, meta["c"] * np.arange(1.0, 4.0))
     assert abs(meta["f_star"] - f_at_ramp) <= 1e-14 * abs(f_at_ramp)
@@ -133,11 +137,12 @@ def test_verify_bisects_once(capsys, monkeypatch):
 
 
 def test_parser_choices_are_the_package_tuples():
-    # each named choice of the CLI is the one tuple its module checks against
+    # each named choice of the CLI is the one tuple its module checks
+    # against; the variant names are the CLI's own
     subparsers = next(a for a in cli.build_parser()._actions if a.dest == "command").choices
     choices = {(command, action.dest): action.choices for command, parser in subparsers.items()
                for action in parser._actions if action.choices is not None}
-    assert choices == {("generate", "variant"): datasets.VARIANTS,
+    assert choices == {("generate", "variant"): ("fourblock", "twoblock"),
                        ("generate", "format"): datasets.FORMATS,
                        ("race", "method"): optimizers.METHOD_NAMES,
                        ("resist", "method"): optimizers.METHOD_NAMES}
@@ -360,6 +365,7 @@ def test_resist_libsvm_holds_exact_rotated_rows(tmp_path):
     assert rc == 0
     stem = f"resist_denseprobe_T{T}"
     meta = json.loads((tmp_path / f"dataset_{stem}.libsvm.meta.json").read_text())
+    assert meta["variant"] == "fourblock"
     U = np.loadtxt(tmp_path / f"rotation_{stem}.csv", delimiter=",")
     AU, b = rotated_ab(U, meta["sigma"], meta["zeta"])
     lines = (tmp_path / f"dataset_{stem}.libsvm").read_text().splitlines()

@@ -24,6 +24,7 @@ from hardlogit import (
 from conftest import (
     dense_ab,
     dense_w,
+    instance,
     libsvm_text,
     orthogonality_reference,
     random_orthogonal,
@@ -106,7 +107,9 @@ class TestBuildInstance:
         assert np.max(np.abs(atb - expected)) <= 1e-15
 
     def test_two_block_layout(self):
-        inst = build_instance(3, 2.0, 1.0, "twoblock")  # sigma = 2*zeta is a valid instance
+        # the CLI's half: blocks 0 and 3 of the four-block instance, bit for bit
+        inst = instance(3, 2.0, 1.0, "twoblock")  # sigma = 2*zeta is a valid instance
+        assert (inst.block_scales, inst.block_labels) == ((4.0, 2.0), (1.0, -1.0))
         assert inst.n_rows == 6
         assert inst.labels.tolist() == [1, 1, 1, -1, -1, -1]
         atb = inst.dense().T @ inst.labels
@@ -142,15 +145,6 @@ class TestBuildInstance:
                 constant_c_ratio(inst.sigma, inst.zeta)
             with pytest.raises(ValueError, match="undefined constant"):
                 invariants.ratio_constant(inst)
-
-    def test_variant_parsing(self):
-        # a variant is one of VARIANTS as an exact string, kept as that string
-        assert datasets.VARIANTS == ("fourblock", "twoblock")
-        for name in datasets.VARIANTS:
-            assert build_instance(2, 1.3, 1.0, name).variant == name
-        for alias in ("sixblock", "four_block", "Four-Block", " TWO_block ", "FOURBLOCK"):
-            with pytest.raises(ValueError, match=f"unknown variant '{alias}'; expected one of"):
-                build_instance(2, 1.3, 1.0, alias)
 
 
 class TestRotation:
@@ -279,7 +273,7 @@ def _partitions(k, rng):
             [(lo, hi) for lo, hi in zip(cuts[:-1].tolist(), cuts[1:].tolist()) if lo < hi]]
 
 
-FAMILY = ("k", "sigma", "zeta", "variant", "n_rows", "w", "block_scales", "block_labels")
+FAMILY = ("k", "sigma", "zeta", "n_rows", "w", "block_scales", "block_labels")
 
 
 def _same_family(a, b):
@@ -296,7 +290,7 @@ class TestRotatedInstance:
     @pytest.mark.parametrize("variant", ["fourblock", "twoblock"])
     def test_identity_rotation_is_the_base(self, variant, tmp_path, rng):
         k = 9
-        inst = build_instance(k, 1.3, 0.7, variant)
+        inst = instance(k, 1.3, 0.7, variant)
         rot = RotatedInstance(inst, Rotation(k))
         for _ in range(5):
             x = rng.standard_normal(k)
@@ -314,7 +308,7 @@ class TestRotatedInstance:
 
     @pytest.mark.parametrize("variant", ["fourblock", "twoblock"])
     def test_inherits_the_family(self, variant):
-        inst = build_instance(7, 1.3, 0.7, variant)
+        inst = instance(7, 1.3, 0.7, variant)
         rot = RotatedInstance(inst, random_orthogonal(7, seed=1))
         assert isinstance(rot, WorstCaseInstance)
         assert not hasattr(rot, "base")
@@ -424,7 +418,7 @@ class TestSpectralNorm:
         for k in list(range(1, 60)) + [100, 200, 500]:
             sigma, zeta = 1.3 * scale, scale
             ref = _svd_norm(k, sigma, zeta, variant)
-            got = build_instance(k, sigma, zeta, variant).a_norm()
+            got = instance(k, sigma, zeta, variant).a_norm()
             assert abs(got - ref) <= 1e-14 * ref, (k, got, ref)
 
     def test_k10_matches_dense_svd(self):
@@ -435,7 +429,7 @@ class TestSpectralNorm:
     def test_below_closed_form_bound(self):
         for variant in ("fourblock", "twoblock"):
             for k in (1, 2, 3, 5, 13, 50, 120, 200):
-                inst = build_instance(k, 1.3, 1.0, variant)
+                inst = instance(k, 1.3, 1.0, variant)
                 assert inst.a_norm() < inst.spectral_norm_bound()
 
     def test_k50_below_eight_sigma(self):
@@ -465,7 +459,7 @@ class TestSpectralNorm:
         sigma = ratio * zeta
         if not sigma > zeta:  # the product rounded down onto zeta
             return
-        insts = [build_instance(k, np.ldexp(sigma, e), np.ldexp(zeta, e), variant)
+        insts = [instance(k, np.ldexp(sigma, e), np.ldexp(zeta, e), variant)
                  for e in (a, b)]
         norms = [inst.a_norm() for inst in insts]
         assert norms[1] == np.ldexp(norms[0], b - a)
@@ -477,8 +471,8 @@ class TestSpectralNorm:
         # a block scale below 2**-511 has a subnormal square, one past 2**511
         # overflows it: both norms are the closed form's at 1.3 and 1.0, scaled
         for scale in (2.0**-700, 2.0**-512, 2.0**512, 2.0**900):
-            inst = build_instance(7, 1.3 * scale, scale, variant)
-            unit = build_instance(7, 1.3, 1.0, variant)
+            inst = instance(7, 1.3 * scale, scale, variant)
+            unit = instance(7, 1.3, 1.0, variant)
             assert inst.a_norm() == unit.a_norm() * scale
             bound = inst.spectral_norm_bound()
             assert abs(bound - unit.spectral_norm_bound() * scale) <= 1e-15 * bound
@@ -549,9 +543,9 @@ def _dense_text(inst, fmt):
 
 @st.composite
 def _export_cases(draw):
-    """An instance of either variant, a chunk size ``CHUNK_CELLS`` from 1 to
-    4k entries and the formats to write.  A third of the draws are a base
-    instance, written from W's closed form, in one format: k from 1 to
+    """An instance or its two-block half, a chunk size ``CHUNK_CELLS`` from
+    1 to 4k entries and the formats to write.  A third of the draws are a
+    base instance, written from W's closed form, in one format: k from 1 to
     2100, sigma/zeta in (1, 1e4] and zeta in 10^[-8, 8].  The rest, in
     both formats, have k from 1 to 64, at a normal or a subnormal scale,
     left alone or rotated by 0 to 8 reflectors (each on a leading block of
@@ -561,7 +555,7 @@ def _export_cases(draw):
         k = draw(st.integers(1, 2100))
         zeta = 10.0 ** draw(st.floats(-8.0, 8.0))
         sigma = zeta * draw(st.floats(1.0, 1e4, exclude_min=True))  # ratio > 1: sigma > zeta
-        return (build_instance(k, sigma, zeta, variant), draw(st.integers(1, 4 * k)),
+        return (instance(k, sigma, zeta, variant), draw(st.integers(1, 4 * k)),
                 (draw(st.sampled_from(datasets.FORMATS)),))
     k = draw(st.integers(1, 64))
     if draw(st.booleans()):  # many s * (W U) entries underflow to +-0
@@ -569,7 +563,7 @@ def _export_cases(draw):
     else:
         zeta = 10.0 ** draw(st.floats(-3.0, 3.0))
         sigma = zeta * draw(st.floats(1.01, 10.0))
-    inst = build_instance(k, sigma, zeta, variant)
+    inst = instance(k, sigma, zeta, variant)
     j = draw(st.integers(0, 8))
     if j or draw(st.booleans()):
         rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -585,8 +579,8 @@ def _export_cases(draw):
 @settings(max_examples=150, deadline=None)
 @given(case=_export_cases())
 @example(case=(build_instance(1, 1.3, 1.0), 1, datasets.FORMATS))
-@example(case=(build_instance(1, 1.3, 1.0, "twoblock"), 4, datasets.FORMATS))
-@example(case=(build_instance(2, 1.7, 1.1, "twoblock"), 3, datasets.FORMATS))
+@example(case=(instance(1, 1.3, 1.0, "twoblock"), 4, datasets.FORMATS))
+@example(case=(instance(2, 1.7, 1.1, "twoblock"), 3, datasets.FORMATS))
 @example(case=(build_instance(3, 3.9e6, 1e3), 6, datasets.FORMATS))
 @example(case=(build_instance(3, 1.3e-322, 1e-322), 1, datasets.FORMATS))
 @example(case=(build_instance(2100, 1e-4, 1e-8), 4 * 2100, ("libsvm",)))
@@ -645,24 +639,24 @@ class TestExport:
         # every export writes its sidecar beside the data file: the family
         # fields merged with extra_meta, whatever the format or instance
         extra = {"c": 0.1, "f_star": 2.0, "xstar_norm_sq": 3.0}
-        cases = [(build_instance(4, 1.3, 1.0, variant), variant, 4 * blocks)
+        cases = [(instance(4, 1.3, 1.0, variant), 4 * blocks)
                  for variant, blocks in (("fourblock", 4), ("twoblock", 2))]
         rot = RotatedInstance(build_instance(5, 1.7, 1.1), random_orthogonal(5, seed=3))
-        cases.append((rot, "fourblock", 20))
-        for n, (inst, variant, rows) in enumerate(cases):
+        cases.append((rot, 20))
+        for n, (inst, rows) in enumerate(cases):
             for fmt in ("csv", "libsvm"):
                 path = tmp_path / f"data{n}.{fmt}"
                 sidecar = export(inst, fmt, path, extra_meta=extra)
                 assert sidecar == tmp_path / f"data{n}.{fmt}.meta.json"
                 meta = json.loads(sidecar.read_text())
                 assert meta == {"k": inst.k, "sigma": inst.sigma, "zeta": inst.zeta,
-                                "variant": variant, "N": rows,
+                                "N": rows,
                                 "spectral_norm_bound": inst.spectral_norm_bound(), **extra}
                 assert sidecar.read_text() == json.dumps(meta, indent=2, sort_keys=True) + "\n"
         sidecar = export(rot, "csv", str(tmp_path / "plain.csv"))  # a str path, no extra
         assert sidecar == tmp_path / "plain.csv.meta.json"
         assert set(json.loads(sidecar.read_text())) == {
-            "k", "sigma", "zeta", "variant", "N", "spectral_norm_bound"}
+            "k", "sigma", "zeta", "N", "spectral_norm_bound"}
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_non_finite_meta_writes_nothing(self, tmp_path, bad):
@@ -705,7 +699,7 @@ class TestExport:
                 for row, lab in zip(A, b)
             ]
         path = tmp_path / f"data.{fmt}"
-        export(build_instance(k, sigma, zeta, variant), fmt, path)
+        export(instance(k, sigma, zeta, variant), fmt, path)
         assert path.read_text() == "\n".join(lines) + "\n"
         first = {
             "csv": "0,0,-2.6000000000000001,2.6000000000000001,1",
@@ -719,7 +713,7 @@ class TestExport:
     def test_rotated_libsvm_bytes_drop_underflow(self, variant, tmp_path):
         # at a subnormal scale many s * (W U) entries underflow to +-0 and
         # must be dropped exactly as a scan of the dense rows drops them
-        rot = RotatedInstance(build_instance(20, 1.3e-322, 1e-322, variant),
+        rot = RotatedInstance(instance(20, 1.3e-322, 1e-322, variant),
                               random_orthogonal(20, seed=5))
         rows = rot.dense()
         w_rows = np.tile(rot.w_block(), (len(rot.block_scales), 1))
@@ -742,7 +736,7 @@ class TestExport:
         # scale meets a zero, though the writer formats only the nonzeros
         variant, k, rotation = case
         sigma, zeta = (1.3e-322, 1e-322) if rotation == "subnormal" else (1.7, 1.1)
-        inst = build_instance(k, sigma, zeta, variant)
+        inst = instance(k, sigma, zeta, variant)
         if rotation == "reflectors":  # a dense leading block and a zero tail
             U = Rotation(k)
             for m, seed in ((k - 2, 1), (k - 5, 2)):
@@ -940,7 +934,7 @@ class TestExport:
         U = Rotation(k)
         U.append(np.append(np.ones(k - 3), -3.0) if reflector == "two-valued"
                  else np.random.default_rng(2).standard_normal(int(reflector[8:])))
-        inst = RotatedInstance(build_instance(k, 1.3, 1.0, "twoblock"), U)
+        inst = RotatedInstance(instance(k, 1.3, 1.0, "twoblock"), U)
         nonzeros = sum(np.count_nonzero(wu) for wu in inst.w_rows(datasets._row_bounds(k, k)))
         assert (nonzeros > datasets.CHUNK_CELLS) == (reflector == "leading-400")
 

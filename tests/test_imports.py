@@ -1,5 +1,6 @@
 """Every module-level import of the package's modules, demos and tests is
-used, and every module-level private name of the package is read in it."""
+used, every module-level private name of the package is read in it, and
+the two-block file is named in the CLI alone."""
 
 import ast
 from pathlib import Path
@@ -78,3 +79,9 @@ def test_unread_private_names_are_found():
 
 def test_every_private_name_of_the_package_is_read():
     assert unread_private_names({p.stem: p.read_text() for p in MODULES}) == []
+
+
+def test_only_the_cli_names_the_two_block_file():
+    # the library builds one family; the two-block half is the CLI's output
+    paths = sorted(Path(hardlogit.__file__).parent.glob("*.py"))
+    assert [p.name for p in paths if "twoblock" in p.read_text()] == ["cli.py"]

@@ -24,6 +24,7 @@ from hardlogit.logloss import loss_gradient, loss_value
 from conftest import (
     central_diff_grad,
     dense_ab,
+    instance,
     logistic_form,
     random_orthogonal,
     rotated_ab,
@@ -64,13 +65,6 @@ class TestLoss:
                 x = rng.standard_normal(k)
                 fd = central_diff_grad(lambda v: loss(inst, v).value, x)
                 assert np.max(np.abs(fd - loss(inst, x).gradient)) <= 1e-6
-
-    def test_two_block_gradient_matches_dense(self, rng):
-        inst = build_instance(5, 1.4, 1.0, "twoblock")
-        A, b = dense_ab(5, 1.4, 1.0, "twoblock")
-        x = rng.standard_normal(5)
-        ref = A.T @ (np.tanh(A @ x / 2.0) - b)
-        assert np.allclose(loss(inst, x).gradient, ref, rtol=1e-12, atol=1e-12)
 
     def test_dimension_mismatch(self):
         inst = build_instance(3, 1.3, 1.0)
@@ -127,7 +121,7 @@ class TestBlockKernel:
     def test_matches_dense_rows(self, variant, scale, rng):
         sigma, zeta = 1.3 * scale, scale
         for k in (1, 2, 7, 50, 200):
-            inst = build_instance(k, sigma, zeta, variant)
+            inst = instance(k, sigma, zeta, variant)
             A, b = dense_ab(k, sigma, zeta, variant)
             for _ in range(4):
                 x = rng.standard_normal(k) * rng.uniform(0.1, 3.0)
@@ -154,13 +148,40 @@ class TestBlockKernel:
                     1e-12 * np.max(np.abs(gradient))
                 )
 
+    def test_no_reflector_no_products(self, rng, monkeypatch):
+        # with no reflector U x and U'g would be copies, so the kernel skips
+        # them and keeps the base instance's bits, for a point and a stack;
+        # it reads len(U) on each call, so once U grows the answers rotate
+        k = 12
+        inst = build_instance(k, 1.3, 1.0)
+        U = Rotation(k)
+        rot = RotatedInstance(inst, U)
+        x, X = rng.standard_normal(k), rng.standard_normal((3, k))
+
+        def refuse(self, _):
+            raise AssertionError("a product with a rotation that holds no reflector")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Rotation, "apply", refuse)
+            patch.setattr(Rotation, "apply_t", refuse)
+            for point in (x, X):
+                ref = loss(inst, point)
+                for value in (loss(rot, point).value, loss_value(rot, point)):
+                    assert np.array_equal(_bits(value), _bits(ref.value))
+                for gradient in (loss(rot, point).gradient, loss_gradient(rot, point)):
+                    assert np.array_equal(_bits(gradient), _bits(ref.gradient))
+        U.append(rng.standard_normal(k))
+        ref = loss(inst, U.apply(x))
+        assert loss(rot, x).value == ref.value != loss(inst, x).value
+        assert np.array_equal(loss(rot, x).gradient, U.apply_t(ref.gradient))
+
     @pytest.mark.parametrize("variant", VARIANTS)
     @pytest.mark.parametrize("scale", SCALES)
     def test_exact_zero_chain(self, variant, scale, rng):
         # x on the trailing t coordinates: w = Wx vanishes below row t, so
         # the gradient is exactly 0 on the leading k-t-1 coordinates
         for k in (2, 3, 9, 40):
-            inst = build_instance(k, 1.3 * scale, scale, variant)
+            inst = instance(k, 1.3 * scale, scale, variant)
             for t in range(1, k):
                 x = np.zeros(k)
                 x[k - t:] = rng.standard_normal(t) * rng.uniform(0.1, 1e3)
@@ -201,7 +222,7 @@ def test_kernel_property_sweep(ratio, log_scale, k, variant, rotated, seed):
     zeta = 10.0**log_scale
     sigma = ratio * zeta
     rng = np.random.default_rng(seed)
-    inst = build_instance(k, sigma, zeta, variant)
+    inst = instance(k, sigma, zeta, variant)
     A, b = dense_ab(k, sigma, zeta, variant)
     if rotated:
         U = random_orthogonal(k, seed=seed)
@@ -216,16 +237,16 @@ def test_kernel_property_sweep(ratio, log_scale, k, variant, rotated, seed):
 
 @st.composite
 def _stacks(draw):
-    """(instance, stack of m points): k up to 300, m up to 20, each row its
-    own scale between 1e-8 and 1e8."""
+    """(instance, stack of m points, seed, variant): k up to 300, m up to
+    20, each row its own scale between 1e-8 and 1e8."""
     k = draw(st.integers(1, 300))
     m = draw(st.integers(1, 20))
     variant = draw(st.sampled_from(VARIANTS))
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
-    inst = build_instance(k, 1.3, 1.0, variant)
+    inst = instance(k, 1.3, 1.0, variant)
     X = rng.standard_normal((m, k)) * 10.0 ** rng.uniform(-8, 8, size=(m, 1))
-    return inst, X, seed
+    return inst, X, seed, variant
 
 
 class TestStackedLoss:
@@ -234,7 +255,7 @@ class TestStackedLoss:
     @settings(max_examples=60, deadline=None)
     @given(case=_stacks())
     def test_base_rows_are_the_single_point_calls(self, case):
-        inst, X, _ = case
+        inst, X, _, _ = case
         resp = loss(inst, X)
         assert resp.value.shape == (len(X),) and resp.gradient.shape == X.shape
         for row, value, gradient in zip(X, resp.value, resp.gradient):
@@ -251,13 +272,13 @@ class TestStackedLoss:
         # U x is off by at most (k + 2j) u (|x| + |V'||T||V| |x|) entrywise in
         # either evaluation; the kernel turns that into the same multiple of
         # the magnitude of its terms (``_dense_loss``'s scales)
-        base, X, seed = case
+        base, X, seed, variant = case
         k = base.k
         U = random_orthogonal(k, seed=seed)
         inst = RotatedInstance(base, U)
         wy = np.abs(U.V.T) @ np.abs(U.triangular) @ np.abs(U.V)
         tol = (k + 2 * len(U)) * np.finfo(float).eps / 2 * (1.0 + np.max(wy.sum(axis=1)))
-        A, b = dense_ab(k, base.sigma, base.zeta, base.variant)
+        A, b = dense_ab(k, base.sigma, base.zeta, variant)
         A = A @ U.dense()
         resp = loss(inst, X)
         for row, value, gradient in zip(X, resp.value, resp.gradient):
@@ -339,7 +360,7 @@ def _kernel_case(k, ratio, log_zeta, variant, reflectors, m, seed):
     and a point (m = 0) or a stack of m rows, each row scaled by its own
     10^e for e in [-8, 8]."""
     zeta = 10.0**log_zeta
-    inst = build_instance(k, ratio * zeta, zeta, variant)
+    inst = instance(k, ratio * zeta, zeta, variant)
     rng = np.random.default_rng(seed)
     if reflectors:
         U = Rotation(k)
@@ -370,9 +391,9 @@ class TestKernelBits:
     """``loss``, ``loss_value`` and ``loss_gradient`` keep the bits of the
     kernel as first written (kept above as ``_reference_block_loss``): every
     ufunc sees the same operands in the same order, whatever the numpy calls
-    that carry them.  Cases span k from 1 to 1200, both variants, sigma/zeta
-    in (1, 1e4], base instances and ones rotated by 1 and 3 reflectors,
-    points and stacks of 1 to 20."""
+    that carry them.  Cases span k from 1 to 1200, four or two blocks,
+    sigma/zeta in (1, 1e4], base instances and ones rotated by 1 and 3
+    reflectors, points and stacks of 1 to 20."""
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -405,7 +426,7 @@ class TestKernelBits:
         # each entry point raises, the gradient half alone included: tanh of
         # an infinite margin is finite, so it checks the margins themselves
         k = 9
-        inst = build_instance(k, 1.3, 1.0, "twoblock")
+        inst = instance(k, 1.3, 1.0, "twoblock")
         if rotated:
             inst = RotatedInstance(inst, random_orthogonal(k, seed=2))
         x = np.linspace(-1.0, 1.0, k)
@@ -426,15 +447,15 @@ class TestKernelBits:
 @st.composite
 def _one_point_cases(draw):
     """(base instance, a rotation of it, m = 4 points): k from 1 to 2,100,
-    both variants, sigma/zeta in (1, 1e4], zeta from 1e-8 to 1e8, 1 to 3
-    reflectors on leading blocks of random length.  Each point has its own
+    four or two blocks, sigma/zeta in (1, 1e4], zeta from 1e-8 to 1e8, 1 to
+    3 reflectors on leading blocks of random length.  Each point has its own
     scale, one of them subnormal, and a leading block of +0.0 or -0.0."""
     k = draw(st.integers(1, 2100))
     ratio = draw(st.floats(1.0, 1e4, exclude_min=True))
     zeta = 10.0 ** draw(st.floats(-8.0, 8.0))
     variant = draw(st.sampled_from(VARIANTS))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    base = build_instance(k, ratio * zeta, zeta, variant)
+    base = instance(k, ratio * zeta, zeta, variant)
     U = Rotation(k)
     for _ in range(int(rng.integers(1, 4))):
         U.append(rng.standard_normal(int(rng.integers(1, k + 1))))
@@ -479,7 +500,7 @@ class TestKeptTemporaries:
         # in turn: every gradient is its own fresh array and no later call
         # writes over it
         base, rotated, X = case
-        twin = build_instance(base.k, base.sigma, base.zeta, base.variant)
+        twin = dataclasses.replace(base)  # the same fields, its own kernel
         oracles = [FirstOrderOracle(inst) for inst in (base, twin, rotated)]
         answers = []
         for x in X:
@@ -617,10 +638,17 @@ class TestOptimumIntercept:
             assert check.name == "intercept_derivative_vanishes" and not check.passed
             assert invariants.GRADIENT_TOL - check.margin >= reading
 
-    def test_two_block_unsupported(self):
-        inst = build_instance(3, 1.3, 1.0, "twoblock")
-        with pytest.raises(ValueError, match="unsupported variant"):
-            invariants.optimum([(inst, profile(inst))])
+    def test_two_block_half_fails_the_mirror(self):
+        # the CLI's two-block half keeps no mirrored pair: at x*, where its
+        # gradient vanishes and its loss is half f*, the intercept
+        # derivative is k (tanh(sigma c) + tanh(zeta c)), far from 0
+        inst = instance(3, 1.3, 1.0, "twoblock")
+        prof = profile(inst)
+        half = dataclasses.replace(prof, f_star=prof.f_star / 2.0)
+        gradient, value, intercept = invariants.optimum([(inst, half)])
+        assert gradient.passed and value.passed and not intercept.passed
+        expected = 3.0 * (np.tanh(1.3 * prof.c) + np.tanh(prof.c))
+        assert invariants.GRADIENT_TOL - intercept.margin == pytest.approx(expected, rel=1e-12)
 
 
 class TestLipschitz:

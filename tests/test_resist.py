@@ -712,6 +712,76 @@ class TestReplaySweep:
         assert np.all(containment_residuals(oracle) <= invariants.ROTATION_TOL * norms)
 
 
+@st.composite
+def _programs(draw):
+    """A deterministic first-order method that no test names, as (program,
+    directions): iterations of 1 to 3 queries, then the point it reports.
+    Each query, with indices and coefficients in [-1/2, 1/2] drawn once, is
+    an exact repeat of an earlier query q_i, or a q_i + b g_j / L from
+    before its iteration (g_j the answer at q_j), alone or plus one of n
+    unit directions d fixed in advance (n queries), which leave every span
+    until asked: c d, or 2^-p max|x| d with p in [20, 80], a leading block
+    on either side of TIE_BREAK of ||x||."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = 1 + sum(sizes)
+    directions = rng.standard_normal((n, 2 * n + 3))
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    program, seen = [], 1
+    for size in sizes + [1]:
+        kinds = draw(st.lists(st.sampled_from(["repeat", "span", "open", "tiny"]),
+                              min_size=size, max_size=size))
+        program.append([(kind, *rng.integers(seen, size=2).tolist(), int(rng.integers(n)),
+                         *rng.uniform(-0.5, 0.5, 3).tolist(), draw(st.integers(20, 80)))
+                        for kind in kinds])
+        seen += size
+    return program, directions
+
+
+def _run_program(program, directions, oracle):
+    """The queries ``program`` asks ``oracle``, the zero start first, and
+    the point it reports."""
+    queries = [np.zeros(oracle.k)]
+    grads, step = [oracle(queries[0]).gradient], 1.0 / oracle.lipschitz
+    for specs in program:
+        points = []
+        for kind, i, j, r, a, b, c, p in specs:
+            x = queries[i] if kind == "repeat" else a * queries[i] + b * step * grads[j]
+            if kind in ("open", "tiny"):
+                scale = c if kind == "open" else math.ldexp(np.max(np.abs(x)), -p)
+                x = x + scale * directions[r]
+            points.append(x)
+        if specs is program[-1]:
+            return queries, points[0]
+        queries += points
+        grads += [oracle(x).gradient for x in points]
+
+
+class TestUnseenMethods:
+    """Any deterministic first-order method is trapped, not only the named
+    ones: on k = 2 (queries) + 3 the frozen U is orthogonal and fixes the
+    label direction, every placed point lies in its trap subspace, and the
+    program replayed on the frozen instance asks at the placed points and
+    reports the placed x_T."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=_programs())
+    def test_programs_are_trapped(self, case):
+        program, directions = case
+        oracle = ResistingOracle(build_instance(directions.shape[1], 1.3, 1.0))
+        queries, x = _run_program(program, directions, oracle)
+        final = oracle.finalize(x)
+        assert len(oracle.points) == len(queries) + 1 == (final.k - 1) // 2
+        assert len(oracle.U) + oracle.skipped == len(queries)
+        for check in (invariants.rotation_orthogonal, invariants.data_direction_fixed):
+            assert all(c.passed for c in check(final).checks)
+        assert np.all(containment_residuals(oracle)
+                      <= resist.ORTHOGONALITY_TOL * _norms(oracle.points))
+        replayed, x_replayed = _run_program(program, directions, FirstOrderOracle(final))
+        deviation = float(np.max(np.abs(np.array([*replayed, x_replayed]) - oracle.points)))
+        assert invariants.replay_matches(deviation).passed
+
+
 class _CountingLoss:
     """``loss`` wrapped to count its calls."""
 
