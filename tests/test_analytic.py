@@ -230,8 +230,7 @@ class TestProfile:
 
     def test_two_block_closed_form(self):
         # h is even, so the CLI's two-block half has half the four-block
-        # loss: the same x*, half the optimal value, which the N-row
-        # logistic form of the dense two-block data reads too
+        # loss: the same x*, half the optimal value
         for ratio in (1.3, 1.79, 3.0):
             for k in (1, 3, 10, 50, 137, 400):
                 prof = profile(build_instance(k, ratio, 1.0))
@@ -239,6 +238,14 @@ class TestProfile:
                 resp = loss(instance(k, ratio, 1.0, "twoblock"), prof.x_star)
                 assert abs(resp.value - f_star) <= 1e-14 * abs(f_star)
                 assert np.max(np.abs(resp.gradient)) <= 1e-12
+
+    def test_two_block_value_against_dense_form(self):
+        # the N-row logistic form of the dense two-block data reads half
+        # the four-block f* at the four-block x*
+        for ratio in (1.3, 1.79, 3.0):
+            for k in (1, 3, 10, 50, 137, 400):
+                prof = profile(build_instance(k, ratio, 1.0))
+                f_star = prof.f_star / 2.0
                 direct = logistic_form(*dense_ab(k, ratio, 1.0, "twoblock"), prof.x_star)
                 assert abs(direct - f_star) <= 1e-13 * abs(f_star)
 
