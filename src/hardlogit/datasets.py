@@ -14,16 +14,15 @@ A ``RotatedInstance`` is a ``WorstCaseInstance`` with data matrix A U for
 an orthogonal U held as a ``Rotation``, the product of its Householder
 reflectors in compact WY form: the same k, sigma, zeta, blocks, labels and
 ||A||, with block W U in place of W.  ``logloss.loss`` applies W by its
-index structure in O(k) and U in O(jk) for j reflectors; W U's rows are
-built one way, a chunk at a time by ``w_rows``, and only ``dense()`` builds
-U or the N x k matrix.
+index structure in O(k) and U in O(jk) for j reflectors; only ``dense()``
+and ``w_block()`` build U or the N x k matrix.
 
 ``export`` is the one writer of a dataset and its ``.meta.json`` sidecar, a
 chunk of rows at a time with no k x k array: a block whose U holds no
-reflector (every base instance) is s * W, written from W's closed form; one
-whose U holds one is read by ``w_rows``, its libsvm written by the token
-writer and its csv by the one row-delta writer of every rotated CSV, U's
-(``resist.save_matrix_csv``) included.
+reflector (every base instance) is s * W, written from W's closed form in
+either format; an instance whose U holds one is written as libsvm only, by
+the token writer from W U's nonzeros a chunk of rows at a time.  The one
+CSV of a rotated run is U's, written by ``resist.save_matrix_csv``.
 """
 
 from __future__ import annotations
@@ -267,8 +266,7 @@ class RotatedInstance(WorstCaseInstance):
 
     ``RotatedInstance(inst, U)`` copies the family fields of ``inst`` and
     takes the ``Rotation`` U, so rotating a rotated instance replaces its U;
-    it builds nothing.  ``w_rows`` builds W U a chunk of rows at a time, and
-    ``w_block()`` is its one block.
+    it builds nothing; ``w_block()`` builds W U from the dense U.
     """
 
     U: Rotation = field(repr=False)
@@ -282,25 +280,8 @@ class RotatedInstance(WorstCaseInstance):
         object.__setattr__(self, "U", U)
 
     def w_block(self) -> np.ndarray:
-        """W U, the one block of ``w_rows`` with every row."""
-        return next(self.w_rows([(0, self.k)]))
-
-    def w_rows(self, bounds):
-        """Rows lo..hi-1 of W U for each (lo, hi) of ``bounds`` in turn, from
-        the rows of U they need (row i < k-1 is U[k-1-i] - U[k-2-i], row k-1
-        is U[0]): a row has the same bits under any partition, and no k x k
-        array is built for fewer rows.  Neither those rows nor the chunk are
-        held here once it is yielded."""
-        k, bounds = self.k, list(bounds)
-        needed = self.U.row_blocks([(max(k - 1 - hi, 0), k - lo) for lo, hi in bounds])
-        for lo, hi in bounds:
-            u = next(needed)[::-1]  # u[n] is U[k-1-lo-n]
-            m = min(hi, k - 1) - lo  # rows that are a difference
-            wu = [np.empty((hi - lo, k))]
-            np.subtract(u[:m], u[1 : m + 1], out=wu[0][:m])
-            wu[0][m:] = u[m : hi - lo]  # row k-1, if in this chunk
-            del u
-            yield wu.pop()
+        """W U, by ``WOperator.apply`` on the dense U."""
+        return self.w.apply(self.U.dense())
 
 
 def build_instance(k: int, sigma: float, zeta: float) -> WorstCaseInstance:
@@ -330,15 +311,24 @@ def _row_bounds(k: int, width: int) -> list[tuple[int, int]]:
 
 def _chunks(inst: RotatedInstance, bounds):
     """(lo, hi, rows, cols, vals) of the nonzeros of W U's rows lo..hi-1,
-    in row-major order, for each (lo, hi) of ``bounds`` read by ``w_rows``,
-    each run of consecutive chunks whose nonzeros total at most
-    ``CHUNK_CELLS // 8`` joined into one.  A chunk is never split, and one
-    that reaches the budget goes out at once, so at most the budget of
-    nonzeros waits for the next read."""
-    run, count, budget, hi = [], 0, CHUNK_CELLS // 8, 0
-    for wu in inst.w_rows(bounds):
-        lo, hi = hi, hi + len(wu)
-        rows, cols = np.nonzero(wu)
+    in row-major order, for each (lo, hi) of ``bounds``, each run of
+    consecutive chunks whose nonzeros total at most ``CHUNK_CELLS // 8``
+    joined into one.  A chunk's rows are built from the rows of U they
+    need (row i < k-1 is U[k-1-i] - U[k-2-i], row k-1 is U[0]), so a row
+    has the same bits under any partition and no k x k array is built for
+    fewer rows.  A chunk is never split, and one that reaches the budget
+    goes out at once, so at most the budget of nonzeros waits for the
+    next read."""
+    k, bounds, run, count, budget = inst.k, list(bounds), [], 0, CHUNK_CELLS // 8
+    needed = inst.U.row_blocks([(max(k - 1 - hi, 0), k - lo) for lo, hi in bounds])
+    for lo, hi in bounds:
+        u = next(needed)[::-1]  # u[n] is U[k-1-lo-n]
+        m = min(hi, k - 1) - lo  # rows that are a difference
+        wu = np.empty((hi - lo, k))
+        np.subtract(u[:m], u[1 : m + 1], out=wu[:m])
+        wu[m:] = u[m : hi - lo]  # row k-1, if in this chunk
+        del u
+        rows, cols = np.nonzero(wu != 0.0)
         vals = wu[rows, cols]
         rows += lo
         del wu  # not held while the caller formats the run
@@ -419,34 +409,6 @@ def _libsvm_texts(inst: RotatedInstance):
             yield "".join(tokens.tolist())
 
 
-def _write_rows(fh, blocks, end: str) -> None:
-    """Write the rows of the 2-D ``blocks`` to ``fh`` as ``np.savetxt(fmt=
-    "%.17g", delimiter=",")`` writes them, but ends each with ``end``.  A row
-    formats only the cells whose bits differ from the row above (-0 differs
-    from +0, equal NaN bits do not) and joins them with the cells it keeps,
-    so it costs what changes in it; a row new in every cell is one
-    template, split into cells only when a later row keeps some."""
-    cells, above, line = None, None, ""
-    for chunk in blocks:
-        chunk = np.ascontiguousarray(chunk, dtype=float)
-        k = chunk.shape[1]
-        whole = ",".join(["%.17g"] * k) + end
-        for row, bits in zip(chunk, chunk.view(np.int64)):
-            changed = None if above is None else np.flatnonzero(bits != above)
-            if changed is None or len(changed) == k:
-                line, cells = whole % tuple(row.tolist()), None
-            elif len(changed):
-                if cells is None:
-                    cells = line[: len(line) - len(end)].split(",")
-                texts = (",".join(["%.17g"] * len(changed)) % tuple(row[changed].tolist())
-                         ).split(",")
-                for col, text in zip(changed.tolist(), texts):
-                    cells[col] = text
-                line = ",".join(cells) + end
-            fh.write(line)
-            above = bits
-
-
 def export(inst: WorstCaseInstance, format: str, path, extra_meta: dict | None = None) -> Path:
     """Write the dataset to ``path`` in ``format`` and its metadata sidecar
     beside it; return the sidecar's path, ``path`` + ".meta.json".
@@ -456,17 +418,21 @@ def export(inst: WorstCaseInstance, format: str, path, extra_meta: dict | None =
 
     Rows are written a chunk at a time, with no k x k array.  A block whose
     U holds no reflector (every base instance, and a span method's resist
-    run) is s * W, written from W's closed form; one whose U holds a
-    reflector is read by ``w_rows``, its libsvm written by the token writer
-    and its csv by the row-delta writer of the rotation CSV.  Labels are the
-    integers 1 / -1; floats carry 17 digits (exact round-trip).  The sidecar
-    holds {k, sigma, zeta, N, spectral_norm_bound} merged with
-    ``extra_meta`` (the CLI adds c, f_star, xstar_norm_sq and variant); it
-    must be valid JSON, so a non-finite entry raises ValueError before
-    either file is written.
+    run) is s * W, written from W's closed form.  An instance whose U holds
+    a reflector is written as libsvm only, by the token writer from W U's
+    nonzeros; ``csv`` raises ValueError.  Labels are the integers 1 / -1;
+    floats carry 17 digits (exact round-trip).  The sidecar holds {k,
+    sigma, zeta, N, spectral_norm_bound} merged with ``extra_meta`` (the
+    CLI adds c, f_star, xstar_norm_sq and variant); it must be valid JSON,
+    so a non-finite entry raises ValueError, and one JSON cannot encode
+    raises TypeError.  Each of these raises before either file is opened.
     """
     if format not in FORMATS:
         raise ValueError(f"unknown format {format!r}; expected one of {FORMATS}")
+    libsvm = format == "libsvm"
+    rotated = isinstance(inst, RotatedInstance) and len(inst.U) > 0
+    if rotated and not libsvm:
+        raise ValueError(f"a rotated instance ({len(inst.U)} reflectors) is written as libsvm only")
     meta = {
         "k": inst.k,
         "sigma": inst.sigma,
@@ -478,21 +444,12 @@ def export(inst: WorstCaseInstance, format: str, path, extra_meta: dict | None =
     bad = {key: v for key, v in meta.items() if isinstance(v, float) and not math.isfinite(v)}
     if bad:
         raise ValueError(f"metadata not finite, so not valid JSON: {bad}")
-    libsvm = format == "libsvm"
+    text = json.dumps(meta, indent=2, sort_keys=True) + "\n"
     with open(path, "w") as fh:
         if not libsvm:
             fh.write(",".join(f"feature_{j + 1}" for j in range(inst.k)) + ",label\n")
-        if not (isinstance(inst, RotatedInstance) and len(inst.U)):
-            fh.writelines(_w_texts(inst, libsvm))
-        elif libsvm:
-            fh.writelines(_libsvm_texts(inst))
-        else:
-            bounds = _row_bounds(inst.k, inst.k)
-            for s, label in zip(inst.block_scales, inst.block_labels):
-                _write_rows(fh, (s * wu for wu in inst.w_rows(bounds)), ",%d\n" % label)
+        fh.writelines(_libsvm_texts(inst) if rotated else _w_texts(inst, libsvm))
 
     sidecar = Path(f"{path}.meta.json")
-    with open(sidecar, "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    sidecar.write_text(text)
     return sidecar

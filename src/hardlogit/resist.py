@@ -33,7 +33,7 @@ import sys
 
 import numpy as np
 
-from .datasets import RotatedInstance, Rotation, WorstCaseInstance, _row_bounds, _write_rows
+from .datasets import RotatedInstance, Rotation, WorstCaseInstance, _row_bounds
 from .logloss import FirstOrderOracle, OracleResponse, loss
 from .optimizers import Trace, _fold, drive
 
@@ -249,16 +249,47 @@ def replay_check(name: str, final_inst: RotatedInstance, T: int, points,
     return trace, float(np.max([*comparing.deviations, np.max(np.abs(trace.final - points[-1]))]))
 
 
+def _write_rows(fh, blocks, end: str) -> None:
+    """Write the rows of the 2-D ``blocks`` to ``fh`` as ``np.savetxt(fmt=
+    "%.17g", delimiter=",")`` writes them, but ends each with ``end``.  A row
+    formats only the cells whose bits differ from the row above (-0 differs
+    from +0, equal NaN bits do not) and joins them with the cells it keeps,
+    so it costs what changes in it; a row new in every cell is one
+    template, split into cells only when a later row keeps some."""
+    cells, above, line = None, None, ""
+    for chunk in blocks:
+        chunk = np.ascontiguousarray(chunk, dtype=float)
+        k = chunk.shape[1]
+        whole = ",".join(["%.17g"] * k) + end
+        for row, bits in zip(chunk, chunk.view(np.int64)):
+            changed = None if above is None else np.flatnonzero(bits != above)
+            if changed is None or len(changed) == k:
+                line, cells = whole % tuple(row.tolist()), None
+            elif len(changed):
+                if cells is None:
+                    cells = line[: len(line) - len(end)].split(",")
+                texts = (",".join(["%.17g"] * len(changed)) % tuple(row[changed].tolist())
+                         ).split(",")
+                for col, text in zip(changed.tolist(), texts):
+                    cells[col] = text
+                line = ",".join(cells) + end
+            fh.write(line)
+            above = bits
+
+
 def save_matrix_csv(U: Rotation, path) -> None:
     """Write the rotation U as the CSV text ``np.savetxt(path, U.dense(),
-    delimiter=",", fmt="%.17g")`` writes, building no k x k U.
+    delimiter=",", fmt="%.17g")`` writes, building no k x k U: the one CSV
+    of a rotated run (its dataset A U is written as libsvm by
+    ``datasets.export``).
 
     U is the identity outside its leading m x m block, m one past the last
     column where V has a nonzero: rows m.. are identity rows, one template
     each with no GEMM, and rows ..m-1 their leading m cells from
-    ``row_blocks``, each followed by one tail of k-m zeros.  ``dense()``
-    computes the same bytes: 0 - (+-0) = +0 outside the block and 1.0 on
-    its diagonal, as ``Rotation.append`` keeps every factor finite."""
+    ``row_blocks``, written by the row-delta writer ``_write_rows``, each
+    followed by one tail of k-m zeros.  ``dense()`` computes the same
+    bytes: 0 - (+-0) = +0 outside the block and 1.0 on its diagonal, as
+    ``Rotation.append`` keeps every factor finite."""
     k, support = U.k, np.flatnonzero(U.V.any(axis=0))
     m = int(support[-1]) + 1 if len(support) else 0
     with open(path, "w") as fh:

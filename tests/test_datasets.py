@@ -20,6 +20,7 @@ from hardlogit import (
     export,
     invariants,
     loss,
+    resist,
 )
 from conftest import (
     dense_ab,
@@ -328,6 +329,35 @@ class TestRotatedInstance:
         assert loss(twice, x).value == loss(once, x).value
         assert np.array_equal(loss(twice, x).gradient, loss(once, x).gradient)
 
+    @settings(max_examples=100, deadline=None)
+    @given(k=st.integers(1, 200), data=st.data())
+    @example(k=522, data=None)
+    def test_w_block_is_the_row_rule(self, k, data):
+        # W U, by WOperator.apply on the dense U, has the bits of the literal
+        # row rule on U's rows (row i < k-1 is U[k-1-i] - U[k-2-i], row k-1
+        # is U[0]), and so has every nonzero the libsvm writer reads: over 0
+        # to 5 reflectors of any support, random or equal but for the last
+        # coefficient (as denseprobe's), at scales 10^[-5, 5]; the example
+        # is the denseprobe resist cell's one reflection
+        U = Rotation(k)
+        if data is None:
+            U.append(np.append(np.ones(k - 3), -3.0))
+        else:
+            rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+            for _ in range(data.draw(st.integers(0, 5))):
+                v = rng.standard_normal(data.draw(st.integers(1, k)))
+                if data.draw(st.booleans()):
+                    v[:-1] = v[0]
+                U.append(v * 10.0 ** data.draw(st.floats(-5.0, 5.0)))
+        inst = RotatedInstance(build_instance(k, 1.3, 1.0), U)
+        block = inst.w_block()
+        assert np.array_equal(block.view(np.int64), w_rows_times(U.dense()).view(np.int64))
+        rows, cols = np.nonzero(block)
+        chunks = list(datasets._chunks(inst, datasets._row_bounds(k, k)))
+        got = [np.concatenate(part) for part in list(zip(*chunks))[2:]]
+        assert np.array_equal(got[0], rows) and np.array_equal(got[1], cols)
+        assert np.array_equal(got[2].view(np.int64), block[rows, cols].view(np.int64))
+
     def test_rotation_must_be_orthogonal(self):
         # a reflector row moved off by 1e-6 leaves U non-orthogonal: the
         # verdict measures ||U'U - I||_F on the factors, which is the dense
@@ -547,9 +577,10 @@ def _export_cases(draw):
     1 to 4k entries and the formats to write.  A third of the draws are a
     base instance, written from W's closed form, in one format: k from 1 to
     2100, sigma/zeta in (1, 1e4] and zeta in 10^[-8, 8].  The rest, in
-    both formats, have k from 1 to 64, at a normal or a subnormal scale,
-    left alone or rotated by 0 to 8 reflectors (each on a leading block of
-    random length, with random entries or two values)."""
+    both formats (csv refused where U holds a reflector), have k from 1 to
+    64, at a normal or a subnormal scale, left alone or rotated by 0 to 8
+    reflectors (each on a leading block of random length, with random
+    entries or two values)."""
     variant = draw(st.sampled_from(["fourblock", "twoblock"]))
     if draw(st.integers(0, 2)) == 0:
         k = draw(st.integers(1, 2100))
@@ -586,17 +617,26 @@ def _export_cases(draw):
 @example(case=(build_instance(2100, 1e-4, 1e-8), 4 * 2100, ("libsvm",)))
 def test_export_is_the_dense_text(case, tmp_path_factory):
     # the formats drawn, byte for byte, over chunks of any size: one-row
-    # chunks, chunks that split a block's nonzeros, and the whole block in one
+    # chunks, chunks that split a block's nonzeros, and the whole block in
+    # one; an instance whose U holds a reflector has no csv, and no file
+    # is opened for it
     inst, cells, formats = case
+    refused = {"csv"} if isinstance(inst, RotatedInstance) and len(inst.U) else set()
     out = tmp_path_factory.mktemp("export")
     default = datasets.CHUNK_CELLS
     datasets.CHUNK_CELLS = cells
     try:
         for fmt in formats:
-            export(inst, fmt, out / f"data.{fmt}")
+            if fmt in refused:
+                with pytest.raises(ValueError, match="libsvm only"):
+                    export(inst, fmt, out / f"data.{fmt}")
+            else:
+                export(inst, fmt, out / f"data.{fmt}")
     finally:
         datasets.CHUNK_CELLS = default
-    for fmt in formats:
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        name for fmt in set(formats) - refused for name in (f"data.{fmt}", f"data.{fmt}.meta.json"))
+    for fmt in set(formats) - refused:
         assert (out / f"data.{fmt}").read_bytes() == _dense_text(inst, fmt).encode()
 
 
@@ -639,12 +679,13 @@ class TestExport:
         # every export writes its sidecar beside the data file: the family
         # fields merged with extra_meta, whatever the format or instance
         extra = {"c": 0.1, "f_star": 2.0, "xstar_norm_sq": 3.0}
-        cases = [(instance(4, 1.3, 1.0, variant), 4 * blocks)
+        cases = [(instance(4, 1.3, 1.0, variant), 4 * blocks, datasets.FORMATS)
                  for variant, blocks in (("fourblock", 4), ("twoblock", 2))]
         rot = RotatedInstance(build_instance(5, 1.7, 1.1), random_orthogonal(5, seed=3))
-        cases.append((rot, 20))
-        for n, (inst, rows) in enumerate(cases):
-            for fmt in ("csv", "libsvm"):
+        cases.append((RotatedInstance(rot, Rotation(5)), 20, datasets.FORMATS))
+        cases.append((rot, 20, ("libsvm",)))  # with a reflector, libsvm only
+        for n, (inst, rows, formats) in enumerate(cases):
+            for fmt in formats:
                 path = tmp_path / f"data{n}.{fmt}"
                 sidecar = export(inst, fmt, path, extra_meta=extra)
                 assert sidecar == tmp_path / f"data{n}.{fmt}.meta.json"
@@ -653,21 +694,42 @@ class TestExport:
                                 "N": rows,
                                 "spectral_norm_bound": inst.spectral_norm_bound(), **extra}
                 assert sidecar.read_text() == json.dumps(meta, indent=2, sort_keys=True) + "\n"
-        sidecar = export(rot, "csv", str(tmp_path / "plain.csv"))  # a str path, no extra
-        assert sidecar == tmp_path / "plain.csv.meta.json"
+        sidecar = export(rot, "libsvm", str(tmp_path / "plain.libsvm"))  # a str path, no extra
+        assert sidecar == tmp_path / "plain.libsvm.meta.json"
         assert set(json.loads(sidecar.read_text())) == {
             "k", "sigma", "zeta", "N", "spectral_norm_bound"}
 
-    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, pytest.param(np.float32(0.5), id="float32")])
     def test_non_finite_meta_writes_nothing(self, tmp_path, bad):
-        # a sidecar must be valid JSON: no Infinity or NaN, and no data file
-        # written before the sidecar is refused
+        # a sidecar must be valid JSON: no Infinity or NaN, and nothing JSON
+        # cannot encode (a float32), so no data file is written before the
+        # sidecar is refused, and no sidecar is left cut off
         inst = build_instance(4, 1.3, 1.0)
+        error, match = (ValueError, "xstar_norm_sq") if isinstance(bad, float) else (
+            TypeError, "float32")
         for fmt in ("csv", "libsvm"):
             path = tmp_path / f"data.{fmt}"
-            with pytest.raises(ValueError, match="xstar_norm_sq"):
+            with pytest.raises(error, match=match):
                 export(inst, fmt, path, extra_meta={"c": 0.1, "xstar_norm_sq": bad})
         assert list(tmp_path.iterdir()) == []
+
+    def test_rotated_csv_is_refused(self, tmp_path):
+        # with a reflector in U there is no csv of A U: export raises before
+        # it opens a file, so a file already at the path keeps its bytes and
+        # no sidecar is written; with no reflector both formats are written
+        base = build_instance(6, 1.3, 1.0)
+        U = Rotation(6)
+        U.append(np.array([1.0, 2.0, -3.0]))
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"kept\n")
+        with pytest.raises(ValueError, match=r"\(1 reflectors\) is written as libsvm only"):
+            export(RotatedInstance(base, U), "csv", path)
+        assert path.read_bytes() == b"kept\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["data.csv"]
+        export(RotatedInstance(base, U), "libsvm", tmp_path / "data.libsvm")
+        for fmt in datasets.FORMATS:
+            export(RotatedInstance(base, Rotation(6)), fmt, tmp_path / f"plain.{fmt}")
+        assert len(list(tmp_path.iterdir())) == 7
 
     def test_rotated_export_uses_effective_matrix(self, tmp_path):
         inst = build_instance(5, 1.3, 1.0)
@@ -675,9 +737,9 @@ class TestExport:
         rot = RotatedInstance(inst, U)
         AU, b = rotated_ab(U.dense(), 1.3, 1.0)
         assert np.array_equal(rot.dense(), AU)
-        path = tmp_path / "rot.csv"
-        export(rot, "csv", path)
-        _, data, labels = _parse_csv(path)
+        path = tmp_path / "rot.libsvm"
+        export(rot, "libsvm", path)
+        data, labels = _parse_libsvm(path, 5)
         assert np.array_equal(data, AU)
         assert np.array_equal(labels, b)
 
@@ -727,23 +789,13 @@ class TestExport:
         assert path.read_text() == "\n".join(lines) + "\n"
 
     @pytest.mark.parametrize("case", [
-        *[(variant, k, None) for variant in ("fourblock", "twoblock") for k in (1, 2, 5, 400)],
-        ("fourblock", 12, "reflectors"), ("twoblock", 12, "reflectors"),
-        ("fourblock", 20, "subnormal"),  # many s * (W U) entries underflow to +-0
+        (variant, k, None) for variant in ("fourblock", "twoblock") for k in (1, 2, 5, 400)
     ], ids=lambda case: f"{case[0]}-k{case[1]}-{case[2] or 'base'}")
     def test_csv_bytes_are_the_dense_rows(self, case, tmp_path):
         # every cell of inst.dense() in "%.17g", "-0" wherever a negative
         # scale meets a zero, though the writer formats only the nonzeros
-        variant, k, rotation = case
-        sigma, zeta = (1.3e-322, 1e-322) if rotation == "subnormal" else (1.7, 1.1)
-        inst = instance(k, sigma, zeta, variant)
-        if rotation == "reflectors":  # a dense leading block and a zero tail
-            U = Rotation(k)
-            for m, seed in ((k - 2, 1), (k - 5, 2)):
-                U.append(np.random.default_rng(seed).standard_normal(m))
-            inst = RotatedInstance(inst, U)
-        elif rotation == "subnormal":
-            inst = RotatedInstance(inst, random_orthogonal(k, seed=5))
+        variant, k, _ = case
+        inst = instance(k, 1.7, 1.1, variant)
         rows = inst.dense()
         texts = ["%.17g" % v for v in rows.ravel()]
         if variant == "fourblock" and k > 1:
@@ -761,9 +813,10 @@ class TestExport:
         # chunk by chunk, each chunk holds its own rows, bit for bit.  A base
         # block's text from W's closed form, in both formats and at row
         # steps of one row, two, a random few and the whole block, is the
-        # dense text of those rows; W U's ``w_rows`` chunks over any
-        # partition of the rows are its rows, every cell bit for bit, zeros
-        # included
+        # dense text of those rows; ``_chunks`` over any partition of W U's
+        # rows, with runs joined under budgets of 1 to 64 nonzeros, holds
+        # the nonzeros of the literal row rule on the dense U, in row-major
+        # order, every value bit for bit
         for k in list(range(1, 25)) + [100, 401]:
             inst = build_instance(k, 1.3, 1.0)
             assert np.array_equal(inst.w_block(), dense_w(k))
@@ -781,30 +834,41 @@ class TestExport:
             for i in range(j):
                 U.append(rng.standard_normal(max(k - 2 * i - 1, 1)))
             inst = RotatedInstance(build_instance(k, 1.3, 1.0), U)
-            block = w_rows_times(U.dense()).view(np.int64)
-            assert np.array_equal(inst.w_block().view(np.int64), block)
+            block = w_rows_times(U.dense())
+            assert np.array_equal(inst.w_block().view(np.int64), block.view(np.int64))
+            rows, cols = np.nonzero(block)
             for bounds in _partitions(k, rng):
-                chunks = list(inst.w_rows(bounds))
-                assert [chunk.shape for chunk in chunks] == [(hi - lo, k) for lo, hi in bounds]
-                assert np.array_equal(np.vstack(chunks).view(np.int64), block)
+                ends = {hi for _, hi in bounds}
+                for cells in (8, 8 * 5, 8 * 64):  # budgets of 1, 5 and 64 nonzeros
+                    monkeypatch.setattr(datasets, "CHUNK_CELLS", cells)
+                    chunks = list(datasets._chunks(inst, bounds))
+                    # each run is whole chunks of the partition, in order
+                    assert [c[0] for c in chunks] == [0] + [c[1] for c in chunks[:-1]]
+                    assert chunks[-1][1] == k and all(c[1] in ends for c in chunks)
+                    for lo, hi, r, _, _ in chunks:
+                        assert np.all((lo <= r) & (r < hi))
+                    got = [np.concatenate(part) for part in list(zip(*chunks))[2:]]
+                    assert np.array_equal(got[0], rows) and np.array_equal(got[1], cols)
+                    assert np.array_equal(got[2].view(np.int64), block[rows, cols].view(np.int64))
 
     def test_no_reflector_text_is_the_gemm_path(self, rng, tmp_path, monkeypatch):
         # U = I: the export is chosen from the instance and takes W's closed
         # form, reading no row of U, and writes byte for byte what the
         # rotated writers write from W U's rows read by GEMM over U's rows
         # (0 - (+-0) is +0, the diagonal 1.0): the libsvm token writer, and
-        # the row-delta writer for csv, in both formats and over chunks of
-        # one row to the whole block; a libsvm row holds W's two nonzeros at
-        # most, so the export of the agd cell (k = 602) writes each block at once
+        # resist's row-delta writer on s * ``w_block()`` for csv, in both
+        # formats and over chunks of one row to the whole block; a libsvm
+        # row holds W's two nonzeros at most, so the export of the agd cell
+        # (k = 602) writes each block at once
         def no_gemm(*_):
             raise AssertionError("read the rows of U")
 
         for k in list(range(1, 20)) + [131, 602]:
             rot = RotatedInstance(build_instance(k, 1.3, 1.0), Rotation(k))
-            bounds = datasets._row_bounds(k, k)
+            block = rot.w_block()
             csv = io.StringIO()
             for s, label in zip(rot.block_scales, rot.block_labels):
-                datasets._write_rows(csv, (s * wu for wu in rot.w_rows(bounds)), ",%d\n" % label)
+                resist._write_rows(csv, [s * block], ",%d\n" % label)
             references = {"csv": csv.getvalue(), "libsvm": "".join(datasets._libsvm_texts(rot))}
             for fmt, reference in references.items():
                 for cells in {1, 2, 3, k, 4 * k, datasets.CHUNK_CELLS} if k < 20 else {None}:
@@ -816,14 +880,16 @@ class TestExport:
                     text = (tmp_path / f"data.{fmt}").read_text()
                     assert text.split("\n", fmt == "csv")[-1] == reference  # past csv's header
         assert datasets._row_bounds(602, 2) == [(0, 602)]
-        # with a reflector the export reads the rows of U, in either format
+        # with a reflector the libsvm export reads the rows of U, and csv is
+        # refused before any row is read
         U = Rotation(602)
         U.append(rng.standard_normal(600))
         monkeypatch.setattr(Rotation, "row_blocks", no_gemm)
-        for fmt in datasets.FORMATS:
-            with pytest.raises(AssertionError, match="read the rows of U"):
-                export(RotatedInstance(build_instance(602, 1.3, 1.0), U), fmt,
-                       tmp_path / f"rot.{fmt}")
+        rot = RotatedInstance(build_instance(602, 1.3, 1.0), U)
+        with pytest.raises(AssertionError, match="read the rows of U"):
+            export(rot, "libsvm", tmp_path / "rot.libsvm")
+        with pytest.raises(ValueError, match="libsvm only"):
+            export(rot, "csv", tmp_path / "rot.csv")
 
     @pytest.mark.parametrize("k, rotation, cells, reads_and_writes", [
         (602, "identity", None, (1, 1)),  # the agd cell: W's closed form
@@ -855,16 +921,17 @@ class TestExport:
             inst = RotatedInstance(inst, U)
         if rotation in (None, "identity"):  # W's closed form: two nonzeros a row, one the last
             reads = [2 * (hi - lo) - (hi == k) for lo, hi in datasets._row_bounds(k, 2)]
-            monkeypatch.setattr(RotatedInstance, "w_rows", None)
-        else:  # the nonzeros of each chunk the export reads from w_rows
-            reads, w_rows = [], RotatedInstance.w_rows
+            monkeypatch.setattr(Rotation, "row_blocks", None)
+        else:  # per read of U's rows, the nonzeros of the chunk of W U it gives
+            reads, row_blocks, chunks = [], Rotation.row_blocks, datasets._row_bounds(k, k)
+            nonzeros = [np.count_nonzero(w_rows_times(U.dense())[lo:hi]) for lo, hi in chunks]
 
             def counted(self, bounds):
-                for wu in w_rows(self, bounds):
-                    reads.append(np.count_nonzero(wu))
-                    yield wu
+                for u in row_blocks(self, bounds):
+                    reads.append(nonzeros[len(reads) % n])
+                    yield u
 
-            monkeypatch.setattr(RotatedInstance, "w_rows", counted)
+            monkeypatch.setattr(Rotation, "row_blocks", counted)
         path = tmp_path / "data.libsvm"
         writes = []
 
@@ -927,15 +994,14 @@ class TestExport:
         # read once and held for all blocks: 8 chunks (4.5 and 6.3
         # measured).  After one on the leading 400 (163k) it is read again
         # for each block, a chunk at a time: 14 chunks (10.2 measured);
-        # holding its nonzeros whole measured 23, and a dense W U 88.  csv
-        # reads W U's rows again for each block and writes them by row
-        # deltas: 4.8 to 5.0 chunks measured in all three
+        # holding its nonzeros whole measured 23, and a dense W U 88.  There
+        # is no csv of a rotated instance
         k = 1602
         U = Rotation(k)
         U.append(np.append(np.ones(k - 3), -3.0) if reflector == "two-valued"
                  else np.random.default_rng(2).standard_normal(int(reflector[8:])))
         inst = RotatedInstance(instance(k, 1.3, 1.0, "twoblock"), U)
-        nonzeros = sum(np.count_nonzero(wu) for wu in inst.w_rows(datasets._row_bounds(k, k)))
+        nonzeros = np.count_nonzero(inst.w_block())
         assert (nonzeros > datasets.CHUNK_CELLS) == (reflector == "leading-400")
 
         def no_dense(_):
@@ -943,14 +1009,15 @@ class TestExport:
 
         monkeypatch.setattr(Rotation, "dense", no_dense)
         chunk = (datasets.CHUNK_CELLS // k) * k * 8
-        for fmt in datasets.FORMATS:
-            tracemalloc.start()
-            try:
-                export(inst, fmt, tmp_path / f"data.{fmt}")
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak < bound * chunk <= k * k * 8 / 5
+        tracemalloc.start()
+        try:
+            export(inst, "libsvm", tmp_path / "data.libsvm")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * chunk <= k * k * 8 / 5
+        with pytest.raises(ValueError, match="libsvm only"):
+            export(inst, "csv", tmp_path / "data.csv")
 
     @pytest.mark.parametrize("fmt, k", [("libsvm", 2000), ("csv", 400)])
     def test_base_export_holds_one_chunk(self, fmt, k, tmp_path):
