@@ -48,7 +48,8 @@ class WOperator:
         """W @ x (= W.T @ x), x of shape (k,) or (k, m): one subtraction per entry."""
         x = np.asarray(x, dtype=float)
         if x.shape[:1] != (self.k,) or x.ndim > 2:
-            raise ValueError(f"dimension mismatch: expected ({self.k},), got {x.shape}")
+            raise ValueError(
+                f"dimension mismatch: expected ({self.k},) or ({self.k}, m), got {x.shape}")
         return _w_into(x, np.empty_like(x))  # in x's layout, so each row of a stack is contiguous
 
     def dense(self) -> np.ndarray:
@@ -59,7 +60,7 @@ def _w_into(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     """W @ x for x of shape (k,) or (k, m), written into ``out`` of x's
     shape and returned: the one copy of W's arithmetic, for
     ``WOperator.apply`` and for the loss kernel's margins, which it writes
-    into an oracle's kept temporaries."""
+    into an instance's one-point temporaries."""
     # row i (0-based, i < k-1): x[k-1-i] - x[k-2-i]; row k-1: x[0]
     np.subtract(x[:0:-1], x[-2::-1], out[:-1])
     out[-1] = x[0]
@@ -121,7 +122,7 @@ class Rotation:
         beta are positive finite doubles and T's new column is finite (two
         tiny reflectors can overflow it), raises ValueError and leaves U."""
         v = np.asarray(v, dtype=float)
-        n, m = self._n, v.shape[0]
+        n, m = self._n, v.size
         if v.ndim != 1 or not 0 < m <= self.k:
             raise ValueError(
                 f"dimension mismatch: reflector of shape {v.shape} in dimension {self.k}"

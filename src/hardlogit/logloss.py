@@ -26,23 +26,22 @@ reflectors, and skips both products while U holds none.
 ``invariants.optimum`` alone adds the intercept derivative.
 
 An instance is resolved for the kernel once, on its first loss call (W,
-U, the distinct |s|, their weights and the drift, held in its
-``__dict__``).  A ``FirstOrderOracle`` adds temporaries for one point,
-shared by the instance's oracles: a one-point answer writes w, z, |z| and
-h(z) into them and allocates only the gradient it returns (and, if U
-holds a reflector, U's products), so above k ~ 10,000 a call no longer
-faults fresh pages in; two threads must not then make one-point calls on
-that instance at once.  A bare call on an instance with no oracle, and every stack,
-runs the same arithmetic on fresh arrays.
+U, the distinct |s|, their weights and the drift, and temporaries for one
+point, held in its ``__dict__``).  Every one-point answer writes w, z, |z|
+and h(z) into those temporaries and allocates only the gradient it
+returns (and, if U holds a reflector, U's products), so above k ~ 10,000
+a call no longer faults fresh pages in; two threads must not make
+one-point calls on one instance at once.  Every stack runs the same
+arithmetic on fresh arrays.
 
-On a base instance of k >= WINDOW_FROM those one-point answers are
-windowed: a span method's iterate lies on the trailing coordinates, so
-w = Wx is zero past a leading window, and exp, log1p and tanh run only on
-the window, read from w as one past its last nonzero.  Past it z is +-0,
-which tanh(z/2) keeps, and h(z) is h(0), which the kept h rows already
-hold: their tail is state shared by the instance's oracles, tracked as
-the column from which it holds h(0) and written by the same h when a
-window shrinks.  Every answer keeps the bits of the full pass.
+On an instance of k >= WINDOW_FROM the one-point answers are windowed: a
+span method's iterate lies on the trailing coordinates, so w = Wx (at
+U x if rotated) is zero past a leading window, and exp, log1p and tanh
+run only on the window, read from w as one past its last nonzero.  Past
+it z is +-0, which tanh(z/2) keeps, and h(z) is h(0), which the kept h
+rows already hold: their tail is tracked as the column from which it
+holds h(0), and written by the same h when a window shrinks.  Every
+answer keeps the bits of the full pass.
 
 Optimizers never see A or b: they receive an opaque oracle handle that
 returns (value, gradient) pairs only.
@@ -99,12 +98,12 @@ def _weighted(rows, weights):
 
 class _Kernel:
     """An instance resolved for the kernel: k, W, U (None unless rotated),
-    the distinct |s| as a column, mult, mult*|s| and the drift.  ``keep``
-    adds the temporaries a one-point answer writes into, ``kept``: hw,
-    whose rows are h(z) and then w, so that one reduction sums them all,
+    the distinct |s| as a column, mult, mult*|s| and the drift; the
+    temporaries every one-point answer writes into, ``kept``: hw, whose
+    rows are h(z) and then w, so that one reduction sums them all,
     z = |s| w and |z|; and ``h_from``, None unless the answers are windowed
-    (a base instance of k >= WINDOW_FROM), else the column from which the
-    h(z) rows hold h(0): k until an answer writes them."""
+    (k >= WINDOW_FROM), else the column from which the h(z) rows hold
+    h(0): k until an answer writes them."""
 
     __slots__ = ("k", "W", "U", "mags", "mult", "weights", "drift", "kept", "h_from")
 
@@ -113,14 +112,9 @@ class _Kernel:
         self.U = inst.U if isinstance(inst, RotatedInstance) else None
         self.mags, self.mult, self.weights, self.drift = _magnitudes(
             inst.block_scales, inst.block_labels)
-        self.kept = self.h_from = None
-
-    def keep(self) -> None:
-        if self.kept is None:
-            d = len(self.mult)
-            self.kept = (np.empty((d + 1, self.k)), *np.empty((2, d, self.k)))
-            if self.U is None and self.k >= WINDOW_FROM:  # U x is dense: no window
-                self.h_from = self.k
+        d = len(self.mult)
+        self.kept = (np.empty((d + 1, self.k)), *np.empty((2, d, self.k)))
+        self.h_from = self.k if self.k >= WINDOW_FROM else None
 
 
 def _kernel(inst: WorstCaseInstance) -> _Kernel:
@@ -134,14 +128,15 @@ def _kernel(inst: WorstCaseInstance) -> _Kernel:
 
 def _margins(inst: WorstCaseInstance, x):
     """(kernel, hw, z, a, m): w = Wx in hw's last row and z = |s| w, at x
-    or, if U holds a reflector, at U x; a is where |z| goes.  A point uses
-    the kept temporaries if the instance has them; else hw is fresh and z
-    and a are None, so their ufuncs allocate.  m is None, or on a windowed answer
-    one past w's last nonzero (0 if none), read from w itself: a subnormal
-    w may underflow to 0 in one row of z and not in another."""
+    or, if U holds a reflector, at U x; a is where |z| goes.  A point of
+    shape (k,) uses the instance's temporaries; a stack of shape (m, k)
+    gets a fresh hw, and z and a are None, so their ufuncs allocate.  m is
+    None, or on a windowed answer one past w's last nonzero (0 if none),
+    read from w itself: a subnormal w may underflow to 0 in one row of z
+    and not in another."""
     x = np.asarray(x, dtype=float)
     kern = _kernel(inst)
-    if kern.kept is not None and x.shape == (kern.k,):
+    if x.shape == (kern.k,):
         hw, z, a = kern.kept
     elif x.shape[-1:] != (kern.k,) or x.ndim > 2:
         raise ValueError(
@@ -258,9 +253,9 @@ class FirstOrderOracle:
     deliberately not exposed on the public surface, only its dimension
     ``k`` and smoothness constant ``lipschitz``, which must be a positive
     finite double (a method steps by 1/L), else ValueError.  Each answer
-    is ``loss(inst, x)``; the constructor gives the instance its one-point
-    temporaries (see the module notes), so an answer at a point allocates
-    only its gradient, a fresh array no later answer writes into.
+    is ``loss(inst, x)``: at a point it runs on the instance's one-point
+    temporaries (see the module notes) and allocates only its gradient, a
+    fresh array no later answer writes into.
     """
 
     def __init__(self, inst: WorstCaseInstance):
@@ -271,7 +266,6 @@ class FirstOrderOracle:
             raise ValueError(
                 f"smoothness constant L = ||A||^2/2 = {self.lipschitz} is not a positive "
                 f"finite double at sigma={inst.sigma}, zeta={inst.zeta}")
-        _kernel(inst).keep()  # one set per instance, shared by its oracles
 
     def __call__(self, x: np.ndarray) -> OracleResponse:
         return loss(self._inst, x)

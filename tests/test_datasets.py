@@ -2,6 +2,7 @@ import collections
 import dataclasses
 import io
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -81,9 +82,11 @@ class TestWOperator:
             build_w(2.5)
 
     def test_dimension_mismatch(self):
+        # the message names both shapes apply takes, as the loss kernel's does
         for bad in (np.ones(5), np.ones((5, 4)), np.ones((3, 4)), np.ones((4, 2, 2)),
                     np.float64(1.0)):
-            with pytest.raises(ValueError, match="dimension mismatch"):
+            expected = f"dimension mismatch: expected (4,) or (4, m), got {np.shape(bad)}"
+            with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
                 build_w(4).apply(bad)
 
     def test_apply_to_columns(self, rng):
@@ -246,6 +249,13 @@ class TestRotation:
         for bad in (np.zeros(3), [1e-200, 0.0], [np.nan, 1.0], [1e200, 1.0], [1e-155, 0.0],
                     [np.inf, 0.0]):
             with pytest.raises(ValueError, match="invalid reflector"):
+                U.append(bad)
+            assert len(U) == 1
+            assert np.array_equal(U.V, V) and np.array_equal(U.triangular, T)
+        # a 0-d reflector has no length: it raises the dimension error, not
+        # an IndexError, and U keeps its factors
+        for bad in (np.float64(2.0), np.array(-1.0), 3.0):
+            with pytest.raises(ValueError, match=re.escape("reflector of shape () in dimension 4")):
                 U.append(bad)
             assert len(U) == 1
             assert np.array_equal(U.V, V) and np.array_equal(U.triangular, T)

@@ -13,11 +13,13 @@ from hardlogit import (
     RotatedInstance,
     Rotation,
     build_instance,
+    cli,
     invariants,
     lipschitz,
     logloss,
     loss,
     profile,
+    resist,
     run,
 )
 from hardlogit.logloss import loss_gradient, loss_value
@@ -467,10 +469,18 @@ def _one_point_cases(draw):
 
 
 class TestKeptTemporaries:
-    """A one-point answer on an instance with an oracle runs the kernel on
-    temporaries the oracle keeps; its answers keep the bits of the stacked
-    rows, which run on fresh ones, and none of them aliases those
-    temporaries."""
+    """Every one-point answer runs the kernel on temporaries its instance
+    makes on its first loss call, windowed once k >= WINDOW_FROM; its
+    answers keep the bits of the stacked rows, which run on fresh arrays,
+    and none of them aliases those temporaries."""
+
+    @staticmethod
+    def _assert_answers_are_rows(inst, x, value, gradient):
+        # loss, an oracle, loss_value and loss_gradient at x against a stacked row
+        resp, answer = loss(inst, x), FirstOrderOracle(inst)(x)
+        assert resp.value.hex() == answer.value.hex() == loss_value(inst, x).hex() == value.hex()
+        for g in (resp.gradient, answer.gradient, loss_gradient(inst, x)):
+            assert np.array_equal(_bits(g), _bits(gradient))
 
     @settings(max_examples=200, deadline=None)
     @given(case=_one_point_cases())
@@ -482,16 +492,8 @@ class TestKeptTemporaries:
         Y = np.array([U.apply(x) for x in X])
         stacked = loss(base, X), loss(base, Y)
         for inst, ref in zip((base, rotated), stacked):
-            expected = [(value.hex(), _bits(g if inst is base else U.apply_t(g)))
-                        for value, g in zip(ref.value.tolist(), ref.gradient)]
-            for kept in (False, True):
-                if kept:
-                    FirstOrderOracle(inst)
-                for x, (value, gradient) in zip(X, expected):
-                    resp = loss(inst, x)
-                    assert resp.value.hex() == loss_value(inst, x).hex() == value
-                    assert np.array_equal(_bits(resp.gradient), gradient)
-                    assert np.array_equal(_bits(loss_gradient(inst, x)), gradient)
+            for x, value, g in zip(X, ref.value, ref.gradient):
+                self._assert_answers_are_rows(inst, x, value, g if inst is base else U.apply_t(g))
 
     @settings(max_examples=60, deadline=None)
     @given(case=_one_point_cases())
@@ -515,48 +517,41 @@ class TestKeptTemporaries:
             assert not np.shares_memory(g, X)
             assert not any(np.shares_memory(g, h) for h in answers[:i])
 
-    @staticmethod
-    def _assert_answers_are_rows(inst, x, value, gradient):
-        # loss, loss_value and loss_gradient at x against a stacked row
-        resp = loss(inst, x)
-        assert resp.value.hex() == loss_value(inst, x).hex() == value.hex()
-        assert np.array_equal(_bits(resp.gradient), _bits(gradient))
-        assert np.array_equal(_bits(loss_gradient(inst, x)), _bits(gradient))
-
     @pytest.mark.parametrize("scale", [1.0, 1e-320])
     @pytest.mark.parametrize("sigma, zeta", [(1.3, 1.0), (1.0, 1e-8)])
     def test_windowed_answers_at_every_offset(self, monkeypatch, sigma, zeta, scale):
-        # with the crossover down at k = 1, every one-point answer on a base
-        # instance is windowed; at k = 8 a point whose nonzeros start at
-        # coordinate 8 - m has w's nonzeros end at offset m, for each window
-        # m = 0 .. 8, over a leading block of +0.0 or -0.0 (-0.0 in w's last
-        # row); at 1e-320, w is subnormal and, at zeta = 1e-8, z's smaller
-        # row underflows to zero where the other does not.  Each answer has
-        # the bits of the bare call, on fresh arrays, and of the stacked row
-        monkeypatch.setattr(logloss, "WINDOW_FROM", 1)
+        # with the crossover down at k = 1 before the instance's first loss
+        # call, every one-point answer on it is windowed; at k = 8 a point
+        # whose nonzeros start at coordinate 8 - m has w's nonzeros end at
+        # offset m, for each window m = 0 .. 8, over a leading block of +0.0
+        # or -0.0 (-0.0 in w's last row); at 1e-320, w is subnormal and, at
+        # zeta = 1e-8, z's smaller row underflows to zero where the other
+        # does not.  Each answer has the bits of an unwindowed instance's,
+        # made before the patch, and of the stacked row
         k = 8
         rng = np.random.default_rng(8)
         X = np.array([np.concatenate([np.full(k - m, sign * 0.0), rng.standard_normal(m) * scale])
                       for m in range(k + 1) for sign in (1.0, -1.0)])
+        plain = build_instance(k, sigma, zeta)
+        unwindowed = [loss(plain, x) for x in X]
+        assert logloss._kernel(plain).h_from is None
+        monkeypatch.setattr(logloss, "WINDOW_FROM", 1)
         inst = build_instance(k, sigma, zeta)
         stacked = loss(inst, X)
-        bare = [loss(inst, x) for x in X]
-        for x, want in zip(X, bare):
-            self._assert_answers_are_rows(inst, x, want.value, want.gradient)
-        FirstOrderOracle(inst)
         kern = logloss._kernel(inst)
         for i, (x, value, gradient) in enumerate(zip(X, stacked.value, stacked.gradient)):
             self._assert_answers_are_rows(inst, x, value, gradient)
             assert kern.h_from == i // 2  # the window read from w
-            assert bare[i].value.hex() == value.hex()
-            assert np.array_equal(_bits(bare[i].gradient), _bits(gradient))
+            assert unwindowed[i].value.hex() == value.hex()
+            assert np.array_equal(_bits(unwindowed[i].gradient), _bits(gradient))
         if scale < 1.0 and zeta < 1.0:
             assert (np.abs(X[-1] * 2e-8) == 0.0).all() and (X[-1] != 0.0).all()
 
     def test_windows_shrink_and_grow_across_oracles(self, monkeypatch):
-        # two oracles of one instance share its kept temporaries, and so the
-        # tail of h(0) the windows leave: answers whose windows shrink (to
-        # 0) and grow (to k) in turn keep the stacked rows' bits
+        # two oracles of one instance and its bare calls share its
+        # temporaries, and so the tail of h(0) the windows leave: answers
+        # whose windows shrink (to 0) and grow (to k) in turn keep the
+        # stacked rows' bits
         monkeypatch.setattr(logloss, "WINDOW_FROM", 1)
         k = 8
         windows = [8, 1, 5, 0, 3, 8, 2, 2, 6, 1, 7, 0, 8]
@@ -566,10 +561,10 @@ class TestKeptTemporaries:
             x[k - m :] = rng.standard_normal(m)
         inst = build_instance(k, 1.3, 1.0)
         stacked = loss(inst, X)
-        oracles = FirstOrderOracle(inst), FirstOrderOracle(inst)
+        answer = FirstOrderOracle(inst), FirstOrderOracle(inst), functools.partial(loss, inst)
         kern = logloss._kernel(inst)
         for i, (x, m) in enumerate(zip(X, windows)):
-            resp = oracles[i % 2](x)
+            resp = answer[i % 3](x)
             assert kern.h_from == m
             assert resp.value.hex() == stacked.value[i].hex()
             assert np.array_equal(_bits(resp.gradient), _bits(stacked.gradient[i]))
@@ -579,22 +574,31 @@ class TestKeptTemporaries:
     @given(case=_one_point_cases())
     def test_windowed_answers_are_the_stacked_rows(self, case):
         # the cases above at any k, scale and (sigma, zeta), with the
-        # crossover down at k = 1: a base instance's answers are windowed, a
-        # rotated one's, whose U x is dense, are not
+        # crossover down at k = 1 before each instance's first loss call: a
+        # base instance's answers, and a rotated one's with U holding
+        # reflectors or none, are windowed by their own w = W U x and keep
+        # the bits of the base kernel's stacked rows at U x, the gradient
+        # pulled back by U'
         base, rotated, X = case
-        stacked = loss(base, X)
+        k = base.k
+        unrotated = RotatedInstance(base, Rotation(k))
+        cases = (base, Rotation(k)), (rotated, rotated.U), (unrotated, unrotated.U)
         with mock.patch.object(logloss, "WINDOW_FROM", 1):
-            FirstOrderOracle(base)
-            FirstOrderOracle(rotated)
-        assert logloss._kernel(base).h_from == base.k
-        assert logloss._kernel(rotated).h_from is None
-        for x, value, gradient in zip(X, stacked.value, stacked.gradient):
-            self._assert_answers_are_rows(base, x, value, gradient)
+            for inst, _ in cases:
+                loss_value(inst, X)
+        for inst, U in cases:
+            assert logloss._kernel(inst).h_from == k
+            Y = np.array([U.apply(x) for x in X])
+            ref = loss(base, Y)
+            for x, y, value, g in zip(X, Y, ref.value, ref.gradient):
+                self._assert_answers_are_rows(inst, x, value, U.apply_t(g))
+                nonzero = np.flatnonzero(base.w.apply(y))
+                assert logloss._kernel(inst).h_from == (nonzero[-1] + 1 if nonzero.size else 0)
 
     def test_one_point_answer_allocates_only_its_gradient(self, rng):
-        # the kernel's temporaries are the oracle's, made with it; a call
-        # allocates the gradient it returns (the kernel on fresh arrays
-        # peaked at 9 k-vectors)
+        # the kernel's temporaries are the instance's, made on its first
+        # loss call; an oracle's call allocates the gradient it returns (the
+        # kernel on fresh arrays peaked at 9 k-vectors)
         k = 20_000
         oracle = FirstOrderOracle(build_instance(k, 1.3, 1.0))
         x = rng.standard_normal(k)
@@ -606,6 +610,56 @@ class TestKeptTemporaries:
         finally:
             tracemalloc.stop()
         assert peak <= 3 * 8 * k
+
+    def test_bare_one_point_calls_run_on_the_instance_temporaries(self, rng):
+        # an instance no oracle was built on: after its first loss call, a
+        # stack, loss, loss_value and loss_gradient at a point nonzero on
+        # its last 50 coordinates each stay within the oracle's bound above
+        # (on fresh arrays they peaked at 7, 7 and 5 k-vectors), windowed to
+        # the 50 leading rows where w = Wx is nonzero, with the stacked row's bits
+        k = 20_000
+        inst = build_instance(k, 1.3, 1.0)
+        x = np.zeros(k)
+        x[-50:] = rng.standard_normal(50)
+        stacked = loss(inst, np.vstack([x, rng.standard_normal(k)]))
+        answers = []
+        for entry in (loss, loss_value, loss_gradient):
+            tracemalloc.start()
+            try:
+                answers.append(entry(inst, x))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 3 * 8 * k, entry.__name__
+            assert logloss._kernel(inst).h_from == 50
+        resp, value, gradient = answers
+        assert resp.value.hex() == value.hex() == stacked.value[0].hex()
+        for g in (resp.gradient, gradient):
+            assert np.array_equal(_bits(g), _bits(stacked.gradient[0]))
+
+    def test_windowed_resist_writes_the_unwindowed_bytes(self, tmp_path, monkeypatch, capsys):
+        # resist's agd run at T = 400 (k = 1,602): its adaptive answers on
+        # the base instance and its replay on the frozen rotated one are
+        # windowed; with the crossover patched above k neither is, and every
+        # file and line of output keeps its bytes
+        finals, replay = [], resist.replay_check
+
+        def recording(name, final_inst, *args):
+            finals.append(final_inst)
+            return replay(name, final_inst, *args)
+
+        monkeypatch.setattr(resist, "replay_check", recording)
+        outputs = []
+        for window_from in (logloss.WINDOW_FROM, 1603):
+            monkeypatch.setattr(logloss, "WINDOW_FROM", window_from)
+            out = tmp_path / str(window_from)
+            assert cli.main(["resist", "--method", "agd", "--T", "400", "--out", str(out),
+                             "--no-timestamp"]) == 0
+            files = {p.name: p.read_bytes() for p in out.iterdir()}
+            outputs.append((capsys.readouterr().out.replace(str(out), "OUT"), files))
+        windowed, full = (logloss._kernel(inst) for inst in finals)
+        assert finals[0].k == 1602 and 0 < windowed.h_from < 1602 and full.h_from is None
+        assert len(outputs[0][1]) == 5 and outputs[0] == outputs[1]
 
 
 class TestOptimumIntercept:
